@@ -12,6 +12,17 @@ wavenumber.  Forward transforms of real fields mirror the negative modes
 from the nonnegative half explicitly, so Hermitian symmetry holds
 exactly, not just to round-off.
 
+The modes k = 0 .. K/2 (``Spectrum.half``, the rfft layout) determine a
+real field.  The transform pair on that layout is the only code here
+that depends on the scalar mode: ``transforms_for`` picks numpy's
+rfft/irfft for complex128 arrays and a radix-2 mpmath FFT for object
+arrays.  ``forward_transform``, ``inverse_transform`` and the
+right-hand-side kernel in ``spectral`` all run through it; the
+finiteness test they share is ``precision.all_finite``.
+``check_hermitian`` guards every inverse transform, and the RK4 step
+runs it once on each step's input state (stage states are Hermitian by
+construction).
+
 Discrete Parseval identity under this normalisation:
 
     (1/K) * sum_j u_j**2 == sum_k |u_hat[k]|**2
@@ -19,6 +30,7 @@ Discrete Parseval identity under this normalisation:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -38,8 +50,8 @@ from .precision import (
 MIN_MODES = 8
 
 # Relative tolerance (in units of round-off) for the Hermitian-symmetry
-# check on inverse transforms.  The pipeline maintains symmetry exactly,
-# so any measurable violation signals corrupted input.
+# check on inverse transforms and RK4 steps.  The pipeline maintains
+# symmetry exactly, so any measurable violation signals corrupted input.
 SYMMETRY_RTOL_ULPS = 1e3
 
 TYPE_I = "type1"    # u0(x) = sin(x)
@@ -122,7 +134,7 @@ class Spectrum:
     Construction checks only shape; Hermitian symmetry is guaranteed by
     the operations that produce spectra and re-verified (with a
     round-off tolerance) whenever a spectrum is pushed back to physical
-    space.
+    space, and once per RK4 step.
     """
 
     grid: GridSpec
@@ -135,8 +147,26 @@ class Spectrum:
                 f"expected {self.grid.n_modes} coefficients, got shape {coeffs.shape}"
             )
         if coeffs.dtype != object:
-            coeffs = coeffs.astype(np.complex128)
+            coeffs = coeffs.astype(np.complex128, copy=False)
         object.__setattr__(self, "coeffs", _frozen_copy(coeffs))
+
+    @classmethod
+    def from_half(cls, grid: GridSpec, half: np.ndarray) -> "Spectrum":
+        """Spectrum with modes k = 0..K/2 from ``half`` and k < 0 their conjugates.
+
+        mpmath rounds a conjugate to the ambient precision, so object
+        arrays are mirrored inside their ``working_context``.
+        """
+        K = grid.n_modes
+        coeffs = np.empty(K, dtype=half.dtype)
+        coeffs[: K // 2 + 1] = half
+        with working_context(half):
+            coeffs[K // 2 + 1 :] = np.conj(half[K // 2 - 1 : 0 : -1])
+        return cls(grid, coeffs)
+
+    def half(self) -> np.ndarray:
+        """Read-only view of the modes k = 0 .. K/2 (the rfft layout)."""
+        return self.coeffs[: self.grid.n_modes // 2 + 1]
 
     def wavenumbers(self) -> np.ndarray:
         return self.grid.wavenumbers()
@@ -150,9 +180,7 @@ class Spectrum:
 
     def magnitudes_nonnegative(self) -> np.ndarray:
         """|u_hat[k]| for k = 0 .. K/2 (Nyquist slot included last)."""
-        K = self.grid.n_modes
-        half = np.concatenate([self.coeffs[: K // 2], self.coeffs[K // 2 : K // 2 + 1]])
-        return np.abs(half)
+        return np.abs(self.half())
 
     def max_magnitude(self):
         return np.abs(self.coeffs).max()
@@ -163,47 +191,117 @@ class Spectrum:
         c = self.coeffs
         pos = c[1 : K // 2]
         neg = c[: K // 2 : -1]  # slots K-1 .. K/2+1, i.e. k = -1 .. -(K/2-1)
-        if is_extended_array(c):
-            defects = [abs(mp.im(c[0])), abs(mp.im(c[K // 2]))]
-            defects.append(max((abs(a - mp.conj(b)) for a, b in zip(neg, pos)), default=0))
-            return float(max(defects))
-        mirror = float(np.abs(neg - np.conj(pos)).max()) if K > 2 else 0.0
-        return max(abs(complex(c[0]).imag), abs(complex(c[K // 2]).imag), mirror)
+        mirror = np.abs(neg - np.conj(pos)).max()
+        return float(max(abs(c[0].imag), abs(c[K // 2].imag), mirror))
 
 
-def _is_hermitian_ok(spec: Spectrum) -> bool:
-    scale = spec.max_magnitude()
-    tol = SYMMETRY_RTOL_ULPS * ulp_for(spec.coeffs) * max(float(scale), 1e-300)
-    return spec.symmetry_defect() <= tol
+def check_hermitian(spectrum: Spectrum) -> None:
+    """Raise SymmetryError unless the spectrum is Hermitian within round-off.
 
-
-def _assemble_from_half(grid: GridSpec, half: np.ndarray) -> np.ndarray:
-    """Build a full slot-ordered coefficient array from modes k=0..K/2.
-
-    The k=0 and Nyquist entries are forced real and the negative modes
-    are set to explicit conjugates, so the result is Hermitian exactly.
+    For object arrays the round-off unit is the ambient mpmath precision.
     """
-    K = grid.n_modes
-    if is_extended_array(half):
-        coeffs = np.empty(K, dtype=object)
-        coeffs[0] = mp.mpc(mp.re(half[0]))
-        coeffs[K // 2] = mp.mpc(mp.re(half[K // 2]))
-        for k in range(1, K // 2):
-            coeffs[k] = half[k]
-            coeffs[K - k] = mp.conj(half[k])
-        return coeffs
-    coeffs = np.empty(K, dtype=np.complex128)
-    coeffs[0] = half[0].real
-    coeffs[K // 2] = half[K // 2].real
-    coeffs[1 : K // 2] = half[1 : K // 2]
-    coeffs[K // 2 + 1 :] = np.conj(half[1 : K // 2][::-1])
-    return coeffs
+    scale = spectrum.max_magnitude()
+    tol = SYMMETRY_RTOL_ULPS * ulp_for(spectrum.coeffs) * max(float(scale), 1e-300)
+    if not spectrum.symmetry_defect() <= tol:
+        raise SymmetryError(
+            "spectrum is not Hermitian within round-off; refusing to "
+            "reconstruct a real field from corrupted coefficients"
+        )
 
 
-def _alternating_signs(n: int) -> np.ndarray:
-    signs = np.ones(n)
-    signs[1::2] = -1.0
+@functools.lru_cache(maxsize=32)
+def _alternating_signs(n: int, scale_down: int = 1) -> np.ndarray:
+    """(-1)**k / scale_down for k = 0..n-1, read-only."""
+    signs = np.full(n, 1.0 / scale_down)
+    signs[1::2] *= -1.0
+    signs.setflags(write=False)
     return signs
+
+
+@dataclass(frozen=True)
+class DoubleTransforms:
+    """Half-layout transform pair on complex128 arrays via numpy's rfft.
+
+    Both directions act along the last axis, so a stack of fields or
+    half spectra is transformed in one call.
+    """
+
+    def real(self, ints: np.ndarray) -> np.ndarray:
+        """Integers as a real working-precision array (for symbol tables)."""
+        return np.asarray(ints, dtype=np.float64)
+
+    def scalar(self, x) -> float:
+        return float(x)
+
+    def forward(self, values: np.ndarray, n_modes: int) -> np.ndarray:
+        """Modes k = 0..K/2 of real samples; k = 0 and K/2 are forced real."""
+        # scaling by a precomputed +-1/K gives the values of dividing by K
+        # without a complex division
+        half = np.fft.rfft(values, axis=-1) * _alternating_signs(n_modes // 2 + 1, n_modes)
+        half[..., 0] = half[..., 0].real
+        half[..., -1] = half[..., -1].real
+        return half
+
+    def inverse(self, half: np.ndarray, n_modes: int) -> np.ndarray:
+        """Real samples of the field whose modes k = 0..K/2 are ``half``."""
+        signed = half * _alternating_signs(n_modes // 2 + 1)
+        return np.fft.irfft(signed, n=n_modes, axis=-1) * n_modes
+
+
+@dataclass(frozen=True)
+class ExtendedTransforms:
+    """Half-layout transform pair on mpmath object arrays at ``dps`` digits.
+
+    Call inside a context that sets the mpmath precision to ``dps``.
+    """
+
+    dps: int
+
+    def real(self, ints: np.ndarray) -> np.ndarray:
+        return np.array([mp.mpf(int(v)) for v in ints], dtype=object)
+
+    def scalar(self, x):
+        return mp.mpf(x)
+
+    def forward(self, values: np.ndarray, n_modes: int) -> np.ndarray:
+        K = n_modes
+        rows = values.reshape(-1, K)
+        out = np.empty((len(rows), K // 2 + 1), dtype=object)
+        for r, row in enumerate(rows):
+            bins = _mp_fft([mp.mpc(v) for v in row])
+            half = [bins[k] * ((-1) ** k) / K for k in range(K // 2 + 1)]
+            half[0] = mp.mpc(mp.re(half[0]))
+            half[K // 2] = mp.mpc(mp.re(half[K // 2]))
+            out[r] = half
+        return out.reshape(values.shape[:-1] + (K // 2 + 1,))
+
+    def inverse(self, half: np.ndarray, n_modes: int) -> np.ndarray:
+        K = n_modes
+        rows = half.reshape(-1, K // 2 + 1)
+        out = np.empty((len(rows), K), dtype=object)
+        for r, row in enumerate(rows):
+            full = list(row) + [mp.conj(v) for v in row[K // 2 - 1 : 0 : -1]]
+            # (-1)**k per slot: k == m (mod 2) for even K, so (-1)**m works;
+            # the exp(+...) transform is the forward FFT under conjugation
+            bins = _mp_fft([mp.conj(v * ((-1) ** m)) for m, v in enumerate(full)])
+            out[r] = [mp.re(mp.conj(v)) for v in bins]
+        return out.reshape(half.shape[:-1] + (K,))
+
+
+Transforms = Union[DoubleTransforms, ExtendedTransforms]
+
+_DOUBLE_TRANSFORMS = DoubleTransforms()
+
+
+def transforms_for(arr: np.ndarray) -> Transforms:
+    """The transform pair matching an array's scalar mode.
+
+    For object arrays it reads the ambient mpmath precision, so call it
+    inside the relevant ``working_context``.
+    """
+    if is_extended_array(arr):
+        return ExtendedTransforms(mp.mp.dps)
+    return _DOUBLE_TRANSFORMS
 
 
 def _mp_fft(a: list) -> list:
@@ -232,42 +330,24 @@ def forward_transform(field: PeriodicField) -> Spectrum:
     Output symmetry is exact: the negative-k half is an explicit mirror
     of the nonnegative-k half.
     """
-    K = field.grid.n_modes
     values = field.values
     if not all_finite(values):
         raise NonFiniteFieldError("cannot transform a non-finite field")
-    if is_extended_array(values):
-        with working_context(values):
-            bins = _mp_fft([mp.mpc(v) for v in values])
-            half = np.array(
-                [bins[k] * ((-1) ** k) / K for k in range(K // 2 + 1)], dtype=object
-            )
-            return Spectrum(field.grid, _assemble_from_half(field.grid, half))
-    bins = np.fft.rfft(values)
-    half = bins * _alternating_signs(K // 2 + 1) / K
-    return Spectrum(field.grid, _assemble_from_half(field.grid, half))
+    with working_context(values):
+        half = transforms_for(values).forward(values, field.grid.n_modes)
+        return Spectrum.from_half(field.grid, half)
 
 
 def inverse_transform(spectrum: Spectrum) -> PeriodicField:
-    """Reconstruct the real field; rejects non-Hermitian input."""
-    K = spectrum.grid.n_modes
-    if not _is_hermitian_ok(spectrum):
-        raise SymmetryError(
-            "spectrum is not Hermitian within round-off; refusing to "
-            "reconstruct a real field from corrupted coefficients"
-        )
+    """Reconstruct the real field from the modes k = 0..K/2.
+
+    Rejects input that is not Hermitian within round-off.
+    """
+    check_hermitian(spectrum)
     coeffs = spectrum.coeffs
-    if is_extended_array(coeffs):
-        with working_context(coeffs):
-            # (-1)**k per slot: k == m (mod 2) for even K, so (-1)**m works
-            b = [coeffs[m] * ((-1) ** m) for m in range(K)]
-            # exp(+...) transform via conjugation of the forward FFT
-            bins = _mp_fft([mp.conj(v) for v in b])
-            values = np.array([mp.re(mp.conj(v)) for v in bins], dtype=object)
-            return PeriodicField(spectrum.grid, values)
-    half = coeffs[: K // 2 + 1] * _alternating_signs(K // 2 + 1)
-    values = np.fft.irfft(half, n=K) * K
-    return PeriodicField(spectrum.grid, values)
+    with working_context(coeffs):
+        values = transforms_for(coeffs).inverse(spectrum.half(), spectrum.grid.n_modes)
+        return PeriodicField(spectrum.grid, values)
 
 
 InitialSpec = Union[str, PeriodicField, Callable]

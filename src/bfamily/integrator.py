@@ -6,6 +6,13 @@ reproducible bit for bit, and the step budget is known up front.  The
 k = 0 coefficient is conserved exactly because the right-hand side's
 mean component is identically zero, so every stage contributes exact
 zeros there.
+
+``rk4_step`` works on the rfft half layout (modes k = 0..K/2) with the
+cached ``spectral.RhsKernel``: it checks the input state's Hermitian
+symmetry once, runs the four stages on plain half arrays (Hermitian by
+construction, one finiteness check each inside the kernel) and builds
+one ``Spectrum`` for the result.  ``simulate`` additionally checks each
+new state for finiteness.
 """
 
 from __future__ import annotations
@@ -22,12 +29,13 @@ from .core import (
     InitialSpec,
     PeriodicField,
     Spectrum,
+    check_hermitian,
     forward_transform,
     initial_datum,
 )
 from .errors import BlowUpOverflowError, ConfigError
-from .precision import DOUBLE, Precision, all_finite, is_extended_array
-from .spectral import RhsOptions, rhs
+from .precision import DOUBLE, Precision, all_finite, is_extended_array, working_context
+from .spectral import RhsOptions, rhs_kernel
 
 # Default cap on the time step, and the advective safety factor in
 # dt <= safety / (K * max|u0|).
@@ -128,14 +136,21 @@ class Trajectory:
 
 
 def rk4_step(state: Spectrum, dt: float, options: RhsOptions) -> Spectrum:
-    """One classical Runge-Kutta step of the full mode system."""
-    c0 = state.coeffs
+    """One classical Runge-Kutta step of the full mode system.
+
+    Raises SymmetryError for a state that is not Hermitian within
+    round-off and BlowUpOverflowError when a stage overflows.
+    """
     grid = state.grid
-    k1 = rhs(state, options).coeffs
-    k2 = rhs(Spectrum(grid, c0 + (dt / 2) * k1), options).coeffs
-    k3 = rhs(Spectrum(grid, c0 + (dt / 2) * k2), options).coeffs
-    k4 = rhs(Spectrum(grid, c0 + dt * k3), options).coeffs
-    return Spectrum(grid, c0 + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+    with working_context(state.coeffs):
+        check_hermitian(state)
+        f = rhs_kernel(grid, options, state.coeffs)
+        c0 = state.half()
+        k1 = f(c0)
+        k2 = f(c0 + (dt / 2) * k1)
+        k3 = f(c0 + (dt / 2) * k2)
+        k4 = f(c0 + dt * k3)
+        return Spectrum.from_half(grid, c0 + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 StripMonitor = Callable[[float, Spectrum], Optional[float]]

@@ -66,21 +66,6 @@ DOUBLE = Precision()
 EXTENDED32 = Precision(MIN_EXTENDED_DIGITS)
 
 
-def parse_precision(text: str) -> Precision:
-    """Parse a manifest value like ``double`` or ``extended32``."""
-    text = text.strip().lower()
-    if text == "double":
-        return DOUBLE
-    if text == "extended":
-        return EXTENDED32
-    if text.startswith("extended"):
-        try:
-            return Precision(int(text[len("extended"):]))
-        except ValueError as exc:
-            raise ValueError(f"unrecognised precision {text!r}") from exc
-    raise ValueError(f"unrecognised precision {text!r}")
-
-
 def is_extended_array(arr: np.ndarray) -> bool:
     return arr.dtype == object
 
@@ -112,7 +97,7 @@ def all_finite(arr: np.ndarray) -> bool:
     """Finiteness check that also understands mpmath scalars."""
     if is_extended_array(arr):
         return all(mp.isfinite(v) for v in arr.ravel())
-    return bool(np.all(np.isfinite(arr)))
+    return bool(np.isfinite(arr).all())
 
 
 def to_float(x) -> float:

@@ -16,18 +16,30 @@ zeroed after every nonlinear evaluation; the k = 0 component of the
 right-hand side vanishes identically (the advective product has zero
 discrete mean and the multiplier vanishes at k = 0), so it is forced to
 exact zero and the mean is conserved to the last bit.
+
+``RhsKernel`` evaluates the right-hand side on the rfft half layout
+(modes k = 0..K/2) with one batched inverse transform of (u_hat,
+ik u_hat) and one batched forward transform of the three products.  Its
+symbol tables (ik, ik/(1+k^2)), the dealiasing cutoff and the constants
+b/2 and (3-b)/2 are built once per (K, b, dealias, scalar mode, mpmath
+digits) and cached by ``rhs_kernel``.  Each evaluation makes one
+finiteness check, on the stacked physical-space products: a non-finite
+u or u_x makes u^2 or u_x^2 non-finite too.  The kernel assumes a
+Hermitian input and leaves the check to its callers (``rhs`` and
+``integrator.rk4_step``).  The same code serves double and extended
+precision; only the transform pair differs (``core.transforms_for``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
-from .core import PeriodicField, Spectrum, forward_transform, inverse_transform
+from .core import GridSpec, Spectrum, Transforms, check_hermitian, transforms_for
 from .errors import BlowUpOverflowError
-from .precision import all_finite, is_extended_array, working_context
+from .precision import all_finite, working_context
 
 
 @dataclass(frozen=True)
@@ -58,10 +70,11 @@ def dealias_cutoff(n_modes: int) -> int:
     return (n_modes - 1) // 3
 
 
-def _multiplier_array(spec: Spectrum, values: np.ndarray) -> np.ndarray:
-    if is_extended_array(spec.coeffs):
-        return np.array(list(values), dtype=object)
-    return values
+def _symbols(transforms: Transforms, wavenumbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symbols i*k and i*k / (1 + k^2) in the transforms' scalar mode."""
+    k = transforms.real(wavenumbers)
+    ik = 1j * k
+    return ik, ik / (1 + k * k)
 
 
 def derivative(spectrum: Spectrum, order: int = 1) -> Spectrum:
@@ -74,16 +87,12 @@ def derivative(spectrum: Spectrum, order: int = 1) -> Spectrum:
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
     K = spectrum.grid.n_modes
-    k = spectrum.wavenumbers()
     with working_context(spectrum.coeffs):
-        if is_extended_array(spectrum.coeffs):
-            factor = np.array([mp.mpc(0, int(kk)) ** order for kk in k], dtype=object)
-        else:
-            factor = (1j * k.astype(np.float64)) ** order
-        coeffs = spectrum.coeffs * factor
+        ik, _ = _symbols(transforms_for(spectrum.coeffs), spectrum.wavenumbers())
+        coeffs = spectrum.coeffs * ik**order
         if order % 2 == 1:
-            coeffs[K // 2] = coeffs[K // 2] * 0
-    return Spectrum(spectrum.grid, coeffs)
+            coeffs[K // 2] *= 0
+        return Spectrum(spectrum.grid, coeffs)
 
 
 def helmholtz_inverse_dx(spectrum: Spectrum) -> Spectrum:
@@ -93,65 +102,81 @@ def helmholtz_inverse_dx(spectrum: Spectrum) -> Spectrum:
     zeroed explicitly because the symbol is odd.
     """
     K = spectrum.grid.n_modes
-    k = spectrum.wavenumbers()
     with working_context(spectrum.coeffs):
-        if is_extended_array(spectrum.coeffs):
-            factor = np.array(
-                [mp.mpc(0, int(kk)) / (1 + int(kk) ** 2) for kk in k], dtype=object
-            )
-        else:
-            kf = k.astype(np.float64)
-            factor = 1j * kf / (1.0 + kf * kf)
-        coeffs = spectrum.coeffs * factor
-        coeffs[K // 2] = coeffs[K // 2] * 0
-    return Spectrum(spectrum.grid, coeffs)
+        _, symbol = _symbols(transforms_for(spectrum.coeffs), spectrum.wavenumbers())
+        coeffs = spectrum.coeffs * symbol
+        coeffs[K // 2] *= 0
+        return Spectrum(spectrum.grid, coeffs)
 
 
-def _truncate_upper_third(spectrum: Spectrum) -> Spectrum:
-    K = spectrum.grid.n_modes
-    cutoff = dealias_cutoff(K)
-    mask = np.abs(spectrum.wavenumbers()) > cutoff
-    coeffs = spectrum.coeffs.copy()
-    coeffs[mask] = coeffs[mask] * 0
-    return Spectrum(spectrum.grid, coeffs)
+class RhsKernel:
+    """The right-hand side on half spectra (modes k = 0..K/2).
 
-
-def _zero_nyquist(coeffs: np.ndarray, K: int) -> None:
-    coeffs[K // 2] = coeffs[K // 2] * 0
-
-
-def _checked_field(values: np.ndarray, what: str) -> None:
-    if not all_finite(values):
-        raise BlowUpOverflowError(f"{what} overflowed in physical space")
-
-
-def nonlinear_products(spectrum: Spectrum, options: RhsOptions) -> tuple[Spectrum, Spectrum, Spectrum]:
-    """Pseudospectral (u u_x, u^2, u_x^2) as spectra.
-
-    Overflowing physical-space values raise BlowUpOverflowError; the
-    Nyquist slot of each product is zeroed.
+    Instances hold read-only tables and are shared through
+    ``rhs_kernel``; evaluate them inside the ``working_context`` of the
+    state.  The last slot of a half spectrum is the unpaired Nyquist
+    mode, so the slice ``[keep:]`` with ``keep = cutoff + 1`` is the
+    upper third removed by dealiasing.
     """
-    K = spectrum.grid.n_modes
-    with working_context(spectrum.coeffs):
-        base = _truncate_upper_third(spectrum) if options.dealias else spectrum
-        u = inverse_transform(base).values
-        ux = inverse_transform(derivative(base, 1)).values
-        _checked_field(u, "velocity")
-        _checked_field(ux, "velocity gradient")
-        grid = spectrum.grid
-        products = []
+
+    def __init__(self, n_modes: int, options: RhsOptions, transforms: Transforms) -> None:
+        self.n_modes = n_modes
+        self.transforms = transforms
+        self.keep = dealias_cutoff(n_modes) + 1 if options.dealias else None
+        self.ik, self.symbol = _symbols(transforms, np.arange(n_modes // 2 + 1))
+        b = transforms.scalar(options.b)
+        self.half_b = b / 2
+        self.half_rest = (3 - b) / 2
+        for table in (self.ik, self.symbol):
+            table.setflags(write=False)
+
+    def products(self, half: np.ndarray) -> np.ndarray:
+        """Half spectra of (u u_x, u^2, u_x^2), stacked; Nyquist slots zeroed.
+
+        Raises BlowUpOverflowError when a product overflows in physical
+        space.
+        """
+        keep = self.keep
+        base = half
+        if keep is not None:
+            base = half.copy()
+            base[keep:] *= 0
+        fields = np.stack((base, base * self.ik))
+        fields[1, -1] *= 0
+        u, ux = self.transforms.inverse(fields, self.n_modes)
         # overflow here is detected and reported as a blow-up, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            pairs = ((u * ux, "u*u_x"), (u * u, "u^2"), (ux * ux, "u_x^2"))
-        for values, what in pairs:
-            _checked_field(values, what)
-            prod = forward_transform(PeriodicField(grid, values))
-            if options.dealias:
-                prod = _truncate_upper_third(prod)
-            coeffs = prod.coeffs.copy()
-            _zero_nyquist(coeffs, K)
-            products.append(Spectrum(grid, coeffs))
-    return products[0], products[1], products[2]
+            values = np.stack((u * ux, u * u, ux * ux))
+        if not all_finite(values):
+            raise BlowUpOverflowError("u, u_x or their products overflowed in physical space")
+        products = self.transforms.forward(values, self.n_modes)
+        if keep is not None:
+            products[:, keep:] *= 0
+        products[:, -1] *= 0
+        return products
+
+    def __call__(self, half: np.ndarray) -> np.ndarray:
+        """Time derivative of the half spectrum; its k = 0 slot is exact zero."""
+        adv, u_sq, ux_sq = self.products(half)
+        nonlocal_part = (self.half_b * u_sq + self.half_rest * ux_sq) * self.symbol
+        nonlocal_part[-1] *= 0
+        out = -(adv + nonlocal_part)
+        out[0] *= 0
+        return out
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_kernel(n_modes: int, options: RhsOptions, transforms: Transforms) -> RhsKernel:
+    return RhsKernel(n_modes, options, transforms)
+
+
+def rhs_kernel(grid: GridSpec, options: RhsOptions, coeffs: np.ndarray) -> RhsKernel:
+    """The cached kernel for this grid, equation and the scalar mode of ``coeffs``.
+
+    Call inside the ``working_context`` of ``coeffs``: extended kernels
+    are keyed by the ambient mpmath precision.
+    """
+    return _cached_kernel(grid.n_modes, options, transforms_for(coeffs))
 
 
 def rhs(spectrum: Spectrum, options: RhsOptions) -> Spectrum:
@@ -160,21 +185,10 @@ def rhs(spectrum: Spectrum, options: RhsOptions) -> Spectrum:
     The k = 0 component is set to exact zero: the advective product has
     zero discrete mean (its positive and negative wavenumber
     contributions cancel in exact arithmetic) and the nonlocal symbol
-    vanishes at k = 0, so zeroing only removes round-off.
+    vanishes at k = 0, so zeroing only removes round-off.  Rejects a
+    spectrum that is not Hermitian within round-off.
     """
-    adv, u_sq, ux_sq = nonlinear_products(spectrum, options)
-    b = options.b
     with working_context(spectrum.coeffs):
-        if is_extended_array(spectrum.coeffs):
-            half_b = mp.mpf(b) / 2
-            half_rest = (3 - mp.mpf(b)) / 2
-        else:
-            half_b = b / 2.0
-            half_rest = (3.0 - b) / 2.0
-        stress = Spectrum(
-            spectrum.grid, half_b * u_sq.coeffs + half_rest * ux_sq.coeffs
-        )
-        nonlocal_part = helmholtz_inverse_dx(stress)
-        coeffs = -(adv.coeffs + nonlocal_part.coeffs)
-        coeffs[0] = coeffs[0] * 0
-    return Spectrum(spectrum.grid, coeffs)
+        check_hermitian(spectrum)
+        kernel = rhs_kernel(spectrum.grid, options, spectrum.coeffs)
+        return Spectrum.from_half(spectrum.grid, kernel(spectrum.half()))

@@ -125,18 +125,7 @@ def oracle_spectrum(spec: SyntheticSpec, grid: GridSpec,
     coefficient is below round-off whenever delta*K/2 is large enough
     for the truncation to be meaningful).
     """
-    K = grid.n_modes
-    table = _coefficient_table(spec, K // 2, precision)
-    if precision.is_double:
-        coeffs = np.zeros(K, dtype=np.complex128)
-        coeffs[: K // 2] = table
-        coeffs[K // 2] = 0.0
-        coeffs[K // 2 + 1:] = np.conj(table[1:][::-1])
-    else:
-        with precision.context():
-            coeffs = np.empty(K, dtype=object)
-            coeffs[: K // 2] = table
-            coeffs[K // 2] = mp.mpc(0)
-            for k in range(1, K // 2):
-                coeffs[K - k] = mp.conj(table[k])
-    return Spectrum(grid=grid, coeffs=coeffs)
+    table = _coefficient_table(spec, grid.n_modes // 2, precision)
+    nyquist = 0.0 if precision.is_double else mp.mpc(0)
+    with precision.context():
+        return Spectrum.from_half(grid, np.append(table, nyquist))

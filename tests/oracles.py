@@ -8,7 +8,7 @@ with these, not the other way around.
 import mpmath as mp
 import numpy as np
 
-from bfamily.core import GridSpec, PeriodicField, Spectrum, forward_transform
+from bfamily.core import GridSpec, PeriodicField, Spectrum, _mp_fft, forward_transform
 
 
 def random_field(grid: GridSpec, rng: np.random.Generator) -> PeriodicField:
@@ -92,3 +92,83 @@ def shanks_table_limit(seq, depth_even: int, dps: int = 60):
             ]
             prev_prev, prev = prev, nxt
         return prev[-1]
+
+
+def full_layout_rhs(coeffs: np.ndarray, b: float, dealias: bool) -> np.ndarray:
+    """Right-hand side on the full K-slot layout, one transform per field.
+
+    A per-stage reference for the fused half-layout kernel: truncate,
+    differentiate, two inverse transforms, three products, three forward
+    transforms with explicit Hermitian assembly, then the Helmholtz
+    symbol.  Each mode sees the same floating-point operations in the
+    same order as in the kernel, so the two agree exactly, in double
+    (complex128) and in extended (mpmath object) arrays.  Run extended
+    input inside the mpmath precision of the state.  No checks.
+    """
+    K = len(coeffs)
+    half = K // 2 + 1
+    k = np.concatenate([np.arange(0, K // 2), np.arange(-K // 2, 0)])
+    mask = np.abs(k) > (K - 1) // 3
+    extended = coeffs.dtype == object
+    if extended:
+        ik = np.array([mp.mpc(0, int(kk)) for kk in k], dtype=object)
+        symbol = np.array([mp.mpc(0, int(kk)) / (1 + int(kk) ** 2) for kk in k], dtype=object)
+        half_b, half_rest = mp.mpf(b) / 2, (3 - mp.mpf(b)) / 2
+    else:
+        kf = k.astype(np.float64)
+        ik = 1j * kf
+        symbol = 1j * kf / (1.0 + kf * kf)
+        half_b, half_rest = b / 2.0, (3.0 - b) / 2.0
+        signs = np.ones(half)
+        signs[1::2] = -1.0
+
+    def truncate(c):
+        c = c.copy()
+        if dealias:
+            c[mask] = c[mask] * 0
+        return c
+
+    def to_physical(c):
+        if extended:
+            bins = _mp_fft([mp.conj(c[m] * ((-1) ** m)) for m in range(K)])
+            return np.array([mp.re(mp.conj(v)) for v in bins], dtype=object)
+        return np.fft.irfft(c[:half] * signs, n=K) * K
+
+    def to_spectral(values):
+        out = np.empty(K, dtype=coeffs.dtype)
+        if extended:
+            bins = _mp_fft([mp.mpc(v) for v in values])
+            h = [bins[m] * ((-1) ** m) / K for m in range(half)]
+            out[0], out[K // 2] = mp.mpc(mp.re(h[0])), mp.mpc(mp.re(h[K // 2]))
+        else:
+            h = np.fft.rfft(values) * signs / K
+            out[0], out[K // 2] = h[0].real, h[K // 2].real
+        conj = mp.conj if extended else np.conj
+        for m in range(1, K // 2):
+            out[m], out[K - m] = h[m], conj(h[m])
+        return out
+
+    base = truncate(coeffs)
+    dbase = base * ik
+    dbase[K // 2] = dbase[K // 2] * 0
+    u, ux = to_physical(base), to_physical(dbase)
+    products = []
+    for values in (u * ux, u * u, ux * ux):
+        c = truncate(to_spectral(values))
+        c[K // 2] = c[K // 2] * 0
+        products.append(c)
+    adv, u_sq, ux_sq = products
+    nonlocal_part = (half_b * u_sq + half_rest * ux_sq) * symbol
+    nonlocal_part[K // 2] = nonlocal_part[K // 2] * 0
+    out = -(adv + nonlocal_part)
+    out[0] = out[0] * 0
+    return out
+
+
+def full_layout_rk4_step(c0: np.ndarray, dt: float, b: float, dealias: bool) -> np.ndarray:
+    """One classical RK4 step of ``full_layout_rhs`` on all K slots."""
+    k1 = full_layout_rhs(c0, b, dealias)
+    k2 = full_layout_rhs(c0 + (dt / 2) * k1, b, dealias)
+    k3 = full_layout_rhs(c0 + (dt / 2) * k2, b, dealias)
+    k4 = full_layout_rhs(c0 + dt * k3, b, dealias)
+    return c0 + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)

@@ -14,7 +14,7 @@ from bfamily.core import (
     inverse_transform,
     make_grid,
 )
-from bfamily.errors import ConfigError
+from bfamily.errors import BlowUpOverflowError, ConfigError, SymmetryError
 from bfamily.integrator import (
     BFamilyConfig,
     StopPolicy,
@@ -26,6 +26,8 @@ from bfamily.integrator import (
 )
 from bfamily.precision import EXTENDED32
 from bfamily.spectral import RhsOptions
+
+from oracles import full_layout_rk4_step
 
 
 def sine_state(K=64):
@@ -225,3 +227,65 @@ class TestExtendedMode:
                 for a, b in zip(td.snapshots[-1].coeffs, te.snapshots[-1].coeffs)
             )
             assert float(err) < 1e-13
+
+
+class TestFullLayoutReference:
+    """rk4_step equals the original full-layout pipeline, step by step.
+
+    Compared with np.array_equal against the reference run here, not
+    with a stored hash: another numpy build may round FFTs differently
+    but rounds both pipelines the same way.
+    """
+
+    @pytest.mark.parametrize(
+        "b,K,dt,initial",
+        [(3.0, 1024, 1e-4, TYPE_I), (0.0, 256, 5e-4, TYPE_II)],
+        ids=["b3-K1024", "b0-K256"],
+    )
+    def test_double_trajectory_value_identical(self, b, K, dt, initial):
+        opts = RhsOptions(b=b, dealias=True)
+        state = forward_transform(initial_datum(initial, make_grid(K)))
+        ref = np.array(state.coeffs)
+        for step in range(300):
+            state = rk4_step(state, dt, opts)
+            ref = full_layout_rk4_step(ref, dt, b, dealias=True)
+            assert np.array_equal(state.coeffs, ref), f"trajectories differ after step {step + 1}"
+
+    def test_extended_trajectory_value_identical(self):
+        # the extended32 benchmark configuration: K=64, b=3, dt=1e-3, dealiased
+        opts = RhsOptions(b=3.0, dealias=True)
+        with EXTENDED32.context():
+            state = forward_transform(initial_datum(TYPE_I, make_grid(64), EXTENDED32))
+            ref = np.array(state.coeffs)
+            for step in range(5):
+                state = rk4_step(state, 1e-3, opts)
+                ref = full_layout_rk4_step(ref, 1e-3, 3.0, dealias=True)
+                assert all(a == b for a, b in zip(state.coeffs, ref)), f"step {step + 1}"
+
+
+class TestStepChecks:
+    """The checks rk4_step runs once per step (symmetry) and per stage (overflow)."""
+
+    @pytest.mark.parametrize("slot,value", [(0, 1.0j), (8, 0.5j), (3, 0.25)],
+                             ids=["imaginary-mean", "imaginary-nyquist", "broken-mirror"])
+    def test_non_hermitian_state_rejected(self, slot, value):
+        c = np.array(sine_state(16).coeffs)
+        c[slot] += value
+        with pytest.raises(SymmetryError):
+            rk4_step(Spectrum(make_grid(16), c), 1e-3, RhsOptions(b=3.0))
+
+    def test_non_hermitian_extended_state_rejected(self):
+        s = forward_transform(initial_datum(TYPE_I, make_grid(16), EXTENDED32))
+        c = np.array(s.coeffs)
+        c[0] = mp.mpc(0, 1)
+        with pytest.raises(SymmetryError):
+            rk4_step(Spectrum(make_grid(16), c), 1e-3, RhsOptions(b=3.0))
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_overflow_raises(self, dealias):
+        g = make_grid(16)
+        c = np.zeros(16, dtype=complex)
+        c[1] = 1e200
+        c[15] = 1e200
+        with pytest.raises(BlowUpOverflowError):
+            rk4_step(Spectrum(g, c), 1e-3, RhsOptions(b=3.0, dealias=dealias))

@@ -12,22 +12,35 @@ from bfamily.core import (
     initial_datum,
     make_grid,
 )
-from bfamily.errors import BlowUpOverflowError
-from bfamily.precision import EXTENDED32
+from bfamily.errors import BlowUpOverflowError, SymmetryError
+from bfamily.precision import EXTENDED32, working_context
 from bfamily.spectral import (
     RhsOptions,
     dealias_cutoff,
     derivative,
     helmholtz_inverse_dx,
-    nonlinear_products,
     rhs,
+    rhs_kernel,
 )
 
-from oracles import convolution_rhs, random_hermitian_spectrum
+from oracles import convolution_rhs, full_layout_rhs, random_hermitian_spectrum
 
 
 def sine_spectrum(K=32):
     return forward_transform(initial_datum(TYPE_I, make_grid(K)))
+
+
+def to_extended(spectrum):
+    """The same coefficients as mpmath values (exact conversion)."""
+    return Spectrum(spectrum.grid, np.array([mp.mpc(c) for c in spectrum.coeffs], dtype=object))
+
+
+def nonlinear_products(spectrum, options):
+    """The kernel's product stage, each product as a full Spectrum."""
+    with working_context(spectrum.coeffs):
+        kernel = rhs_kernel(spectrum.grid, options, spectrum.coeffs)
+        products = kernel.products(spectrum.half())
+        return tuple(Spectrum.from_half(spectrum.grid, p) for p in products)
 
 
 class TestDerivative:
@@ -93,6 +106,8 @@ class TestDealiasCutoff:
 
 
 class TestNonlinearProducts:
+    """The product stage of the right-hand-side kernel."""
+
     def test_sine_products(self):
         # u u_x = sin(2x)/2, u^2 = (1 - cos 2x)/2, u_x^2 = (1 + cos 2x)/2
         adv, u_sq, ux_sq = nonlinear_products(sine_spectrum(), RhsOptions(b=2.0))
@@ -117,6 +132,13 @@ class TestNonlinearProducts:
         c[15] = 1e200
         with pytest.raises(BlowUpOverflowError):
             nonlinear_products(Spectrum(g, c), RhsOptions(b=3.0))
+
+    def test_dealiased_products_zero_upper_third(self):
+        rng = np.random.default_rng(37)
+        s = random_hermitian_spectrum(make_grid(32), rng)
+        kc = dealias_cutoff(32)
+        for prod in nonlinear_products(s, RhsOptions(b=3.0, dealias=True)):
+            assert all(prod.coeff(k) == 0.0 for k in range(-16, 16) if abs(k) > kc)
 
 
 class TestRhs:
@@ -173,6 +195,20 @@ class TestConvolutionEquivalence:
             scale = max(np.abs(want).max(), 1.0)
             assert np.abs(got - want).max() <= 1e3 * np.finfo(float).eps * scale
 
+    @pytest.mark.parametrize("K", [16, 32])
+    def test_matches_brute_force_extended(self, K):
+        # the same spectra converted exactly to mpmath; the tolerance is
+        # the double one, since the oracle sums in double precision
+        rng = np.random.default_rng(1234 + K)
+        opts = RhsOptions(b=3.0, dealias=True)
+        kc = dealias_cutoff(K)
+        for _ in range(10):
+            s = random_hermitian_spectrum(make_grid(K), rng)
+            got = np.array([complex(c) for c in rhs(to_extended(s), opts).coeffs])
+            want = convolution_rhs(s, b=3.0, cutoff=kc)
+            scale = max(np.abs(want).max(), 1.0)
+            assert np.abs(got - want).max() <= 1e3 * np.finfo(float).eps * scale
+
     def test_varied_b(self):
         rng = np.random.default_rng(77)
         K = 16
@@ -195,3 +231,47 @@ class TestExtendedMode:
         with mp.workdps(32):
             err = max(abs(mp.mpc(a) - b) for a, b in zip(rd, re_))
             assert float(err) < 1e-14
+
+    def test_dealiased_rhs_matches_double(self):
+        g = make_grid(16)
+        sd = forward_transform(initial_datum(TYPE_I, g))
+        se = forward_transform(initial_datum(TYPE_I, g, EXTENDED32))
+        rd = rhs(sd, RhsOptions(b=3.0, dealias=True)).coeffs
+        re_ = rhs(se, RhsOptions(b=3.0, dealias=True)).coeffs
+        with mp.workdps(32):
+            err = max(abs(mp.mpc(a) - b) for a, b in zip(rd, re_))
+            assert float(err) < 1e-14
+
+
+class TestRhsKernel:
+    def test_tables_cached_per_configuration(self):
+        g = make_grid(32)
+        s = sine_spectrum()
+        first = rhs_kernel(g, RhsOptions(b=3.0, dealias=True), s.coeffs)
+        assert rhs_kernel(g, RhsOptions(b=3.0, dealias=True), s.coeffs) is first
+        assert rhs_kernel(g, RhsOptions(b=2.0, dealias=True), s.coeffs) is not first
+        assert rhs_kernel(g, RhsOptions(b=3.0), s.coeffs) is not first
+        assert not first.symbol.flags.writeable
+
+    def test_extended_kernel_keyed_by_digits(self):
+        g = make_grid(16)
+        se = forward_transform(initial_datum(TYPE_I, g, EXTENDED32))
+        with mp.workdps(32):
+            k32 = rhs_kernel(g, RhsOptions(b=3.0), se.coeffs)
+        with mp.workdps(40):
+            k40 = rhs_kernel(g, RhsOptions(b=3.0), se.coeffs)
+        assert k32 is not k40
+        assert k32.transforms.dps == 32 and k40.transforms.dps == 40
+
+    @pytest.mark.parametrize("K,b,dealias", [(32, 3.0, True), (64, 0.0, False), (24, 2.0, True)])
+    def test_rhs_equals_full_layout_pipeline(self, K, b, dealias):
+        rng = np.random.default_rng(K)
+        s = random_hermitian_spectrum(make_grid(K), rng)
+        got = rhs(s, RhsOptions(b=b, dealias=dealias)).coeffs
+        np.testing.assert_array_equal(got, full_layout_rhs(np.array(s.coeffs), b, dealias))
+
+    def test_rhs_rejects_non_hermitian(self):
+        c = np.array(sine_spectrum(16).coeffs)
+        c[0] = 1.0j
+        with pytest.raises(SymmetryError):
+            rhs(Spectrum(make_grid(16), c), RhsOptions(b=3.0))
