@@ -283,9 +283,19 @@ if sweep.exists():
 """
 
 
-def _run_with_policy(manifest: RunManifest) -> Trajectory:
-    """Simulate; the width monitor is attached whenever it can matter."""
-    return simulate(manifest.config, strip_monitor=strip_monitor(manifest.fit))
+def _run_with_policy(
+    manifest: RunManifest, config: Optional[BFamilyConfig] = None
+) -> tuple[Trajectory, list]:
+    """Simulate with the width monitor attached; also return its fits.
+
+    The monitor's fit record lets ``track`` fit each snapshot once.
+    ``config`` defaults to the manifest's own.
+    """
+    if config is None:
+        config = manifest.config
+    fitted: list = []
+    trajectory = simulate(config, strip_monitor=strip_monitor(manifest.fit, fitted))
+    return trajectory, fitted
 
 
 def cmd_simulate(manifest: RunManifest) -> int:
@@ -348,8 +358,8 @@ def _im(c):
 
 def cmd_track(manifest: RunManifest) -> int:
     config = manifest.config
-    trajectory = _run_with_policy(manifest)
-    trace = track(trajectory, TrackOptions(fit=manifest.fit))
+    trajectory, fitted = _run_with_policy(manifest)
+    trace = track(trajectory, TrackOptions(fit=manifest.fit), fitted)
     provenance = manifest_entries(manifest)
     fmt = _value_formatter(config.precision)
 
@@ -407,10 +417,9 @@ def cmd_track(manifest: RunManifest) -> int:
 def _sweep_entry(task: tuple) -> tuple:
     """One sweep worker: returns (b, t_s, t_s_stderr, late alpha)."""
     manifest, b = task
-    config = replace(manifest.config, b=b)
-    trajectory = simulate(config, strip_monitor=strip_monitor(manifest.fit))
+    trajectory, fitted = _run_with_policy(manifest, replace(manifest.config, b=b))
     try:
-        trace = track(trajectory, TrackOptions(fit=manifest.fit))
+        trace = track(trajectory, TrackOptions(fit=manifest.fit), fitted)
     except InsufficientDataError:
         return (b, None, None, None)
     try:

@@ -27,23 +27,14 @@ import numpy as np
 from .core import (
     GridSpec,
     InitialSpec,
-    PeriodicField,
     Spectrum,
     check_hermitian,
     forward_transform,
     initial_datum,
 )
 from .errors import BlowUpOverflowError, ConfigError
-from .precision import DOUBLE, Precision, all_finite, is_extended_array, working_context
+from .precision import DOUBLE, Precision, all_finite, working_context
 from .spectral import RhsOptions, rhs_kernel
-
-# Default cap on the time step, and the advective safety factor in
-# dt <= safety / (K * max|u0|).
-DEFAULT_DT_CAP = 1e-4
-CFL_SAFETY = 0.5
-
-# Default wall-clock-free snapshot cadence, in simulated time units.
-DEFAULT_SNAPSHOT_INTERVAL = 0.05
 
 
 class StopReason(enum.Enum):
@@ -96,26 +87,6 @@ class BFamilyConfig:
     @property
     def rhs_options(self) -> RhsOptions:
         return RhsOptions(b=self.b, dealias=self.dealias)
-
-
-def default_time_step(grid: GridSpec, u0: PeriodicField) -> float:
-    """min(DEFAULT_DT_CAP, CFL_SAFETY / (K * max|u0|)).
-
-    An advective stability budget: the fastest resolved wave moves at
-    about max|u| across K modes.
-    """
-    if is_extended_array(u0.values):
-        umax = float(max(abs(v) for v in u0.values))
-    else:
-        umax = float(np.abs(u0.values).max())
-    if umax == 0.0:
-        return DEFAULT_DT_CAP
-    return min(DEFAULT_DT_CAP, CFL_SAFETY / (grid.n_modes * umax))
-
-
-def snapshot_stride(dt: float, interval: float = DEFAULT_SNAPSHOT_INTERVAL) -> int:
-    """Steps per snapshot for a target cadence in time units (at least 1)."""
-    return max(1, round(interval / dt))
 
 
 @dataclass(frozen=True)

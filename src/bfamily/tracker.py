@@ -197,37 +197,27 @@ def wynn_epsilon(seq: Sequence, rtol: float = WYNN_RTOL):
     tolerance is already converged: its last element is returned with
     depth 0.  Exact on geometric sequences L + a*r**n after one even
     column.
+
+    Each column is one whole-array step, on a float array for doubles
+    and an object array for mpmath values (evaluated in the caller's
+    working context).  A double limit comes back as a builtin float.
     """
-    values = list(seq)
-    if len(values) < 3:
+    prev = np.asarray(list(seq))
+    if len(prev) < 3:
         raise ValueError("epsilon acceleration needs at least 3 sequence entries")
-
-    def near_singular(d, a, b) -> bool:
-        return abs(d) <= rtol * (abs(a) + abs(b))
-
-    diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    if all(near_singular(d, values[i + 1], values[i]) for i, d in enumerate(diffs)):
-        return values[-1], 0
-
-    best = (values[-1], 0)
-    prev_prev = [0 * values[0]] * len(values)
-    prev = values
+    best = (prev.item(-1), 0)
     col = 0
-    while len(prev) >= 2:
-        col += 1
-        nxt = []
-        clean = True
-        for i in range(len(prev) - 1):
-            d = prev[i + 1] - prev[i]
-            if near_singular(d, prev[i + 1], prev[i]):
-                clean = False
+    with np.errstate(all="ignore"):
+        prev_prev = np.full(len(prev), 0 * prev[0], dtype=prev.dtype)
+        while len(prev) >= 2:
+            d = prev[1:] - prev[:-1]
+            mag = np.abs(prev)
+            if (np.abs(d) <= rtol * (mag[1:] + mag[:-1])).any():
                 break
-            nxt.append(prev_prev[i + 1] + 1 / d)
-        if not clean or not nxt:
-            break
-        if col % 2 == 0:
-            best = (nxt[-1], col)
-        prev_prev, prev = prev, nxt
+            col += 1
+            prev_prev, prev = prev, prev_prev[1:len(prev)] + 1 / d
+            if col % 2 == 0:
+                best = (prev.item(-1), col)
     return best
 
 
@@ -374,12 +364,15 @@ class SingularityTrace:
     ``t_s_estimate`` is the extrapolated time at which the strip width
     reaches zero (None when the width shows no significant decay), with
     a delta-method standard error (NaN when only two samples exist).
+    ``used_unclean_fallback`` is set when fewer than two fits passed the
+    residual and width gates, so the extrapolation ran on all fits.
     """
 
     times: tuple[float, ...]
     fits: tuple[FitResult, ...]
     t_s_estimate: Optional[float]
     t_s_stderr: Optional[float]
+    used_unclean_fallback: bool = False
 
     def deltas(self) -> np.ndarray:
         return np.array([to_float(f.delta) for f in self.fits])
@@ -427,20 +420,47 @@ def extrapolate_blowup_time(times: Sequence[float], deltas: Sequence[float]):
     return -c0 / c1, float("nan")
 
 
-def track(trajectory: Trajectory, options: TrackOptions = TrackOptions()) -> SingularityTrace:
+# Fit outcomes recorded by a strip monitor for reuse by ``track``: one
+# (snapshot, options, result) entry per monitored snapshot, with None
+# as the result of a snapshot that admits no fit.
+FitEntry = tuple[Spectrum, FitOptions, Optional[FitResult]]
+
+
+def _fit_or_skip(spectrum: Spectrum, options: FitOptions) -> Optional[FitResult]:
+    try:
+        return fit_spectrum(spectrum, options)
+    except (EmptyWindowError, NoiseFloorError):
+        return None
+
+
+def track(
+    trajectory: Trajectory,
+    options: TrackOptions = TrackOptions(),
+    fitted: Sequence[FitEntry] = (),
+) -> SingularityTrace:
     """Fit every snapshot and extrapolate the blow-up time.
 
-    Snapshots whose spectra never rise above the noise floor in the fit
-    window are skipped; fewer than two usable snapshots raise
-    InsufficientDataError.
+    ``fitted`` holds outcomes already computed for some snapshots (the
+    record a ``strip_monitor`` fills during ``simulate``); an entry is
+    reused for the snapshot it was made on, matched by identity, when
+    its fit options equal ``options.fit``.  Every other snapshot is
+    fitted here.  Snapshots whose spectra never rise above the noise
+    floor in the fit window are skipped; fewer than two usable snapshots
+    raise InsufficientDataError.
     """
+    # keyed by identity: each entry keeps its snapshot alive, so an id
+    # match is the same object
+    known = {id(entry[0]): entry for entry in fitted}
     times, fits = [], []
     for t, snapshot in zip(trajectory.times, trajectory.snapshots):
-        try:
-            fits.append(fit_spectrum(snapshot, options.fit))
+        entry = known.get(id(snapshot))
+        if entry is not None and entry[1] == options.fit:
+            result = entry[2]
+        else:
+            result = _fit_or_skip(snapshot, options.fit)
+        if result is not None:
             times.append(t)
-        except (EmptyWindowError, NoiseFloorError):
-            continue
+            fits.append(result)
     if len(fits) < 2:
         raise InsufficientDataError(
             f"only {len(fits)} snapshots admit a spectrum fit; need at least 2"
@@ -453,7 +473,8 @@ def track(trajectory: Trajectory, options: TrackOptions = TrackOptions()) -> Sin
         for i in range(len(fits))
         if fits[i].residual < options.max_residual and to_float(fits[i].delta) >= gate
     ]
-    if len(clean) < 2:
+    fallback = len(clean) < 2
+    if fallback:
         clean = list(range(len(fits)))
     sel = clean[-options.extrapolation_samples :]
     t_s, stderr = extrapolate_blowup_time(
@@ -464,6 +485,7 @@ def track(trajectory: Trajectory, options: TrackOptions = TrackOptions()) -> Sin
         fits=tuple(fits),
         t_s_estimate=t_s,
         t_s_stderr=stderr,
+        used_unclean_fallback=fallback,
     )
 
 
@@ -486,17 +508,21 @@ def late_time_alpha(
     return float(np.mean(good[-samples:]))
 
 
-def strip_monitor(options: FitOptions = FitOptions()) -> Callable[[float, Spectrum], Optional[float]]:
+def strip_monitor(
+    options: FitOptions = FitOptions(), record: Optional[list[FitEntry]] = None
+) -> Callable[[float, Spectrum], Optional[float]]:
     """Monitor callback for the integrator's early-stop policy.
 
     Returns the fitted strip width per snapshot, or None while the
-    spectrum cannot be fitted (window empty early in a run).
+    spectrum cannot be fitted (window empty early in a run).  When
+    ``record`` is given, each snapshot's fit outcome is appended to it,
+    so that ``track`` can reuse the fits instead of repeating them.
     """
 
     def monitor(t: float, spectrum: Spectrum) -> Optional[float]:
-        try:
-            return to_float(fit_spectrum(spectrum, options).delta)
-        except (EmptyWindowError, NoiseFloorError):
-            return None
+        result = _fit_or_skip(spectrum, options)
+        if record is not None:
+            record.append((spectrum, options, result))
+        return None if result is None else to_float(result.delta)
 
     return monitor

@@ -94,6 +94,49 @@ def shanks_table_limit(seq, depth_even: int, dps: int = 60):
         return prev[-1]
 
 
+def reference_wynn_epsilon(seq, rtol: float):
+    """Wynn's epsilon table in plain Python, one entry at a time.
+
+    The scalar loop that ``tracker.wynn_epsilon`` replaced with
+    whole-column array steps.  Same contract: returns ``(limit, depth)``
+    for the deepest even column built before the first near-singular
+    difference (|d| <= rtol * (|a| + |b|)), or the last element with
+    depth 0.  Works on floats and, inside the caller's mpmath context,
+    on mpf values.
+    """
+    values = list(seq)
+    if len(values) < 3:
+        raise ValueError("epsilon acceleration needs at least 3 sequence entries")
+
+    def near_singular(d, a, b) -> bool:
+        return abs(d) <= rtol * (abs(a) + abs(b))
+
+    diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
+    if all(near_singular(d, values[i + 1], values[i]) for i, d in enumerate(diffs)):
+        return values[-1], 0
+
+    best = (values[-1], 0)
+    prev_prev = [0 * values[0]] * len(values)
+    prev = values
+    col = 0
+    while len(prev) >= 2:
+        col += 1
+        nxt = []
+        clean = True
+        for i in range(len(prev) - 1):
+            d = prev[i + 1] - prev[i]
+            if near_singular(d, prev[i + 1], prev[i]):
+                clean = False
+                break
+            nxt.append(prev_prev[i + 1] + 1 / d)
+        if not clean or not nxt:
+            break
+        if col % 2 == 0:
+            best = (nxt[-1], col)
+        prev_prev, prev = prev, nxt
+    return best
+
+
 def full_layout_rhs(coeffs: np.ndarray, b: float, dealias: bool) -> np.ndarray:
     """Right-hand side on the full K-slot layout, one transform per field.
 

@@ -1,11 +1,13 @@
 """Command-line front end: manifests, outputs, exit codes, closure suite."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import bfamily.cli as cli
+import bfamily.tracker as tracker
 from bfamily.cli import (RunManifest, build_manifest, main, manifest_entries,
                          parse_manifest_text, run_sweep, validate_cases)
 from bfamily.errors import ConfigError
@@ -194,6 +196,62 @@ class TestTrackCommand:
         manifest = write_manifest(tmp_path / "m.txt", b="-1.0", dealias="false")
         code = main(["track", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
         assert code == 4
+
+
+class TestFitOncePerSnapshot:
+    """The strip monitor's fits are reused by ``track``, not repeated."""
+
+    def spy(self, monkeypatch):
+        fits, runs = [], []
+        real_fit, real_track = tracker.fit_spectrum, cli.track
+
+        def counting_fit(spectrum, options):
+            fits.append(spectrum)
+            return real_fit(spectrum, options)
+
+        def capturing_track(trajectory, options, fitted=()):
+            trace = real_track(trajectory, options, fitted)
+            runs.append((trajectory, options, trace))
+            return trace
+
+        monkeypatch.setattr(tracker, "fit_spectrum", counting_fit)
+        monkeypatch.setattr(cli, "track", capturing_track)
+        return fits, runs
+
+    def assert_fitted_once(self, fits, runs):
+        (trajectory, options, trace), = runs
+        assert len(fits) == len(trajectory)
+        assert {id(s) for s in fits} == {id(s) for s in trajectory.snapshots}
+        fresh = tracker.track(trajectory, options)
+        assert len(fits) == 2 * len(trajectory)
+        for field in dataclasses.fields(trace):
+            ours, theirs = getattr(trace, field.name), getattr(fresh, field.name)
+            if isinstance(ours, float) and math.isnan(ours):
+                assert math.isnan(theirs), field.name
+            else:
+                assert ours == theirs, field.name
+
+    def test_track_command(self, tmp_path, monkeypatch):
+        manifest = build_manifest(
+            {"modes": "256", "dt": "0.0005", "t_end": "0.6", "dealias": "true",
+             "sample_every": "50", "fit_kmin": "16", "fit_kmax": "80"},
+            tmp_path / "out",
+        )
+        fits, runs = self.spy(monkeypatch)
+        assert cli.cmd_track(manifest) == 0
+        self.assert_fitted_once(fits, runs)
+        assert runs[0][2].t_s_estimate is not None
+
+    def test_sweep_entry(self, tmp_path, monkeypatch):
+        manifest = build_manifest(
+            {"modes": "128", "dt": "0.001", "t_end": "0.4", "dealias": "true",
+             "sample_every": "40", "fit_kmin": "10", "fit_kmax": "40"},
+            tmp_path,
+        )
+        fits, runs = self.spy(monkeypatch)
+        (row,) = run_sweep(manifest, [3.0])
+        self.assert_fitted_once(fits, runs)
+        assert row[1] == runs[0][2].t_s_estimate
 
 
 class TestSweepCommand:

@@ -7,7 +7,6 @@ import pytest
 from bfamily.core import (
     TYPE_I,
     TYPE_II,
-    PeriodicField,
     Spectrum,
     forward_transform,
     initial_datum,
@@ -19,10 +18,8 @@ from bfamily.integrator import (
     BFamilyConfig,
     StopPolicy,
     StopReason,
-    default_time_step,
     rk4_step,
     simulate,
-    snapshot_stride,
 )
 from bfamily.precision import EXTENDED32
 from bfamily.spectral import RhsOptions
@@ -56,27 +53,6 @@ class TestConfigValidation:
     def test_rejects_nonfinite_b(self):
         with pytest.raises(ConfigError):
             BFamilyConfig(b=float("nan"), grid=make_grid(16), dt=1e-3, t_end=1.0)
-
-
-class TestDefaults:
-    def test_dt_cap_wins_for_small_grids(self):
-        g = make_grid(512)
-        u0 = initial_datum(TYPE_II, g)  # max|u0| = 2
-        assert default_time_step(g, u0) == pytest.approx(1e-4)
-
-    def test_advective_budget_wins_for_large_grids(self):
-        g = make_grid(8192)
-        u0 = initial_datum(TYPE_II, g)
-        assert default_time_step(g, u0) == pytest.approx(0.5 / (8192 * 2.0), rel=1e-6)
-
-    def test_zero_field_gets_cap(self):
-        g = make_grid(64)
-        assert default_time_step(g, PeriodicField(g, np.zeros(64))) == pytest.approx(1e-4)
-
-    def test_snapshot_stride(self):
-        assert snapshot_stride(1e-4) == 500
-        assert snapshot_stride(0.03) == 2
-        assert snapshot_stride(1.0) == 1
 
 
 class TestRk4Accuracy:

@@ -1,23 +1,28 @@
 """Singularity tracker: fit identities, extrapolation benchmarks, closure."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bfamily.tracker as tracker
 from bfamily import EXTENDED32, make_grid
 from bfamily.core import PeriodicField, Spectrum, forward_transform
 from bfamily.errors import (EmptyWindowError, InsufficientDataError,
                             NoiseFloorError)
 from bfamily.integrator import BFamilyConfig, StopReason, Trajectory
+from bfamily.precision import working_context
 from bfamily.synthetic import SyntheticSpec, oracle_spectrum
-from bfamily.tracker import (FitOptions, TrackOptions, default_k_min,
-                             estimate_x_star, extrapolate_blowup_time,
-                             fit_spectrum, local_fit, sliding_fit,
-                             strip_monitor, track, wynn_epsilon)
+from bfamily.tracker import (WYNN_RTOL, FitOptions, TrackOptions,
+                             default_k_min, estimate_x_star,
+                             extrapolate_blowup_time, fit_spectrum, local_fit,
+                             sliding_fit, strip_monitor, track, wynn_epsilon)
 
-from oracles import shanks_table_limit
+from oracles import reference_wynn_epsilon, shanks_table_limit
 
 
 def pure_model_spectrum(grid, amplitude, s, delta, x_star=0.0):
@@ -196,6 +201,119 @@ class TestWynnEpsilon:
             wynn_epsilon([1.0, 2.0])
 
 
+def same_value(a, b) -> bool:
+    """Equal as values of one type, with NaN equal to NaN and -0.0 != 0.0."""
+    if type(a) is not type(b):
+        return False
+    if a != a:
+        return b != b
+    if isinstance(a, float) and a == 0.0:
+        return b == 0.0 and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
+def assert_matches_reference(seq, rtol=WYNN_RTOL):
+    limit, depth = wynn_epsilon(seq, rtol)
+    ref_limit, ref_depth = reference_wynn_epsilon(seq, rtol)
+    assert depth == ref_depth
+    assert same_value(limit, ref_limit), (limit, ref_limit)
+    return depth
+
+
+def sliding_sequences(spectrum, options):
+    """The (s, delta, log C) sequences that fit_spectrum extrapolates."""
+    k_lo, k_hi = fit_spectrum(spectrum, options).k_window
+    sl = sliding_fit(spectrum, range(k_lo, k_hi + 1), options.noise_floor_factor)
+    return sl.s, sl.delta, sl.log_c
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+class TestWynnMatchesReference:
+    """The column-array recursion against the scalar reference loop."""
+
+    @pytest.mark.parametrize("delta, alpha", [
+        (0.05, 1 / 3), (0.1, 1 / 2), (0.2, 3 / 5), (0.5, 2 / 3),
+    ])
+    def test_closure_sequences_double(self, delta, alpha):
+        sp = oracle_spectrum(SyntheticSpec(alpha=alpha, delta=delta, x_star=0.7),
+                             make_grid(1024))
+        depths = [assert_matches_reference(seq)
+                  for seq in sliding_sequences(sp, FitOptions(k_min=16))]
+        assert max(depths) >= 2
+
+    @pytest.mark.parametrize("delta, alpha", [(0.2, 2 / 5), (0.5, 2 / 3)])
+    def test_oracle_sequences_extended(self, delta, alpha):
+        sp = oracle_spectrum(SyntheticSpec(alpha=alpha, delta=delta, x_star=0.7),
+                             make_grid(256), EXTENDED32)
+        with working_context(sp.coeffs):
+            for seq in sliding_sequences(sp, FitOptions(k_min=16)):
+                assert isinstance(seq[0], mp.mpf)
+                assert_matches_reference(seq)
+
+    @settings(deadline=None)
+    @given(limit=finite, amp=finite.filter(lambda a: a != 0.0),
+           ratio=st.floats(min_value=-0.95, max_value=0.95).filter(lambda r: r != 0.0),
+           n=st.integers(min_value=3, max_value=40))
+    def test_geometric_sequences(self, limit, amp, ratio, n):
+        assert_matches_reference([limit + amp * ratio ** k for k in range(n)])
+
+    @settings(deadline=None)
+    @given(value=finite, n=st.integers(min_value=3, max_value=30))
+    def test_constant_runs_have_depth_zero(self, value, n):
+        assert assert_matches_reference([value] * n) == 0
+
+    @settings(deadline=None)
+    @given(prefix=st.lists(finite, min_size=1, max_size=6),
+           limit=finite, amp=finite.filter(lambda a: a != 0.0),
+           ratio=st.floats(min_value=0.2, max_value=0.8),
+           n=st.integers(min_value=4, max_value=12),
+           suffix=st.lists(finite, max_size=4))
+    def test_near_singular_entry_inside_a_column(self, prefix, limit, amp, ratio, n, suffix):
+        # a geometric run makes the even column after it nearly constant
+        # over that run only: the next column meets a near-singular
+        # difference at some entries and not at others
+        geometric = [limit + amp * ratio ** k for k in range(n)]
+        assert_matches_reference(prefix + geometric + suffix)
+
+    def test_early_break_mid_column(self):
+        seq = [0.3, -1.2, 2.9] + [2.0 + 0.5 * 0.5 ** k for k in range(8)]
+        # column 2 is constant to round-off along the geometric run only,
+        # so column 3 meets its first near-singular difference mid-column
+        col0 = np.array(seq)
+        col1 = 1 / np.diff(col0)
+        col2 = col0[1:-1] + 1 / np.diff(col1)
+        d = np.diff(col2)
+        singular = np.abs(d) <= WYNN_RTOL * (np.abs(col2[1:]) + np.abs(col2[:-1]))
+        assert singular.any() and not singular[0]
+        assert assert_matches_reference(seq) == 2
+        assert wynn_epsilon(seq) == (2.0, 2)
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=20))
+    def test_inf_and_nan_entries_raise_no_warning(self, seq):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_reference(seq)
+
+    @pytest.mark.parametrize("seq", [
+        [1.0, math.inf, 2.0, 3.0, 5.0],
+        [math.nan, 1.0, 2.0, 4.0],
+        [1.0, 2.0, 4.0, -math.inf, 8.0, math.nan],
+        [math.inf] * 5,
+    ])
+    def test_nonfinite_examples(self, seq):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_reference(seq)
+
+    def test_double_limit_is_builtin_float(self):
+        limit, depth = wynn_epsilon(np.array([2.0 + 0.3 * 0.5 ** n for n in range(8)]))
+        assert type(limit) is float and depth >= 2
+        assert type(wynn_epsilon((1.0, 1.0, 1.0))[0]) is float
+
+
 class TestEstimateXStar:
     @pytest.mark.parametrize("x_star", [0.0, 1.0, -math.pi / 2, 3.0, -3.0])
     def test_oracle_abscissa_recovery(self, x_star):
@@ -364,6 +482,89 @@ class TestTrack:
         with pytest.raises(InsufficientDataError):
             track(_trajectory_from_spectra([0.0, 0.1, 0.2],
                                            [sin_spectrum] * 3, grid))
+
+    def width_history(self):
+        grid = make_grid(1024)
+        times = [0.1 + 0.05 * i for i in range(6)]
+        spectra = [oracle_spectrum(
+            SyntheticSpec(alpha=1 / 3, delta=0.5 - 0.4 * t, x_star=1.0), grid)
+            for t in times]
+        return _trajectory_from_spectra(times, spectra, grid)
+
+    def test_clean_fits_need_no_fallback(self):
+        trace = track(self.width_history(), TrackOptions(fit=FitOptions(k_min=16)))
+        assert not trace.used_unclean_fallback
+        assert abs(trace.t_s_estimate - 1.25) < 1e-3
+
+    def test_unclean_fallback_is_flagged(self):
+        # no fit passes a zero residual gate: all fits enter the extrapolation
+        trajectory = self.width_history()
+        fit = FitOptions(k_min=16)
+        trace = track(trajectory, TrackOptions(fit=fit, max_residual=0.0))
+        assert trace.used_unclean_fallback
+        sel = slice(-TrackOptions().extrapolation_samples, None)
+        expected = extrapolate_blowup_time(trace.times[sel], trace.deltas()[sel])
+        assert (trace.t_s_estimate, trace.t_s_stderr) == expected
+
+    def test_recorded_fits_are_reused(self, monkeypatch):
+        trajectory = self.width_history()
+        fit = FitOptions(k_min=16)
+        fresh = track(trajectory, TrackOptions(fit=fit))
+        record = []
+        monitor = strip_monitor(fit, record)
+        for t, snapshot in zip(trajectory.times[1:], trajectory.snapshots[1:]):
+            monitor(t, snapshot)
+        calls = []
+        real_fit = tracker.fit_spectrum
+
+        def counting(spectrum, options):
+            calls.append(spectrum)
+            return real_fit(spectrum, options)
+
+        monkeypatch.setattr(tracker, "fit_spectrum", counting)
+        reused = track(trajectory, TrackOptions(fit=fit), record)
+        assert calls == [trajectory.snapshots[0]]
+        assert reused == fresh
+
+    def test_record_with_other_options_or_snapshots_is_refitted(self, monkeypatch):
+        trajectory = self.width_history()
+        fit = FitOptions(k_min=16)
+        record = []
+        monitor = strip_monitor(FitOptions(k_min=20), record)
+        monitor(trajectory.times[0], trajectory.snapshots[0])
+        # an equal but distinct spectrum object is not the same snapshot
+        copy = Spectrum(grid=trajectory.snapshots[1].grid,
+                        coeffs=trajectory.snapshots[1].coeffs)
+        strip_monitor(fit, record)(trajectory.times[1], copy)
+        calls = []
+        real_fit = tracker.fit_spectrum
+
+        def counting(spectrum, options):
+            calls.append(spectrum)
+            return real_fit(spectrum, options)
+
+        monkeypatch.setattr(tracker, "fit_spectrum", counting)
+        assert track(trajectory, TrackOptions(fit=fit), record) == track(
+            trajectory, TrackOptions(fit=fit))
+        assert len(calls) == 2 * len(trajectory)
+
+    def test_recorded_skip_is_reused(self):
+        grid = make_grid(1024)
+        sin_spectrum = forward_transform(
+            PeriodicField(grid, np.sin(grid.nodes())))
+        trajectory = self.width_history()
+        trajectory = Trajectory(
+            config=trajectory.config,
+            times=(0.0,) + trajectory.times,
+            snapshots=(sin_spectrum,) + trajectory.snapshots,
+            stop_reason=trajectory.stop_reason,
+        )
+        fit = FitOptions(k_min=16)
+        record = []
+        assert strip_monitor(fit, record)(0.0, sin_spectrum) is None
+        assert record == [(sin_spectrum, fit, None)]
+        trace = track(trajectory, TrackOptions(fit=fit), record)
+        assert trace.times == trajectory.times[1:]
 
     def test_strip_monitor_callback(self):
         grid = make_grid(1024)
