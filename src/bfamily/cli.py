@@ -41,13 +41,13 @@ from .core import GridSpec, inverse_transform
 from .errors import (BFamilyError, ConfigError, GevreyOverflowError,
                      InsufficientDataError)
 from .integrator import BFamilyConfig, StopPolicy, StopReason, Trajectory, simulate
-from .precision import DOUBLE, EXTENDED32, Precision, to_float
+from .precision import DOUBLE, EXTENDED32, Precision
 from .spectral import derivative
 from .synthetic import SyntheticSpec, oracle_spectrum
 from .tracker import (FitOptions, TrackOptions, fit_spectrum, late_time_alpha,
                       strip_monitor, track)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -216,11 +216,12 @@ def _value_formatter(precision: Precision):
 
 
 def write_csv(path: Path, provenance: dict, columns: Sequence[str], rows, fmt) -> None:
-    lines = [f"# schema_version = {SCHEMA_VERSION}"]
-    lines.extend(f"# {key} = {value}" for key, value in provenance.items())
-    lines.append(",".join(columns))
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header, then one line per row as ``rows`` yields it."""
+    with path.open("w") as out:
+        out.write(f"# schema_version = {SCHEMA_VERSION}\n")
+        out.writelines(f"# {key} = {value}\n" for key, value in provenance.items())
+        out.write(",".join(columns) + "\n")
+        out.writelines(",".join(fmt(cell) for cell in row) + "\n" for row in rows)
 
 
 def _write_summary(path: Path, provenance: dict, facts: dict) -> None:
@@ -310,7 +311,6 @@ def cmd_simulate(manifest: RunManifest) -> int:
     out = manifest.out_dir
     (out / "spectra").mkdir(parents=True, exist_ok=True)
     (out / "fields").mkdir(parents=True, exist_ok=True)
-    wavenumbers = config.grid.wavenumbers()
     x = config.grid.nodes(config.precision)
     for index, (t, snapshot) in enumerate(zip(trajectory.times, trajectory.snapshots)):
         stamp = dict(provenance, t=fmt(t))
@@ -318,10 +318,7 @@ def cmd_simulate(manifest: RunManifest) -> int:
             out / "spectra" / f"spectrum_{index:04d}.csv",
             stamp,
             ("k", "re", "im"),
-            (
-                (int(k), _re(c), _im(c))
-                for k, c in zip(wavenumbers, snapshot.coeffs)
-            ),
+            ((k, c.real, c.imag) for k, c in enumerate(snapshot.coeffs)),
             fmt,
         )
         u = inverse_transform(snapshot).values
@@ -346,14 +343,6 @@ def cmd_simulate(manifest: RunManifest) -> int:
         print("overflow before t_end; partial trajectory written", file=sys.stderr)
         return EXIT_OVERFLOW
     return EXIT_OK
-
-
-def _re(c):
-    return mp.re(c) if isinstance(c, (mp.mpf, mp.mpc)) else c.real
-
-
-def _im(c):
-    return mp.im(c) if isinstance(c, (mp.mpf, mp.mpc)) else c.imag
 
 
 def cmd_track(manifest: RunManifest) -> int:
@@ -464,6 +453,8 @@ def cmd_sweep(
 ) -> int:
     if not b_values:
         raise ConfigError("sweep needs at least one b value")
+    if max_workers is not None and max_workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {max_workers}")
     check_sweep_range(b_values, allow_b_minus_one)
     rows = run_sweep(manifest, b_values, max_workers=max_workers)
     provenance = manifest_entries(manifest)
@@ -506,9 +497,9 @@ def validate_cases(
                 rows.append((delta, alpha, "FAIL", type(exc).__name__))
                 continue
             misses = []
-            d_err = abs(to_float(result.delta) - delta)
-            a_err = abs(to_float(result.alpha) - alpha)
-            x_err = abs(to_float(result.x_star) - x_star)
+            d_err = abs(float(result.delta) - delta)
+            a_err = abs(float(result.alpha) - alpha)
+            x_err = abs(float(result.x_star) - x_star)
             if d_err > VALIDATE_DELTA_TOL:
                 misses.append(f"delta off by {d_err:.2e}")
             if a_err > VALIDATE_ALPHA_TOL:

@@ -3,29 +3,29 @@
 The domain is the periodic interval [-pi, pi) sampled at K equispaced
 nodes x_j = -pi + j*(2*pi/K).  Fourier coefficients follow
 
-    u_hat[k] = (1/K) * sum_j u(x_j) * exp(-i*k*x_j),   k = -K/2 .. K/2-1,
+    u_hat[k] = (1/K) * sum_j u(x_j) * exp(-i*k*x_j),
 
-so that u(x_j) = sum_k u_hat[k] * exp(i*k*x_j).  Coefficients are stored
-in FFT slot order (0 .. K/2-1, -K/2 .. -1); ``Spectrum.wavenumbers``
-gives the integer wavenumber per slot and ``Spectrum.coeff`` indexes by
-wavenumber.  Forward transforms of real fields mirror the negative modes
-from the nonnegative half explicitly, so Hermitian symmetry holds
-exactly, not just to round-off.
+so that u(x_j) = sum_k u_hat[k] * exp(i*k*x_j) over k = -K/2 .. K/2-1.
+Fields are real, so u_hat[-k] = conj(u_hat[k]) and the modes
+k = 0 .. K/2 determine the field.  ``Spectrum`` stores exactly those
+K/2 + 1 modes (numpy's rfft layout): slot k holds u_hat[k], and the
+last slot is the unpaired Nyquist mode k = K/2.  Hermitian symmetry
+therefore holds by construction; the only condition left to check is
+that the two self-conjugate modes, k = 0 and k = K/2, are real.
+``Spectrum`` checks that, within round-off, when it is built.
 
-The modes k = 0 .. K/2 (``Spectrum.half``, the rfft layout) determine a
-real field.  The transform pair on that layout is the only code here
-that depends on the scalar mode: ``transforms_for`` picks numpy's
-rfft/irfft for complex128 arrays and a radix-2 mpmath FFT for object
-arrays.  ``forward_transform``, ``inverse_transform`` and the
-right-hand-side kernel in ``spectral`` all run through it; the
-finiteness test they share is ``precision.all_finite``.
-``check_hermitian`` guards every inverse transform, and the RK4 step
-runs it once on each step's input state (stage states are Hermitian by
-construction).
+The transform pair on that layout is the only code here that depends
+on the scalar mode: ``transforms_for`` picks numpy's rfft/irfft for
+complex128 arrays and a radix-2 mpmath FFT for object arrays.
+``forward_transform``, ``inverse_transform`` and the right-hand-side
+kernel in ``spectral`` all run through it; the finiteness test they
+share is ``precision.all_finite``.
 
 Discrete Parseval identity under this normalisation:
 
-    (1/K) * sum_j u_j**2 == sum_k |u_hat[k]|**2
+    (1/K) * sum_j u_j**2 == sum_{k=-K/2}^{K/2-1} |u_hat[k]|**2
+                         == |u_hat[0]|**2 + 2 * sum_{0<k<K/2} |u_hat[k]|**2
+                            + |u_hat[K/2]|**2
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ from .precision import (
 
 MIN_MODES = 8
 
-# Relative tolerance (in units of round-off) for the Hermitian-symmetry
-# check on inverse transforms and RK4 steps.  The pipeline maintains
-# symmetry exactly, so any measurable violation signals corrupted input.
+# Relative tolerance (in units of round-off) for the imaginary part of
+# the self-conjugate modes k = 0 and k = K/2.  The transforms and the
+# right-hand side keep those modes exactly real, so any measurable
+# imaginary part signals corrupted input.
 SYMMETRY_RTOL_ULPS = 1e3
 
 TYPE_I = "type1"    # u0(x) = sin(x)
@@ -85,9 +86,8 @@ class GridSpec:
             return np.array([mp.pi * mp.mpf(2 * j - K) / K for j in range(K)], dtype=object)
 
     def wavenumbers(self) -> np.ndarray:
-        """Integer wavenumbers in FFT slot order: 0..K/2-1, -K/2..-1."""
-        K = self.n_modes
-        return np.concatenate([np.arange(0, K // 2), np.arange(-K // 2, 0)])
+        """Integer wavenumber of each ``Spectrum`` slot: 0 .. K/2."""
+        return np.arange(self.n_modes // 2 + 1)
 
     @property
     def resolution_limit(self) -> float:
@@ -129,12 +129,13 @@ class PeriodicField:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Fourier coefficients in FFT slot order under the fixed convention.
+    """Fourier coefficients u_hat[k] of a real field for k = 0 .. K/2.
 
-    Construction checks only shape; Hermitian symmetry is guaranteed by
-    the operations that produce spectra and re-verified (with a
-    round-off tolerance) whenever a spectrum is pushed back to physical
-    space, and once per RK4 step.
+    The negative modes are the conjugates and are not stored.
+    Construction checks the shape (K/2 + 1,) and raises SymmetryError
+    when u_hat[0] or u_hat[K/2] has an imaginary part beyond round-off
+    (for object arrays, the round-off of their working precision).
+    Non-finite entries are left to the finiteness checks.
     """
 
     grid: GridSpec
@@ -142,71 +143,29 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs)
-        if coeffs.shape != (self.grid.n_modes,):
+        n_half = self.grid.n_modes // 2 + 1
+        if coeffs.shape != (n_half,):
             raise ValueError(
-                f"expected {self.grid.n_modes} coefficients, got shape {coeffs.shape}"
+                f"expected {n_half} coefficients (k = 0..K/2), got shape {coeffs.shape}"
             )
         if coeffs.dtype != object:
             coeffs = coeffs.astype(np.complex128, copy=False)
+        with working_context(coeffs):
+            scale = max(float(np.abs(coeffs).max()), 1e-300)
+            tol = SYMMETRY_RTOL_ULPS * ulp_for(coeffs) * scale
+        if abs(coeffs[0].imag) > tol or abs(coeffs[-1].imag) > tol:
+            raise SymmetryError(
+                "the k = 0 and k = K/2 coefficients of a real field must be real; "
+                "refusing a spectrum with an imaginary part beyond round-off there"
+            )
         object.__setattr__(self, "coeffs", _frozen_copy(coeffs))
-
-    @classmethod
-    def from_half(cls, grid: GridSpec, half: np.ndarray) -> "Spectrum":
-        """Spectrum with modes k = 0..K/2 from ``half`` and k < 0 their conjugates.
-
-        mpmath rounds a conjugate to the ambient precision, so object
-        arrays are mirrored inside their ``working_context``.
-        """
-        K = grid.n_modes
-        coeffs = np.empty(K, dtype=half.dtype)
-        coeffs[: K // 2 + 1] = half
-        with working_context(half):
-            coeffs[K // 2 + 1 :] = np.conj(half[K // 2 - 1 : 0 : -1])
-        return cls(grid, coeffs)
-
-    def half(self) -> np.ndarray:
-        """Read-only view of the modes k = 0 .. K/2 (the rfft layout)."""
-        return self.coeffs[: self.grid.n_modes // 2 + 1]
-
-    def wavenumbers(self) -> np.ndarray:
-        return self.grid.wavenumbers()
-
-    def coeff(self, k: int):
-        """Coefficient for integer wavenumber k in [-K/2, K/2-1]."""
-        K = self.grid.n_modes
-        if not -K // 2 <= k <= K // 2 - 1:
-            raise IndexError(f"wavenumber {k} outside [-{K // 2}, {K // 2 - 1}]")
-        return self.coeffs[k % K]
 
     def magnitudes_nonnegative(self) -> np.ndarray:
         """|u_hat[k]| for k = 0 .. K/2 (Nyquist slot included last)."""
-        return np.abs(self.half())
+        return np.abs(self.coeffs)
 
     def max_magnitude(self):
         return np.abs(self.coeffs).max()
-
-    def symmetry_defect(self) -> float:
-        """Largest violation of u_hat[-k] == conj(u_hat[k]), k=0 included."""
-        K = self.grid.n_modes
-        c = self.coeffs
-        pos = c[1 : K // 2]
-        neg = c[: K // 2 : -1]  # slots K-1 .. K/2+1, i.e. k = -1 .. -(K/2-1)
-        mirror = np.abs(neg - np.conj(pos)).max()
-        return float(max(abs(c[0].imag), abs(c[K // 2].imag), mirror))
-
-
-def check_hermitian(spectrum: Spectrum) -> None:
-    """Raise SymmetryError unless the spectrum is Hermitian within round-off.
-
-    For object arrays the round-off unit is the ambient mpmath precision.
-    """
-    scale = spectrum.max_magnitude()
-    tol = SYMMETRY_RTOL_ULPS * ulp_for(spectrum.coeffs) * max(float(scale), 1e-300)
-    if not spectrum.symmetry_defect() <= tol:
-        raise SymmetryError(
-            "spectrum is not Hermitian within round-off; refusing to "
-            "reconstruct a real field from corrupted coefficients"
-        )
 
 
 @functools.lru_cache(maxsize=32)
@@ -327,26 +286,21 @@ def _mp_fft(a: list) -> list:
 def forward_transform(field: PeriodicField) -> Spectrum:
     """DFT of a real field under the fixed convention.
 
-    Output symmetry is exact: the negative-k half is an explicit mirror
-    of the nonnegative-k half.
+    The k = 0 and k = K/2 coefficients come out exactly real.
     """
     values = field.values
     if not all_finite(values):
         raise NonFiniteFieldError("cannot transform a non-finite field")
     with working_context(values):
         half = transforms_for(values).forward(values, field.grid.n_modes)
-        return Spectrum.from_half(field.grid, half)
+        return Spectrum(field.grid, half)
 
 
 def inverse_transform(spectrum: Spectrum) -> PeriodicField:
-    """Reconstruct the real field from the modes k = 0..K/2.
-
-    Rejects input that is not Hermitian within round-off.
-    """
-    check_hermitian(spectrum)
+    """Reconstruct the real field from the modes k = 0..K/2."""
     coeffs = spectrum.coeffs
     with working_context(coeffs):
-        values = transforms_for(coeffs).inverse(spectrum.half(), spectrum.grid.n_modes)
+        values = transforms_for(coeffs).inverse(coeffs, spectrum.grid.n_modes)
         return PeriodicField(spectrum.grid, values)
 
 

@@ -7,12 +7,12 @@ k = 0 coefficient is conserved exactly because the right-hand side's
 mean component is identically zero, so every stage contributes exact
 zeros there.
 
-``rk4_step`` works on the rfft half layout (modes k = 0..K/2) with the
-cached ``spectral.RhsKernel``: it checks the input state's Hermitian
-symmetry once, runs the four stages on plain half arrays (Hermitian by
-construction, one finiteness check each inside the kernel) and builds
-one ``Spectrum`` for the result.  ``simulate`` additionally checks each
-new state for finiteness.
+``rk4_step`` runs the cached ``spectral.RhsKernel`` on the state's
+coefficients, which ``Spectrum`` stores in the kernel's own layout
+(modes k = 0..K/2): the four stages are plain arrays (one finiteness
+check each inside the kernel), and one ``Spectrum`` is built for the
+result.  ``simulate`` additionally checks each new state for
+finiteness.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    GridSpec,
-    InitialSpec,
-    Spectrum,
-    check_hermitian,
-    forward_transform,
-    initial_datum,
-)
+from .core import GridSpec, InitialSpec, Spectrum, forward_transform, initial_datum
 from .errors import BlowUpOverflowError, ConfigError
 from .precision import DOUBLE, Precision, all_finite, working_context
 from .spectral import RhsOptions, rhs_kernel
@@ -49,10 +42,18 @@ class StopPolicy:
 
     ``min_strip_width`` is the running analyticity-strip estimate below
     which continuing is pointless (the singularity is within one grid
-    spacing of the real axis); None means the grid default 2*pi/K.
+    spacing of the real axis); None means the grid default 2*pi/K.  A
+    given width must be finite and positive: no estimate falls below
+    NaN or a nonpositive width, so either would silently disable the
+    early stop.
     """
 
     min_strip_width: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        width = self.min_strip_width
+        if width is not None and not (math.isfinite(width) and width > 0):
+            raise ConfigError(f"min_strip_width must be finite and positive, got {width}")
 
     def threshold(self, grid: GridSpec) -> float:
         if self.min_strip_width is not None:
@@ -109,19 +110,17 @@ class Trajectory:
 def rk4_step(state: Spectrum, dt: float, options: RhsOptions) -> Spectrum:
     """One classical Runge-Kutta step of the full mode system.
 
-    Raises SymmetryError for a state that is not Hermitian within
-    round-off and BlowUpOverflowError when a stage overflows.
+    Raises BlowUpOverflowError when a stage overflows.
     """
     grid = state.grid
-    with working_context(state.coeffs):
-        check_hermitian(state)
-        f = rhs_kernel(grid, options, state.coeffs)
-        c0 = state.half()
+    c0 = state.coeffs
+    with working_context(c0):
+        f = rhs_kernel(grid, options, c0)
         k1 = f(c0)
         k2 = f(c0 + (dt / 2) * k1)
         k3 = f(c0 + (dt / 2) * k2)
         k4 = f(c0 + dt * k3)
-        return Spectrum.from_half(grid, c0 + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+        return Spectrum(grid, c0 + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 StripMonitor = Callable[[float, Spectrum], Optional[float]]

@@ -35,7 +35,7 @@ import numpy as np
 from .core import Spectrum
 from .errors import GevreyOverflowError
 from .integrator import Trajectory
-from .precision import is_extended_array, to_float, working_context
+from .precision import is_extended_array, working_context
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,7 @@ def gevrey_norm(spectrum: Spectrum, params: GevreyParams) -> float:
     """
     k = spectrum.grid.wavenumbers()
     coeffs = spectrum.coeffs
+    # the stored modes k = 0..K/2 stand for k and -k: weight 0 < k < K/2 twice
     with working_context(coeffs):
         if is_extended_array(coeffs):
             total = mp.mpf(0)
@@ -73,13 +74,16 @@ def gevrey_norm(spectrum: Spectrum, params: GevreyParams) -> float:
                 kk = int(kk)
                 weight = (1 + kk * kk) ** mp.mpf(params.order)
                 if params.radius:
-                    weight *= mp.exp(2 * mp.mpf(params.radius) * abs(kk))
+                    weight *= mp.exp(2 * mp.mpf(params.radius) * kk)
+                if 0 < kk < k[-1]:
+                    weight *= 2
                 total += weight * (mp.re(c) ** 2 + mp.im(c) ** 2)
             return mp.sqrt(2 * mp.pi * total)
         with np.errstate(over="ignore", invalid="ignore"):
             weights = (1.0 + k.astype(np.float64) ** 2) ** params.order
             if params.radius:
-                weights = weights * np.exp(2.0 * params.radius * np.abs(k))
+                weights = weights * np.exp(2.0 * params.radius * k)
+            weights[1:-1] *= 2.0
             total = float(np.sum(weights * np.abs(coeffs) ** 2))
         if not math.isfinite(total):
             raise GevreyOverflowError(
@@ -115,9 +119,9 @@ def radius_lower_bound(trajectory: Trajectory, order: float, initial_radius: flo
     if c1 < 0 or c2 < 0:
         raise ValueError("model constants must be nonnegative")
     times = np.asarray(trajectory.times, dtype=np.float64)
-    g0 = to_float(gevrey_norm(trajectory.snapshots[0],
+    g0 = float(gevrey_norm(trajectory.snapshots[0],
                               GevreyParams(order=order, radius=initial_radius)))
-    cubes = np.array([to_float(sobolev_norm(s, order)) ** 3
+    cubes = np.array([float(sobolev_norm(s, order)) ** 3
                       for s in trajectory.snapshots])
     inner = _cumulative_trapezoid(cubes, times)
     outer = _cumulative_trapezoid(g0 + c1 * inner, times)

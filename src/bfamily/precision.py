@@ -98,8 +98,3 @@ def all_finite(arr: np.ndarray) -> bool:
     if is_extended_array(arr):
         return all(mp.isfinite(v) for v in arr.ravel())
     return bool(np.isfinite(arr).all())
-
-
-def to_float(x) -> float:
-    """Collapse a float or mpf scalar to builtin float (for reporting)."""
-    return float(x)

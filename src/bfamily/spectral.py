@@ -24,10 +24,11 @@ symbol tables (ik, ik/(1+k^2)), the dealiasing cutoff and the constants
 b/2 and (3-b)/2 are built once per (K, b, dealias, scalar mode, mpmath
 digits) and cached by ``rhs_kernel``.  Each evaluation makes one
 finiteness check, on the stacked physical-space products: a non-finite
-u or u_x makes u^2 or u_x^2 non-finite too.  The kernel assumes a
-Hermitian input and leaves the check to its callers (``rhs`` and
-``integrator.rk4_step``).  The same code serves double and extended
-precision; only the transform pair differs (``core.transforms_for``).
+u or u_x makes u^2 or u_x^2 non-finite too.  ``Spectrum`` stores the
+same layout, so ``rhs``, ``derivative`` and ``helmholtz_inverse_dx``
+act on its coefficients directly.  The same code serves double and
+extended precision; only the transform pair differs
+(``core.transforms_for``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, Spectrum, Transforms, check_hermitian, transforms_for
+from .core import GridSpec, Spectrum, Transforms, transforms_for
 from .errors import BlowUpOverflowError
 from .precision import all_finite, working_context
 
@@ -86,12 +87,11 @@ def derivative(spectrum: Spectrum, order: int = 1) -> Spectrum:
     """
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    K = spectrum.grid.n_modes
     with working_context(spectrum.coeffs):
-        ik, _ = _symbols(transforms_for(spectrum.coeffs), spectrum.wavenumbers())
+        ik, _ = _symbols(transforms_for(spectrum.coeffs), spectrum.grid.wavenumbers())
         coeffs = spectrum.coeffs * ik**order
         if order % 2 == 1:
-            coeffs[K // 2] *= 0
+            coeffs[-1] *= 0
         return Spectrum(spectrum.grid, coeffs)
 
 
@@ -101,11 +101,10 @@ def helmholtz_inverse_dx(spectrum: Spectrum) -> Spectrum:
     The k = 0 slot is annihilated by the symbol; the Nyquist slot is
     zeroed explicitly because the symbol is odd.
     """
-    K = spectrum.grid.n_modes
     with working_context(spectrum.coeffs):
-        _, symbol = _symbols(transforms_for(spectrum.coeffs), spectrum.wavenumbers())
+        _, symbol = _symbols(transforms_for(spectrum.coeffs), spectrum.grid.wavenumbers())
         coeffs = spectrum.coeffs * symbol
-        coeffs[K // 2] *= 0
+        coeffs[-1] *= 0
         return Spectrum(spectrum.grid, coeffs)
 
 
@@ -185,10 +184,8 @@ def rhs(spectrum: Spectrum, options: RhsOptions) -> Spectrum:
     The k = 0 component is set to exact zero: the advective product has
     zero discrete mean (its positive and negative wavenumber
     contributions cancel in exact arithmetic) and the nonlocal symbol
-    vanishes at k = 0, so zeroing only removes round-off.  Rejects a
-    spectrum that is not Hermitian within round-off.
+    vanishes at k = 0, so zeroing only removes round-off.
     """
     with working_context(spectrum.coeffs):
-        check_hermitian(spectrum)
         kernel = rhs_kernel(spectrum.grid, options, spectrum.coeffs)
-        return Spectrum.from_half(spectrum.grid, kernel(spectrum.half()))
+        return Spectrum(spectrum.grid, kernel(spectrum.coeffs))

@@ -120,12 +120,11 @@ def oracle_spectrum(spec: SyntheticSpec, grid: GridSpec,
                     precision: Precision = DOUBLE) -> Spectrum:
     """Assemble the truncated oracle spectrum directly from closed form.
 
-    Slots 0 .. K/2-1 take the series coefficients, negative slots their
-    conjugates; the unpaired half-mode slot is zeroed (its true
-    coefficient is below round-off whenever delta*K/2 is large enough
-    for the truncation to be meaningful).
+    Slots 0 .. K/2-1 take the series coefficients; the unpaired
+    half-mode slot is zeroed (its true coefficient is below round-off
+    whenever delta*K/2 is large enough for the truncation to be
+    meaningful).
     """
     table = _coefficient_table(spec, grid.n_modes // 2, precision)
     nyquist = 0.0 if precision.is_double else mp.mpc(0)
-    with precision.context():
-        return Spectrum.from_half(grid, np.append(table, nyquist))
+    return Spectrum(grid, np.append(table, nyquist))

@@ -38,7 +38,7 @@ import numpy as np
 from .core import Spectrum
 from .errors import EmptyWindowError, InsufficientDataError, NoiseFloorError
 from .integrator import Trajectory
-from .precision import to_float, ulp_for, working_context
+from .precision import ulp_for, working_context
 
 # A mode participates in fits only if its magnitude exceeds this many
 # units of round-off relative to the spectrum's largest magnitude.
@@ -260,7 +260,7 @@ def estimate_x_star(spectrum: Spectrum, ks: Sequence[int]):
         for k, c in zip(ks, coeffs):
             phi = arg(c) - increment * k
             if phases:
-                n_wraps = round(to_float(phases[-1] - phi) / to_float(two_pi))
+                n_wraps = round(float(phases[-1] - phi) / float(two_pi))
                 phi = phi + n_wraps * two_pi
             phases.append(phi)
         # least-squares slope of phase against k
@@ -312,7 +312,7 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
         log_c_lim, _ = wynn_epsilon(sliding.log_c, options.wynn_rtol)
         x_star = estimate_x_star(spectrum, ks)
 
-        clamped = to_float(delta_lim) < 0.0
+        clamped = float(delta_lim) < 0.0
         delta_out = 0 * abs(delta_lim) if clamped else delta_lim
 
         mags = spectrum.magnitudes_nonnegative()
@@ -321,7 +321,7 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
         for k in ks:
             ln_k = mp.log(k) if extended else math.log(k)
             model = log_c_lim - s_lim * ln_k - delta_lim * k
-            dev = to_float(_ln(mags[k]) - model)
+            dev = float(_ln(mags[k]) - model)
             sq_sum += dev * dev
         residual = math.sqrt(sq_sum / len(ks))
 
@@ -375,10 +375,10 @@ class SingularityTrace:
     used_unclean_fallback: bool = False
 
     def deltas(self) -> np.ndarray:
-        return np.array([to_float(f.delta) for f in self.fits])
+        return np.array([float(f.delta) for f in self.fits])
 
     def alphas(self) -> np.ndarray:
-        return np.array([to_float(f.alpha) for f in self.fits])
+        return np.array([float(f.alpha) for f in self.fits])
 
 
 def extrapolate_blowup_time(times: Sequence[float], deltas: Sequence[float]):
@@ -471,14 +471,14 @@ def track(
     clean = [
         i
         for i in range(len(fits))
-        if fits[i].residual < options.max_residual and to_float(fits[i].delta) >= gate
+        if fits[i].residual < options.max_residual and float(fits[i].delta) >= gate
     ]
     fallback = len(clean) < 2
     if fallback:
         clean = list(range(len(fits)))
     sel = clean[-options.extrapolation_samples :]
     t_s, stderr = extrapolate_blowup_time(
-        [times[i] for i in sel], [to_float(fits[i].delta) for i in sel]
+        [times[i] for i in sel], [float(fits[i].delta) for i in sel]
     )
     return SingularityTrace(
         times=tuple(times),
@@ -500,7 +500,7 @@ def late_time_alpha(
     deepest snapshots; only fits whose residual reaches
     ``max_residual`` are discarded as transients.
     """
-    good = [to_float(f.alpha) for f in trace.fits if f.residual < max_residual]
+    good = [float(f.alpha) for f in trace.fits if f.residual < max_residual]
     if not good:
         raise InsufficientDataError(
             "no snapshot fit stays under the residual gate"
@@ -523,6 +523,6 @@ def strip_monitor(
         result = _fit_or_skip(spectrum, options)
         if record is not None:
             record.append((spectrum, options, result))
-        return None if result is None else to_float(result.delta)
+        return None if result is None else float(result.delta)
 
     return monitor

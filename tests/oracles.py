@@ -9,6 +9,7 @@ import mpmath as mp
 import numpy as np
 
 from bfamily.core import GridSpec, PeriodicField, Spectrum, _mp_fft, forward_transform
+from bfamily.precision import working_context
 
 
 def random_field(grid: GridSpec, rng: np.random.Generator) -> PeriodicField:
@@ -26,11 +27,12 @@ def convolution_rhs(spectrum: Spectrum, b: float, cutoff: int) -> np.ndarray:
     Modes |k| <= cutoff are treated as the whole system: derivatives are
     exact symbol multiplications, products are O(K^2) convolution sums
     over retained modes, and the output is truncated to the band.  No
-    FFTs anywhere.  Returns coefficients in FFT slot order.
+    FFTs anywhere.  Returns the coefficients of k = 0..K/2.
     """
     K = spectrum.grid.n_modes
     band = range(-cutoff, cutoff + 1)
-    u = {k: complex(spectrum.coeff(k)) for k in band}
+    half = spectrum.coeffs
+    u = {k: complex(half[k]) if k >= 0 else complex(half[-k]).conjugate() for k in band}
     ux = {k: 1j * k * u[k] for k in band}
 
     def conv(a: dict, c: dict) -> dict:
@@ -47,10 +49,10 @@ def convolution_rhs(spectrum: Spectrum, b: float, cutoff: int) -> np.ndarray:
     adv = conv(u, ux)
     u_sq = conv(u, u)
     ux_sq = conv(ux, ux)
-    out = np.zeros(K, dtype=complex)
-    for k in band:
+    out = np.zeros(K // 2 + 1, dtype=complex)
+    for k in range(cutoff + 1):
         symbol = 1j * k / (1.0 + k * k)
-        out[k % K] = -(adv[k] + symbol * ((b / 2.0) * u_sq[k] + ((3.0 - b) / 2.0) * ux_sq[k]))
+        out[k] = -(adv[k] + symbol * ((b / 2.0) * u_sq[k] + ((3.0 - b) / 2.0) * ux_sq[k]))
     return out
 
 
@@ -135,6 +137,19 @@ def reference_wynn_epsilon(seq, rtol: float):
             best = (nxt[-1], col)
         prev_prev, prev = prev, nxt
     return best
+
+
+def full_layout(spectrum: Spectrum) -> np.ndarray:
+    """All K slots in FFT order (0..K/2, then -(K/2-1)..-1 as conjugates).
+
+    The input layout of ``full_layout_rhs``.  mpmath rounds a conjugate
+    to the ambient precision, so object arrays are mirrored inside their
+    working context.
+    """
+    half = spectrum.coeffs
+    K = spectrum.grid.n_modes
+    with working_context(half):
+        return np.concatenate([half, np.conj(half[K // 2 - 1 : 0 : -1])])
 
 
 def full_layout_rhs(coeffs: np.ndarray, b: float, dealias: bool) -> np.ndarray:

@@ -39,24 +39,20 @@ def report(label: str, ok: bool, detail: str) -> None:
 
 def pure_decay_spectrum(n_modes: int, s: float, delta: float) -> Spectrum:
     # |u_hat_k| = k^{-s} e^{-delta k} exactly, amplitude 1, zero phase
-    coeffs = np.zeros(n_modes, dtype=complex)
+    coeffs = np.zeros(n_modes // 2 + 1, dtype=complex)
     coeffs[0] = 1.0
     for k in range(1, n_modes // 2):
-        mag = k ** (-s) * math.exp(-delta * k)
-        coeffs[k] = mag
-        coeffs[n_modes - k] = mag
+        coeffs[k] = k ** (-s) * math.exp(-delta * k)
     return Spectrum(make_grid(n_modes), coeffs)
 
 
 def pure_decay_spectrum_extended(n_modes: int, s: float, delta: float) -> Spectrum:
     with EXTENDED32.context():
         s_mp, d_mp = mp.mpf(s), mp.mpf(delta)
-        coeffs = np.full(n_modes, mp.mpc(0), dtype=object)
+        coeffs = np.full(n_modes // 2 + 1, mp.mpc(0), dtype=object)
         coeffs[0] = mp.mpc(1)
         for k in range(1, n_modes // 2):
-            mag = mp.mpf(k) ** (-s_mp) * mp.exp(-d_mp * k)
-            coeffs[k] = mp.mpc(mag)
-            coeffs[n_modes - k] = mp.mpc(mag)
+            coeffs[k] = mp.mpc(mp.mpf(k) ** (-s_mp) * mp.exp(-d_mp * k))
     return Spectrum(make_grid(n_modes), coeffs)
 
 

@@ -73,6 +73,9 @@ class TestManifestParsing:
             {"initial": "type3"},
             {"modes": "many"},
             {"dt": "-0.1"},
+            {"min_strip_width": "nan"},
+            {"min_strip_width": "-1"},
+            {"min_strip_width": "0"},
         ):
             with pytest.raises(ConfigError):
                 build_manifest(entries, tmp_path)
@@ -99,7 +102,7 @@ class TestSimulateCommand:
         fields = sorted((out / "fields").iterdir())
         assert len(spectra) == len(fields) == 6
         header = spectra[0].read_text().splitlines()
-        assert header[0] == "# schema_version = 1"
+        assert header[0] == "# schema_version = 2"
         assert "# modes = 64" in header
 
     def test_spectrum_csv_round_trips_exactly(self, tmp_path):
@@ -163,6 +166,15 @@ class TestSimulateCommand:
     def test_missing_manifest_exits_2(self, tmp_path):
         code = main(["simulate", "--manifest", str(tmp_path / "nope.txt")])
         assert code == 2
+
+    @pytest.mark.parametrize("width", ["nan", "-1", "0"])
+    def test_bad_min_strip_width_flag_exits_2(self, tmp_path, width):
+        # NaN or a nonpositive width would never stop the run early
+        manifest = write_manifest(tmp_path / "m.txt")
+        code = main(["simulate", "--manifest", str(manifest),
+                     f"--min-strip-width={width}", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrackCommand:
@@ -295,6 +307,17 @@ class TestSweepCommand:
              "--b-list=-2,2"]
         )
         assert code == 2
+
+    def test_zero_workers_exits_2_without_a_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        manifest = self.sweep_manifest(tmp_path)
+        code = main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+                     "--b-list", "0,1", "--workers", "0"])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_minus_one_needs_override(self, tmp_path):
         manifest = self.sweep_manifest(tmp_path)

@@ -3,8 +3,11 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfamily.core import (
+    SYMMETRY_RTOL_ULPS,
     TYPE_I,
     TYPE_II,
     GridSpec,
@@ -26,6 +29,17 @@ def random_field(grid: GridSpec, rng: np.random.Generator) -> PeriodicField:
 def random_hermitian_spectrum(grid: GridSpec, rng: np.random.Generator) -> Spectrum:
     """Spectrum of a random real field; Hermitian exactly by construction."""
     return forward_transform(random_field(grid, rng))
+
+
+@st.composite
+def half_spectra(draw, sizes):
+    """(grid, coefficients of k = 0..K/2) with real k = 0 and K/2 entries."""
+    K = draw(st.sampled_from(sizes))
+    n = K // 2 + 1
+    parts = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n)
+    re, im = np.array(draw(parts)), np.array(draw(parts))
+    im[0] = im[-1] = 0.0
+    return make_grid(K), re + 1j * im
 
 
 class TestGridSpec:
@@ -50,7 +64,7 @@ class TestGridSpec:
 
     def test_wavenumber_layout(self):
         g = make_grid(8)
-        assert list(g.wavenumbers()) == [0, 1, 2, 3, -4, -3, -2, -1]
+        assert list(g.wavenumbers()) == [0, 1, 2, 3, 4]
 
     def test_resolution_limit(self):
         assert make_grid(1024).resolution_limit == pytest.approx(2 * np.pi / 1024)
@@ -84,34 +98,35 @@ class TestForwardTransform:
     def test_sine_coefficients(self):
         # sin x = -(i/2) e^{ix} + (i/2) e^{-ix}
         s = forward_transform(initial_datum(TYPE_I, make_grid(32)))
-        assert s.coeff(1) == pytest.approx(-0.5j, abs=1e-15)
-        assert s.coeff(-1) == pytest.approx(0.5j, abs=1e-15)
-        others = [s.coeff(k) for k in range(-16, 16) if abs(k) != 1]
+        assert s.coeffs[1] == pytest.approx(-0.5j, abs=1e-15)
+        others = [s.coeffs[k] for k in range(17) if k != 1]
         assert max(abs(c) for c in others) < 1e-15
 
     def test_type2_adds_mean(self):
         s = forward_transform(initial_datum(TYPE_II, make_grid(32)))
-        assert s.coeff(0) == pytest.approx(1.0, abs=1e-15)
-        assert s.coeff(1) == pytest.approx(-0.5j, abs=1e-15)
+        assert s.coeffs[0] == pytest.approx(1.0, abs=1e-15)
+        assert s.coeffs[1] == pytest.approx(-0.5j, abs=1e-15)
 
     def test_cosine_coefficients(self):
         g = make_grid(32)
         s = forward_transform(PeriodicField(g, np.cos(g.nodes())))
-        assert s.coeff(1) == pytest.approx(0.5, abs=1e-15)
-        assert s.coeff(-1) == pytest.approx(0.5, abs=1e-15)
+        assert s.coeffs[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_hermitian_symmetry_is_exact(self):
+        # the stored modes k = 0..K/2 fix the rest; k = 0 and K/2 are real
         rng = np.random.default_rng(7)
         for K in (8, 34, 128):
             s = random_hermitian_spectrum(make_grid(K), rng)
-            assert s.symmetry_defect() == 0.0
+            assert s.coeffs.shape == (K // 2 + 1,)
+            assert s.coeffs[0].imag == 0.0 and s.coeffs[-1].imag == 0.0
 
     def test_parseval(self):
         rng = np.random.default_rng(11)
         for K in (16, 64, 250):
             u = random_field(make_grid(K), rng)
             lhs = float(np.sum(u.values**2)) / K
-            rhs = float(np.sum(np.abs(forward_transform(u).coeffs) ** 2))
+            power = np.abs(forward_transform(u).coeffs) ** 2
+            rhs = float(power[0] + 2 * np.sum(power[1:-1]) + power[-1])
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -129,17 +144,9 @@ class TestInverseTransform:
         s2 = forward_transform(inverse_transform(s))
         assert np.abs(s2.coeffs - s.coeffs).max() < 1e-14
 
-    def test_rejects_broken_symmetry(self):
-        g = make_grid(16)
-        c = np.zeros(16, dtype=complex)
-        c[1] = 1.0 + 1.0j
-        c[15] = 1.0 + 1.0j  # should be the conjugate, 1 - 1j
-        with pytest.raises(SymmetryError):
-            inverse_transform(Spectrum(g, c))
-
     def test_rejects_imaginary_mean(self):
         g = make_grid(16)
-        c = np.zeros(16, dtype=complex)
+        c = np.zeros(9, dtype=complex)
         c[0] = 1.0j
         with pytest.raises(SymmetryError):
             inverse_transform(Spectrum(g, c))
@@ -151,13 +158,58 @@ class TestInverseTransform:
         assert np.abs(v.values - u.values).max() < 1e-14
 
 
+class TestHermitianRoundTrip:
+    """forward_transform inverts inverse_transform on any half spectrum."""
+
+    @settings(deadline=None)
+    @given(half_spectra((8, 16, 34, 64)))
+    def test_double_round_trip(self, drawn):
+        grid, c = drawn
+        back = forward_transform(inverse_transform(Spectrum(grid, c))).coeffs
+        tol = SYMMETRY_RTOL_ULPS * np.finfo(np.float64).eps * np.abs(c).max()
+        assert np.abs(back - c).max() <= max(tol, 1e-300)
+
+    @settings(deadline=None, max_examples=20)
+    @given(half_spectra((8, 16)))
+    def test_extended_round_trip(self, drawn):
+        grid, c = drawn
+        with EXTENDED32.context():
+            half = np.array([mp.mpc(v) for v in c], dtype=object)
+            back = forward_transform(inverse_transform(Spectrum(grid, half))).coeffs
+            tol = SYMMETRY_RTOL_ULPS * mp.eps * max(abs(v) for v in half)
+            assert max(abs(a - b) for a, b in zip(back, half)) <= max(tol, mp.mpf("1e-300"))
+
+    @settings(deadline=None)
+    @given(half_spectra((8, 16, 64)), st.sampled_from([0, -1]),
+           st.floats(min_value=1e-9, max_value=1.0))
+    def test_imaginary_self_conjugate_mode_rejected(self, drawn, slot, rel):
+        grid, c = drawn
+        scale = np.abs(c).max()
+        c[slot] += 1j * np.finfo(np.float64).eps * scale  # round-off passes
+        Spectrum(grid, c)
+        c[slot] += 1j * rel * max(scale, 1.0)
+        with pytest.raises(SymmetryError):
+            Spectrum(grid, c)
+
+    @pytest.mark.parametrize("slot", [0, -1], ids=["mean", "nyquist"])
+    def test_extended_imaginary_self_conjugate_mode_rejected(self, slot):
+        s = forward_transform(initial_datum(TYPE_II, make_grid(16), EXTENDED32))
+        c = np.array(s.coeffs)
+        with EXTENDED32.context():
+            c[slot] += mp.mpc(0, "1e-20")
+        with pytest.raises(SymmetryError):
+            Spectrum(make_grid(16), c)
+
+
 class TestSpectrumAccess:
     def test_coeff_bounds(self):
-        s = forward_transform(initial_datum(TYPE_I, make_grid(16)))
-        with pytest.raises(IndexError):
-            s.coeff(8)
-        with pytest.raises(IndexError):
-            s.coeff(-9)
+        # exactly the K/2 + 1 modes k = 0..K/2: neither the full K slots
+        # nor the K/2 slots without the Nyquist mode
+        g = make_grid(16)
+        for n in (16, 8):
+            with pytest.raises(ValueError):
+                Spectrum(g, np.zeros(n, dtype=complex))
+        assert Spectrum(g, np.zeros(9, dtype=complex)).coeffs.shape == (9,)
 
     def test_magnitudes_nonnegative_layout(self):
         g = make_grid(16)
@@ -192,8 +244,7 @@ class TestExtendedPrecision:
     def test_sine_coefficients_at_32_digits(self):
         s = forward_transform(initial_datum(TYPE_I, make_grid(16), EXTENDED32))
         with mp.workdps(32):
-            assert abs(s.coeff(1) + mp.mpc(0, 1) / 2) < mp.mpf("1e-30")
-            assert abs(s.coeff(-1) - mp.mpc(0, 1) / 2) < mp.mpf("1e-30")
+            assert abs(s.coeffs[1] + mp.mpc(0, 1) / 2) < mp.mpf("1e-30")
 
     def test_roundtrip_at_32_digits(self):
         g = make_grid(16)

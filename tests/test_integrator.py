@@ -24,7 +24,7 @@ from bfamily.integrator import (
 from bfamily.precision import EXTENDED32
 from bfamily.spectral import RhsOptions
 
-from oracles import full_layout_rk4_step
+from oracles import full_layout, full_layout_rk4_step
 
 
 def sine_state(K=64):
@@ -54,13 +54,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             BFamilyConfig(b=float("nan"), grid=make_grid(16), dt=1e-3, t_end=1.0)
 
+    @pytest.mark.parametrize("width", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_rejects_bad_min_strip_width(self, width):
+        with pytest.raises(ConfigError):
+            StopPolicy(min_strip_width=width)
+
 
 class TestRk4Accuracy:
     """Expected rates pinned by direct step-doubling / tiny-step oracles."""
 
     def test_constant_state_is_exact_fixed_point(self):
         g = make_grid(16)
-        c = np.zeros(16, dtype=complex)
+        c = np.zeros(9, dtype=complex)
         c[0] = 1.75
         s = rk4_step(Spectrum(g, c), 1e-2, RhsOptions(b=3.0))
         np.testing.assert_array_equal(s.coeffs, c)
@@ -109,10 +114,13 @@ class TestConservation:
             assert all(s.coeffs[0] == first for s in traj.snapshots)
 
     def test_hermitian_symmetry_exact_along_run(self):
+        # the stored modes fix the negative ones; k = 0 and K/2 stay real
         cfg = BFamilyConfig(b=3.0, grid=make_grid(64), dt=1e-3, t_end=0.2,
                             initial=TYPE_I, sample_every=50)
         traj = simulate(cfg)
-        assert max(s.symmetry_defect() for s in traj.snapshots) == 0.0
+        assert all(s.coeffs.shape == (33,) for s in traj.snapshots)
+        assert all(s.coeffs[0].imag == 0.0 and s.coeffs[-1].imag == 0.0
+                   for s in traj.snapshots)
 
 
 class TestTrajectoryRecording:
@@ -208,9 +216,10 @@ class TestExtendedMode:
 class TestFullLayoutReference:
     """rk4_step equals the original full-layout pipeline, step by step.
 
-    Compared with np.array_equal against the reference run here, not
-    with a stored hash: another numpy build may round FFTs differently
-    but rounds both pipelines the same way.
+    The reference runs on all K slots; its modes k = 0..K/2 are compared
+    with np.array_equal against the reference run here, not with a
+    stored hash: another numpy build may round FFTs differently but
+    rounds both pipelines the same way.
     """
 
     @pytest.mark.parametrize(
@@ -221,29 +230,32 @@ class TestFullLayoutReference:
     def test_double_trajectory_value_identical(self, b, K, dt, initial):
         opts = RhsOptions(b=b, dealias=True)
         state = forward_transform(initial_datum(initial, make_grid(K)))
-        ref = np.array(state.coeffs)
+        ref = full_layout(state)
         for step in range(300):
             state = rk4_step(state, dt, opts)
             ref = full_layout_rk4_step(ref, dt, b, dealias=True)
-            assert np.array_equal(state.coeffs, ref), f"trajectories differ after step {step + 1}"
+            assert np.array_equal(state.coeffs, ref[: K // 2 + 1]), (
+                f"trajectories differ after step {step + 1}"
+            )
 
     def test_extended_trajectory_value_identical(self):
         # the extended32 benchmark configuration: K=64, b=3, dt=1e-3, dealiased
         opts = RhsOptions(b=3.0, dealias=True)
         with EXTENDED32.context():
             state = forward_transform(initial_datum(TYPE_I, make_grid(64), EXTENDED32))
-            ref = np.array(state.coeffs)
+            ref = full_layout(state)
             for step in range(5):
                 state = rk4_step(state, 1e-3, opts)
                 ref = full_layout_rk4_step(ref, 1e-3, 3.0, dealias=True)
-                assert all(a == b for a, b in zip(state.coeffs, ref)), f"step {step + 1}"
+                same = zip(state.coeffs, ref[: 64 // 2 + 1], strict=True)
+                assert all(a == b for a, b in same), f"step {step + 1}"
 
 
 class TestStepChecks:
-    """The checks rk4_step runs once per step (symmetry) and per stage (overflow)."""
+    """A step's input is a valid Spectrum (real k = 0 and K/2), and stages overflow-check."""
 
-    @pytest.mark.parametrize("slot,value", [(0, 1.0j), (8, 0.5j), (3, 0.25)],
-                             ids=["imaginary-mean", "imaginary-nyquist", "broken-mirror"])
+    @pytest.mark.parametrize("slot,value", [(0, 1.0j), (8, 0.5j)],
+                             ids=["imaginary-mean", "imaginary-nyquist"])
     def test_non_hermitian_state_rejected(self, slot, value):
         c = np.array(sine_state(16).coeffs)
         c[slot] += value
@@ -260,8 +272,7 @@ class TestStepChecks:
     @pytest.mark.parametrize("dealias", [False, True])
     def test_overflow_raises(self, dealias):
         g = make_grid(16)
-        c = np.zeros(16, dtype=complex)
+        c = np.zeros(9, dtype=complex)
         c[1] = 1e200
-        c[15] = 1e200
         with pytest.raises(BlowUpOverflowError):
             rk4_step(Spectrum(g, c), 1e-3, RhsOptions(b=3.0, dealias=dealias))

@@ -28,24 +28,22 @@ from oracles import reference_wynn_epsilon, shanks_table_limit
 def pure_model_spectrum(grid, amplitude, s, delta, x_star=0.0):
     """Exact decay-model spectrum C k^{-s} e^{-delta k} e^{-i k x*}."""
     K = grid.n_modes
-    coeffs = np.zeros(K, dtype=np.complex128)
+    coeffs = np.zeros(K // 2 + 1, dtype=np.complex128)
     coeffs[0] = amplitude
     for k in range(1, K // 2):
         coeffs[k] = (amplitude * k ** (-s) * math.exp(-delta * k)
                      * np.exp(-1j * k * x_star))
-        coeffs[K - k] = np.conj(coeffs[k])
     return Spectrum(grid=grid, coeffs=coeffs)
 
 
 def pure_model_spectrum_extended(grid, amplitude, s, delta):
     K = grid.n_modes
-    coeffs = np.empty(K, dtype=object)
+    coeffs = np.empty(K // 2 + 1, dtype=object)
     with mp.workdps(32):
         coeffs[0] = mp.mpc(amplitude)
         for k in range(1, K // 2):
             v = amplitude * mp.mpf(k) ** (-mp.mpf(s)) * mp.exp(-mp.mpf(delta) * k)
             coeffs[k] = mp.mpc(v)
-            coeffs[K - k] = mp.mpc(v)
         coeffs[K // 2] = mp.mpc(0)
     return Spectrum(grid=grid, coeffs=coeffs)
 
@@ -382,11 +380,10 @@ class TestFitSpectrum:
 
     def test_negative_width_clamped_and_flagged(self):
         K = 128
-        coeffs = np.zeros(K, dtype=np.complex128)
+        coeffs = np.zeros(K // 2 + 1, dtype=np.complex128)
         coeffs[0] = 1.0
         for k in range(1, K // 2):
             coeffs[k] = k ** (-2.0) * math.exp(1e-6 * k)
-            coeffs[K - k] = coeffs[k]
         fr = fit_spectrum(Spectrum(grid=make_grid(K), coeffs=coeffs))
         assert fr.delta_clamped
         assert fr.delta == 0.0
