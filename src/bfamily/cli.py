@@ -141,11 +141,9 @@ def parse_manifest_text(text: str) -> dict:
 
 
 def _precision_from_name(raw: str) -> Precision:
-    lowered = raw.strip().lower()
-    if lowered == "double":
-        return DOUBLE
-    if lowered == "extended32":
-        return EXTENDED32
+    for precision in (DOUBLE, EXTENDED32):
+        if raw.strip().lower() == precision.label:
+            return precision
     raise ConfigError(f"precision must be 'double' or 'extended32', got {raw!r}")
 
 
@@ -191,7 +189,7 @@ def manifest_entries(manifest: RunManifest) -> dict:
         "sample_every": str(config.sample_every),
         "fit_kmin": "none" if manifest.fit.k_min is None else str(manifest.fit.k_min),
         "fit_kmax": "none" if manifest.fit.k_max is None else str(manifest.fit.k_max),
-        "precision": "double" if config.precision.is_double else "extended32",
+        "precision": config.precision.label,
         "min_strip_width": (
             "none"
             if config.stop_policy.min_strip_width is None
@@ -201,7 +199,7 @@ def manifest_entries(manifest: RunManifest) -> dict:
 
 
 def _value_formatter(precision: Precision):
-    digits = 17 if precision.is_double else precision.digits + 2
+    digits = precision.digits + 2
 
     def fmt(value) -> str:
         if value is None:
@@ -387,6 +385,7 @@ def cmd_track(manifest: RunManifest) -> int:
             "t_s": fmt(trace.t_s_estimate),
             "t_s_stderr": fmt(trace.t_s_stderr),
             "late_time_alpha": fmt(alpha_late),
+            "used_unclean_fallback": "true" if trace.used_unclean_fallback else "false",
         },
     )
     (out / "plot.py").write_text(_PLOT_SCRIPT)

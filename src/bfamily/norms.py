@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .core import Spectrum
 from .errors import GevreyOverflowError
 from .integrator import Trajectory
-from .precision import is_extended_array, working_context
+from .precision import working_context
 
 
 @dataclass(frozen=True)
@@ -64,33 +63,21 @@ def gevrey_norm(spectrum: Spectrum, params: GevreyParams) -> float:
     range; with extended-precision spectra the arbitrary exponent range
     makes that practically unreachable.
     """
-    k = spectrum.grid.wavenumbers()
     coeffs = spectrum.coeffs
-    # the stored modes k = 0..K/2 stand for k and -k: weight 0 < k < K/2 twice
-    with working_context(coeffs):
-        if is_extended_array(coeffs):
-            total = mp.mpf(0)
-            for kk, c in zip(k, coeffs):
-                kk = int(kk)
-                weight = (1 + kk * kk) ** mp.mpf(params.order)
-                if params.radius:
-                    weight *= mp.exp(2 * mp.mpf(params.radius) * kk)
-                if 0 < kk < k[-1]:
-                    weight *= 2
-                total += weight * (mp.re(c) ** 2 + mp.im(c) ** 2)
-            return mp.sqrt(2 * mp.pi * total)
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights = (1.0 + k.astype(np.float64) ** 2) ** params.order
-            if params.radius:
-                weights = weights * np.exp(2.0 * params.radius * k)
-            weights[1:-1] *= 2.0
-            total = float(np.sum(weights * np.abs(coeffs) ** 2))
-        if not math.isfinite(total):
+    with working_context(coeffs) as mode, np.errstate(over="ignore", invalid="ignore"):
+        k = mode.real(spectrum.grid.wavenumbers())
+        weights = (1 + k**2) ** params.order
+        if params.radius:
+            weights = weights * mode.exp_array(2 * params.radius * k)
+        # the stored modes k = 0..K/2 stand for k and -k: weight 0 < k < K/2 twice
+        weights[1:-1] *= 2
+        total = np.sum(weights * np.abs(coeffs) ** 2)
+        if not mode.isfinite(total):
             raise GevreyOverflowError(
                 f"Gevrey sum overflows at radius {params.radius}; "
                 "the weight radius reaches past the spectrum's decay"
             )
-        return math.sqrt(2.0 * math.pi * total)
+        return mode.sqrt(2 * mode.pi * total)
 
 
 def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -27,8 +27,8 @@ finiteness check, on the stacked physical-space products: a non-finite
 u or u_x makes u^2 or u_x^2 non-finite too.  ``Spectrum`` stores the
 same layout, so ``rhs``, ``derivative`` and ``helmholtz_inverse_dx``
 act on its coefficients directly.  The same code serves double and
-extended precision; only the transform pair differs
-(``core.transforms_for``).
+extended precision; the transform pair and the symbol tables come from
+the scalar mode (``precision.transforms_for``).
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, Spectrum, Transforms, transforms_for
+from .core import GridSpec, Spectrum
 from .errors import BlowUpOverflowError
-from .precision import all_finite, working_context
+from .precision import Precision, all_finite, transforms_for, working_context
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def dealias_cutoff(n_modes: int) -> int:
     return (n_modes - 1) // 3
 
 
-def _symbols(transforms: Transforms, wavenumbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _symbols(transforms: Precision, wavenumbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The symbols i*k and i*k / (1 + k^2) in the transforms' scalar mode."""
     k = transforms.real(wavenumbers)
     ik = 1j * k
@@ -87,8 +87,8 @@ def derivative(spectrum: Spectrum, order: int = 1) -> Spectrum:
     """
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    with working_context(spectrum.coeffs):
-        ik, _ = _symbols(transforms_for(spectrum.coeffs), spectrum.grid.wavenumbers())
+    with working_context(spectrum.coeffs) as mode:
+        ik, _ = _symbols(mode, spectrum.grid.wavenumbers())
         coeffs = spectrum.coeffs * ik**order
         if order % 2 == 1:
             coeffs[-1] *= 0
@@ -101,8 +101,8 @@ def helmholtz_inverse_dx(spectrum: Spectrum) -> Spectrum:
     The k = 0 slot is annihilated by the symbol; the Nyquist slot is
     zeroed explicitly because the symbol is odd.
     """
-    with working_context(spectrum.coeffs):
-        _, symbol = _symbols(transforms_for(spectrum.coeffs), spectrum.grid.wavenumbers())
+    with working_context(spectrum.coeffs) as mode:
+        _, symbol = _symbols(mode, spectrum.grid.wavenumbers())
         coeffs = spectrum.coeffs * symbol
         coeffs[-1] *= 0
         return Spectrum(spectrum.grid, coeffs)
@@ -118,7 +118,7 @@ class RhsKernel:
     upper third removed by dealiasing.
     """
 
-    def __init__(self, n_modes: int, options: RhsOptions, transforms: Transforms) -> None:
+    def __init__(self, n_modes: int, options: RhsOptions, transforms: Precision) -> None:
         self.n_modes = n_modes
         self.transforms = transforms
         self.keep = dealias_cutoff(n_modes) + 1 if options.dealias else None
@@ -165,7 +165,7 @@ class RhsKernel:
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_kernel(n_modes: int, options: RhsOptions, transforms: Transforms) -> RhsKernel:
+def _cached_kernel(n_modes: int, options: RhsOptions, transforms: Precision) -> RhsKernel:
     return RhsKernel(n_modes, options, transforms)
 
 

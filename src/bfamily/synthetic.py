@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .core import GridSpec, PeriodicField, Spectrum
@@ -68,44 +67,24 @@ def oracle_field(spec: SyntheticSpec, grid: GridSpec,
     so the principal power equals the binomial series everywhere.
     """
     x = grid.nodes(precision)
-    if precision.is_double:
-        w = np.exp(-spec.delta + 1j * (x - spec.x_star))
-        values = spec.amplitude * np.real((1.0 - w) ** spec.alpha)
-    else:
-        with precision.context():
-            alpha = mp.mpf(spec.alpha)
-            values = np.array(
-                [spec.amplitude * mp.re((1 - mp.exp(mp.mpc(-spec.delta, xj - spec.x_star))) ** alpha)
-                 for xj in x],
-                dtype=object,
-            )
+    with precision.context():
+        w = precision.exp_array(-spec.delta + 1j * (x - spec.x_star))
+        values = spec.amplitude * precision.real_part((1.0 - w) ** spec.alpha)
     return PeriodicField(grid=grid, values=values)
 
 
-def _coefficient_table(spec: SyntheticSpec, count: int, precision: Precision):
+def _coefficient_table(spec: SyntheticSpec, count: int, precision: Precision) -> np.ndarray:
     """One-sided coefficients u_hat[k] for k = 0 .. count-1."""
-    if precision.is_double:
-        table = np.zeros(count, dtype=np.complex128)
-        table[0] = spec.amplitude
-        signed = 1.0  # (-1)**k * binom(alpha, k)
-        for k in range(1, count):
-            signed *= (k - 1 - spec.alpha) / k
-            table[k] = (0.5 * spec.amplitude * signed
-                        * math.exp(-spec.delta * k)
-                        * complex(math.cos(k * spec.x_star), -math.sin(k * spec.x_star)))
-        return table
     with precision.context():
-        alpha = mp.mpf(spec.alpha)
-        delta = mp.mpf(spec.delta)
-        x_star = mp.mpf(spec.x_star)
-        half = mp.mpf(spec.amplitude) / 2
-        table = np.empty(count, dtype=object)
-        table[0] = mp.mpc(spec.amplitude)
-        signed = mp.mpf(1)
+        alpha, delta, x_star = (precision.scalar(v) for v in (spec.alpha, spec.delta, spec.x_star))
+        half = precision.scalar(spec.amplitude) / 2
+        table = [precision.zero + spec.amplitude]
+        signed = precision.scalar(1)  # (-1)**k * binom(alpha, k)
         for k in range(1, count):
             signed *= (k - 1 - alpha) / k
-            table[k] = half * signed * mp.exp(-delta * k) * mp.expj(-k * x_star)
-        return table
+            table.append(half * signed * precision.exp(-delta * k)
+                         * precision.exp_minus_i(k * x_star))
+        return np.array(table)
 
 
 def oracle_coefficients(spec: SyntheticSpec, k: int,
@@ -126,5 +105,4 @@ def oracle_spectrum(spec: SyntheticSpec, grid: GridSpec,
     meaningful).
     """
     table = _coefficient_table(spec, grid.n_modes // 2, precision)
-    nyquist = 0.0 if precision.is_double else mp.mpc(0)
-    return Spectrum(grid, np.append(table, nyquist))
+    return Spectrum(grid, np.append(table, precision.zero))

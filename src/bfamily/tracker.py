@@ -32,13 +32,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .core import Spectrum
 from .errors import EmptyWindowError, InsufficientDataError, NoiseFloorError
 from .integrator import Trajectory
-from .precision import ulp_for, working_context
+from .precision import Precision, working_context
 
 # A mode participates in fits only if its magnitude exceeds this many
 # units of round-off relative to the spectrum's largest magnitude.
@@ -47,21 +46,6 @@ NOISE_FLOOR_FACTOR = 1e3
 # Near-singular denominator guard for the epsilon table, relative to
 # the entries feeding the reciprocal.
 WYNN_RTOL = 1e-12
-
-
-def _is_mp(x) -> bool:
-    return isinstance(x, (mp.mpf, mp.mpc))
-
-
-def _ln(x):
-    return mp.log(x) if _is_mp(x) else math.log(x)
-
-
-def _ratio_log(num_sq: int, den_sq: int, extended: bool):
-    """log(num_sq / den_sq) for exact integers, accurately near 1."""
-    if extended:
-        return mp.log(mp.mpf(num_sq) / den_sq)
-    return math.log1p((num_sq - den_sq) / den_sq)
 
 
 def default_k_min(n_modes: int) -> int:
@@ -116,9 +100,13 @@ class SlidingFit:
     log_c: tuple
 
 
-def noise_floor(spectrum: Spectrum, factor: float = NOISE_FLOOR_FACTOR):
-    """Magnitude below which modes are considered round-off noise."""
-    return factor * ulp_for(spectrum.coeffs) * spectrum.max_magnitude()
+def _magnitudes(spectrum: Spectrum, factor: float, mode: Precision):
+    """|u_hat[k]| and the noise floor: ``factor`` round-offs of the peak.
+
+    A mode participates in fits only if its magnitude exceeds the floor.
+    """
+    mags = spectrum.magnitudes_nonnegative()
+    return mags, factor * mode.ulp * mags.max()
 
 
 def local_fit(spectrum: Spectrum, k: int, noise_floor_factor: float = NOISE_FLOOR_FACTOR):
@@ -130,53 +118,47 @@ def local_fit(spectrum: Spectrum, k: int, noise_floor_factor: float = NOISE_FLOO
     K = spectrum.grid.n_modes
     if not 2 <= k <= K // 2 - 2:
         raise ValueError(f"fit wavenumber must lie in [2, {K // 2 - 2}], got {k}")
-    with working_context(spectrum.coeffs):
-        mags = spectrum.magnitudes_nonnegative()
-        floor = noise_floor(spectrum, noise_floor_factor)
+    with working_context(spectrum.coeffs) as mode:
+        mags, floor = _magnitudes(spectrum, noise_floor_factor, mode)
         triple = mags[k - 1], mags[k], mags[k + 1]
         if not all(m > floor for m in triple):
             raise NoiseFloorError(
                 f"magnitudes around k={k} sit at or below the noise floor {float(floor):.3e}"
             )
-        return _local_fit_from_triple(triple, k)
+        return _local_fit_from_triple(triple, k, mode)
 
 
-def _local_fit_from_triple(triple, k: int):
+def _local_fit_from_triple(triple, k: int, mode: Precision):
     m_lo, m_mid, m_hi = triple
-    extended = _is_mp(m_mid)
-    num = _ln((m_lo / m_mid) * (m_hi / m_mid))
-    den = _ratio_log(k * k, (k - 1) * (k + 1), extended)
-    s = num / den
-    if extended:
-        step = mp.log(mp.mpf(k) / (k + 1))
-        ln_k = mp.log(k)
-    else:
-        step = -math.log1p(1.0 / k)
-        ln_k = math.log(k)
-    delta = _ln(m_mid / m_hi) + s * step
-    log_c = _ln(m_mid) + s * ln_k + k * delta
+    s = mode.log((m_lo / m_mid) * (m_hi / m_mid)) / mode.log_ratio(k * k, (k - 1) * (k + 1))
+    step = mode.log_ratio(k, k + 1)
+    delta = mode.log(m_mid / m_hi) + s * step
+    log_c = mode.log(m_mid) + s * mode.log(k) + k * delta
     return s, delta, log_c
 
 
 def sliding_fit(spectrum: Spectrum, ks: Sequence[int],
                 noise_floor_factor: float = NOISE_FLOOR_FACTOR) -> SlidingFit:
     """Apply the three-point fit across a window of wavenumbers."""
+    with working_context(spectrum.coeffs) as mode:
+        mags, floor = _magnitudes(spectrum, noise_floor_factor, mode)
+        return _sliding_fit(mags, floor, ks, mode)
+
+
+def _sliding_fit(mags: np.ndarray, floor, ks: Sequence[int], mode: Precision) -> SlidingFit:
     out_k, out_s, out_d, out_c = [], [], [], []
-    with working_context(spectrum.coeffs):
-        mags = spectrum.magnitudes_nonnegative()
-        floor = noise_floor(spectrum, noise_floor_factor)
-        K = spectrum.grid.n_modes
-        for k in ks:
-            if not 2 <= k <= K // 2 - 2:
-                continue
-            triple = mags[k - 1], mags[k], mags[k + 1]
-            if not all(m > floor for m in triple):
-                continue
-            s, d, c = _local_fit_from_triple(triple, k)
-            out_k.append(int(k))
-            out_s.append(s)
-            out_d.append(d)
-            out_c.append(c)
+    k_top = len(mags) - 3  # K/2 - 2
+    for k in ks:
+        if not 2 <= k <= k_top:
+            continue
+        triple = mags[k - 1], mags[k], mags[k + 1]
+        if not all(m > floor for m in triple):
+            continue
+        s, d, c = _local_fit_from_triple(triple, k, mode)
+        out_k.append(int(k))
+        out_s.append(s)
+        out_d.append(d)
+        out_c.append(c)
     if not out_k:
         raise EmptyWindowError("no admissible wavenumbers in the requested window")
     return SlidingFit(k=tuple(out_k), s=tuple(out_s), delta=tuple(out_d), log_c=tuple(out_c))
@@ -221,13 +203,6 @@ def wynn_epsilon(seq: Sequence, rtol: float = WYNN_RTOL):
     return best
 
 
-def _wrap_to_pi(x):
-    if _is_mp(x):
-        two_pi = 2 * mp.pi
-        return (x + mp.pi) % two_pi - mp.pi
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def estimate_x_star(spectrum: Spectrum, ks: Sequence[int]):
     """Singularity abscissa from the phase drift of the coefficients.
 
@@ -240,12 +215,10 @@ def estimate_x_star(spectrum: Spectrum, ks: Sequence[int]):
     ks = [int(k) for k in ks]
     if len(ks) < 2:
         raise EmptyWindowError("phase fit needs at least 2 wavenumbers")
-    with working_context(spectrum.coeffs):
+    with working_context(spectrum.coeffs) as mode:
         coeffs = [spectrum.coeffs[k] for k in ks]
-        extended = _is_mp(coeffs[0])
-        arg = mp.arg if extended else (lambda z: math.atan2(z.imag, z.real))
         # circular mean of consecutive phase increments
-        acc = mp.mpc(0) if extended else 0.0j
+        acc = mode.zero
         for (k1, c1), (k2, c2) in zip(zip(ks, coeffs), zip(ks[1:], coeffs[1:])):
             if k2 == k1 + 1 and abs(c1) > 0 and abs(c2) > 0:
                 z = c2 / c1
@@ -253,34 +226,33 @@ def estimate_x_star(spectrum: Spectrum, ks: Sequence[int]):
         if abs(acc) == 0:
             increment = 0 * coeffs[0].real
         else:
-            increment = arg(acc)
+            increment = mode.arg(acc)
         # unwrap the demodulated phases to the nearest branch
-        two_pi = 2 * mp.pi if extended else 2.0 * math.pi
+        two_pi = 2 * mode.pi
         phases = []
         for k, c in zip(ks, coeffs):
-            phi = arg(c) - increment * k
+            phi = mode.arg(c) - increment * k
             if phases:
                 n_wraps = round(float(phases[-1] - phi) / float(two_pi))
                 phi = phi + n_wraps * two_pi
             phases.append(phi)
         # least-squares slope of phase against k
         n = len(ks)
-        k_mean = sum(ks) / (mp.mpf(n) if extended else float(n))
+        k_mean = sum(ks) / mode.scalar(n)
         p_mean = sum(phases) / n
         sxx = sum((k - k_mean) ** 2 for k in ks)
         sxy = sum((k - k_mean) * (p - p_mean) for k, p in zip(ks, phases))
         slope = increment + sxy / sxx
-        return _wrap_to_pi(-slope)
+        # -slope reduced to [-pi, pi)
+        return (-slope + mode.pi) % two_pi - mode.pi
 
 
-def _fit_window(spectrum: Spectrum, options: FitOptions) -> list[int]:
-    K = spectrum.grid.n_modes
+def _fit_window(mags: np.ndarray, floor, options: FitOptions) -> list[int]:
+    K = 2 * (len(mags) - 1)
     k_lo = options.k_min if options.k_min is not None else default_k_min(K)
     k_hi = options.k_max if options.k_max is not None else K // 2 - 2
     k_lo = max(2, k_lo)
     k_hi = min(K // 2 - 2, k_hi)
-    mags = spectrum.magnitudes_nonnegative()
-    floor = noise_floor(spectrum, options.noise_floor_factor)
     ks = []
     for k in range(k_lo, k_hi + 1):
         if mags[k - 1] > floor and mags[k] > floor and mags[k + 1] > floor:
@@ -300,13 +272,14 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
     flagged.  Raises EmptyWindowError when fewer than three admissible
     wavenumbers remain.
     """
-    with working_context(spectrum.coeffs):
-        ks = _fit_window(spectrum, options)
+    with working_context(spectrum.coeffs) as mode:
+        mags, floor = _magnitudes(spectrum, options.noise_floor_factor, mode)
+        ks = _fit_window(mags, floor, options)
         if len(ks) < 3:
             raise EmptyWindowError(
                 f"fit window holds {len(ks)} admissible wavenumbers; need at least 3"
             )
-        sliding = sliding_fit(spectrum, ks, options.noise_floor_factor)
+        sliding = _sliding_fit(mags, floor, ks, mode)
         s_lim, _ = wynn_epsilon(sliding.s, options.wynn_rtol)
         delta_lim, _ = wynn_epsilon(sliding.delta, options.wynn_rtol)
         log_c_lim, _ = wynn_epsilon(sliding.log_c, options.wynn_rtol)
@@ -315,19 +288,15 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
         clamped = float(delta_lim) < 0.0
         delta_out = 0 * abs(delta_lim) if clamped else delta_lim
 
-        mags = spectrum.magnitudes_nonnegative()
-        extended = _is_mp(s_lim)
         sq_sum = 0.0
         for k in ks:
-            ln_k = mp.log(k) if extended else math.log(k)
-            model = log_c_lim - s_lim * ln_k - delta_lim * k
-            dev = float(_ln(mags[k]) - model)
+            model = log_c_lim - s_lim * mode.log(k) - delta_lim * k
+            dev = float(mode.log(mags[k]) - model)
             sq_sum += dev * dev
         residual = math.sqrt(sq_sum / len(ks))
 
-        exp_c = mp.exp(log_c_lim) if _is_mp(log_c_lim) else math.exp(log_c_lim)
         return FitResult(
-            amplitude=exp_c,
+            amplitude=mode.exp(log_c_lim),
             alpha=s_lim - 1,
             delta=delta_out,
             x_star=x_star,

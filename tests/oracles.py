@@ -8,8 +8,8 @@ with these, not the other way around.
 import mpmath as mp
 import numpy as np
 
-from bfamily.core import GridSpec, PeriodicField, Spectrum, _mp_fft, forward_transform
-from bfamily.precision import working_context
+from bfamily.core import GridSpec, PeriodicField, Spectrum, forward_transform
+from bfamily.precision import _mp_fft, working_context
 
 
 def random_field(grid: GridSpec, rng: np.random.Generator) -> PeriodicField:

@@ -203,6 +203,24 @@ class TestTrackCommand:
         assert 0.6 < t_s < 0.9
         assert float(summary["late_time_alpha"]) > 0.0
 
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_summary_reports_unclean_fallback(self, tmp_path, monkeypatch, fallback):
+        real_track = cli.track
+
+        def forced_track(trajectory, options, fitted=()):
+            trace = real_track(trajectory, options, fitted)
+            return dataclasses.replace(trace, used_unclean_fallback=fallback)
+
+        monkeypatch.setattr(cli, "track", forced_track)
+        manifest = build_manifest(
+            {"modes": "128", "dt": "0.001", "t_end": "0.4", "dealias": "true",
+             "sample_every": "40", "fit_kmin": "10", "fit_kmax": "40"},
+            tmp_path / "out",
+        )
+        assert cli.cmd_track(manifest) == 0
+        lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert f"used_unclean_fallback = {'true' if fallback else 'false'}" in lines
+
     def test_no_decay_exits_4(self, tmp_path):
         # b = -1 stationary wave: every snapshot sits below the fit floor
         manifest = write_manifest(tmp_path / "m.txt", b="-1.0", dealias="false")

@@ -224,6 +224,11 @@ class TestInitialDatum:
         g = make_grid(16)
         f = initial_datum(lambda x: np.cos(2 * x), g)
         assert np.allclose(f.values, np.cos(2 * g.nodes()))
+        fe = initial_datum(lambda x: mp.cos(2 * x), g, EXTENDED32)
+        assert fe.values.dtype == object
+        with EXTENDED32.context():
+            for v, x in zip(fe.values, g.nodes(EXTENDED32)):
+                assert isinstance(v, mp.mpf) and abs(v - mp.cos(2 * x)) < mp.mpf(10) ** -31
 
     def test_passthrough_field(self):
         g = make_grid(16)

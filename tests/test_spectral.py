@@ -255,7 +255,7 @@ class TestRhsKernel:
         with mp.workdps(40):
             k40 = rhs_kernel(g, RhsOptions(b=3.0), se.coeffs)
         assert k32 is not k40
-        assert k32.transforms.dps == 32 and k40.transforms.dps == 40
+        assert k32.transforms.digits == 32 and k40.transforms.digits == 40
 
     @pytest.mark.parametrize("K,b,dealias", [(32, 3.0, True), (64, 0.0, False), (24, 2.0, True)])
     def test_rhs_equals_full_layout_pipeline(self, K, b, dealias):

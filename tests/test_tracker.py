@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bfamily.tracker as tracker
-from bfamily import EXTENDED32, make_grid
+from bfamily import DOUBLE, EXTENDED32, make_grid
 from bfamily.core import PeriodicField, Spectrum, forward_transform
 from bfamily.errors import (EmptyWindowError, InsufficientDataError,
                             NoiseFloorError)
@@ -108,6 +108,24 @@ class TestLocalFit:
                 assert float(abs(s - s_true) / s_true) < 1e-28
                 assert float(abs(d - d_true) / d_true) < 1e-28
                 assert float(abs(c)) < 1e-28
+
+    def test_bitwise_equal_to_scalar_formulas(self):
+        # double: scalar math.log and math.log1p near 1; extended: mp.log of
+        # the exact integer ratios.  Array np.log differs in the last bit.
+        spec = SyntheticSpec(alpha=0.4, delta=0.2, x_star=0.7)
+        grid = make_grid(256)
+        sp, spx = oracle_spectrum(spec, grid), oracle_spectrum(spec, grid, EXTENDED32)
+        for k in (2, 8, 15, 60):
+            m0, m1, m2 = np.abs(sp.coeffs[k - 1 : k + 2])
+            s = math.log((m0 / m1) * (m2 / m1)) / math.log1p(1 / ((k - 1) * (k + 1)))
+            d = math.log(m1 / m2) + s * -math.log1p(1.0 / k)
+            assert local_fit(sp, k) == (s, d, math.log(m1) + s * math.log(k) + k * d)
+            with working_context(spx.coeffs):
+                m0, m1, m2 = np.abs(spx.coeffs[k - 1 : k + 2])
+                s = mp.log((m0 / m1) * (m2 / m1)) / mp.log(mp.mpf(k * k) / ((k - 1) * (k + 1)))
+                d = mp.log(m1 / m2) + s * mp.log(mp.mpf(k) / (k + 1))
+                expected = (s, d, mp.log(m1) + s * mp.log(k) + k * d)
+            assert local_fit(spx, k) == expected
 
     def test_out_of_range_k_rejected(self):
         sp = pure_model_spectrum(make_grid(64), 1.0, 1.0, 0.1)
@@ -316,25 +334,29 @@ class TestEstimateXStar:
     @pytest.mark.parametrize("x_star", [0.0, 1.0, -math.pi / 2, 3.0, -3.0])
     def test_oracle_abscissa_recovery(self, x_star):
         spec = SyntheticSpec(alpha=0.5, delta=0.1, x_star=x_star)
-        sp = oracle_spectrum(spec, make_grid(512))
-        est = estimate_x_star(sp, list(range(16, 100)))
-        assert abs(est - x_star) < 1e-12
+        for precision in (DOUBLE, EXTENDED32):
+            sp = oracle_spectrum(spec, make_grid(512), precision)
+            est = estimate_x_star(sp, list(range(16, 100)))
+            assert abs(est - x_star) < 1e-12
 
     def test_even_real_data_gives_exact_zero(self):
-        sp = pure_model_spectrum(make_grid(128), 1.0, 1.5, 0.1, x_star=0.0)
-        assert estimate_x_star(sp, list(range(8, 40))) == 0.0
+        for sp in (pure_model_spectrum(make_grid(128), 1.0, 1.5, 0.1, x_star=0.0),
+                   pure_model_spectrum_extended(make_grid(128), 1.0, 1.5, 0.1)):
+            assert estimate_x_star(sp, list(range(8, 40))) == 0.0
 
     def test_result_reduced_to_principal_interval(self):
         spec = SyntheticSpec(alpha=0.5, delta=0.1, x_star=math.pi + 0.5)
-        sp = oracle_spectrum(spec, make_grid(512))
-        est = estimate_x_star(sp, list(range(16, 100)))
-        assert -math.pi <= est < math.pi
-        assert abs(est - (math.pi + 0.5 - 2 * math.pi)) < 1e-12
+        for precision in (DOUBLE, EXTENDED32):
+            sp = oracle_spectrum(spec, make_grid(512), precision)
+            est = estimate_x_star(sp, list(range(16, 100)))
+            assert -math.pi <= est < math.pi
+            assert abs(est - (math.pi + 0.5 - 2 * math.pi)) < 1e-12
 
     def test_too_few_wavenumbers_rejected(self):
-        sp = pure_model_spectrum(make_grid(64), 1.0, 1.0, 0.1)
-        with pytest.raises(EmptyWindowError):
-            estimate_x_star(sp, [5])
+        for sp in (pure_model_spectrum(make_grid(64), 1.0, 1.0, 0.1),
+                   pure_model_spectrum_extended(make_grid(64), 1.0, 1.0, 0.1)):
+            with pytest.raises(EmptyWindowError):
+                estimate_x_star(sp, [5])
 
 
 class TestFitSpectrum:
