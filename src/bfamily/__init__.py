@@ -12,7 +12,7 @@ from .core import (
     make_grid,
 )
 from .integrator import BFamilyConfig, StopPolicy, StopReason, Trajectory, simulate
-from .norms import GevreyParams, gevrey_norm, radius_lower_bound, sobolev_norm
+from .norms import GevreyParams, gevrey_norm, sobolev_norm
 from .precision import DOUBLE, EXTENDED32, Precision
 from .spectral import RhsOptions, dealias_cutoff, derivative, helmholtz_inverse_dx, rhs
 from .synthetic import SyntheticSpec, oracle_coefficients, oracle_field, oracle_spectrum
@@ -20,13 +20,13 @@ from .tracker import (
     FitOptions,
     FitResult,
     SingularityTrace,
-    TrackOptions,
     fit_spectrum,
     late_time_alpha,
     local_fit,
     sliding_fit,
     strip_monitor,
     track,
+    track_run,
     wynn_epsilon,
 )
 
@@ -50,7 +50,6 @@ __all__ = [
     "SyntheticSpec",
     "TYPE_I",
     "TYPE_II",
-    "TrackOptions",
     "Trajectory",
     "dealias_cutoff",
     "derivative",
@@ -66,13 +65,13 @@ __all__ = [
     "oracle_coefficients",
     "oracle_field",
     "oracle_spectrum",
-    "radius_lower_bound",
     "rhs",
     "simulate",
     "sliding_fit",
     "sobolev_norm",
     "strip_monitor",
     "track",
+    "track_run",
     "wynn_epsilon",
     "__version__",
 ]

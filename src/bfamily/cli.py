@@ -15,6 +15,9 @@ comment).  Recognized keys and their defaults:
     precision       = double     double or extended32
     min_strip_width = none       early-stop width (none: grid limit 2*pi/K)
 
+With ``min_strip_width = none``, ``simulate`` attaches no width monitor;
+``track`` and ``sweep`` always attach one.
+
 Command-line flags mirror the keys and override the file.  Outputs are
 CSV files whose ``#``-prefixed header repeats the schema version and the
 full manifest, so a result file is its own provenance record; nothing
@@ -40,12 +43,12 @@ import numpy as np
 from .core import GridSpec, inverse_transform
 from .errors import (BFamilyError, ConfigError, GevreyOverflowError,
                      InsufficientDataError)
-from .integrator import BFamilyConfig, StopPolicy, StopReason, Trajectory, simulate
+from .integrator import BFamilyConfig, StopPolicy, StopReason, simulate
 from .precision import DOUBLE, EXTENDED32, Precision
 from .spectral import derivative
 from .synthetic import SyntheticSpec, oracle_spectrum
-from .tracker import (FitOptions, TrackOptions, fit_spectrum, late_time_alpha,
-                      strip_monitor, track)
+from .tracker import (FitOptions, fit_spectrum, late_time_alpha, strip_monitor,
+                      track_run)
 
 SCHEMA_VERSION = 2
 
@@ -282,21 +285,6 @@ if sweep.exists():
 """
 
 
-def _run_with_policy(
-    manifest: RunManifest, config: Optional[BFamilyConfig] = None
-) -> tuple[Trajectory, list]:
-    """Simulate with the width monitor attached; also return its fits.
-
-    The monitor's fit record lets ``track`` fit each snapshot once.
-    ``config`` defaults to the manifest's own.
-    """
-    if config is None:
-        config = manifest.config
-    fitted: list = []
-    trajectory = simulate(config, strip_monitor=strip_monitor(manifest.fit, fitted))
-    return trajectory, fitted
-
-
 def cmd_simulate(manifest: RunManifest) -> int:
     config = manifest.config
     monitor = None
@@ -345,8 +333,7 @@ def cmd_simulate(manifest: RunManifest) -> int:
 
 def cmd_track(manifest: RunManifest) -> int:
     config = manifest.config
-    trajectory, fitted = _run_with_policy(manifest)
-    trace = track(trajectory, TrackOptions(fit=manifest.fit), fitted)
+    trajectory, trace = track_run(config, manifest.fit)
     provenance = manifest_entries(manifest)
     fmt = _value_formatter(config.precision)
 
@@ -405,9 +392,8 @@ def cmd_track(manifest: RunManifest) -> int:
 def _sweep_entry(task: tuple) -> tuple:
     """One sweep worker: returns (b, t_s, t_s_stderr, late alpha)."""
     manifest, b = task
-    trajectory, fitted = _run_with_policy(manifest, replace(manifest.config, b=b))
     try:
-        trace = track(trajectory, TrackOptions(fit=manifest.fit), fitted)
+        _, trace = track_run(replace(manifest.config, b=b), manifest.fit)
     except InsufficientDataError:
         return (b, None, None, None)
     try:

@@ -152,9 +152,6 @@ class Spectrum:
         """|u_hat[k]| for k = 0 .. K/2 (Nyquist slot included last)."""
         return np.abs(self.coeffs)
 
-    def max_magnitude(self):
-        return np.abs(self.coeffs).max()
-
 
 def forward_transform(field: PeriodicField) -> Spectrum:
     """DFT of a real field under the fixed convention.

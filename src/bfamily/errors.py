@@ -39,3 +39,7 @@ class InsufficientDataError(BFamilyError):
 
 class GevreyOverflowError(BFamilyError):
     """The exponential weight overflows for the requested strip radius."""
+
+
+class ExtrapolationError(BFamilyError):
+    """An extrapolated fit parameter leaves the representable range."""

@@ -129,11 +129,12 @@ StripMonitor = Callable[[float, Spectrum], Optional[float]]
 def simulate(config: BFamilyConfig, strip_monitor: Optional[StripMonitor] = None) -> Trajectory:
     """Integrate from t = 0 to t_end, recording every sample_every steps.
 
-    ``strip_monitor`` is an optional callback evaluated at snapshot
-    times; it receives (t, spectrum) and may return a running
-    analyticity-strip width estimate (or None when it cannot tell).
-    When the estimate falls below the stop policy's threshold the run
-    ends early with StopReason.RESOLUTION_LIMIT.  Physical-space
+    ``strip_monitor`` is an optional callback called once per recorded
+    snapshot after t = 0, in recording order; it receives (t, spectrum)
+    and may return a running analyticity-strip width estimate (or None
+    when it cannot tell).  When the estimate falls below the stop
+    policy's threshold the run ends early with
+    StopReason.RESOLUTION_LIMIT.  Physical-space
     overflow ends the run with StopReason.OVERFLOW and the trajectory
     holds everything recorded up to the last finite state.
     """
@@ -144,48 +145,33 @@ def simulate(config: BFamilyConfig, strip_monitor: Optional[StripMonitor] = None
         dt = config.dt
         threshold = config.stop_policy.threshold(config.grid)
 
+        # steps of dt, then one short remainder step that ends at t_end
         n_full, remainder = _step_budget(config.t_end, dt)
+        n_steps = n_full + (remainder > 0.0)
         times = [0.0]
         snapshots = [state]
         stop = StopReason.REACHED_T_END
-        step_index = 0
-        t = 0.0
-
-        def record_and_check(t_now: float, spec: Spectrum) -> bool:
-            times.append(t_now)
-            snapshots.append(spec)
-            if strip_monitor is not None:
-                width = strip_monitor(t_now, spec)
-                if width is not None and width < threshold:
-                    return True
-            return False
-
-        while step_index < n_full:
-            step_index += 1
-            t = step_index * dt
+        for step_index in range(1, n_steps + 1):
+            if step_index <= n_full:
+                h, t = dt, step_index * dt
+            else:
+                h, t = remainder, config.t_end
             try:
-                state = rk4_step(state, dt, opts)
+                state = rk4_step(state, h, opts)
             except BlowUpOverflowError:
                 stop = StopReason.OVERFLOW
                 break
             if not all_finite(state.coeffs):
                 stop = StopReason.OVERFLOW
                 break
-            is_last = step_index == n_full and remainder == 0.0
-            if step_index % config.sample_every == 0 or is_last:
-                if record_and_check(t, state):
-                    stop = StopReason.RESOLUTION_LIMIT
-                    break
-        else:
-            if remainder > 0.0:
-                try:
-                    state = rk4_step(state, remainder, opts)
-                    if not all_finite(state.coeffs):
-                        stop = StopReason.OVERFLOW
-                    elif record_and_check(config.t_end, state):
+            if step_index % config.sample_every == 0 or step_index == n_steps:
+                times.append(t)
+                snapshots.append(state)
+                if strip_monitor is not None:
+                    width = strip_monitor(t, state)
+                    if width is not None and width < threshold:
                         stop = StopReason.RESOLUTION_LIMIT
-                except BlowUpOverflowError:
-                    stop = StopReason.OVERFLOW
+                        break
 
         return Trajectory(
             config=config,

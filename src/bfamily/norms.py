@@ -1,4 +1,4 @@
-"""Sobolev and Gevrey norms, and the analyticity-radius lower bound.
+"""Sobolev and Gevrey norms.
 
 With the transform convention of the core module (coefficients of
 e^{ikx} on [-pi, pi)), Parseval reads (1/K) sum_j u_j^2 = sum_k
@@ -12,16 +12,6 @@ A Gevrey norm that overflows the floating range signals a weight radius
 at or beyond the spectrum's analyticity-strip width: under grid
 refinement the sum converges for radius < strip width and grows without
 bound above it.
-
-The radius lower bound integrates a decay model for the guaranteed
-strip: radius(t) = radius0 * exp(-c2 * outer(t)) with
-
-    outer(t)  = integral_0^t [ G0 + c1 * inner(t') ] dt',
-    inner(t') = integral_0^t' sobolev_norm(u(t''), order)^3 dt'',
-    G0        = gevrey_norm(u(0), order, radius0),
-
-where c1 and c2 are model constants supplied by the caller; they tune
-only the decay rate, so the bound is qualitative.
 """
 
 from __future__ import annotations
@@ -33,7 +23,6 @@ import numpy as np
 
 from .core import Spectrum
 from .errors import GevreyOverflowError
-from .integrator import Trajectory
 from .precision import working_context
 
 
@@ -79,37 +68,3 @@ def gevrey_norm(spectrum: Spectrum, params: GevreyParams) -> float:
             )
         return mode.sqrt(2 * mode.pi * total)
 
-
-def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral, same length as the input, starting at 0."""
-    out = np.zeros_like(values, dtype=np.float64)
-    if len(values) > 1:
-        steps = np.diff(times)
-        out[1:] = np.cumsum(steps * 0.5 * (values[1:] + values[:-1]))
-    return out
-
-
-def radius_lower_bound(trajectory: Trajectory, order: float, initial_radius: float,
-                       c1: float = 1.0, c2: float = 1.0) -> np.ndarray:
-    """Guaranteed-analyticity-radius decay curve along a trajectory.
-
-    Returns the modeled radius at every snapshot time.  Requires
-    order > 3/2 (the model's validity range) and nonnegative model
-    constants; c1 = c2 = 0 degenerates to the constant initial radius.
-    Raises GevreyOverflowError when the initial datum cannot carry the
-    requested initial radius.
-    """
-    if order <= 1.5:
-        raise ValueError(f"Sobolev order must exceed 3/2, got {order}")
-    if initial_radius <= 0:
-        raise ValueError(f"initial radius must be positive, got {initial_radius}")
-    if c1 < 0 or c2 < 0:
-        raise ValueError("model constants must be nonnegative")
-    times = np.asarray(trajectory.times, dtype=np.float64)
-    g0 = float(gevrey_norm(trajectory.snapshots[0],
-                              GevreyParams(order=order, radius=initial_radius)))
-    cubes = np.array([float(sobolev_norm(s, order)) ** 3
-                      for s in trajectory.snapshots])
-    inner = _cumulative_trapezoid(cubes, times)
-    outer = _cumulative_trapezoid(g0 + c1 * inner, times)
-    return initial_radius * np.exp(-c2 * outer)

@@ -24,19 +24,25 @@ branch point against exp(-i*k*x) always contributes.
 delta falling toward the grid's resolution limit 2*pi/K signals a real
 singularity forming; linear extrapolation of delta(t) to zero estimates
 the blow-up time.
+
+``track_run`` is the tracked run: it simulates with a ``strip_monitor``
+attached, and the fits the monitor makes for the early stop are the fits
+the trace aggregates, so each snapshot is fitted once.  ``track`` fits
+and aggregates a trajectory that is already recorded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import Spectrum
-from .errors import EmptyWindowError, InsufficientDataError, NoiseFloorError
-from .integrator import Trajectory
+from .errors import (EmptyWindowError, ExtrapolationError,
+                     InsufficientDataError, NoiseFloorError)
+from .integrator import BFamilyConfig, Trajectory, simulate
 from .precision import Precision, working_context
 
 # A mode participates in fits only if its magnitude exceeds this many
@@ -47,6 +53,17 @@ NOISE_FLOOR_FACTOR = 1e3
 # the entries feeding the reciprocal.
 WYNN_RTOL = 1e-12
 
+# A fit is clean when its RMS log-magnitude residual stays under this
+# gate.  Only clean fits enter the blow-up extrapolation and the
+# late-time character.
+MAX_RESIDUAL = 0.15
+
+# The blow-up time is extrapolated from this many of the last clean fits.
+EXTRAPOLATION_SAMPLES = 5
+
+# The late-time character is the mean over this many of the last clean fits.
+LATE_ALPHA_SAMPLES = 3
+
 
 def default_k_min(n_modes: int) -> int:
     """Default lower edge of the fit window: max(8, K/16)."""
@@ -55,17 +72,14 @@ def default_k_min(n_modes: int) -> int:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Window and extrapolation controls for spectrum fits.
+    """Fit window for spectrum fits.
 
     ``k_min``/``k_max`` bound the sliding window (None: max(8, K/16)
-    and the noise-floor index).  The noise floor is
-    ``noise_floor_factor`` units of round-off below the spectrum peak.
+    and the noise-floor index).
     """
 
     k_min: Optional[int] = None
     k_max: Optional[int] = None
-    noise_floor_factor: float = NOISE_FLOOR_FACTOR
-    wynn_rtol: float = WYNN_RTOL
 
 
 @dataclass(frozen=True)
@@ -100,16 +114,16 @@ class SlidingFit:
     log_c: tuple
 
 
-def _magnitudes(spectrum: Spectrum, factor: float, mode: Precision):
-    """|u_hat[k]| and the noise floor: ``factor`` round-offs of the peak.
+def _magnitudes(spectrum: Spectrum, mode: Precision):
+    """|u_hat[k]| and the noise floor: NOISE_FLOOR_FACTOR round-offs of the peak.
 
     A mode participates in fits only if its magnitude exceeds the floor.
     """
     mags = spectrum.magnitudes_nonnegative()
-    return mags, factor * mode.ulp * mags.max()
+    return mags, NOISE_FLOOR_FACTOR * mode.ulp * mags.max()
 
 
-def local_fit(spectrum: Spectrum, k: int, noise_floor_factor: float = NOISE_FLOOR_FACTOR):
+def local_fit(spectrum: Spectrum, k: int):
     """Fit (s, delta, log C) from the magnitude triple at k-1, k, k+1.
 
     Exact on the pure decay model.  Requires 2 <= k <= K/2 - 2 and all
@@ -119,7 +133,7 @@ def local_fit(spectrum: Spectrum, k: int, noise_floor_factor: float = NOISE_FLOO
     if not 2 <= k <= K // 2 - 2:
         raise ValueError(f"fit wavenumber must lie in [2, {K // 2 - 2}], got {k}")
     with working_context(spectrum.coeffs) as mode:
-        mags, floor = _magnitudes(spectrum, noise_floor_factor, mode)
+        mags, floor = _magnitudes(spectrum, mode)
         triple = mags[k - 1], mags[k], mags[k + 1]
         if not all(m > floor for m in triple):
             raise NoiseFloorError(
@@ -137,11 +151,10 @@ def _local_fit_from_triple(triple, k: int, mode: Precision):
     return s, delta, log_c
 
 
-def sliding_fit(spectrum: Spectrum, ks: Sequence[int],
-                noise_floor_factor: float = NOISE_FLOOR_FACTOR) -> SlidingFit:
+def sliding_fit(spectrum: Spectrum, ks: Sequence[int]) -> SlidingFit:
     """Apply the three-point fit across a window of wavenumbers."""
     with working_context(spectrum.coeffs) as mode:
-        mags, floor = _magnitudes(spectrum, noise_floor_factor, mode)
+        mags, floor = _magnitudes(spectrum, mode)
         return _sliding_fit(mags, floor, ks, mode)
 
 
@@ -164,7 +177,7 @@ def _sliding_fit(mags: np.ndarray, floor, ks: Sequence[int], mode: Precision) ->
     return SlidingFit(k=tuple(out_k), s=tuple(out_s), delta=tuple(out_d), log_c=tuple(out_c))
 
 
-def wynn_epsilon(seq: Sequence, rtol: float = WYNN_RTOL):
+def wynn_epsilon(seq: Sequence):
     """Accelerate a sequence with Wynn's epsilon recursion.
 
     Builds the table column by column,
@@ -174,7 +187,7 @@ def wynn_epsilon(seq: Sequence, rtol: float = WYNN_RTOL):
 
     and returns ``(limit, depth)``: the deepest entry of the deepest
     even column built without meeting a near-singular denominator
-    (|difference| <= rtol * scale of its operands), together with that
+    (|difference| <= WYNN_RTOL * scale of its operands), together with that
     column's index.  A sequence whose first differences are all below
     tolerance is already converged: its last element is returned with
     depth 0.  Exact on geometric sequences L + a*r**n after one even
@@ -194,7 +207,7 @@ def wynn_epsilon(seq: Sequence, rtol: float = WYNN_RTOL):
         while len(prev) >= 2:
             d = prev[1:] - prev[:-1]
             mag = np.abs(prev)
-            if (np.abs(d) <= rtol * (mag[1:] + mag[:-1])).any():
+            if (np.abs(d) <= WYNN_RTOL * (mag[1:] + mag[:-1])).any():
                 break
             col += 1
             prev_prev, prev = prev, prev_prev[1:len(prev)] + 1 / d
@@ -270,19 +283,20 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
     extrapolation on each estimate sequence, and a phase fit for the
     abscissa.  A raw negative strip width is clamped to zero and
     flagged.  Raises EmptyWindowError when fewer than three admissible
-    wavenumbers remain.
+    wavenumbers remain, and ExtrapolationError when the extrapolated
+    log C overflows the amplitude.
     """
     with working_context(spectrum.coeffs) as mode:
-        mags, floor = _magnitudes(spectrum, options.noise_floor_factor, mode)
+        mags, floor = _magnitudes(spectrum, mode)
         ks = _fit_window(mags, floor, options)
         if len(ks) < 3:
             raise EmptyWindowError(
                 f"fit window holds {len(ks)} admissible wavenumbers; need at least 3"
             )
         sliding = _sliding_fit(mags, floor, ks, mode)
-        s_lim, _ = wynn_epsilon(sliding.s, options.wynn_rtol)
-        delta_lim, _ = wynn_epsilon(sliding.delta, options.wynn_rtol)
-        log_c_lim, _ = wynn_epsilon(sliding.log_c, options.wynn_rtol)
+        s_lim, _ = wynn_epsilon(sliding.s)
+        delta_lim, _ = wynn_epsilon(sliding.delta)
+        log_c_lim, _ = wynn_epsilon(sliding.log_c)
         x_star = estimate_x_star(spectrum, ks)
 
         clamped = float(delta_lim) < 0.0
@@ -295,8 +309,14 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
             sq_sum += dev * dev
         residual = math.sqrt(sq_sum / len(ks))
 
+        try:
+            amplitude = mode.exp(log_c_lim)
+        except OverflowError as exc:
+            raise ExtrapolationError(
+                f"extrapolated log C = {float(log_c_lim):.6g} overflows the amplitude"
+            ) from exc
         return FitResult(
-            amplitude=mode.exp(log_c_lim),
+            amplitude=amplitude,
             alpha=s_lim - 1,
             delta=delta_out,
             x_star=x_star,
@@ -304,26 +324,6 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
             residual=residual,
             delta_clamped=clamped,
         )
-
-
-@dataclass(frozen=True)
-class TrackOptions:
-    """Per-snapshot fit options plus blow-up extrapolation controls.
-
-    The blow-up time is extrapolated from the last
-    ``extrapolation_samples`` snapshots whose fit residual stays under
-    ``max_residual`` and whose width estimate stays at or above
-    ``extrapolation_min_delta`` (default: a quarter of the grid's
-    resolution limit).  Width estimates from deeper snapshots flatten
-    as truncation regularizes the collapse, which would bias the zero
-    crossing late; the gated band keeps the extrapolation on the clean
-    part of the decay.
-    """
-
-    fit: FitOptions = field(default_factory=FitOptions)
-    extrapolation_samples: int = 5
-    max_residual: float = 0.15
-    extrapolation_min_delta: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -389,44 +389,26 @@ def extrapolate_blowup_time(times: Sequence[float], deltas: Sequence[float]):
     return -c0 / c1, float("nan")
 
 
-# Fit outcomes recorded by a strip monitor for reuse by ``track``: one
-# (snapshot, options, result) entry per monitored snapshot, with None
-# as the result of a snapshot that admits no fit.
-FitEntry = tuple[Spectrum, FitOptions, Optional[FitResult]]
-
-
 def _fit_or_skip(spectrum: Spectrum, options: FitOptions) -> Optional[FitResult]:
     try:
         return fit_spectrum(spectrum, options)
-    except (EmptyWindowError, NoiseFloorError):
+    except (EmptyWindowError, NoiseFloorError, ExtrapolationError):
         return None
 
 
-def track(
-    trajectory: Trajectory,
-    options: TrackOptions = TrackOptions(),
-    fitted: Sequence[FitEntry] = (),
-) -> SingularityTrace:
-    """Fit every snapshot and extrapolate the blow-up time.
+def _trace(trajectory: Trajectory, results: Sequence[Optional[FitResult]]) -> SingularityTrace:
+    """Aggregate one fit outcome per snapshot (None: no fit) into a trace.
 
-    ``fitted`` holds outcomes already computed for some snapshots (the
-    record a ``strip_monitor`` fills during ``simulate``); an entry is
-    reused for the snapshot it was made on, matched by identity, when
-    its fit options equal ``options.fit``.  Every other snapshot is
-    fitted here.  Snapshots whose spectra never rise above the noise
-    floor in the fit window are skipped; fewer than two usable snapshots
-    raise InsufficientDataError.
+    The blow-up time is extrapolated from the last EXTRAPOLATION_SAMPLES
+    fits whose residual stays under MAX_RESIDUAL and whose width stays
+    at or above a quarter of the grid's resolution limit.  Width
+    estimates from deeper snapshots flatten as truncation regularizes
+    the collapse, which would bias the zero crossing late; the gated
+    band keeps the extrapolation on the clean part of the decay.  Fewer
+    than two fits raise InsufficientDataError.
     """
-    # keyed by identity: each entry keeps its snapshot alive, so an id
-    # match is the same object
-    known = {id(entry[0]): entry for entry in fitted}
     times, fits = [], []
-    for t, snapshot in zip(trajectory.times, trajectory.snapshots):
-        entry = known.get(id(snapshot))
-        if entry is not None and entry[1] == options.fit:
-            result = entry[2]
-        else:
-            result = _fit_or_skip(snapshot, options.fit)
+    for t, result in zip(trajectory.times, results):
         if result is not None:
             times.append(t)
             fits.append(result)
@@ -434,18 +416,16 @@ def track(
         raise InsufficientDataError(
             f"only {len(fits)} snapshots admit a spectrum fit; need at least 2"
         )
-    gate = options.extrapolation_min_delta
-    if gate is None:
-        gate = trajectory.config.grid.resolution_limit / 4
+    gate = trajectory.config.grid.resolution_limit / 4
     clean = [
         i
         for i in range(len(fits))
-        if fits[i].residual < options.max_residual and float(fits[i].delta) >= gate
+        if fits[i].residual < MAX_RESIDUAL and float(fits[i].delta) >= gate
     ]
     fallback = len(clean) < 2
     if fallback:
         clean = list(range(len(fits)))
-    sel = clean[-options.extrapolation_samples :]
+    sel = clean[-EXTRAPOLATION_SAMPLES:]
     t_s, stderr = extrapolate_blowup_time(
         [times[i] for i in sel], [float(fits[i].delta) for i in sel]
     )
@@ -458,40 +438,62 @@ def track(
     )
 
 
-def late_time_alpha(
-    trace: SingularityTrace, samples: int = 3, max_residual: float = 0.15
-) -> float:
+def track(trajectory: Trajectory, fit: FitOptions = FitOptions()) -> SingularityTrace:
+    """Fit every snapshot of a recorded trajectory and extrapolate the blow-up time.
+
+    Snapshots whose spectra admit no fit (window below the noise floor,
+    overflowing extrapolation) are skipped; fewer than two usable
+    snapshots raise InsufficientDataError.
+    """
+    return _trace(trajectory, [_fit_or_skip(s, fit) for s in trajectory.snapshots])
+
+
+def track_run(config: BFamilyConfig, fit: FitOptions) -> tuple[Trajectory, SingularityTrace]:
+    """Simulate with the strip monitor attached, then aggregate its fits.
+
+    ``simulate`` calls the monitor once per recorded snapshot after
+    t = 0, in order, so its record together with a fit of the initial
+    snapshot holds one outcome per snapshot: each snapshot is fitted
+    once.  The trace equals ``track(trajectory, fit)``.
+    """
+    results: list[Optional[FitResult]] = []
+    trajectory = simulate(config, strip_monitor=strip_monitor(fit, results))
+    results.insert(0, _fit_or_skip(trajectory.snapshots[0], fit))
+    return trajectory, _trace(trajectory, results)
+
+
+def late_time_alpha(trace: SingularityTrace) -> float:
     """Mean fitted algebraic character over the last well-fitted snapshots.
 
     The character estimate keeps its meaning after the width estimate
     drops below the grid floor (the algebraic part of the decay is
     still resolved), so unlike the blow-up extrapolation this keeps the
-    deepest snapshots; only fits whose residual reaches
-    ``max_residual`` are discarded as transients.
+    deepest snapshots: it averages the last LATE_ALPHA_SAMPLES fits
+    whose residual stays under MAX_RESIDUAL.
     """
-    good = [float(f.alpha) for f in trace.fits if f.residual < max_residual]
+    good = [float(f.alpha) for f in trace.fits if f.residual < MAX_RESIDUAL]
     if not good:
         raise InsufficientDataError(
             "no snapshot fit stays under the residual gate"
         )
-    return float(np.mean(good[-samples:]))
+    return float(np.mean(good[-LATE_ALPHA_SAMPLES:]))
 
 
 def strip_monitor(
-    options: FitOptions = FitOptions(), record: Optional[list[FitEntry]] = None
+    options: FitOptions = FitOptions(), record: Optional[list[Optional[FitResult]]] = None
 ) -> Callable[[float, Spectrum], Optional[float]]:
     """Monitor callback for the integrator's early-stop policy.
 
     Returns the fitted strip width per snapshot, or None while the
     spectrum cannot be fitted (window empty early in a run).  When
-    ``record`` is given, each snapshot's fit outcome is appended to it,
-    so that ``track`` can reuse the fits instead of repeating them.
+    ``record`` is given, each snapshot's fit result (None for no fit) is
+    appended to it.
     """
 
     def monitor(t: float, spectrum: Spectrum) -> Optional[float]:
         result = _fit_or_skip(spectrum, options)
         if record is not None:
-            record.append((spectrum, options, result))
+            record.append(result)
         return None if result is None else float(result.delta)
 
     return monitor

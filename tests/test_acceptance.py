@@ -23,8 +23,8 @@ from bfamily.integrator import BFamilyConfig, StopPolicy, simulate
 from bfamily.norms import sobolev_norm
 from bfamily.spectral import RhsOptions, dealias_cutoff, rhs
 from bfamily.synthetic import SyntheticSpec, oracle_spectrum
-from bfamily.tracker import (FitOptions, TrackOptions, fit_spectrum,
-                             late_time_alpha, local_fit, strip_monitor, track)
+from bfamily.tracker import (FitOptions, fit_spectrum, late_time_alpha,
+                             local_fit, track, track_run)
 
 from oracles import convolution_rhs, random_hermitian_spectrum
 
@@ -125,8 +125,8 @@ def deep_tracked_run(b, initial, t_end, min_width):
         sample_every=25,
         stop_policy=StopPolicy(min_strip_width=min_width),
     )
-    trajectory = simulate(config, strip_monitor=strip_monitor(fit))
-    return track(trajectory, TrackOptions(fit=fit))
+    _, trace = track_run(config, fit)
+    return trace
 
 
 def test_b3_type1_blowup_time_and_character():

@@ -205,13 +205,13 @@ class TestTrackCommand:
 
     @pytest.mark.parametrize("fallback", [False, True])
     def test_summary_reports_unclean_fallback(self, tmp_path, monkeypatch, fallback):
-        real_track = cli.track
+        real_track_run = cli.track_run
 
-        def forced_track(trajectory, options, fitted=()):
-            trace = real_track(trajectory, options, fitted)
-            return dataclasses.replace(trace, used_unclean_fallback=fallback)
+        def forced_track_run(config, fit):
+            trajectory, trace = real_track_run(config, fit)
+            return trajectory, dataclasses.replace(trace, used_unclean_fallback=fallback)
 
-        monkeypatch.setattr(cli, "track", forced_track)
+        monkeypatch.setattr(cli, "track_run", forced_track_run)
         manifest = build_manifest(
             {"modes": "128", "dt": "0.001", "t_end": "0.4", "dealias": "true",
              "sample_every": "40", "fit_kmin": "10", "fit_kmax": "40"},
@@ -229,30 +229,30 @@ class TestTrackCommand:
 
 
 class TestFitOncePerSnapshot:
-    """The strip monitor's fits are reused by ``track``, not repeated."""
+    """The strip monitor's fits are the trace's fits, not repeated."""
 
     def spy(self, monkeypatch):
         fits, runs = [], []
-        real_fit, real_track = tracker.fit_spectrum, cli.track
+        real_fit, real_track_run = tracker.fit_spectrum, cli.track_run
 
         def counting_fit(spectrum, options):
             fits.append(spectrum)
             return real_fit(spectrum, options)
 
-        def capturing_track(trajectory, options, fitted=()):
-            trace = real_track(trajectory, options, fitted)
-            runs.append((trajectory, options, trace))
-            return trace
+        def capturing_track_run(config, fit):
+            trajectory, trace = real_track_run(config, fit)
+            runs.append((trajectory, fit, trace))
+            return trajectory, trace
 
         monkeypatch.setattr(tracker, "fit_spectrum", counting_fit)
-        monkeypatch.setattr(cli, "track", capturing_track)
+        monkeypatch.setattr(cli, "track_run", capturing_track_run)
         return fits, runs
 
     def assert_fitted_once(self, fits, runs):
-        (trajectory, options, trace), = runs
+        (trajectory, fit, trace), = runs
         assert len(fits) == len(trajectory)
         assert {id(s) for s in fits} == {id(s) for s in trajectory.snapshots}
-        fresh = tracker.track(trajectory, options)
+        fresh = tracker.track(trajectory, fit)
         assert len(fits) == 2 * len(trajectory)
         for field in dataclasses.fields(trace):
             ours, theirs = getattr(trace, field.name), getattr(fresh, field.name)

@@ -135,15 +135,22 @@ class TestTrajectoryRecording:
     def test_remainder_step_reaches_t_end(self):
         cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.0105,
                             initial=TYPE_I, sample_every=5)
-        traj = simulate(cfg)
+        seen = []
+        traj = simulate(cfg, strip_monitor=lambda t, s: seen.append((t, s)))
         assert traj.times[-1] == pytest.approx(0.0105, abs=1e-12)
         assert traj.stop_reason is StopReason.REACHED_T_END
+        # full steps land on i*dt, the short last step on t_end exactly
+        assert traj.times == (0.0, 5 * 1e-3, 10 * 1e-3, 0.0105)
+        # the monitor sees each recorded snapshot after t = 0, in order
+        assert [t for t, _ in seen] == list(traj.times[1:])
+        assert all(a is b for (_, a), b in zip(seen, traj.snapshots[1:]))
 
     def test_final_off_stride_state_recorded(self):
         cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.013,
                             initial=TYPE_I, sample_every=5)
         traj = simulate(cfg)
         assert traj.times[-1] == pytest.approx(0.013, abs=1e-12)
+        assert traj.times == (0.0, 5 * 1e-3, 10 * 1e-3, 13 * 1e-3)
 
 
 class TestStopPolicy:

@@ -9,9 +9,7 @@ import pytest
 from bfamily import EXTENDED32, make_grid
 from bfamily.core import PeriodicField, Spectrum, forward_transform
 from bfamily.errors import GevreyOverflowError
-from bfamily.integrator import BFamilyConfig, simulate
-from bfamily.norms import (GevreyParams, gevrey_norm, radius_lower_bound,
-                           sobolev_norm)
+from bfamily.norms import GevreyParams, gevrey_norm, sobolev_norm
 from bfamily.synthetic import SyntheticSpec, oracle_spectrum
 
 from oracles import random_hermitian_spectrum
@@ -154,72 +152,3 @@ class TestGevreyNorm:
         with mp.workdps(50):
             assert abs(value - mp.e * mp.sqrt(mp.pi)) < mp.mpf("1e-29")
 
-
-def short_run(sample_every=50):
-    # m = u - u_xx = 2.5 + 2 sin x stays positive, so the run is globally
-    # smooth and the radius model applies cleanly
-    config = BFamilyConfig(
-        b=2.0,
-        grid=make_grid(128),
-        dt=1e-3,
-        t_end=0.5,
-        initial=lambda x: 2.5 + math.sin(x),
-        sample_every=sample_every,
-    )
-    return simulate(config)
-
-
-class TestRadiusLowerBound:
-    def test_starts_at_initial_radius(self):
-        trajectory = short_run()
-        rho = radius_lower_bound(trajectory, order=2.0, initial_radius=0.1)
-        assert rho[0] == 0.1
-
-    def test_zero_constants_freeze_the_radius(self):
-        trajectory = short_run()
-        rho = radius_lower_bound(
-            trajectory, order=2.0, initial_radius=0.1, c1=0.0, c2=0.0
-        )
-        assert (rho == 0.1).all()
-
-    def test_positive_and_non_increasing(self):
-        trajectory = short_run()
-        rho = radius_lower_bound(trajectory, order=2.0, initial_radius=0.1)
-        assert (rho > 0).all()
-        assert (np.diff(rho) <= 0).all()
-
-    def test_gentle_constants_decay_strictly(self):
-        trajectory = short_run()
-        rho = radius_lower_bound(
-            trajectory, order=2.0, initial_radius=0.1, c1=0.01, c2=0.01
-        )
-        assert (np.diff(rho) < 0).all()
-        assert rho[-1] > 0.05 * rho[0]
-
-    def test_larger_decay_constant_decays_faster(self):
-        trajectory = short_run()
-        slow = radius_lower_bound(trajectory, order=2.0, initial_radius=0.1, c2=1.0)
-        fast = radius_lower_bound(trajectory, order=2.0, initial_radius=0.1, c2=2.0)
-        assert (fast[1:] < slow[1:]).all()
-
-    def test_order_must_exceed_three_halves(self):
-        trajectory = short_run()
-        with pytest.raises(ValueError):
-            radius_lower_bound(trajectory, order=1.5, initial_radius=0.1)
-
-    def test_radius_must_be_positive(self):
-        trajectory = short_run()
-        with pytest.raises(ValueError):
-            radius_lower_bound(trajectory, order=2.0, initial_radius=0.0)
-
-    def test_negative_constants_rejected(self):
-        trajectory = short_run()
-        with pytest.raises(ValueError):
-            radius_lower_bound(trajectory, order=2.0, initial_radius=0.1, c1=-1.0)
-
-    def test_untenable_initial_radius_overflows(self):
-        # e^{2 * 800} on the k = 1 modes of the datum leaves the double
-        # range, so the initial Gevrey norm cannot be formed
-        trajectory = short_run()
-        with pytest.raises(GevreyOverflowError):
-            radius_lower_bound(trajectory, order=2.0, initial_radius=800.0)

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 import bfamily.tracker as tracker
 from bfamily import DOUBLE, EXTENDED32, make_grid
 from bfamily.core import PeriodicField, Spectrum, forward_transform
-from bfamily.errors import (EmptyWindowError, InsufficientDataError,
-                            NoiseFloorError)
-from bfamily.integrator import BFamilyConfig, StopReason, Trajectory
+from bfamily.errors import (EmptyWindowError, ExtrapolationError,
+                            InsufficientDataError, NoiseFloorError)
+from bfamily.integrator import BFamilyConfig, StopReason, Trajectory, simulate
 from bfamily.precision import working_context
 from bfamily.synthetic import SyntheticSpec, oracle_spectrum
-from bfamily.tracker import (WYNN_RTOL, FitOptions, TrackOptions,
-                             default_k_min, estimate_x_star,
-                             extrapolate_blowup_time, fit_spectrum, local_fit,
-                             sliding_fit, strip_monitor, track, wynn_epsilon)
+from bfamily.tracker import (WYNN_RTOL, FitOptions, default_k_min,
+                             estimate_x_star, extrapolate_blowup_time,
+                             fit_spectrum, local_fit, sliding_fit,
+                             strip_monitor, track, track_run, wynn_epsilon)
 
 from oracles import reference_wynn_epsilon, shanks_table_limit
 
@@ -228,9 +228,9 @@ def same_value(a, b) -> bool:
     return a == b
 
 
-def assert_matches_reference(seq, rtol=WYNN_RTOL):
-    limit, depth = wynn_epsilon(seq, rtol)
-    ref_limit, ref_depth = reference_wynn_epsilon(seq, rtol)
+def assert_matches_reference(seq):
+    limit, depth = wynn_epsilon(seq)
+    ref_limit, ref_depth = reference_wynn_epsilon(seq, WYNN_RTOL)
     assert depth == ref_depth
     assert same_value(limit, ref_limit), (limit, ref_limit)
     return depth
@@ -239,7 +239,7 @@ def assert_matches_reference(seq, rtol=WYNN_RTOL):
 def sliding_sequences(spectrum, options):
     """The (s, delta, log C) sequences that fit_spectrum extrapolates."""
     k_lo, k_hi = fit_spectrum(spectrum, options).k_window
-    sl = sliding_fit(spectrum, range(k_lo, k_hi + 1), options.noise_floor_factor)
+    sl = sliding_fit(spectrum, range(k_lo, k_hi + 1))
     return sl.s, sl.delta, sl.log_c
 
 
@@ -352,6 +352,22 @@ class TestEstimateXStar:
             assert -math.pi <= est < math.pi
             assert abs(est - (math.pi + 0.5 - 2 * math.pi)) < 1e-12
 
+    def test_unreduced_slope_past_pi_is_wrapped(self):
+        # x* = -pi + eps with a cubic phase term: the circular-mean
+        # increment wraps past pi while the least-squares slope does not,
+        # so the negated slope lands just above pi before the reduction
+        K, eps, k0 = 512, 0.05, 56
+        ks = list(range(16, 97))
+        k = np.arange(K // 2 + 1)
+        phase = k * (math.pi - eps) + 1.5 * eps / 40**2 * (k - k0) ** 3
+        coeffs = np.maximum(k, 1) ** -1.5 * np.exp(-0.1 * k) * np.exp(1j * phase)
+        coeffs[0] = coeffs[-1] = 1.0
+        est = estimate_x_star(Spectrum(grid=make_grid(K), coeffs=coeffs), ks)
+        slope = np.polyfit(np.array(ks, dtype=float), phase[ks], 1)[0]
+        wrapped = (-slope + math.pi) % (2 * math.pi) - math.pi
+        assert -math.pi <= est < math.pi
+        assert abs(est - wrapped) < 1e-12
+
     def test_too_few_wavenumbers_rejected(self):
         for sp in (pure_model_spectrum(make_grid(64), 1.0, 1.0, 0.1),
                    pure_model_spectrum_extended(make_grid(64), 1.0, 1.0, 0.1)):
@@ -441,7 +457,7 @@ class TestBlowupExtrapolation:
             SyntheticSpec(alpha=1 / 3, delta=0.5 - 0.4 * t, x_star=1.0), grid)
             for t in times]
         trace = track(_trajectory_from_spectra(times, spectra, grid),
-                      TrackOptions(fit=FitOptions(k_min=16)))
+                      FitOptions(k_min=16))
         assert abs(trace.t_s_estimate - 1.25) < 1e-3
         assert 0.0 < trace.t_s_stderr < 1e-3
         assert trace.t_s_estimate > trace.times[-1]
@@ -455,7 +471,7 @@ class TestBlowupExtrapolation:
             SyntheticSpec(alpha=1 / 3, delta=0.3, x_star=0.0), grid)
             for _ in times]
         trace = track(_trajectory_from_spectra(times, spectra, grid),
-                      TrackOptions(fit=FitOptions(k_min=16)))
+                      FitOptions(k_min=16))
         assert trace.t_s_estimate is None
         assert trace.t_s_stderr is None
 
@@ -491,7 +507,7 @@ class TestTrack:
             SyntheticSpec(alpha=1 / 3, delta=0.4 - 0.2 * t, x_star=0.0), grid)
             for t in times[1:]]
         trace = track(_trajectory_from_spectra(times, spectra, grid),
-                      TrackOptions(fit=FitOptions(k_min=16)))
+                      FitOptions(k_min=16))
         assert trace.times == (0.1, 0.2, 0.3)
 
     def test_all_unfittable_raises(self):
@@ -511,28 +527,26 @@ class TestTrack:
         return _trajectory_from_spectra(times, spectra, grid)
 
     def test_clean_fits_need_no_fallback(self):
-        trace = track(self.width_history(), TrackOptions(fit=FitOptions(k_min=16)))
+        trace = track(self.width_history(), FitOptions(k_min=16))
         assert not trace.used_unclean_fallback
         assert abs(trace.t_s_estimate - 1.25) < 1e-3
 
-    def test_unclean_fallback_is_flagged(self):
+    def test_unclean_fallback_is_flagged(self, monkeypatch):
         # no fit passes a zero residual gate: all fits enter the extrapolation
-        trajectory = self.width_history()
-        fit = FitOptions(k_min=16)
-        trace = track(trajectory, TrackOptions(fit=fit, max_residual=0.0))
+        monkeypatch.setattr(tracker, "MAX_RESIDUAL", 0.0)
+        trace = track(self.width_history(), FitOptions(k_min=16))
         assert trace.used_unclean_fallback
-        sel = slice(-TrackOptions().extrapolation_samples, None)
+        sel = slice(-tracker.EXTRAPOLATION_SAMPLES, None)
         expected = extrapolate_blowup_time(trace.times[sel], trace.deltas()[sel])
         assert (trace.t_s_estimate, trace.t_s_stderr) == expected
 
+    def small_run(self):
+        config = BFamilyConfig(b=3.0, grid=make_grid(128), dt=1e-3, t_end=0.4,
+                               dealias=True, sample_every=40)
+        return config, FitOptions(k_min=10, k_max=40)
+
     def test_recorded_fits_are_reused(self, monkeypatch):
-        trajectory = self.width_history()
-        fit = FitOptions(k_min=16)
-        fresh = track(trajectory, TrackOptions(fit=fit))
-        record = []
-        monitor = strip_monitor(fit, record)
-        for t, snapshot in zip(trajectory.times[1:], trajectory.snapshots[1:]):
-            monitor(t, snapshot)
+        config, fit = self.small_run()
         calls = []
         real_fit = tracker.fit_spectrum
 
@@ -541,49 +555,23 @@ class TestTrack:
             return real_fit(spectrum, options)
 
         monkeypatch.setattr(tracker, "fit_spectrum", counting)
-        reused = track(trajectory, TrackOptions(fit=fit), record)
-        assert calls == [trajectory.snapshots[0]]
-        assert reused == fresh
-
-    def test_record_with_other_options_or_snapshots_is_refitted(self, monkeypatch):
-        trajectory = self.width_history()
-        fit = FitOptions(k_min=16)
-        record = []
-        monitor = strip_monitor(FitOptions(k_min=20), record)
-        monitor(trajectory.times[0], trajectory.snapshots[0])
-        # an equal but distinct spectrum object is not the same snapshot
-        copy = Spectrum(grid=trajectory.snapshots[1].grid,
-                        coeffs=trajectory.snapshots[1].coeffs)
-        strip_monitor(fit, record)(trajectory.times[1], copy)
-        calls = []
-        real_fit = tracker.fit_spectrum
-
-        def counting(spectrum, options):
-            calls.append(spectrum)
-            return real_fit(spectrum, options)
-
-        monkeypatch.setattr(tracker, "fit_spectrum", counting)
-        assert track(trajectory, TrackOptions(fit=fit), record) == track(
-            trajectory, TrackOptions(fit=fit))
-        assert len(calls) == 2 * len(trajectory)
+        trajectory, trace = track_run(config, fit)
+        # the monitor fits t > 0 during the run, then the initial snapshot
+        expected = trajectory.snapshots[1:] + trajectory.snapshots[:1]
+        assert [id(s) for s in calls] == [id(s) for s in expected]
+        assert trace == track(trajectory, fit)
 
     def test_recorded_skip_is_reused(self):
         grid = make_grid(1024)
         sin_spectrum = forward_transform(
             PeriodicField(grid, np.sin(grid.nodes())))
-        trajectory = self.width_history()
-        trajectory = Trajectory(
-            config=trajectory.config,
-            times=(0.0,) + trajectory.times,
-            snapshots=(sin_spectrum,) + trajectory.snapshots,
-            stop_reason=trajectory.stop_reason,
-        )
-        fit = FitOptions(k_min=16)
         record = []
-        assert strip_monitor(fit, record)(0.0, sin_spectrum) is None
-        assert record == [(sin_spectrum, fit, None)]
-        trace = track(trajectory, TrackOptions(fit=fit), record)
-        assert trace.times == trajectory.times[1:]
+        assert strip_monitor(FitOptions(k_min=16), record)(0.0, sin_spectrum) is None
+        assert record == [None]
+        # the first monitored snapshot of the small run admits no fit
+        config, fit = self.small_run()
+        trajectory, trace = track_run(config, fit)
+        assert trace.times == trajectory.times[2:]
 
     def test_strip_monitor_callback(self):
         grid = make_grid(1024)
@@ -595,3 +583,14 @@ class TestTrack:
             SyntheticSpec(alpha=1 / 3, delta=0.25, x_star=0.0), grid)
         width = monitor(0.0, good)
         assert abs(width - 0.25) < 1e-4
+
+    def test_overflowing_extrapolation_is_skipped(self):
+        # magnitudes oscillating in k drive the extrapolated log C past
+        # the double range; the fit raises a typed error, the monitor skips
+        config = BFamilyConfig(b=2.0, grid=make_grid(256), dt=5e-4, t_end=3.75,
+                               initial=lambda x: 1 + 0.4 * np.sin(x),
+                               dealias=True, sample_every=7500)
+        snapshot = simulate(config).snapshots[-1]
+        with pytest.raises(ExtrapolationError):
+            fit_spectrum(snapshot)
+        assert strip_monitor(FitOptions())(3.75, snapshot) is None
