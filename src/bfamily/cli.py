@@ -35,7 +35,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -216,13 +216,33 @@ def _value_formatter(precision: Precision):
     return fmt
 
 
-def write_csv(path: Path, provenance: dict, columns: Sequence[str], rows, fmt) -> None:
-    """Write the header, then one line per row as ``rows`` yields it."""
+def _csv_lines(rows, fmt) -> Iterator[str]:
+    """One CSV line per row, each cell formatted by ``fmt``."""
+    return (",".join(fmt(cell) for cell in row) + "\n" for row in rows)
+
+
+def write_csv(path: Path, provenance: dict, columns: Sequence[str], lines: Iterable[str]) -> None:
+    """Write the header, then the data ``lines`` (newline-terminated) as they are yielded."""
     with path.open("w") as out:
         out.write(f"# schema_version = {SCHEMA_VERSION}\n")
         out.writelines(f"# {key} = {value}\n" for key, value in provenance.items())
         out.write(",".join(columns) + "\n")
-        out.writelines(",".join(fmt(cell) for cell in row) + "\n" for row in rows)
+        out.writelines(lines)
+
+
+def _magnitude_lines(trajectory, fmt) -> Iterator[str]:
+    """``t,k,|u_hat[k]|`` for k = 0..K/2-1 of every snapshot.
+
+    Each snapshot is converted to builtin scalars in one ``tolist``, and
+    ``t`` is formatted once per snapshot.  Scalar ``abs`` of a builtin
+    complex equals that of a numpy complex128; array ``np.abs`` can
+    differ in the last bit, so it is not used.
+    """
+    half = trajectory.config.grid.n_modes // 2
+    for t, snapshot in zip(trajectory.times, trajectory.snapshots):
+        stamp = fmt(t)
+        for k, c in enumerate(snapshot.coeffs[:half].tolist()):
+            yield f"{stamp},{k},{fmt(abs(c))}\n"
 
 
 def _write_summary(path: Path, provenance: dict, facts: dict) -> None:
@@ -304,8 +324,7 @@ def cmd_simulate(manifest: RunManifest) -> int:
             out / "spectra" / f"spectrum_{index:04d}.csv",
             stamp,
             ("k", "re", "im"),
-            ((k, c.real, c.imag) for k, c in enumerate(snapshot.coeffs)),
-            fmt,
+            _csv_lines(((k, c.real, c.imag) for k, c in enumerate(snapshot.coeffs)), fmt),
         )
         u = inverse_transform(snapshot).values
         ux = inverse_transform(derivative(snapshot)).values
@@ -313,8 +332,7 @@ def cmd_simulate(manifest: RunManifest) -> int:
             out / "fields" / f"field_{index:04d}.csv",
             stamp,
             ("x", "u", "ux"),
-            zip(x, u, ux),
-            fmt,
+            _csv_lines(zip(x, u, ux), fmt),
         )
     _write_summary(
         out / "summary.txt",
@@ -343,23 +361,16 @@ def cmd_track(manifest: RunManifest) -> int:
         out / "singularity.csv",
         provenance,
         ("t", "delta", "alpha", "x_star", "residual"),
-        (
-            (t, f.delta, f.alpha, f.x_star, f.residual)
-            for t, f in zip(trace.times, trace.fits)
+        _csv_lines(
+            ((t, f.delta, f.alpha, f.x_star, f.residual) for t, f in zip(trace.times, trace.fits)),
+            fmt,
         ),
-        fmt,
     )
-    half = config.grid.n_modes // 2
     write_csv(
         out / "magnitudes.csv",
         provenance,
         ("t", "k", "magnitude"),
-        (
-            (t, k, abs(snapshot.coeffs[k]))
-            for t, snapshot in zip(trajectory.times, trajectory.snapshots)
-            for k in range(half)
-        ),
-        fmt,
+        _magnitude_lines(trajectory, fmt),
     )
     alpha_late = late_time_alpha(trace)
     _write_summary(
@@ -447,7 +458,7 @@ def cmd_sweep(
     out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
-        out / "sweep.csv", provenance, ("b", "t_s", "t_s_stderr", "alpha"), rows, fmt
+        out / "sweep.csv", provenance, ("b", "t_s", "t_s_stderr", "alpha"), _csv_lines(rows, fmt)
     )
     (out / "plot.py").write_text(_PLOT_SCRIPT)
     for b, t_s, _, alpha in rows:

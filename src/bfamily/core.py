@@ -12,7 +12,9 @@ K/2 + 1 modes (numpy's rfft layout): slot k holds u_hat[k], and the
 last slot is the unpaired Nyquist mode k = K/2.  Hermitian symmetry
 therefore holds by construction; the only condition left to check is
 that the two self-conjugate modes, k = 0 and k = K/2, are real.
-``Spectrum`` checks that, within round-off, when it is built.
+``Spectrum`` checks that, within round-off, when it is built; only
+``Spectrum.unchecked`` skips the check, for the RK4 step's result, whose
+two self-conjugate modes keep the values of an already checked state.
 
 The scalar mode is read once per function from ``precision``, the one
 seam between double and extended arithmetic: ``forward_transform`` and
@@ -147,6 +149,22 @@ class Spectrum:
                 "refusing a spectrum with an imaginary part beyond round-off there"
             )
         object.__setattr__(self, "coeffs", _frozen_copy(coeffs))
+
+    @classmethod
+    def unchecked(cls, grid: GridSpec, coeffs: np.ndarray) -> "Spectrum":
+        """A spectrum that takes ownership of ``coeffs``, unchecked and uncopied.
+
+        For arrays the package has just computed itself: ``coeffs`` must
+        be freshly allocated, of shape (K/2 + 1,) in its mode's complex
+        dtype, with u_hat[0] and u_hat[K/2] real by construction.  The
+        array is frozen in place.  Data from outside the package goes
+        through the checking constructor.
+        """
+        coeffs.setflags(write=False)
+        spectrum = object.__new__(cls)
+        object.__setattr__(spectrum, "grid", grid)
+        object.__setattr__(spectrum, "coeffs", coeffs)
+        return spectrum
 
     def magnitudes_nonnegative(self) -> np.ndarray:
         """|u_hat[k]| for k = 0 .. K/2 (Nyquist slot included last)."""

@@ -10,9 +10,9 @@ zeros there.
 ``rk4_step`` runs the cached ``spectral.RhsKernel`` on the state's
 coefficients, which ``Spectrum`` stores in the kernel's own layout
 (modes k = 0..K/2): the four stages are plain arrays (one finiteness
-check each inside the kernel), and one ``Spectrum`` is built for the
-result.  ``simulate`` additionally checks each new state for
-finiteness.
+check each inside the kernel), and the result array becomes the new
+``Spectrum`` as it is, without a copy or a symmetry check.
+``simulate`` additionally checks each new state for finiteness.
 """
 
 from __future__ import annotations
@@ -110,17 +110,39 @@ class Trajectory:
 def rk4_step(state: Spectrum, dt: float, options: RhsOptions) -> Spectrum:
     """One classical Runge-Kutta step of the full mode system.
 
-    Raises BlowUpOverflowError when a stage overflows.
+    The stage inputs c0 + h*k are formed in one buffer and the final
+    sum k1 + 2*k2 + 2*k3 + k4 in the array of k2, in place, in the
+    operation order of the textbook formula.  The kernel forces the
+    k = 0 and K/2 slots of every stage to exact zero, so the result
+    keeps the input's values there and is built without the Spectrum
+    symmetry check.  Raises BlowUpOverflowError when a stage overflows.
     """
     grid = state.grid
     c0 = state.coeffs
     with working_context(c0):
         f = rhs_kernel(grid, options, c0)
+        stage = np.empty_like(c0)
         k1 = f(c0)
-        k2 = f(c0 + (dt / 2) * k1)
-        k3 = f(c0 + (dt / 2) * k2)
-        k4 = f(c0 + dt * k3)
-        return Spectrum(grid, c0 + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+        k2 = f(_stage_input(c0, dt / 2, k1, stage))
+        k3 = f(_stage_input(c0, dt / 2, k2, stage))
+        k4 = f(_stage_input(c0, dt, k3, stage))
+        # the kernel returns fresh arrays, so k2 and k3 can be overwritten
+        total = k2
+        total *= 2
+        total += k1
+        k3 *= 2
+        total += k3
+        total += k4
+        total *= dt / 6
+        total += c0
+        return Spectrum.unchecked(grid, total)
+
+
+def _stage_input(c0: np.ndarray, h: float, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """c0 + h*k, written into ``out``."""
+    np.multiply(k, h, out=out)
+    out += c0
+    return out
 
 
 StripMonitor = Callable[[float, Spectrum], Optional[float]]

@@ -8,14 +8,16 @@ and each supplies every operation whose double and extended forms
 differ:
 
 - the half-layout transform pair ``forward``/``inverse`` (numpy's
-  rfft/irfft, or a radix-2 mpmath FFT);
+  rfft/irfft, or a radix-2 mpmath FFT), which write into an ``out=``
+  array when given one;
 - scalar ``log``, ``log_ratio`` (log(num/den) of two integers), ``exp``,
   ``sqrt``, ``arg``, ``exp_minus_i`` (exp(-i*theta)) and ``isfinite``,
   and the constants ``pi`` and ``zero`` (a complex zero);
 - elementwise array ``exp_array``, ``sin_array`` and ``real_part``, and
   the finiteness test ``all_finite``;
 - conversions ``scalar``, ``real`` (to a real working-precision array)
-  and ``as_complex``;
+  and ``as_complex``, and the array dtypes ``real_dtype`` and
+  ``complex_dtype`` for preallocated buffers;
 - the unit round-off ``ulp``, the decimal ``digits`` and ``label``, and
   the working ``context()``.
 
@@ -89,6 +91,8 @@ class DoublePrecision:
 
     digits = 15  # decimal digits a double always carries
     label = "double"
+    real_dtype = np.dtype(np.float64)
+    complex_dtype = np.dtype(np.complex128)
     ulp = float(np.finfo(np.float64).eps)
     pi = math.pi
     zero = 0j
@@ -119,19 +123,22 @@ class DoublePrecision:
     def all_finite(self, arr: np.ndarray) -> bool:
         return bool(np.isfinite(arr).all())
 
-    def forward(self, values: np.ndarray, n_modes: int) -> np.ndarray:
+    def forward(self, values: np.ndarray, n_modes: int, out=None) -> np.ndarray:
         """Modes k = 0..K/2 of real samples; k = 0 and K/2 are forced real."""
+        half = np.fft.rfft(values, axis=-1, out=out)
         # scaling by a precomputed +-1/K gives the values of dividing by K
         # without a complex division
-        half = np.fft.rfft(values, axis=-1) * _alternating_signs(n_modes // 2 + 1, n_modes)
+        half *= _alternating_signs(n_modes // 2 + 1, n_modes)
         half[..., 0] = half[..., 0].real
         half[..., -1] = half[..., -1].real
         return half
 
-    def inverse(self, half: np.ndarray, n_modes: int) -> np.ndarray:
+    def inverse(self, half: np.ndarray, n_modes: int, out=None) -> np.ndarray:
         """Real samples of the field whose modes k = 0..K/2 are ``half``."""
         signed = half * _alternating_signs(n_modes // 2 + 1)
-        return np.fft.irfft(signed, n=n_modes, axis=-1) * n_modes
+        values = np.fft.irfft(signed, n=n_modes, axis=-1, out=out)
+        values *= n_modes
+        return values
 
 
 def _elementwise(func):
@@ -158,6 +165,7 @@ class ExtendedPrecision:
 
     pi = mp.pi
     zero = mp.mpc(0)
+    real_dtype = complex_dtype = np.dtype(object)
 
     log = staticmethod(mp.log)
     exp = staticmethod(mp.exp)
@@ -200,29 +208,30 @@ class ExtendedPrecision:
     def all_finite(self, arr: np.ndarray) -> bool:
         return all(mp.isfinite(v) for v in arr.ravel())
 
-    def forward(self, values: np.ndarray, n_modes: int) -> np.ndarray:
+    def forward(self, values: np.ndarray, n_modes: int, out=None) -> np.ndarray:
         K = n_modes
-        rows = values.reshape(-1, K)
-        out = np.empty((len(rows), K // 2 + 1), dtype=object)
-        for r, row in enumerate(rows):
-            bins = _mp_fft([mp.mpc(v) for v in row])
+        if out is None:
+            out = np.empty(values.shape[:-1] + (K // 2 + 1,), dtype=object)
+        for index in np.ndindex(values.shape[:-1]):
+            bins = _mp_fft([mp.mpc(v) for v in values[index]])
             half = [bins[k] * ((-1) ** k) / K for k in range(K // 2 + 1)]
             half[0] = mp.mpc(mp.re(half[0]))
             half[K // 2] = mp.mpc(mp.re(half[K // 2]))
-            out[r] = half
-        return out.reshape(values.shape[:-1] + (K // 2 + 1,))
+            out[index] = half
+        return out
 
-    def inverse(self, half: np.ndarray, n_modes: int) -> np.ndarray:
+    def inverse(self, half: np.ndarray, n_modes: int, out=None) -> np.ndarray:
         K = n_modes
-        rows = half.reshape(-1, K // 2 + 1)
-        out = np.empty((len(rows), K), dtype=object)
-        for r, row in enumerate(rows):
+        if out is None:
+            out = np.empty(half.shape[:-1] + (K,), dtype=object)
+        for index in np.ndindex(half.shape[:-1]):
+            row = half[index]
             full = list(row) + [mp.conj(v) for v in row[K // 2 - 1 : 0 : -1]]
             # (-1)**k per slot: k == m (mod 2) for even K, so (-1)**m works;
             # the exp(+...) transform is the forward FFT under conjugation
             bins = _mp_fft([mp.conj(v * ((-1) ** m)) for m, v in enumerate(full)])
-            out[r] = [mp.re(mp.conj(v)) for v in bins]
-        return out.reshape(half.shape[:-1] + (K,))
+            out[index] = [mp.re(mp.conj(v)) for v in bins]
+        return out
 
 
 def _mp_fft(a: list) -> list:

@@ -20,15 +20,16 @@ exact zero and the mean is conserved to the last bit.
 ``RhsKernel`` evaluates the right-hand side on the rfft half layout
 (modes k = 0..K/2) with one batched inverse transform of (u_hat,
 ik u_hat) and one batched forward transform of the three products.  Its
-symbol tables (ik, ik/(1+k^2)), the dealiasing cutoff and the constants
-b/2 and (3-b)/2 are built once per (K, b, dealias, scalar mode, mpmath
-digits) and cached by ``rhs_kernel``.  Each evaluation makes one
-finiteness check, on the stacked physical-space products: a non-finite
-u or u_x makes u^2 or u_x^2 non-finite too.  ``Spectrum`` stores the
-same layout, so ``rhs``, ``derivative`` and ``helmholtz_inverse_dx``
-act on its coefficients directly.  The same code serves double and
-extended precision; the transform pair and the symbol tables come from
-the scalar mode (``precision.transforms_for``).
+symbol tables (ik, ik/(1+k^2)), the dealiasing cutoff, the constants
+b/2 and (3-b)/2 and its scratch buffers are built once per (K, b,
+dealias, scalar mode, mpmath digits) and cached by ``rhs_kernel``.
+Each evaluation makes one finiteness check, on the stacked
+physical-space products: a non-finite u or u_x makes u^2 or u_x^2
+non-finite too.  ``Spectrum`` stores the same layout, so ``rhs``,
+``derivative`` and ``helmholtz_inverse_dx`` act on its coefficients
+directly.  The same code serves double and extended precision; the
+transform pair, the symbol tables and the buffer dtypes come from the
+scalar mode (``precision.transforms_for``).
 """
 
 from __future__ import annotations
@@ -111,55 +112,78 @@ def helmholtz_inverse_dx(spectrum: Spectrum) -> Spectrum:
 class RhsKernel:
     """The right-hand side on half spectra (modes k = 0..K/2).
 
-    Instances hold read-only tables and are shared through
-    ``rhs_kernel``; evaluate them inside the ``working_context`` of the
-    state.  The last slot of a half spectrum is the unpaired Nyquist
-    mode, so the slice ``[keep:]`` with ``keep = cutoff + 1`` is the
-    upper third removed by dealiasing.
+    Instances are shared through ``rhs_kernel``; evaluate them inside
+    the ``working_context`` of the state.  The last slot of a half
+    spectrum is the unpaired Nyquist mode, so the slice ``[keep:]`` with
+    ``keep = cutoff + 1`` is the upper third removed by dealiasing.
+
+    Besides its read-only tables, an instance owns the scratch buffers
+    of one evaluation: the fields (u_hat, ik u_hat), their physical
+    values (u, u_x), the three products in physical and in spectral
+    space, and the nonlocal term.  Each stage writes into them with
+    ufunc ``out=``.  Only the time derivative that ``__call__`` returns
+    is freshly allocated, so it shares memory with no buffer and with no
+    earlier result.  The buffers make an instance serve one evaluation
+    at a time: it is not safe to evaluate from several threads at once.
     """
 
     def __init__(self, n_modes: int, options: RhsOptions, transforms: Precision) -> None:
         self.n_modes = n_modes
         self.transforms = transforms
         self.keep = dealias_cutoff(n_modes) + 1 if options.dealias else None
-        self.ik, self.symbol = _symbols(transforms, np.arange(n_modes // 2 + 1))
+        n_half = n_modes // 2 + 1
+        self.ik, self.symbol = _symbols(transforms, np.arange(n_half))
         b = transforms.scalar(options.b)
         self.half_b = b / 2
         self.half_rest = (3 - b) / 2
         for table in (self.ik, self.symbol):
             table.setflags(write=False)
+        spectral, physical = transforms.complex_dtype, transforms.real_dtype
+        self._fields = np.empty((2, n_half), spectral)
+        self._physical = np.empty((2, n_modes), physical)
+        self._values = np.empty((3, n_modes), physical)
+        self._products = np.empty((3, n_half), spectral)
+        self._nonlocal = np.empty(n_half, spectral)
+        self._scaled = np.empty(n_half, spectral)
 
     def products(self, half: np.ndarray) -> np.ndarray:
         """Half spectra of (u u_x, u^2, u_x^2), stacked; Nyquist slots zeroed.
 
-        Raises BlowUpOverflowError when a product overflows in physical
-        space.
+        The result is the kernel's scratch buffer: the next evaluation
+        overwrites it.  Raises BlowUpOverflowError when a product
+        overflows in physical space.
         """
         keep = self.keep
-        base = half
+        fields = self._fields
+        fields[0] = half
         if keep is not None:
-            base = half.copy()
-            base[keep:] *= 0
-        fields = np.stack((base, base * self.ik))
+            fields[0, keep:] *= 0
+        np.multiply(fields[0], self.ik, out=fields[1])
         fields[1, -1] *= 0
-        u, ux = self.transforms.inverse(fields, self.n_modes)
+        u, ux = self.transforms.inverse(fields, self.n_modes, out=self._physical)
+        values = self._values
         # overflow here is detected and reported as a blow-up, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.stack((u * ux, u * u, ux * ux))
+            np.multiply(u, ux, out=values[0])
+            np.multiply(u, u, out=values[1])
+            np.multiply(ux, ux, out=values[2])
         if not all_finite(values):
             raise BlowUpOverflowError("u, u_x or their products overflowed in physical space")
-        products = self.transforms.forward(values, self.n_modes)
+        products = self.transforms.forward(values, self.n_modes, out=self._products)
         if keep is not None:
             products[:, keep:] *= 0
         products[:, -1] *= 0
         return products
 
     def __call__(self, half: np.ndarray) -> np.ndarray:
-        """Time derivative of the half spectrum; its k = 0 slot is exact zero."""
+        """Time derivative of the half spectrum, in a fresh array; its k = 0 slot is exact zero."""
         adv, u_sq, ux_sq = self.products(half)
-        nonlocal_part = (self.half_b * u_sq + self.half_rest * ux_sq) * self.symbol
+        nonlocal_part = np.multiply(self.half_b, u_sq, out=self._nonlocal)
+        nonlocal_part += np.multiply(self.half_rest, ux_sq, out=self._scaled)
+        nonlocal_part *= self.symbol
         nonlocal_part[-1] *= 0
-        out = -(adv + nonlocal_part)
+        out = np.add(adv, nonlocal_part)
+        np.negative(out, out=out)
         out[0] *= 0
         return out
 

@@ -177,8 +177,8 @@ def _sliding_fit(mags: np.ndarray, floor, ks: Sequence[int], mode: Precision) ->
     return SlidingFit(k=tuple(out_k), s=tuple(out_s), delta=tuple(out_d), log_c=tuple(out_c))
 
 
-def wynn_epsilon(seq: Sequence):
-    """Accelerate a sequence with Wynn's epsilon recursion.
+def wynn_epsilon(seq):
+    """Accelerate a sequence, or each row of a stack of them, with Wynn's epsilon.
 
     Builds the table column by column,
 
@@ -193,27 +193,42 @@ def wynn_epsilon(seq: Sequence):
     depth 0.  Exact on geometric sequences L + a*r**n after one even
     column.
 
+    Given equal-length sequences as the rows of a 2-D array-like, every
+    row runs through the same column loop and the result is a list with
+    one ``(limit, depth)`` per row.  A row leaves the loop at its own
+    first near-singular column, so each row's result is the one it gets
+    alone; a single sequence is the one-row case.
+
     Each column is one whole-array step, on a float array for doubles
     and an object array for mpmath values (evaluated in the caller's
     working context).  A double limit comes back as a builtin float.
     """
     prev = np.asarray(list(seq))
-    if len(prev) < 3:
+    single = prev.ndim == 1
+    if single:
+        prev = prev[np.newaxis]
+    if prev.shape[1] < 3:
         raise ValueError("epsilon acceleration needs at least 3 sequence entries")
-    best = (prev.item(-1), 0)
+    best = [(row.item(-1), 0) for row in prev]
+    rows = np.arange(len(prev))  # the input row of each row still in the loop
     col = 0
     with np.errstate(all="ignore"):
-        prev_prev = np.full(len(prev), 0 * prev[0], dtype=prev.dtype)
-        while len(prev) >= 2:
-            d = prev[1:] - prev[:-1]
+        prev_prev = np.repeat(0 * prev[:, :1], prev.shape[1], axis=1)
+        while prev.shape[1] >= 2:
+            d = prev[:, 1:] - prev[:, :-1]
             mag = np.abs(prev)
-            if (np.abs(d) <= WYNN_RTOL * (mag[1:] + mag[:-1])).any():
-                break
+            singular = np.abs(d) <= WYNN_RTOL * (mag[:, 1:] + mag[:, :-1])
+            if singular.any():
+                live = ~singular.any(axis=1)
+                if not live.any():
+                    break
+                rows, prev, prev_prev, d = rows[live], prev[live], prev_prev[live], d[live]
             col += 1
-            prev_prev, prev = prev, prev_prev[1:len(prev)] + 1 / d
+            prev_prev, prev = prev, prev_prev[:, 1:prev.shape[1]] + 1 / d
             if col % 2 == 0:
-                best = (prev.item(-1), col)
-    return best
+                for row, limit in zip(rows, prev[:, -1].tolist()):
+                    best[row] = (limit, col)
+    return best[0] if single else best
 
 
 def estimate_x_star(spectrum: Spectrum, ks: Sequence[int]):
@@ -279,12 +294,13 @@ def _fit_window(mags: np.ndarray, floor, options: FitOptions) -> list[int]:
 def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitResult:
     """Estimate (C, alpha, delta, x_star) from one spectrum.
 
-    Runs the sliding three-point fit over the admissible window, Wynn
-    extrapolation on each estimate sequence, and a phase fit for the
-    abscissa.  A raw negative strip width is clamped to zero and
+    Runs the sliding three-point fit over the admissible window, one
+    Wynn extrapolation of the three estimate sequences, and a phase fit
+    for the abscissa.  A raw negative strip width is clamped to zero and
     flagged.  Raises EmptyWindowError when fewer than three admissible
-    wavenumbers remain, and ExtrapolationError when the extrapolated
-    log C overflows the amplitude.
+    wavenumbers remain, and ExtrapolationError when an extrapolated
+    limit (s, delta or log C) is not finite or log C overflows the
+    amplitude.
     """
     with working_context(spectrum.coeffs) as mode:
         mags, floor = _magnitudes(spectrum, mode)
@@ -294,9 +310,13 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
                 f"fit window holds {len(ks)} admissible wavenumbers; need at least 3"
             )
         sliding = _sliding_fit(mags, floor, ks, mode)
-        s_lim, _ = wynn_epsilon(sliding.s)
-        delta_lim, _ = wynn_epsilon(sliding.delta)
-        log_c_lim, _ = wynn_epsilon(sliding.log_c)
+        limits = [limit for limit, _ in wynn_epsilon([sliding.s, sliding.delta, sliding.log_c])]
+        s_lim, delta_lim, log_c_lim = limits
+        if not all(mode.isfinite(limit) for limit in limits):
+            raise ExtrapolationError(
+                "non-finite extrapolated (s, delta, log C) = "
+                f"({float(s_lim):.6g}, {float(delta_lim):.6g}, {float(log_c_lim):.6g})"
+            )
         x_star = estimate_x_star(spectrum, ks)
 
         clamped = float(delta_lim) < 0.0

@@ -8,6 +8,7 @@ with these, not the other way around.
 import mpmath as mp
 import numpy as np
 
+from bfamily.cli import SCHEMA_VERSION, _value_formatter
 from bfamily.core import GridSpec, PeriodicField, Spectrum, forward_transform
 from bfamily.precision import _mp_fft, working_context
 
@@ -230,3 +231,25 @@ def full_layout_rk4_step(c0: np.ndarray, dt: float, b: float, dealias: bool) -> 
     k3 = full_layout_rhs(c0 + (dt / 2) * k2, b, dealias)
     k4 = full_layout_rhs(c0 + dt * k3, b, dealias)
     return c0 + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def reference_magnitudes_csv(path, provenance: dict, trajectory, precision) -> None:
+    """``magnitudes.csv`` through the generic row writer.
+
+    Every cell of the rows (t, k, abs(snapshot.coeffs[k])) goes through
+    the mode's ``_value_formatter``; ``abs`` acts on the numpy (or
+    mpmath) element of the stored array.  This is how ``bfamily track``
+    wrote the file before its direct per-snapshot writer.
+    """
+    fmt = _value_formatter(precision)
+    half = trajectory.config.grid.n_modes // 2
+    rows = (
+        (t, k, abs(snapshot.coeffs[k]))
+        for t, snapshot in zip(trajectory.times, trajectory.snapshots)
+        for k in range(half)
+    )
+    with path.open("w") as out:
+        out.write(f"# schema_version = {SCHEMA_VERSION}\n")
+        out.writelines(f"# {key} = {value}\n" for key, value in provenance.items())
+        out.write("t,k,magnitude\n")
+        out.writelines(",".join(fmt(cell) for cell in row) + "\n" for row in rows)

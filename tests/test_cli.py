@@ -14,6 +14,8 @@ from bfamily.errors import ConfigError
 from bfamily.integrator import BFamilyConfig, simulate
 from bfamily.tracker import FitOptions
 
+from oracles import reference_magnitudes_csv
+
 
 def write_manifest(path, **overrides):
     entries = {
@@ -226,6 +228,36 @@ class TestTrackCommand:
         manifest = write_manifest(tmp_path / "m.txt", b="-1.0", dealias="false")
         code = main(["track", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
         assert code == 4
+
+
+class TestMagnitudesWriter:
+    """The direct magnitudes writer against the generic row writer, byte for byte."""
+
+    @pytest.mark.parametrize("entries", [
+        {"modes": "64", "dt": "0.001", "t_end": "0.2", "sample_every": "10", "fit_kmin": "8"},
+        {"modes": "16", "dt": "0.01", "t_end": "0.05", "sample_every": "1", "fit_kmin": "2",
+         "precision": "extended32"},
+    ], ids=["double-K64", "extended32-K16"])
+    def test_matches_generic_writer(self, tmp_path, monkeypatch, entries):
+        runs = []
+        real_track_run = cli.track_run
+
+        def capturing_track_run(config, fit):
+            trajectory, trace = real_track_run(config, fit)
+            runs.append(trajectory)
+            return trajectory, trace
+
+        monkeypatch.setattr(cli, "track_run", capturing_track_run)
+        manifest = build_manifest(entries, tmp_path / "out")
+        assert cli.cmd_track(manifest) == 0
+        (trajectory,) = runs
+        reference = tmp_path / "reference.csv"
+        reference_magnitudes_csv(
+            reference, manifest_entries(manifest), trajectory, manifest.config.precision
+        )
+        written = (tmp_path / "out" / "magnitudes.csv").read_bytes()
+        assert written == reference.read_bytes()
+        assert written.count(b"\n") > len(trajectory) * (manifest.config.grid.n_modes // 2)
 
 
 class TestFitOncePerSnapshot:

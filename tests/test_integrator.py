@@ -21,10 +21,10 @@ from bfamily.integrator import (
     rk4_step,
     simulate,
 )
-from bfamily.precision import EXTENDED32
-from bfamily.spectral import RhsOptions
+from bfamily.precision import EXTENDED32, working_context
+from bfamily.spectral import RhsOptions, rhs_kernel
 
-from oracles import full_layout, full_layout_rk4_step
+from oracles import full_layout, full_layout_rk4_step, random_hermitian_spectrum
 
 
 def sine_state(K=64):
@@ -283,3 +283,64 @@ class TestStepChecks:
         c[1] = 1e200
         with pytest.raises(BlowUpOverflowError):
             rk4_step(Spectrum(g, c), 1e-3, RhsOptions(b=3.0, dealias=dealias))
+
+
+class TestSelfConjugateSlotsKept:
+    """rk4_step builds its result unchecked; k = 0 and K/2 keep the input's values."""
+
+    @staticmethod
+    def assert_slots_kept(before, after):
+        for slot in (0, -1):
+            assert after[slot].real == before[slot].real
+            assert after[slot].imag == before[slot].imag
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_double(self, dealias):
+        rng = np.random.default_rng(53)
+        g = make_grid(64)
+        # a smooth state with a nonzero mean and a nonzero Nyquist mode
+        c = np.array(sine_state(64).coeffs) + 1e-3 * random_hermitian_spectrum(g, rng).coeffs
+        c[0] += 0.75
+        state = Spectrum(g, c)
+        assert state.coeffs[0] != 0 and state.coeffs[-1] != 0
+        for _ in range(20):
+            new = rk4_step(state, 1e-3, RhsOptions(b=3.0, dealias=dealias))
+            self.assert_slots_kept(state.coeffs, new.coeffs)
+            assert not new.coeffs.flags.writeable
+            state = new
+
+    def test_extended32(self):
+        with EXTENDED32.context():
+            field = initial_datum(TYPE_II, make_grid(16), EXTENDED32)
+            c = np.array(forward_transform(field).coeffs)
+            c[-1] = mp.mpc("1e-3")
+            state = Spectrum(make_grid(16), c)
+            for _ in range(3):
+                new = rk4_step(state, 1e-3, RhsOptions(b=3.0))
+                self.assert_slots_kept(state.coeffs, new.coeffs)
+                state = new
+
+
+class TestSnapshotsOwnTheirMemory:
+    """Each recorded state is its own array, untouched by later steps."""
+
+    def test_no_shared_memory_and_early_bytes_unchanged(self):
+        cfg = BFamilyConfig(b=3.0, grid=make_grid(64), dt=1e-3, t_end=0.02,
+                            initial=TYPE_I, dealias=True, sample_every=1)
+        seen = []
+
+        def monitor(t, spectrum):
+            seen.append(spectrum.coeffs.tobytes())
+            return None
+
+        traj = simulate(cfg, strip_monitor=monitor)
+        arrays = [s.coeffs for s in traj.snapshots]
+        assert len(arrays) == 21
+        with working_context(arrays[0]):
+            kernel = rhs_kernel(cfg.grid, cfg.rhs_options, arrays[0])
+        held = [v for v in vars(kernel).values() if isinstance(v, np.ndarray)]
+        for i, coeffs in enumerate(arrays):
+            assert not any(np.shares_memory(coeffs, other) for other in arrays[i + 1 :])
+            assert not any(np.shares_memory(coeffs, buffer) for buffer in held)
+        # bytes at record time (the monitor saw each state right after its step)
+        assert [c.tobytes() for c in arrays[1:]] == seen

@@ -270,3 +270,45 @@ class TestRhsKernel:
         c[0] = 1.0j
         with pytest.raises(SymmetryError):
             rhs(Spectrum(make_grid(16), c), RhsOptions(b=3.0))
+
+
+def held_arrays(kernel):
+    """Every array a kernel holds: its symbol tables and scratch buffers."""
+    return [value for value in vars(kernel).values() if isinstance(value, np.ndarray)]
+
+
+class TestFreshResults:
+    """The kernel reuses its scratch buffers; what it returns is fresh."""
+
+    def test_consecutive_rhs_results_are_independent(self):
+        rng = np.random.default_rng(41)
+        opts = RhsOptions(b=3.0, dealias=True)
+        first_in, second_in = (random_hermitian_spectrum(make_grid(32), rng) for _ in range(2))
+        first = rhs(first_in, opts).coeffs
+        kept = first.tobytes()
+        second = rhs(second_in, opts).coeffs
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_kernel_results_share_no_memory(self, dealias):
+        rng = np.random.default_rng(43)
+        g = make_grid(32)
+        states = [random_hermitian_spectrum(g, rng).coeffs for _ in range(3)]
+        kernel = rhs_kernel(g, RhsOptions(b=2.0, dealias=dealias), states[0])
+        results = [kernel(c) for c in states]
+        kept = [r.tobytes() for r in results]
+        kernel(states[0])
+        assert [r.tobytes() for r in results] == kept
+        for i, result in enumerate(results):
+            assert not any(np.shares_memory(result, other) for other in results[i + 1 :])
+            assert not any(np.shares_memory(result, held) for held in held_arrays(kernel))
+
+    def test_extended_kernel_results_share_no_memory(self):
+        s = to_extended(sine_spectrum(16))
+        with working_context(s.coeffs):
+            kernel = rhs_kernel(s.grid, RhsOptions(b=3.0, dealias=True), s.coeffs)
+            first, second = kernel(s.coeffs), kernel(s.coeffs)
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(first, held) for held in held_arrays(kernel))
+        assert all(a == b for a, b in zip(first, second, strict=True))

@@ -330,6 +330,83 @@ class TestWynnMatchesReference:
         assert type(wynn_epsilon((1.0, 1.0, 1.0))[0]) is float
 
 
+class TestWynnRows:
+    """A stack of sequences runs through one column loop, row by row as if alone."""
+
+    def assert_rows_match(self, rows):
+        results = wynn_epsilon(rows)
+        assert len(results) == len(rows)
+        for row, (limit, depth) in zip(rows, results):
+            alone = wynn_epsilon(row)
+            ref_limit, ref_depth = reference_wynn_epsilon(row, WYNN_RTOL)
+            assert depth == alone[1] == ref_depth
+            assert same_value(limit, alone[0]) and same_value(limit, ref_limit)
+        return [depth for _, depth in results]
+
+    def test_rows_stop_at_their_own_columns(self):
+        harmonic = np.cumsum([(-1) ** (n + 1) / n for n in range(1, 12)]).tolist()
+        early = [0.3, -1.2, 2.9] + [2.0 + 0.5 * 0.5 ** k for k in range(8)]
+        constant = [5.0] * 11
+        depths = self.assert_rows_match([harmonic, early, constant])
+        assert depths[0] > 2 and depths[1] == 2 and depths[2] == 0
+        # the order of the rows does not matter
+        assert self.assert_rows_match([constant, early, harmonic]) == depths[::-1]
+
+    def test_fit_sequences_double_and_extended(self):
+        spec = SyntheticSpec(alpha=1 / 2, delta=0.1, x_star=0.7)
+        sp = oracle_spectrum(spec, make_grid(512))
+        assert max(self.assert_rows_match(list(sliding_sequences(sp, FitOptions(k_min=16))))) >= 2
+        sp = oracle_spectrum(spec, make_grid(256), EXTENDED32)
+        with working_context(sp.coeffs):
+            self.assert_rows_match(list(sliding_sequences(sp, FitOptions(k_min=16))))
+
+    def test_one_row_stack_is_a_list(self):
+        seq = [2.0 + 0.3 * 0.5 ** n for n in range(8)]
+        assert wynn_epsilon([seq]) == [wynn_epsilon(seq)]
+
+    @settings(deadline=None)
+    @given(n=st.integers(min_value=3, max_value=20), data=st.data())
+    def test_random_rows(self, n, data):
+        row = st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=1, max_size=4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_rows_match(rows)
+
+
+class TestNonFiniteExtrapolation:
+    """A non-finite Wynn limit is an ExtrapolationError, and the snapshot is skipped."""
+
+    @staticmethod
+    def poison(monkeypatch, row, value):
+        real = tracker.wynn_epsilon
+
+        def poisoned(rows):
+            results = real(rows)
+            results[row] = (value, results[row][1])
+            return results
+
+        monkeypatch.setattr(tracker, "wynn_epsilon", poisoned)
+
+    @pytest.mark.parametrize("row", [0, 1, 2], ids=["s", "delta", "log_c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_double(self, monkeypatch, row, value):
+        sp = oracle_spectrum(SyntheticSpec(alpha=1 / 2, delta=0.2, x_star=0.7), make_grid(256))
+        options = FitOptions(k_min=16)
+        assert fit_spectrum(sp, options).residual < 0.15
+        self.poison(monkeypatch, row, value)
+        with pytest.raises(ExtrapolationError):
+            fit_spectrum(sp, options)
+        assert strip_monitor(options)(0.0, sp) is None
+
+    def test_extended(self, monkeypatch):
+        sp = oracle_spectrum(SyntheticSpec(alpha=1 / 2, delta=0.2, x_star=0.7),
+                             make_grid(256), EXTENDED32)
+        self.poison(monkeypatch, 1, mp.nan)
+        with pytest.raises(ExtrapolationError):
+            fit_spectrum(sp, FitOptions(k_min=16))
+
+
 class TestEstimateXStar:
     @pytest.mark.parametrize("x_star", [0.0, 1.0, -math.pi / 2, 3.0, -3.0])
     def test_oracle_abscissa_recovery(self, x_star):
