@@ -44,7 +44,7 @@ from .core import GridSpec, inverse_transform
 from .errors import (BFamilyError, ConfigError, GevreyOverflowError,
                      InsufficientDataError)
 from .integrator import BFamilyConfig, StopPolicy, StopReason, simulate
-from .precision import DOUBLE, EXTENDED32, Precision
+from .precision import DOUBLE, EXTENDED32, Precision, working_context
 from .spectral import derivative
 from .synthetic import SyntheticSpec, oracle_spectrum
 from .tracker import (FitOptions, fit_spectrum, late_time_alpha, strip_monitor,
@@ -236,13 +236,17 @@ def _magnitude_lines(trajectory, fmt) -> Iterator[str]:
     Each snapshot is converted to builtin scalars in one ``tolist``, and
     ``t`` is formatted once per snapshot.  Scalar ``abs`` of a builtin
     complex equals that of a numpy complex128; array ``np.abs`` can
-    differ in the last bit, so it is not used.
+    differ in the last bit, so it is not used.  The magnitudes are taken
+    inside the snapshot's working context: mpmath rounds ``abs`` of an
+    extended value to the ambient precision.
     """
     half = trajectory.config.grid.n_modes // 2
     for t, snapshot in zip(trajectory.times, trajectory.snapshots):
         stamp = fmt(t)
-        for k, c in enumerate(snapshot.coeffs[:half].tolist()):
-            yield f"{stamp},{k},{fmt(abs(c))}\n"
+        with working_context(snapshot.coeffs):
+            magnitudes = [abs(c) for c in snapshot.coeffs[:half].tolist()]
+        for k, magnitude in enumerate(magnitudes):
+            yield f"{stamp},{k},{fmt(magnitude)}\n"
 
 
 def _write_summary(path: Path, provenance: dict, facts: dict) -> None:

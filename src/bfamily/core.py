@@ -19,9 +19,12 @@ two self-conjugate modes keep the values of an already checked state.
 The scalar mode is read once per function from ``precision``, the one
 seam between double and extended arithmetic: ``forward_transform`` and
 ``inverse_transform`` run the mode's half-layout transform pair (numpy's
-rfft/irfft, or a radix-2 mpmath FFT), and ``GridSpec.nodes`` and
-``initial_datum`` build their arrays with the mode's conversions and
-elementwise functions.  Nothing here tests a dtype.
+rfft/irfft, or a radix-2 mpmath FFT) and apply the grid's sign
+(-1)**k = exp(-i*k*x_0) between its bins and the coefficients
+(``grid_signs``); ``forward_transform`` also forces k = 0 and K/2 real.
+``GridSpec.nodes`` and ``initial_datum`` build their arrays with the
+mode's conversions and elementwise functions.  Nothing here tests a
+dtype.
 
 Discrete Parseval identity under this normalisation:
 
@@ -32,6 +35,7 @@ Discrete Parseval identity under this normalisation:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -171,6 +175,18 @@ class Spectrum:
         return np.abs(self.coeffs)
 
 
+@functools.lru_cache(maxsize=32)
+def grid_signs(n_modes: int) -> np.ndarray:
+    """(-1)**k for k = 0..K/2, read-only: u_hat[k] = (-1)**k * (bin k of rfft / K).
+
+    The sign is exp(-i*k*x_0) for the first node x_0 = -pi.
+    """
+    signs = np.ones(n_modes // 2 + 1)
+    signs[1::2] = -1.0
+    signs.setflags(write=False)
+    return signs
+
+
 def forward_transform(field: PeriodicField) -> Spectrum:
     """DFT of a real field under the fixed convention.
 
@@ -179,15 +195,19 @@ def forward_transform(field: PeriodicField) -> Spectrum:
     values = field.values
     if not all_finite(values):
         raise NonFiniteFieldError("cannot transform a non-finite field")
+    K = field.grid.n_modes
     with working_context(values) as mode:
-        return Spectrum(field.grid, mode.forward(values, field.grid.n_modes))
+        coeffs = mode.forward(values, K) * grid_signs(K)
+        coeffs[0], coeffs[-1] = coeffs[0].real, coeffs[-1].real
+        return Spectrum(field.grid, coeffs)
 
 
 def inverse_transform(spectrum: Spectrum) -> PeriodicField:
     """Reconstruct the real field from the modes k = 0..K/2."""
     coeffs = spectrum.coeffs
+    K = spectrum.grid.n_modes
     with working_context(coeffs) as mode:
-        return PeriodicField(spectrum.grid, mode.inverse(coeffs, spectrum.grid.n_modes))
+        return PeriodicField(spectrum.grid, mode.inverse(coeffs * grid_signs(K), K))
 
 
 InitialSpec = Union[str, PeriodicField, Callable]

@@ -9,7 +9,12 @@ differ:
 
 - the half-layout transform pair ``forward``/``inverse`` (numpy's
   rfft/irfft, or a radix-2 mpmath FFT), which write into an ``out=``
-  array when given one;
+  array when given one.  It is the plain pair in numpy's
+  ``norm="forward"`` convention: ``forward`` returns the bins
+  k = 0..K/2 of rfft(x) / K and ``inverse`` is the unscaled irfft.  The
+  grid's sign (-1)**k that turns bins into coefficients, and forcing
+  k = 0 and K/2 real, are left to the callers: ``core``'s transforms
+  and the tables of ``spectral.RhsKernel``;
 - scalar ``log``, ``log_ratio`` (log(num/den) of two integers), ``exp``,
   ``sqrt``, ``arg``, ``exp_minus_i`` (exp(-i*theta)) and ``isfinite``,
   and the constants ``pi`` and ``zero`` (a complex zero);
@@ -45,7 +50,6 @@ precision.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -55,15 +59,6 @@ import numpy as np
 
 # Extended mode guarantees at least this many significant decimal digits.
 MIN_EXTENDED_DIGITS = 32
-
-
-@functools.lru_cache(maxsize=32)
-def _alternating_signs(n: int, scale_down: int = 1) -> np.ndarray:
-    """(-1)**k / scale_down for k = 0..n-1, read-only."""
-    signs = np.full(n, 1.0 / scale_down)
-    signs[1::2] *= -1.0
-    signs.setflags(write=False)
-    return signs
 
 
 def _double_log_ratio(num: int, den: int) -> float:
@@ -124,21 +119,12 @@ class DoublePrecision:
         return bool(np.isfinite(arr).all())
 
     def forward(self, values: np.ndarray, n_modes: int, out=None) -> np.ndarray:
-        """Modes k = 0..K/2 of real samples; k = 0 and K/2 are forced real."""
-        half = np.fft.rfft(values, axis=-1, out=out)
-        # scaling by a precomputed +-1/K gives the values of dividing by K
-        # without a complex division
-        half *= _alternating_signs(n_modes // 2 + 1, n_modes)
-        half[..., 0] = half[..., 0].real
-        half[..., -1] = half[..., -1].real
-        return half
+        """rfft(values) / K: bins k = 0..K/2 of real samples."""
+        return np.fft.rfft(values, axis=-1, norm="forward", out=out)
 
     def inverse(self, half: np.ndarray, n_modes: int, out=None) -> np.ndarray:
-        """Real samples of the field whose modes k = 0..K/2 are ``half``."""
-        signed = half * _alternating_signs(n_modes // 2 + 1)
-        values = np.fft.irfft(signed, n=n_modes, axis=-1, out=out)
-        values *= n_modes
-        return values
+        """Unscaled irfft: the K real samples whose bins k = 0..K/2 are ``half``."""
+        return np.fft.irfft(half, n=n_modes, axis=-1, norm="forward", out=out)
 
 
 def _elementwise(func):
@@ -209,27 +195,25 @@ class ExtendedPrecision:
         return all(mp.isfinite(v) for v in arr.ravel())
 
     def forward(self, values: np.ndarray, n_modes: int, out=None) -> np.ndarray:
+        """Bins k = 0..K/2 of the DFT of real samples, divided by K."""
         K = n_modes
         if out is None:
             out = np.empty(values.shape[:-1] + (K // 2 + 1,), dtype=object)
         for index in np.ndindex(values.shape[:-1]):
             bins = _mp_fft([mp.mpc(v) for v in values[index]])
-            half = [bins[k] * ((-1) ** k) / K for k in range(K // 2 + 1)]
-            half[0] = mp.mpc(mp.re(half[0]))
-            half[K // 2] = mp.mpc(mp.re(half[K // 2]))
-            out[index] = half
+            out[index] = [bins[k] / K for k in range(K // 2 + 1)]
         return out
 
     def inverse(self, half: np.ndarray, n_modes: int, out=None) -> np.ndarray:
+        """Unscaled inverse DFT of the Hermitian spectrum whose bins k = 0..K/2 are ``half``."""
         K = n_modes
         if out is None:
             out = np.empty(half.shape[:-1] + (K,), dtype=object)
         for index in np.ndindex(half.shape[:-1]):
             row = half[index]
-            full = list(row) + [mp.conj(v) for v in row[K // 2 - 1 : 0 : -1]]
-            # (-1)**k per slot: k == m (mod 2) for even K, so (-1)**m works;
-            # the exp(+...) transform is the forward FFT under conjugation
-            bins = _mp_fft([mp.conj(v * ((-1) ** m)) for m, v in enumerate(full)])
+            # the exp(+...) transform is the forward FFT under conjugation:
+            # the conjugated full spectrum is conj(row) then the mirrored row
+            bins = _mp_fft([mp.conj(v) for v in row] + list(row[K // 2 - 1 : 0 : -1]))
             out[index] = [mp.re(mp.conj(v)) for v in bins]
         return out
 

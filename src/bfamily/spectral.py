@@ -19,17 +19,21 @@ exact zero and the mean is conserved to the last bit.
 
 ``RhsKernel`` evaluates the right-hand side on the rfft half layout
 (modes k = 0..K/2) with one batched inverse transform of (u_hat,
-ik u_hat) and one batched forward transform of the three products.  Its
-symbol tables (ik, ik/(1+k^2)), the dealiasing cutoff, the constants
-b/2 and (3-b)/2 and its scratch buffers are built once per (K, b,
-dealias, scalar mode, mpmath digits) and cached by ``rhs_kernel``.
-Each evaluation makes one finiteness check, on the stacked
+ik u_hat) and one batched forward transform of the three products.
+The mode's transforms are the plain pair (rfft / K and an unscaled
+irfft); the grid's sign (-1)**k, which turns their bins into
+coefficients, sits in the kernel's tables together with ik and the
+input zeroing, so entering and leaving spectral space cost one multiply
+each.  The tables, the constants b/2 and (3-b)/2 and the scratch
+buffers are built once per (K, b, dealias, scalar mode, mpmath digits)
+and cached by ``rhs_kernel``.  One evaluation makes fifteen numpy calls,
+the two transforms included, and one finiteness check, on the stacked
 physical-space products: a non-finite u or u_x makes u^2 or u_x^2
 non-finite too.  ``Spectrum`` stores the same layout, so ``rhs``,
 ``derivative`` and ``helmholtz_inverse_dx`` act on its coefficients
 directly.  The same code serves double and extended precision; the
-transform pair, the symbol tables and the buffer dtypes come from the
-scalar mode (``precision.transforms_for``).
+transform pair, the tables and the buffer dtypes come from the scalar
+mode (``precision.transforms_for``).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, Spectrum
+from .core import GridSpec, Spectrum, grid_signs
 from .errors import BlowUpOverflowError
 from .precision import Precision, all_finite, transforms_for, working_context
 
@@ -117,10 +121,31 @@ class RhsKernel:
     spectrum is the unpaired Nyquist mode, so the slice ``[keep:]`` with
     ``keep = cutoff + 1`` is the upper third removed by dealiasing.
 
-    Besides its read-only tables, an instance owns the scratch buffers
-    of one evaluation: the fields (u_hat, ik u_hat), their physical
-    values (u, u_x), the three products in physical and in spectral
-    space, and the nonlocal term.  Each stage writes into them with
+    The mode's transform pair is the plain one (bins = rfft / K, and an
+    unscaled irfft back), and bin k is (-1)**k times the coefficient
+    u_hat[k] (``core.grid_signs``).  Read-only tables, built once in the
+    mode's scalar type, fold that sign, the derivative and the input
+    zeroing into one multiply on the way in, and the sign into one
+    multiply on the way back:
+
+    - ``to_bins`` (2, K/2+1): rows (-1)**k and (-1)**k * ik, zero on the
+      dealiased band; the second row is also zero in the Nyquist slot,
+      where the odd symbol ik has no real counterpart.  One multiply
+      turns the state into the bins of (u, u_x).
+    - ``from_bins`` (K/2+1): (-1)**k, turning product bins back into
+      coefficients.
+    - ``symbol``: ik / (1 + k^2); ``weights``: the column (b/2, (3-b)/2).
+
+    The Nyquist slot and the dealiased band of the products are then
+    zeroed through a fixed view of the product buffer.  Zeroing is a
+    multiply by 0 after the sign, not a zero in ``from_bins``: no single
+    table reproduces the signed zeros of scaling and then zeroing, and
+    the kernel keeps its results bit for bit.
+
+    Besides its tables, an instance owns the scratch buffers of one
+    evaluation: the bins of (u, u_x), their physical values, the three
+    products in physical space and in spectral space, the two weighted
+    products and the nonlocal term.  Each stage writes into them with
     ufunc ``out=``.  Only the time derivative that ``__call__`` returns
     is freshly allocated, so it shares memory with no buffer and with no
     earlier result.  The buffers make an instance serve one evaluation
@@ -130,60 +155,60 @@ class RhsKernel:
     def __init__(self, n_modes: int, options: RhsOptions, transforms: Precision) -> None:
         self.n_modes = n_modes
         self.transforms = transforms
-        self.keep = dealias_cutoff(n_modes) + 1 if options.dealias else None
         n_half = n_modes // 2 + 1
-        self.ik, self.symbol = _symbols(transforms, np.arange(n_half))
+        keep = dealias_cutoff(n_modes) + 1 if options.dealias else n_half
+        signs = grid_signs(n_modes)
+        kept = signs.copy()
+        kept[keep:] = 0.0
+        to_bins = transforms.as_complex(transforms.real(kept))
+        ik, self.symbol = _symbols(transforms, np.arange(n_half))
+        ik[-1] *= 0
+        self.to_bins = np.stack([to_bins, to_bins * ik])
+        self.from_bins = transforms.as_complex(transforms.real(signs))
         b = transforms.scalar(options.b)
-        self.half_b = b / 2
-        self.half_rest = (3 - b) / 2
-        for table in (self.ik, self.symbol):
+        self.weights = np.array([[b / 2], [(3 - b) / 2]], dtype=transforms.complex_dtype)
+        for table in (self.to_bins, self.from_bins, self.symbol, self.weights):
             table.setflags(write=False)
         spectral, physical = transforms.complex_dtype, transforms.real_dtype
         self._fields = np.empty((2, n_half), spectral)
         self._physical = np.empty((2, n_modes), physical)
         self._values = np.empty((3, n_modes), physical)
         self._products = np.empty((3, n_half), spectral)
+        # the Nyquist slot, and with dealiasing the whole upper third
+        self._zeroed = self._products[:, min(keep, n_half - 1) :]
+        self._weighted = np.empty((2, n_half), spectral)
         self._nonlocal = np.empty(n_half, spectral)
-        self._scaled = np.empty(n_half, spectral)
 
     def products(self, half: np.ndarray) -> np.ndarray:
         """Half spectra of (u u_x, u^2, u_x^2), stacked; Nyquist slots zeroed.
 
-        The result is the kernel's scratch buffer: the next evaluation
-        overwrites it.  Raises BlowUpOverflowError when a product
-        overflows in physical space.
+        With dealiasing the upper third is zeroed too, in the input and
+        in the products.  The result is the kernel's scratch buffer: the
+        next evaluation overwrites it.  Raises BlowUpOverflowError when
+        a product overflows in physical space.
         """
-        keep = self.keep
-        fields = self._fields
-        fields[0] = half
-        if keep is not None:
-            fields[0, keep:] *= 0
-        np.multiply(fields[0], self.ik, out=fields[1])
-        fields[1, -1] *= 0
-        u, ux = self.transforms.inverse(fields, self.n_modes, out=self._physical)
+        fields = np.multiply(half, self.to_bins, out=self._fields)
+        physical = self.transforms.inverse(fields, self.n_modes, out=self._physical)
         values = self._values
         # overflow here is detected and reported as a blow-up, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(u, ux, out=values[0])
-            np.multiply(u, u, out=values[1])
-            np.multiply(ux, ux, out=values[2])
+            np.multiply(physical[0], physical[1], out=values[0])
+            np.multiply(physical, physical, out=values[1:])
         if not all_finite(values):
             raise BlowUpOverflowError("u, u_x or their products overflowed in physical space")
         products = self.transforms.forward(values, self.n_modes, out=self._products)
-        if keep is not None:
-            products[:, keep:] *= 0
-        products[:, -1] *= 0
+        products *= self.from_bins
+        self._zeroed *= self.transforms.zero
         return products
 
     def __call__(self, half: np.ndarray) -> np.ndarray:
         """Time derivative of the half spectrum, in a fresh array; its k = 0 slot is exact zero."""
-        adv, u_sq, ux_sq = self.products(half)
-        nonlocal_part = np.multiply(self.half_b, u_sq, out=self._nonlocal)
-        nonlocal_part += np.multiply(self.half_rest, ux_sq, out=self._scaled)
+        products = self.products(half)
+        weighted = np.multiply(products[1:], self.weights, out=self._weighted)
+        nonlocal_part = np.add(weighted[0], weighted[1], out=self._nonlocal)
         nonlocal_part *= self.symbol
-        nonlocal_part[-1] *= 0
-        out = np.add(adv, nonlocal_part)
-        np.negative(out, out=out)
+        nonlocal_part += products[0]
+        out = np.negative(nonlocal_part)
         out[0] *= 0
         return out
 

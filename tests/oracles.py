@@ -10,7 +10,8 @@ import numpy as np
 
 from bfamily.cli import SCHEMA_VERSION, _value_formatter
 from bfamily.core import GridSpec, PeriodicField, Spectrum, forward_transform
-from bfamily.precision import _mp_fft, working_context
+from bfamily.errors import BlowUpOverflowError
+from bfamily.precision import _mp_fft, all_finite, working_context
 
 
 def random_field(grid: GridSpec, rng: np.random.Generator) -> PeriodicField:
@@ -191,7 +192,7 @@ def full_layout_rhs(coeffs: np.ndarray, b: float, dealias: bool) -> np.ndarray:
         if extended:
             bins = _mp_fft([mp.conj(c[m] * ((-1) ** m)) for m in range(K)])
             return np.array([mp.re(mp.conj(v)) for v in bins], dtype=object)
-        return np.fft.irfft(c[:half] * signs, n=K) * K
+        return np.fft.irfft(c[:half] * signs, n=K, norm="forward")
 
     def to_spectral(values):
         out = np.empty(K, dtype=coeffs.dtype)
@@ -238,13 +239,20 @@ def reference_magnitudes_csv(path, provenance: dict, trajectory, precision) -> N
 
     Every cell of the rows (t, k, abs(snapshot.coeffs[k])) goes through
     the mode's ``_value_formatter``; ``abs`` acts on the numpy (or
-    mpmath) element of the stored array.  This is how ``bfamily track``
-    wrote the file before its direct per-snapshot writer.
+    mpmath) element of the stored array, inside the mode's working
+    context, so an extended magnitude carries the mode's digits.  This
+    is how ``bfamily track`` wrote the file before its direct
+    per-snapshot writer.
     """
     fmt = _value_formatter(precision)
     half = trajectory.config.grid.n_modes // 2
+
+    def magnitude(c):
+        with precision.context():
+            return abs(c)
+
     rows = (
-        (t, k, abs(snapshot.coeffs[k]))
+        (t, k, magnitude(snapshot.coeffs[k]))
         for t, snapshot in zip(trajectory.times, trajectory.snapshots)
         for k in range(half)
     )
@@ -253,3 +261,119 @@ def reference_magnitudes_csv(path, provenance: dict, trajectory, precision) -> N
         out.writelines(f"# {key} = {value}\n" for key, value in provenance.items())
         out.write("t,k,magnitude\n")
         out.writelines(",".join(fmt(cell) for cell in row) + "\n" for row in rows)
+
+
+def _alternating_signs(n: int, scale_down: int = 1) -> np.ndarray:
+    """(-1)**k / scale_down for k = 0..n-1."""
+    signs = np.full(n, 1.0 / scale_down)
+    signs[1::2] *= -1.0
+    return signs
+
+
+def signed_forward(values: np.ndarray, n_modes: int, out=None) -> np.ndarray:
+    """Coefficients k = 0..K/2 of real samples, the sign folded into the transform.
+
+    The frozen signed transform pair: each mode's ``forward`` before the
+    grid's sign (-1)**k moved out of the transforms.  Double samples are
+    scaled by a precomputed +-1/K after numpy's rfft and k = 0, K/2 are
+    forced real; mpmath samples (object arrays, run inside their working
+    context) go through the radix-2 FFT with (-1)**k / K per slot.
+    """
+    K = n_modes
+    if values.dtype != object:
+        half = np.fft.rfft(values, axis=-1, out=out)
+        half *= _alternating_signs(K // 2 + 1, K)
+        half[..., 0] = half[..., 0].real
+        half[..., -1] = half[..., -1].real
+        return half
+    if out is None:
+        out = np.empty(values.shape[:-1] + (K // 2 + 1,), dtype=object)
+    for index in np.ndindex(values.shape[:-1]):
+        bins = _mp_fft([mp.mpc(v) for v in values[index]])
+        half = [bins[k] * ((-1) ** k) / K for k in range(K // 2 + 1)]
+        half[0] = mp.mpc(mp.re(half[0]))
+        half[K // 2] = mp.mpc(mp.re(half[K // 2]))
+        out[index] = half
+    return out
+
+
+def signed_inverse(half: np.ndarray, n_modes: int, out=None) -> np.ndarray:
+    """Real samples of the field with coefficients ``half``; the inverse of ``signed_forward``."""
+    K = n_modes
+    if half.dtype != object:
+        signed = half * _alternating_signs(K // 2 + 1)
+        values = np.fft.irfft(signed, n=K, axis=-1, out=out)
+        values *= K
+        return values
+    if out is None:
+        out = np.empty(half.shape[:-1] + (K,), dtype=object)
+    for index in np.ndindex(half.shape[:-1]):
+        row = half[index]
+        full = list(row) + [mp.conj(v) for v in row[K // 2 - 1 : 0 : -1]]
+        bins = _mp_fft([mp.conj(v * ((-1) ** m)) for m, v in enumerate(full)])
+        out[index] = [mp.re(mp.conj(v)) for v in bins]
+    return out
+
+
+class ReferenceRhsKernel:
+    """The right-hand-side kernel as it was before its sign and zeroing tables.
+
+    A frozen copy of that arithmetic: the signed transform pair above,
+    the dealiased band and the Nyquist slots zeroed by separate ``*= 0``
+    passes, and the nonlocal term, sum, negation and k = 0 zeroing one
+    operation at a time.  ``spectral.RhsKernel`` must return the same
+    bytes (including signed zeros) at power-of-two K.  Evaluate
+    extended input inside the mpmath precision of the state.
+    """
+
+    def __init__(self, n_modes: int, b: float, dealias: bool, coeffs: np.ndarray) -> None:
+        with working_context(coeffs) as transforms:
+            self.n_modes = n_modes
+            self.keep = (n_modes - 1) // 3 + 1 if dealias else None
+            n_half = n_modes // 2 + 1
+            k = transforms.real(np.arange(n_half))
+            self.ik = 1j * k
+            self.symbol = self.ik / (1 + k * k)
+            b = transforms.scalar(b)
+            self.half_b = b / 2
+            self.half_rest = (3 - b) / 2
+            spectral, physical = transforms.complex_dtype, transforms.real_dtype
+            self._fields = np.empty((2, n_half), spectral)
+            self._physical = np.empty((2, n_modes), physical)
+            self._values = np.empty((3, n_modes), physical)
+            self._products = np.empty((3, n_half), spectral)
+            self._nonlocal = np.empty(n_half, spectral)
+            self._scaled = np.empty(n_half, spectral)
+
+    def products(self, half: np.ndarray) -> np.ndarray:
+        keep = self.keep
+        fields = self._fields
+        fields[0] = half
+        if keep is not None:
+            fields[0, keep:] *= 0
+        np.multiply(fields[0], self.ik, out=fields[1])
+        fields[1, -1] *= 0
+        u, ux = signed_inverse(fields, self.n_modes, out=self._physical)
+        values = self._values
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(u, ux, out=values[0])
+            np.multiply(u, u, out=values[1])
+            np.multiply(ux, ux, out=values[2])
+        if not all_finite(values):
+            raise BlowUpOverflowError("u, u_x or their products overflowed in physical space")
+        products = signed_forward(values, self.n_modes, out=self._products)
+        if keep is not None:
+            products[:, keep:] *= 0
+        products[:, -1] *= 0
+        return products
+
+    def __call__(self, half: np.ndarray) -> np.ndarray:
+        adv, u_sq, ux_sq = self.products(half)
+        nonlocal_part = np.multiply(self.half_b, u_sq, out=self._nonlocal)
+        nonlocal_part += np.multiply(self.half_rest, ux_sq, out=self._scaled)
+        nonlocal_part *= self.symbol
+        nonlocal_part[-1] *= 0
+        out = np.add(adv, nonlocal_part)
+        np.negative(out, out=out)
+        out[0] *= 0
+        return out

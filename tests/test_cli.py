@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -258,6 +259,31 @@ class TestMagnitudesWriter:
         written = (tmp_path / "out" / "magnitudes.csv").read_bytes()
         assert written == reference.read_bytes()
         assert written.count(b"\n") > len(trajectory) * (manifest.config.grid.n_modes // 2)
+
+    def test_extended_magnitudes_carry_the_mode_digits(self, tmp_path, monkeypatch):
+        # |u_hat[1]| at t = 0.01 of a K=16 extended32 run, against the
+        # same coefficient's magnitude taken at 32 digits
+        runs = []
+        real_track_run = cli.track_run
+
+        def capturing_track_run(config, fit):
+            trajectory, trace = real_track_run(config, fit)
+            runs.append(trajectory)
+            return trajectory, trace
+
+        monkeypatch.setattr(cli, "track_run", capturing_track_run)
+        entries = {"modes": "16", "dt": "0.01", "t_end": "0.05", "sample_every": "1",
+                   "fit_kmin": "2", "precision": "extended32"}
+        manifest = build_manifest(entries, tmp_path / "out")
+        assert cli.cmd_track(manifest) == 0
+        (trajectory,) = runs
+        assert trajectory.times[1] == 0.01
+        with mp.workdps(32):
+            expected = abs(trajectory.snapshots[1].coeffs[1])
+        rows = (tmp_path / "out" / "magnitudes.csv").read_text().splitlines()
+        (printed,) = [row.split(",")[2] for row in rows if row.startswith("0.01,1,")]
+        with mp.workdps(60):
+            assert abs(mp.mpf(printed) / expected - 1) < mp.mpf("1e-30")
 
 
 class TestFitOncePerSnapshot:

@@ -21,6 +21,8 @@ from bfamily.core import (
 from bfamily.errors import NonFiniteFieldError, OddResolutionError, SymmetryError
 from bfamily.precision import DOUBLE, EXTENDED32
 
+from oracles import signed_forward, signed_inverse
+
 
 def random_field(grid: GridSpec, rng: np.random.Generator) -> PeriodicField:
     return PeriodicField(grid, rng.standard_normal(grid.n_modes))
@@ -266,3 +268,51 @@ class TestExtendedPrecision:
         with mp.workdps(32):
             err = max(abs(mp.mpc(c) - ce) for c, ce in zip(sd.coeffs, se.coeffs))
             assert float(err) < 1e-14
+
+
+class TestTransformConvention:
+    """The modes' plain transform pair, and the signed transforms built on it."""
+
+    SIZES = (8, 64, 1024)
+
+    @pytest.mark.parametrize("K", SIZES)
+    def test_forward_is_rfft_over_K(self, K):
+        x = np.random.default_rng(K).standard_normal((3, K))
+        assert DOUBLE.forward(x, K).tobytes() == (np.fft.rfft(x) / K).tobytes()
+
+    @pytest.mark.parametrize("K", SIZES)
+    def test_inverse_is_unscaled_irfft(self, K):
+        rng = np.random.default_rng(K + 1)
+        half = rng.standard_normal((2, K // 2 + 1)) + 1j * rng.standard_normal((2, K // 2 + 1))
+        assert DOUBLE.inverse(half, K).tobytes() == (np.fft.irfft(half, n=K) * K).tobytes()
+
+    @staticmethod
+    def fields(K):
+        """Random samples, and data with exact zeros and symmetries."""
+        grid = make_grid(K)
+        rng = np.random.default_rng(K + 2)
+        return [random_field(grid, rng), initial_datum(TYPE_I, grid), initial_datum(TYPE_II, grid)]
+
+    @pytest.mark.parametrize("K", [8, 34, 64, 1024])
+    def test_forward_transform_bytes_unchanged(self, K):
+        # K = 34 has an odd Nyquist index, where forcing k = K/2 real
+        # clears a negative zero
+        for field in self.fields(K):
+            want = signed_forward(field.values, K)
+            assert forward_transform(field).coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("K", SIZES)
+    def test_inverse_transform_bytes_unchanged(self, K):
+        for field in self.fields(K):
+            spectrum = forward_transform(field)
+            want = signed_inverse(spectrum.coeffs, K)
+            assert inverse_transform(spectrum).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("K", [8, 16])
+    def test_extended_signed_transforms_unchanged(self, K):
+        field = initial_datum(TYPE_II, make_grid(K), EXTENDED32)
+        with mp.workdps(32):
+            spectrum = forward_transform(field)
+            assert all(a == b for a, b in zip(spectrum.coeffs, signed_forward(field.values, K)))
+            back = inverse_transform(spectrum).values
+            assert all(a == b for a, b in zip(back, signed_inverse(spectrum.coeffs, K)))

@@ -13,6 +13,7 @@ from bfamily.core import (
     make_grid,
 )
 from bfamily.errors import BlowUpOverflowError, SymmetryError
+from bfamily.integrator import rk4_step
 from bfamily.precision import EXTENDED32, working_context
 from bfamily.spectral import (
     RhsOptions,
@@ -23,7 +24,13 @@ from bfamily.spectral import (
     rhs_kernel,
 )
 
-from oracles import convolution_rhs, full_layout, full_layout_rhs, random_hermitian_spectrum
+from oracles import (
+    ReferenceRhsKernel,
+    convolution_rhs,
+    full_layout,
+    full_layout_rhs,
+    random_hermitian_spectrum,
+)
 
 
 def sine_spectrum(K=32):
@@ -312,3 +319,46 @@ class TestFreshResults:
         assert not np.shares_memory(first, second)
         assert not any(np.shares_memory(first, held) for held in held_arrays(kernel))
         assert all(a == b for a, b in zip(first, second, strict=True))
+
+
+class TestKernelPin:
+    """The kernel against its frozen pre-table arithmetic, along real runs.
+
+    ``tobytes`` also tells signed zeros apart, which ``np.array_equal``
+    does not.  At power-of-two K the outputs agree byte for byte; at
+    other K the unscaled inverse transform moves them by round-off.
+    """
+
+    @staticmethod
+    def run(K, b, dealias, initial, dt, steps, precision=None):
+        """Pairs of (kernel, reference) results on each state of an RK4 run."""
+        grid = make_grid(K)
+        opts = RhsOptions(b=b, dealias=dealias)
+        args = (initial, grid) if precision is None else (initial, grid, precision)
+        state = forward_transform(initial_datum(*args))
+        pairs = []
+        with working_context(state.coeffs):
+            kernel = rhs_kernel(grid, opts, state.coeffs)
+            reference = ReferenceRhsKernel(K, b, dealias, state.coeffs)
+            for _ in range(steps):
+                pairs.append((kernel(state.coeffs), reference(state.coeffs)))
+                state = rk4_step(state, dt, opts)
+        return pairs
+
+    @pytest.mark.parametrize("K,b,dealias,initial,dt", [
+        (1024, 3.0, True, "type1", 1e-4),
+        (256, 0.0, True, "type1", 5e-4),
+        (64, 2.0, False, "type2", 1e-3),
+    ], ids=["deep-K1024-b3", "sweep-K256-b0", "K64-b2-type2"])
+    def test_bytes_equal_reference_along_run(self, K, b, dealias, initial, dt):
+        for step, (got, want) in enumerate(self.run(K, b, dealias, initial, dt, 200)):
+            assert got.tobytes() == want.tobytes(), f"step {step}"
+
+    def test_extended_equals_reference(self):
+        for got, want in self.run(16, 3.0, True, "type1", 1e-2, 5, EXTENDED32):
+            assert all(a == b for a, b in zip(got, want, strict=True))
+
+    def test_non_power_of_two_within_round_off(self):
+        eps = np.finfo(float).eps
+        for got, want in self.run(96, 3.0, True, "type1", 1e-3, 50):
+            assert np.abs(got - want).max() <= 4 * eps * np.abs(want).max()
