@@ -41,10 +41,9 @@ import mpmath as mp
 import numpy as np
 
 from .core import GridSpec, inverse_transform
-from .errors import (BFamilyError, ConfigError, GevreyOverflowError,
-                     InsufficientDataError)
+from .errors import BFamilyError, ConfigError, InsufficientDataError
 from .integrator import BFamilyConfig, StopPolicy, StopReason, simulate
-from .precision import DOUBLE, EXTENDED32, Precision, working_context
+from .precision import DOUBLE, EXTENDED32, Precision
 from .spectral import derivative
 from .synthetic import SyntheticSpec, oracle_spectrum
 from .tracker import (FitOptions, fit_spectrum, late_time_alpha, strip_monitor,
@@ -73,14 +72,6 @@ class RunManifest:
     config: BFamilyConfig
     fit: FitOptions
     out_dir: Path
-    schema_version: int = SCHEMA_VERSION
-
-    def __post_init__(self) -> None:
-        if self.schema_version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"manifest schema version {self.schema_version} does not match "
-                f"this build's version {SCHEMA_VERSION}"
-            )
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -209,7 +200,7 @@ def _value_formatter(precision: Precision):
             return ""
         if isinstance(value, (int, np.integer)):
             return str(int(value))
-        if isinstance(value, (mp.mpf, mp.mpc)):
+        if isinstance(value, precision.scalar_types):
             return mp.nstr(value, digits)
         return repr(float(value))
 
@@ -236,17 +227,14 @@ def _magnitude_lines(trajectory, fmt) -> Iterator[str]:
     Each snapshot is converted to builtin scalars in one ``tolist``, and
     ``t`` is formatted once per snapshot.  Scalar ``abs`` of a builtin
     complex equals that of a numpy complex128; array ``np.abs`` can
-    differ in the last bit, so it is not used.  The magnitudes are taken
-    inside the snapshot's working context: mpmath rounds ``abs`` of an
-    extended value to the ambient precision.
+    differ in the last bit, so it is not used.  ``abs`` of an extended
+    value rounds to the extended mode's own 32 digits.
     """
     half = trajectory.config.grid.n_modes // 2
     for t, snapshot in zip(trajectory.times, trajectory.snapshots):
         stamp = fmt(t)
-        with working_context(snapshot.coeffs):
-            magnitudes = [abs(c) for c in snapshot.coeffs[:half].tolist()]
-        for k, magnitude in enumerate(magnitudes):
-            yield f"{stamp},{k},{fmt(magnitude)}\n"
+        for k, c in enumerate(snapshot.coeffs[:half].tolist()):
+            yield f"{stamp},{k},{fmt(abs(c))}\n"
 
 
 def _write_summary(path: Path, provenance: dict, facts: dict) -> None:
@@ -607,9 +595,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GevreyOverflowError as exc:
-        print(f"overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT

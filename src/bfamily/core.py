@@ -24,7 +24,10 @@ rfft/irfft, or a radix-2 mpmath FFT) and apply the grid's sign
 (``grid_signs``); ``forward_transform`` also forces k = 0 and K/2 real.
 ``GridSpec.nodes`` and ``initial_datum`` build their arrays with the
 mode's conversions and elementwise functions.  Nothing here tests a
-dtype.
+dtype, and nothing enters a precision context except ``initial_datum``
+around a user callable, which may call global mpmath functions.
+Extended coefficients from outside the package enter the mode's own
+context when ``Spectrum`` is built (``as_complex``).
 
 Discrete Parseval identity under this normalisation:
 
@@ -42,7 +45,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import NonFiniteFieldError, OddResolutionError, SymmetryError
-from .precision import DOUBLE, Precision, all_finite, working_context
+from .precision import DOUBLE, Precision, all_finite, transforms_for
 
 MIN_MODES = 8
 
@@ -77,8 +80,7 @@ class GridSpec:
     def nodes(self, precision: Precision = DOUBLE) -> np.ndarray:
         """Node positions x_j = -pi + j*2*pi/K in the requested scalar mode."""
         K = self.n_modes
-        with precision.context():
-            return -precision.pi + (2 * precision.pi / K) * precision.real(np.arange(K))
+        return -precision.pi + (2 * precision.pi / K) * precision.real(np.arange(K))
 
     def wavenumbers(self) -> np.ndarray:
         """Integer wavenumber of each ``Spectrum`` slot: 0 .. K/2."""
@@ -129,8 +131,9 @@ class Spectrum:
     The negative modes are the conjugates and are not stored.
     Construction checks the shape (K/2 + 1,) and raises SymmetryError
     when u_hat[0] or u_hat[K/2] has an imaginary part beyond round-off
-    (for object arrays, the round-off of their working precision).
-    Non-finite entries are left to the finiteness checks.
+    (for object arrays, the round-off of the extended mode, whose context
+    each element is converted into).  Non-finite entries are left to the
+    finiteness checks.
     """
 
     grid: GridSpec
@@ -143,10 +146,10 @@ class Spectrum:
             raise ValueError(
                 f"expected {n_half} coefficients (k = 0..K/2), got shape {coeffs.shape}"
             )
-        with working_context(coeffs) as mode:
-            coeffs = mode.as_complex(coeffs)
-            scale = max(float(np.abs(coeffs).max()), 1e-300)
-            tol = SYMMETRY_RTOL_ULPS * mode.ulp * scale
+        mode = transforms_for(coeffs)
+        coeffs = mode.as_complex(coeffs)
+        scale = max(float(np.abs(coeffs).max()), 1e-300)
+        tol = SYMMETRY_RTOL_ULPS * mode.ulp * scale
         if abs(coeffs[0].imag) > tol or abs(coeffs[-1].imag) > tol:
             raise SymmetryError(
                 "the k = 0 and k = K/2 coefficients of a real field must be real; "
@@ -196,18 +199,17 @@ def forward_transform(field: PeriodicField) -> Spectrum:
     if not all_finite(values):
         raise NonFiniteFieldError("cannot transform a non-finite field")
     K = field.grid.n_modes
-    with working_context(values) as mode:
-        coeffs = mode.forward(values, K) * grid_signs(K)
-        coeffs[0], coeffs[-1] = coeffs[0].real, coeffs[-1].real
-        return Spectrum(field.grid, coeffs)
+    coeffs = transforms_for(values).forward(values, K) * grid_signs(K)
+    coeffs[0], coeffs[-1] = coeffs[0].real, coeffs[-1].real
+    return Spectrum(field.grid, coeffs)
 
 
 def inverse_transform(spectrum: Spectrum) -> PeriodicField:
     """Reconstruct the real field from the modes k = 0..K/2."""
     coeffs = spectrum.coeffs
     K = spectrum.grid.n_modes
-    with working_context(coeffs) as mode:
-        return PeriodicField(spectrum.grid, mode.inverse(coeffs * grid_signs(K), K))
+    values = transforms_for(coeffs).inverse(coeffs * grid_signs(K), K)
+    return PeriodicField(spectrum.grid, values)
 
 
 InitialSpec = Union[str, PeriodicField, Callable]
@@ -219,20 +221,23 @@ def initial_datum(
     """Build the initial field from a named profile, samples, or callable.
 
     Recognised names: ``type1`` (sin x) and ``type2`` (1 + sin x).  A
-    callable receives node coordinates in the active scalar mode.
+    callable receives node coordinates in the requested scalar mode, and
+    runs inside the mode's ``context()`` so that global mpmath functions
+    it calls work at the mode's digits; its results are converted into
+    the mode.
     """
     if isinstance(initial, PeriodicField):
         if initial.grid != grid:
             raise ValueError("supplied field lives on a different grid")
         return initial
     x = grid.nodes(precision)
-    with precision.context():
-        if callable(initial):
+    if callable(initial):
+        with precision.context():
             values = precision.real([initial(xj) for xj in x])
-        elif initial == TYPE_I:
-            values = precision.sin_array(x)
-        elif initial == TYPE_II:
-            values = 1 + precision.sin_array(x)
-        else:
-            raise ValueError(f"unknown initial datum {initial!r}")
-        return PeriodicField(grid, values)
+    elif initial == TYPE_I:
+        values = precision.sin_array(x)
+    elif initial == TYPE_II:
+        values = 1 + precision.sin_array(x)
+    else:
+        raise ValueError(f"unknown initial datum {initial!r}")
+    return PeriodicField(grid, values)

@@ -12,7 +12,9 @@ coefficients, which ``Spectrum`` stores in the kernel's own layout
 (modes k = 0..K/2): the four stages are plain arrays (one finiteness
 check each inside the kernel), and the result array becomes the new
 ``Spectrum`` as it is, without a copy or a symmetry check.
-``simulate`` additionally checks each new state for finiteness.
+``simulate`` additionally checks each new state for finiteness.  Both
+run one code path in either scalar mode: extended states carry their
+own 32-digit mpmath context, so nothing here enters one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .core import GridSpec, InitialSpec, Spectrum, forward_transform, initial_datum
 from .errors import BlowUpOverflowError, ConfigError
-from .precision import DOUBLE, Precision, all_finite, working_context
+from .precision import DOUBLE, Precision, all_finite
 from .spectral import RhsOptions, rhs_kernel
 
 
@@ -119,23 +121,22 @@ def rk4_step(state: Spectrum, dt: float, options: RhsOptions) -> Spectrum:
     """
     grid = state.grid
     c0 = state.coeffs
-    with working_context(c0):
-        f = rhs_kernel(grid, options, c0)
-        stage = np.empty_like(c0)
-        k1 = f(c0)
-        k2 = f(_stage_input(c0, dt / 2, k1, stage))
-        k3 = f(_stage_input(c0, dt / 2, k2, stage))
-        k4 = f(_stage_input(c0, dt, k3, stage))
-        # the kernel returns fresh arrays, so k2 and k3 can be overwritten
-        total = k2
-        total *= 2
-        total += k1
-        k3 *= 2
-        total += k3
-        total += k4
-        total *= dt / 6
-        total += c0
-        return Spectrum.unchecked(grid, total)
+    f = rhs_kernel(grid, options, c0)
+    stage = np.empty_like(c0)
+    k1 = f(c0)
+    k2 = f(_stage_input(c0, dt / 2, k1, stage))
+    k3 = f(_stage_input(c0, dt / 2, k2, stage))
+    k4 = f(_stage_input(c0, dt, k3, stage))
+    # the kernel returns fresh arrays, so k2 and k3 can be overwritten
+    total = k2
+    total *= 2
+    total += k1
+    k3 *= 2
+    total += k3
+    total += k4
+    total *= dt / 6
+    total += c0
+    return Spectrum.unchecked(grid, total)
 
 
 def _stage_input(c0: np.ndarray, h: float, k: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -160,47 +161,46 @@ def simulate(config: BFamilyConfig, strip_monitor: Optional[StripMonitor] = None
     overflow ends the run with StopReason.OVERFLOW and the trajectory
     holds everything recorded up to the last finite state.
     """
-    with config.precision.context():
-        u0 = initial_datum(config.initial, config.grid, config.precision)
-        state = forward_transform(u0)
-        opts = config.rhs_options
-        dt = config.dt
-        threshold = config.stop_policy.threshold(config.grid)
+    u0 = initial_datum(config.initial, config.grid, config.precision)
+    state = forward_transform(u0)
+    opts = config.rhs_options
+    dt = config.dt
+    threshold = config.stop_policy.threshold(config.grid)
 
-        # steps of dt, then one short remainder step that ends at t_end
-        n_full, remainder = _step_budget(config.t_end, dt)
-        n_steps = n_full + (remainder > 0.0)
-        times = [0.0]
-        snapshots = [state]
-        stop = StopReason.REACHED_T_END
-        for step_index in range(1, n_steps + 1):
-            if step_index <= n_full:
-                h, t = dt, step_index * dt
-            else:
-                h, t = remainder, config.t_end
-            try:
-                state = rk4_step(state, h, opts)
-            except BlowUpOverflowError:
-                stop = StopReason.OVERFLOW
-                break
-            if not all_finite(state.coeffs):
-                stop = StopReason.OVERFLOW
-                break
-            if step_index % config.sample_every == 0 or step_index == n_steps:
-                times.append(t)
-                snapshots.append(state)
-                if strip_monitor is not None:
-                    width = strip_monitor(t, state)
-                    if width is not None and width < threshold:
-                        stop = StopReason.RESOLUTION_LIMIT
-                        break
+    # steps of dt, then one short remainder step that ends at t_end
+    n_full, remainder = _step_budget(config.t_end, dt)
+    n_steps = n_full + (remainder > 0.0)
+    times = [0.0]
+    snapshots = [state]
+    stop = StopReason.REACHED_T_END
+    for step_index in range(1, n_steps + 1):
+        if step_index <= n_full:
+            h, t = dt, step_index * dt
+        else:
+            h, t = remainder, config.t_end
+        try:
+            state = rk4_step(state, h, opts)
+        except BlowUpOverflowError:
+            stop = StopReason.OVERFLOW
+            break
+        if not all_finite(state.coeffs):
+            stop = StopReason.OVERFLOW
+            break
+        if step_index % config.sample_every == 0 or step_index == n_steps:
+            times.append(t)
+            snapshots.append(state)
+            if strip_monitor is not None:
+                width = strip_monitor(t, state)
+                if width is not None and width < threshold:
+                    stop = StopReason.RESOLUTION_LIMIT
+                    break
 
-        return Trajectory(
-            config=config,
-            times=tuple(times),
-            snapshots=tuple(snapshots),
-            stop_reason=stop,
-        )
+    return Trajectory(
+        config=config,
+        times=tuple(times),
+        snapshots=tuple(snapshots),
+        stop_reason=stop,
+    )
 
 
 def _step_budget(t_end: float, dt: float) -> tuple[int, float]:

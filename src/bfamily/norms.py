@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Spectrum
 from .errors import GevreyOverflowError
-from .precision import working_context
+from .precision import transforms_for
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,8 @@ def gevrey_norm(spectrum: Spectrum, params: GevreyParams) -> float:
     makes that practically unreachable.
     """
     coeffs = spectrum.coeffs
-    with working_context(coeffs) as mode, np.errstate(over="ignore", invalid="ignore"):
+    mode = transforms_for(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
         k = mode.real(spectrum.grid.wavenumbers())
         weights = (1 + k**2) ** params.order
         if params.radius:

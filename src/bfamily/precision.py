@@ -23,28 +23,31 @@ differ:
 - conversions ``scalar``, ``real`` (to a real working-precision array)
   and ``as_complex``, and the array dtypes ``real_dtype`` and
   ``complex_dtype`` for preallocated buffers;
-- the unit round-off ``ulp``, the decimal ``digits`` and ``label``, and
-  the working ``context()``.
+- the unit round-off ``ulp``, the decimal ``digits`` and ``label``, the
+  ``scalar_types`` of the mode's own scalars (empty for double), and a
+  ``context()`` for code outside the package.
 
 A function reads its mode once, from a ``Precision`` argument or from an
-array (``transforms_for``, or ``working_context``, which enters the
-mode's context and yields the mode), and then runs one code path.  The
-dtype test in ``transforms_for`` is the only place that tells the two
-modes apart.
+array (``transforms_for``), and then runs one code path.  The dtype test
+in ``transforms_for`` is the only place that tells the two modes apart.
 
 The double mode binds scalar ``math`` functions for scalar operations
 and numpy functions for array operations, and ``log_ratio`` takes
 ``math.log1p`` of the excess over the smaller integer where the
-extended mode takes ``mp.log`` of the ratio.  Scalar ``math.log`` and
+extended mode takes the log of the ratio.  Scalar ``math.log`` and
 array ``np.log`` (likewise ``abs`` and ``np.abs``) differ in the last
 bit on some inputs, so swapping one for the other changes double
 results.
 
-mpmath evaluates transcendentals at the *ambient* working precision, so
-extended work runs inside ``context()``: ``mp.workdps`` at the mode's
-digits.  For an object array, ``transforms_for`` picks at least
-MIN_EXTENDED_DIGITS digits and honours an already-raised ambient
-precision.
+The extended mode owns a private mpmath context at 32 decimal digits.
+An mpmath value carries its context, so arithmetic and functions on
+extended values run at 32 digits whatever the global mpmath precision
+is, and no caller enters anything.  Object arrays from outside the
+package enter that context where they become package values: in
+``Spectrum`` (through ``as_complex``) and in the inputs of the extended
+transforms.  ``context()`` sets the *global* mpmath precision to the
+mode's digits, for foreign code only: a user callable that calls global
+``mpmath`` functions, or a test's own reference.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ from typing import Union
 import mpmath as mp
 import numpy as np
 
-# Extended mode guarantees at least this many significant decimal digits.
-MIN_EXTENDED_DIGITS = 32
+# The extended mode's private mpmath context: its values compute at 32 digits.
+_CTX = mp.MPContext()
+_CTX.dps = 32
 
 
 def _double_log_ratio(num: int, den: int) -> float:
@@ -91,6 +95,7 @@ class DoublePrecision:
     ulp = float(np.finfo(np.float64).eps)
     pi = math.pi
     zero = 0j
+    scalar_types = ()
 
     log = staticmethod(math.log)
     log_ratio = staticmethod(_double_log_ratio)
@@ -128,71 +133,54 @@ class DoublePrecision:
 
 
 def _elementwise(func):
-    """``func`` mapped over an object array, evaluated at the ambient precision."""
+    """``func`` mapped over an object array."""
     return staticmethod(np.frompyfunc(func, 1, 1))
 
 
 @dataclass(frozen=True)
 class ExtendedPrecision:
-    """mpmath at ``digits`` decimal digits: object arrays of mpf/mpc.
+    """mpmath at 32 decimal digits in a private context: object arrays of mpf/mpc."""
 
-    Its operations read the ambient mpmath precision, so use them inside
-    ``context()``.
-    """
-
-    digits: int
-
-    def __post_init__(self) -> None:
-        if self.digits < MIN_EXTENDED_DIGITS:
-            raise ValueError(
-                f"extended mode carries at least {MIN_EXTENDED_DIGITS} digits, "
-                f"got {self.digits}"
-            )
-
-    pi = mp.pi
-    zero = mp.mpc(0)
+    digits = 32
+    label = "extended32"
     real_dtype = complex_dtype = np.dtype(object)
+    scalar_types = (_CTX.mpf, _CTX.mpc)
+    ulp = float(_CTX.eps)
+    pi = _CTX.pi
+    zero = _CTX.mpc(0)
 
-    log = staticmethod(mp.log)
-    exp = staticmethod(mp.exp)
-    sqrt = staticmethod(mp.sqrt)
-    isfinite = staticmethod(mp.isfinite)
-    arg = staticmethod(mp.arg)
-    scalar = staticmethod(mp.mpf)
+    log = staticmethod(_CTX.log)
+    exp = staticmethod(_CTX.exp)
+    sqrt = staticmethod(_CTX.sqrt)
+    isfinite = staticmethod(_CTX.isfinite)
+    arg = staticmethod(_CTX.arg)
+    scalar = staticmethod(_CTX.mpf)
 
-    exp_array = _elementwise(mp.exp)
-    sin_array = _elementwise(mp.sin)
-    real_part = _elementwise(mp.re)
+    exp_array = _elementwise(_CTX.exp)
+    sin_array = _elementwise(_CTX.sin)
+    real_part = _elementwise(_CTX.re)
+    # entry into the context: an outside mpf stays an mpf, a package value is kept
+    as_complex = _elementwise(_CTX.convert)
 
     @staticmethod
     def log_ratio(num: int, den: int):
-        return mp.log(mp.mpf(num) / den)
+        return _CTX.log(_CTX.mpf(num) / den)
 
     @staticmethod
     def exp_minus_i(theta):
-        return mp.expj(-theta)
-
-    @property
-    def label(self) -> str:
-        return f"extended{self.digits}"
-
-    @property
-    def ulp(self) -> float:
-        return float(mp.eps)
+        return _CTX.expj(-theta)
 
     @contextlib.contextmanager
     def context(self):
+        """The global mpmath precision at the mode's digits, for foreign code."""
         with mp.workdps(self.digits):
             yield self
 
     def real(self, values) -> np.ndarray:
-        return np.array([mp.mpf(v) for v in np.asarray(values, dtype=object)], dtype=object)
-
-    def as_complex(self, arr: np.ndarray) -> np.ndarray:
-        return arr
+        return np.array([_CTX.mpf(v) for v in np.asarray(values, dtype=object)], dtype=object)
 
     def all_finite(self, arr: np.ndarray) -> bool:
-        return all(mp.isfinite(v) for v in arr.ravel())
+        return all(_CTX.isfinite(v) for v in arr.ravel())
 
     def forward(self, values: np.ndarray, n_modes: int, out=None) -> np.ndarray:
         """Bins k = 0..K/2 of the DFT of real samples, divided by K."""
@@ -200,7 +188,7 @@ class ExtendedPrecision:
         if out is None:
             out = np.empty(values.shape[:-1] + (K // 2 + 1,), dtype=object)
         for index in np.ndindex(values.shape[:-1]):
-            bins = _mp_fft([mp.mpc(v) for v in values[index]])
+            bins = _mp_fft([_CTX.mpc(v) for v in values[index]])
             out[index] = [bins[k] / K for k in range(K // 2 + 1)]
         return out
 
@@ -210,29 +198,29 @@ class ExtendedPrecision:
         if out is None:
             out = np.empty(half.shape[:-1] + (K,), dtype=object)
         for index in np.ndindex(half.shape[:-1]):
-            row = half[index]
+            row = [_CTX.convert(v) for v in half[index]]
             # the exp(+...) transform is the forward FFT under conjugation:
             # the conjugated full spectrum is conj(row) then the mirrored row
-            bins = _mp_fft([mp.conj(v) for v in row] + list(row[K // 2 - 1 : 0 : -1]))
-            out[index] = [mp.re(mp.conj(v)) for v in bins]
+            bins = _mp_fft([_CTX.conj(v) for v in row] + row[K // 2 - 1 : 0 : -1])
+            out[index] = [_CTX.re(_CTX.conj(v)) for v in bins]
         return out
 
 
 def _mp_fft(a: list) -> list:
-    """Radix-2 forward DFT, sum_j a_j exp(-2*pi*i*j*k/n), on mpmath scalars."""
+    """Radix-2 forward DFT, sum_j a_j exp(-2*pi*i*j*k/n), on extended scalars."""
     n = len(a)
     if n == 1:
         return list(a)
     if n % 2:
         return [
-            sum(a[j] * mp.expjpi(mp.mpf(-2 * ((j * k) % n)) / n) for j in range(n))
+            sum(a[j] * _CTX.expjpi(_CTX.mpf(-2 * ((j * k) % n)) / n) for j in range(n))
             for k in range(n)
         ]
     even = _mp_fft(a[0::2])
     odd = _mp_fft(a[1::2])
     out = [None] * n
     for m in range(n // 2):
-        tw = mp.expjpi(mp.mpf(-2 * m) / n) * odd[m]
+        tw = _CTX.expjpi(_CTX.mpf(-2 * m) / n) * odd[m]
         out[m] = even[m] + tw
         out[m + n // 2] = even[m] - tw
     return out
@@ -241,23 +229,12 @@ def _mp_fft(a: list) -> list:
 Precision = Union[DoublePrecision, ExtendedPrecision]
 
 DOUBLE = DoublePrecision()
-EXTENDED32 = ExtendedPrecision(MIN_EXTENDED_DIGITS)
+EXTENDED32 = ExtendedPrecision()
 
 
 def transforms_for(arr: np.ndarray) -> Precision:
-    """The scalar mode of an array: extended for object arrays, else double.
-
-    An extended mode carries the ambient mpmath precision, raised to at
-    least MIN_EXTENDED_DIGITS.
-    """
-    if arr.dtype == object:
-        return ExtendedPrecision(max(mp.mp.dps, MIN_EXTENDED_DIGITS))
-    return DOUBLE
-
-
-def working_context(arr: np.ndarray):
-    """Context of the array's scalar mode; entering it yields the mode."""
-    return transforms_for(arr).context()
+    """The scalar mode of an array: extended for object arrays, else double."""
+    return EXTENDED32 if arr.dtype == object else DOUBLE
 
 
 def all_finite(arr: np.ndarray) -> bool:

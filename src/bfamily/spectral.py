@@ -25,9 +25,9 @@ irfft); the grid's sign (-1)**k, which turns their bins into
 coefficients, sits in the kernel's tables together with ik and the
 input zeroing, so entering and leaving spectral space cost one multiply
 each.  The tables, the constants b/2 and (3-b)/2 and the scratch
-buffers are built once per (K, b, dealias, scalar mode, mpmath digits)
-and cached by ``rhs_kernel``.  One evaluation makes fifteen numpy calls,
-the two transforms included, and one finiteness check, on the stacked
+buffers are built once per (K, b, dealias, scalar mode) and cached by
+``rhs_kernel``.  One evaluation makes fifteen numpy calls, the two
+transforms included, and one finiteness check, on the stacked
 physical-space products: a non-finite u or u_x makes u^2 or u_x^2
 non-finite too.  ``Spectrum`` stores the same layout, so ``rhs``,
 ``derivative`` and ``helmholtz_inverse_dx`` act on its coefficients
@@ -45,7 +45,7 @@ import numpy as np
 
 from .core import GridSpec, Spectrum, grid_signs
 from .errors import BlowUpOverflowError
-from .precision import Precision, all_finite, transforms_for, working_context
+from .precision import Precision, all_finite, transforms_for
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,11 @@ def derivative(spectrum: Spectrum, order: int = 1) -> Spectrum:
     """
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    with working_context(spectrum.coeffs) as mode:
-        ik, _ = _symbols(mode, spectrum.grid.wavenumbers())
-        coeffs = spectrum.coeffs * ik**order
-        if order % 2 == 1:
-            coeffs[-1] *= 0
-        return Spectrum(spectrum.grid, coeffs)
+    ik, _ = _symbols(transforms_for(spectrum.coeffs), spectrum.grid.wavenumbers())
+    coeffs = spectrum.coeffs * ik**order
+    if order % 2 == 1:
+        coeffs[-1] *= 0
+    return Spectrum(spectrum.grid, coeffs)
 
 
 def helmholtz_inverse_dx(spectrum: Spectrum) -> Spectrum:
@@ -106,20 +105,19 @@ def helmholtz_inverse_dx(spectrum: Spectrum) -> Spectrum:
     The k = 0 slot is annihilated by the symbol; the Nyquist slot is
     zeroed explicitly because the symbol is odd.
     """
-    with working_context(spectrum.coeffs) as mode:
-        _, symbol = _symbols(mode, spectrum.grid.wavenumbers())
-        coeffs = spectrum.coeffs * symbol
-        coeffs[-1] *= 0
-        return Spectrum(spectrum.grid, coeffs)
+    _, symbol = _symbols(transforms_for(spectrum.coeffs), spectrum.grid.wavenumbers())
+    coeffs = spectrum.coeffs * symbol
+    coeffs[-1] *= 0
+    return Spectrum(spectrum.grid, coeffs)
 
 
 class RhsKernel:
     """The right-hand side on half spectra (modes k = 0..K/2).
 
-    Instances are shared through ``rhs_kernel``; evaluate them inside
-    the ``working_context`` of the state.  The last slot of a half
-    spectrum is the unpaired Nyquist mode, so the slice ``[keep:]`` with
-    ``keep = cutoff + 1`` is the upper third removed by dealiasing.
+    Instances are shared through ``rhs_kernel``, one per grid, equation
+    and scalar mode.  The last slot of a half spectrum is the unpaired
+    Nyquist mode, so the slice ``[keep:]`` with ``keep = cutoff + 1`` is
+    the upper third removed by dealiasing.
 
     The mode's transform pair is the plain one (bins = rfft / K, and an
     unscaled irfft back), and bin k is (-1)**k times the coefficient
@@ -219,11 +217,7 @@ def _cached_kernel(n_modes: int, options: RhsOptions, transforms: Precision) -> 
 
 
 def rhs_kernel(grid: GridSpec, options: RhsOptions, coeffs: np.ndarray) -> RhsKernel:
-    """The cached kernel for this grid, equation and the scalar mode of ``coeffs``.
-
-    Call inside the ``working_context`` of ``coeffs``: extended kernels
-    are keyed by the ambient mpmath precision.
-    """
+    """The cached kernel for this grid, equation and the scalar mode of ``coeffs``."""
     return _cached_kernel(grid.n_modes, options, transforms_for(coeffs))
 
 
@@ -235,6 +229,5 @@ def rhs(spectrum: Spectrum, options: RhsOptions) -> Spectrum:
     contributions cancel in exact arithmetic) and the nonlocal symbol
     vanishes at k = 0, so zeroing only removes round-off.
     """
-    with working_context(spectrum.coeffs):
-        kernel = rhs_kernel(spectrum.grid, options, spectrum.coeffs)
-        return Spectrum(spectrum.grid, kernel(spectrum.coeffs))
+    kernel = rhs_kernel(spectrum.grid, options, spectrum.coeffs)
+    return Spectrum(spectrum.grid, kernel(spectrum.coeffs))

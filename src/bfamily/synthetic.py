@@ -67,24 +67,22 @@ def oracle_field(spec: SyntheticSpec, grid: GridSpec,
     so the principal power equals the binomial series everywhere.
     """
     x = grid.nodes(precision)
-    with precision.context():
-        w = precision.exp_array(-spec.delta + 1j * (x - spec.x_star))
-        values = spec.amplitude * precision.real_part((1.0 - w) ** spec.alpha)
+    w = precision.exp_array(-spec.delta + 1j * (x - spec.x_star))
+    values = spec.amplitude * precision.real_part((1.0 - w) ** spec.alpha)
     return PeriodicField(grid=grid, values=values)
 
 
 def _coefficient_table(spec: SyntheticSpec, count: int, precision: Precision) -> np.ndarray:
     """One-sided coefficients u_hat[k] for k = 0 .. count-1."""
-    with precision.context():
-        alpha, delta, x_star = (precision.scalar(v) for v in (spec.alpha, spec.delta, spec.x_star))
-        half = precision.scalar(spec.amplitude) / 2
-        table = [precision.zero + spec.amplitude]
-        signed = precision.scalar(1)  # (-1)**k * binom(alpha, k)
-        for k in range(1, count):
-            signed *= (k - 1 - alpha) / k
-            table.append(half * signed * precision.exp(-delta * k)
-                         * precision.exp_minus_i(k * x_star))
-        return np.array(table)
+    alpha, delta, x_star = (precision.scalar(v) for v in (spec.alpha, spec.delta, spec.x_star))
+    half = precision.scalar(spec.amplitude) / 2
+    table = [precision.zero + spec.amplitude]
+    signed = precision.scalar(1)  # (-1)**k * binom(alpha, k)
+    for k in range(1, count):
+        signed *= (k - 1 - alpha) / k
+        table.append(half * signed * precision.exp(-delta * k)
+                     * precision.exp_minus_i(k * x_star))
+    return np.array(table)
 
 
 def oracle_coefficients(spec: SyntheticSpec, k: int,

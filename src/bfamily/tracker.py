@@ -43,7 +43,7 @@ from .core import Spectrum
 from .errors import (EmptyWindowError, ExtrapolationError,
                      InsufficientDataError, NoiseFloorError)
 from .integrator import BFamilyConfig, Trajectory, simulate
-from .precision import Precision, working_context
+from .precision import Precision, transforms_for
 
 # A mode participates in fits only if its magnitude exceeds this many
 # units of round-off relative to the spectrum's largest magnitude.
@@ -132,14 +132,14 @@ def local_fit(spectrum: Spectrum, k: int):
     K = spectrum.grid.n_modes
     if not 2 <= k <= K // 2 - 2:
         raise ValueError(f"fit wavenumber must lie in [2, {K // 2 - 2}], got {k}")
-    with working_context(spectrum.coeffs) as mode:
-        mags, floor = _magnitudes(spectrum, mode)
-        triple = mags[k - 1], mags[k], mags[k + 1]
-        if not all(m > floor for m in triple):
-            raise NoiseFloorError(
-                f"magnitudes around k={k} sit at or below the noise floor {float(floor):.3e}"
-            )
-        return _local_fit_from_triple(triple, k, mode)
+    mode = transforms_for(spectrum.coeffs)
+    mags, floor = _magnitudes(spectrum, mode)
+    triple = mags[k - 1], mags[k], mags[k + 1]
+    if not all(m > floor for m in triple):
+        raise NoiseFloorError(
+            f"magnitudes around k={k} sit at or below the noise floor {float(floor):.3e}"
+        )
+    return _local_fit_from_triple(triple, k, mode)
 
 
 def _local_fit_from_triple(triple, k: int, mode: Precision):
@@ -153,9 +153,9 @@ def _local_fit_from_triple(triple, k: int, mode: Precision):
 
 def sliding_fit(spectrum: Spectrum, ks: Sequence[int]) -> SlidingFit:
     """Apply the three-point fit across a window of wavenumbers."""
-    with working_context(spectrum.coeffs) as mode:
-        mags, floor = _magnitudes(spectrum, mode)
-        return _sliding_fit(mags, floor, ks, mode)
+    mode = transforms_for(spectrum.coeffs)
+    mags, floor = _magnitudes(spectrum, mode)
+    return _sliding_fit(mags, floor, ks, mode)
 
 
 def _sliding_fit(mags: np.ndarray, floor, ks: Sequence[int], mode: Precision) -> SlidingFit:
@@ -200,8 +200,9 @@ def wynn_epsilon(seq):
     alone; a single sequence is the one-row case.
 
     Each column is one whole-array step, on a float array for doubles
-    and an object array for mpmath values (evaluated in the caller's
-    working context).  A double limit comes back as a builtin float.
+    and an object array for extended values, which compute at the
+    precision of their own context.  A double limit comes back as a
+    builtin float.
     """
     prev = np.asarray(list(seq))
     single = prev.ndim == 1
@@ -243,36 +244,36 @@ def estimate_x_star(spectrum: Spectrum, ks: Sequence[int]):
     ks = [int(k) for k in ks]
     if len(ks) < 2:
         raise EmptyWindowError("phase fit needs at least 2 wavenumbers")
-    with working_context(spectrum.coeffs) as mode:
-        coeffs = [spectrum.coeffs[k] for k in ks]
-        # circular mean of consecutive phase increments
-        acc = mode.zero
-        for (k1, c1), (k2, c2) in zip(zip(ks, coeffs), zip(ks[1:], coeffs[1:])):
-            if k2 == k1 + 1 and abs(c1) > 0 and abs(c2) > 0:
-                z = c2 / c1
-                acc += z / abs(z)
-        if abs(acc) == 0:
-            increment = 0 * coeffs[0].real
-        else:
-            increment = mode.arg(acc)
-        # unwrap the demodulated phases to the nearest branch
-        two_pi = 2 * mode.pi
-        phases = []
-        for k, c in zip(ks, coeffs):
-            phi = mode.arg(c) - increment * k
-            if phases:
-                n_wraps = round(float(phases[-1] - phi) / float(two_pi))
-                phi = phi + n_wraps * two_pi
-            phases.append(phi)
-        # least-squares slope of phase against k
-        n = len(ks)
-        k_mean = sum(ks) / mode.scalar(n)
-        p_mean = sum(phases) / n
-        sxx = sum((k - k_mean) ** 2 for k in ks)
-        sxy = sum((k - k_mean) * (p - p_mean) for k, p in zip(ks, phases))
-        slope = increment + sxy / sxx
-        # -slope reduced to [-pi, pi)
-        return (-slope + mode.pi) % two_pi - mode.pi
+    mode = transforms_for(spectrum.coeffs)
+    coeffs = [spectrum.coeffs[k] for k in ks]
+    # circular mean of consecutive phase increments
+    acc = mode.zero
+    for (k1, c1), (k2, c2) in zip(zip(ks, coeffs), zip(ks[1:], coeffs[1:])):
+        if k2 == k1 + 1 and abs(c1) > 0 and abs(c2) > 0:
+            z = c2 / c1
+            acc += z / abs(z)
+    if abs(acc) == 0:
+        increment = 0 * coeffs[0].real
+    else:
+        increment = mode.arg(acc)
+    # unwrap the demodulated phases to the nearest branch
+    two_pi = 2 * mode.pi
+    phases = []
+    for k, c in zip(ks, coeffs):
+        phi = mode.arg(c) - increment * k
+        if phases:
+            n_wraps = round(float(phases[-1] - phi) / float(two_pi))
+            phi = phi + n_wraps * two_pi
+        phases.append(phi)
+    # least-squares slope of phase against k
+    n = len(ks)
+    k_mean = sum(ks) / mode.scalar(n)
+    p_mean = sum(phases) / n
+    sxx = sum((k - k_mean) ** 2 for k in ks)
+    sxy = sum((k - k_mean) * (p - p_mean) for k, p in zip(ks, phases))
+    slope = increment + sxy / sxx
+    # -slope reduced to [-pi, pi)
+    return (-slope + mode.pi) % two_pi - mode.pi
 
 
 def _fit_window(mags: np.ndarray, floor, options: FitOptions) -> list[int]:
@@ -302,48 +303,48 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
     limit (s, delta or log C) is not finite or log C overflows the
     amplitude.
     """
-    with working_context(spectrum.coeffs) as mode:
-        mags, floor = _magnitudes(spectrum, mode)
-        ks = _fit_window(mags, floor, options)
-        if len(ks) < 3:
-            raise EmptyWindowError(
-                f"fit window holds {len(ks)} admissible wavenumbers; need at least 3"
-            )
-        sliding = _sliding_fit(mags, floor, ks, mode)
-        limits = [limit for limit, _ in wynn_epsilon([sliding.s, sliding.delta, sliding.log_c])]
-        s_lim, delta_lim, log_c_lim = limits
-        if not all(mode.isfinite(limit) for limit in limits):
-            raise ExtrapolationError(
-                "non-finite extrapolated (s, delta, log C) = "
-                f"({float(s_lim):.6g}, {float(delta_lim):.6g}, {float(log_c_lim):.6g})"
-            )
-        x_star = estimate_x_star(spectrum, ks)
-
-        clamped = float(delta_lim) < 0.0
-        delta_out = 0 * abs(delta_lim) if clamped else delta_lim
-
-        sq_sum = 0.0
-        for k in ks:
-            model = log_c_lim - s_lim * mode.log(k) - delta_lim * k
-            dev = float(mode.log(mags[k]) - model)
-            sq_sum += dev * dev
-        residual = math.sqrt(sq_sum / len(ks))
-
-        try:
-            amplitude = mode.exp(log_c_lim)
-        except OverflowError as exc:
-            raise ExtrapolationError(
-                f"extrapolated log C = {float(log_c_lim):.6g} overflows the amplitude"
-            ) from exc
-        return FitResult(
-            amplitude=amplitude,
-            alpha=s_lim - 1,
-            delta=delta_out,
-            x_star=x_star,
-            k_window=(ks[0], ks[-1]),
-            residual=residual,
-            delta_clamped=clamped,
+    mode = transforms_for(spectrum.coeffs)
+    mags, floor = _magnitudes(spectrum, mode)
+    ks = _fit_window(mags, floor, options)
+    if len(ks) < 3:
+        raise EmptyWindowError(
+            f"fit window holds {len(ks)} admissible wavenumbers; need at least 3"
         )
+    sliding = _sliding_fit(mags, floor, ks, mode)
+    limits = [limit for limit, _ in wynn_epsilon([sliding.s, sliding.delta, sliding.log_c])]
+    s_lim, delta_lim, log_c_lim = limits
+    if not all(mode.isfinite(limit) for limit in limits):
+        raise ExtrapolationError(
+            "non-finite extrapolated (s, delta, log C) = "
+            f"({float(s_lim):.6g}, {float(delta_lim):.6g}, {float(log_c_lim):.6g})"
+        )
+    x_star = estimate_x_star(spectrum, ks)
+
+    clamped = float(delta_lim) < 0.0
+    delta_out = 0 * abs(delta_lim) if clamped else delta_lim
+
+    sq_sum = 0.0
+    for k in ks:
+        model = log_c_lim - s_lim * mode.log(k) - delta_lim * k
+        dev = float(mode.log(mags[k]) - model)
+        sq_sum += dev * dev
+    residual = math.sqrt(sq_sum / len(ks))
+
+    try:
+        amplitude = mode.exp(log_c_lim)
+    except OverflowError as exc:
+        raise ExtrapolationError(
+            f"extrapolated log C = {float(log_c_lim):.6g} overflows the amplitude"
+        ) from exc
+    return FitResult(
+        amplitude=amplitude,
+        alpha=s_lim - 1,
+        delta=delta_out,
+        x_star=x_star,
+        k_window=(ks[0], ks[-1]),
+        residual=residual,
+        delta_clamped=clamped,
+    )
 
 
 @dataclass(frozen=True)
@@ -412,7 +413,7 @@ def extrapolate_blowup_time(times: Sequence[float], deltas: Sequence[float]):
 def _fit_or_skip(spectrum: Spectrum, options: FitOptions) -> Optional[FitResult]:
     try:
         return fit_spectrum(spectrum, options)
-    except (EmptyWindowError, NoiseFloorError, ExtrapolationError):
+    except (EmptyWindowError, ExtrapolationError):
         return None
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from bfamily.cli import SCHEMA_VERSION, _value_formatter
 from bfamily.core import GridSpec, PeriodicField, Spectrum, forward_transform
 from bfamily.errors import BlowUpOverflowError
-from bfamily.precision import _mp_fft, all_finite, working_context
+from bfamily.precision import _mp_fft, all_finite, transforms_for
 
 
 def random_field(grid: GridSpec, rng: np.random.Generator) -> PeriodicField:
@@ -105,8 +105,7 @@ def reference_wynn_epsilon(seq, rtol: float):
     whole-column array steps.  Same contract: returns ``(limit, depth)``
     for the deepest even column built before the first near-singular
     difference (|d| <= rtol * (|a| + |b|)), or the last element with
-    depth 0.  Works on floats and, inside the caller's mpmath context,
-    on mpf values.
+    depth 0.  Works on floats and on mpf values.
     """
     values = list(seq)
     if len(values) < 3:
@@ -144,14 +143,11 @@ def reference_wynn_epsilon(seq, rtol: float):
 def full_layout(spectrum: Spectrum) -> np.ndarray:
     """All K slots in FFT order (0..K/2, then -(K/2-1)..-1 as conjugates).
 
-    The input layout of ``full_layout_rhs``.  mpmath rounds a conjugate
-    to the ambient precision, so object arrays are mirrored inside their
-    working context.
+    The input layout of ``full_layout_rhs``.
     """
     half = spectrum.coeffs
     K = spectrum.grid.n_modes
-    with working_context(half):
-        return np.concatenate([half, np.conj(half[K // 2 - 1 : 0 : -1])])
+    return np.concatenate([half, np.conj(half[K // 2 - 1 : 0 : -1])])
 
 
 def full_layout_rhs(coeffs: np.ndarray, b: float, dealias: bool) -> np.ndarray:
@@ -163,7 +159,8 @@ def full_layout_rhs(coeffs: np.ndarray, b: float, dealias: bool) -> np.ndarray:
     symbol.  Each mode sees the same floating-point operations in the
     same order as in the kernel, so the two agree exactly, in double
     (complex128) and in extended (mpmath object) arrays.  Run extended
-    input inside the mpmath precision of the state.  No checks.
+    input inside ``EXTENDED32.context()``: the reference calls global
+    mpmath functions.  No checks.
     """
     K = len(coeffs)
     half = K // 2 + 1
@@ -239,20 +236,14 @@ def reference_magnitudes_csv(path, provenance: dict, trajectory, precision) -> N
 
     Every cell of the rows (t, k, abs(snapshot.coeffs[k])) goes through
     the mode's ``_value_formatter``; ``abs`` acts on the numpy (or
-    mpmath) element of the stored array, inside the mode's working
-    context, so an extended magnitude carries the mode's digits.  This
-    is how ``bfamily track`` wrote the file before its direct
-    per-snapshot writer.
+    mpmath) element of the stored array, so an extended magnitude
+    carries the mode's digits.  This is how ``bfamily track`` wrote the
+    file before its direct per-snapshot writer.
     """
     fmt = _value_formatter(precision)
     half = trajectory.config.grid.n_modes // 2
-
-    def magnitude(c):
-        with precision.context():
-            return abs(c)
-
     rows = (
-        (t, k, magnitude(snapshot.coeffs[k]))
+        (t, k, abs(snapshot.coeffs[k]))
         for t, snapshot in zip(trajectory.times, trajectory.snapshots)
         for k in range(half)
     )
@@ -276,8 +267,9 @@ def signed_forward(values: np.ndarray, n_modes: int, out=None) -> np.ndarray:
     The frozen signed transform pair: each mode's ``forward`` before the
     grid's sign (-1)**k moved out of the transforms.  Double samples are
     scaled by a precomputed +-1/K after numpy's rfft and k = 0, K/2 are
-    forced real; mpmath samples (object arrays, run inside their working
-    context) go through the radix-2 FFT with (-1)**k / K per slot.
+    forced real; mpmath samples (object arrays, run inside
+    ``EXTENDED32.context()``) go through the radix-2 FFT with
+    (-1)**k / K per slot.
     """
     K = n_modes
     if values.dtype != object:
@@ -323,27 +315,28 @@ class ReferenceRhsKernel:
     passes, and the nonlocal term, sum, negation and k = 0 zeroing one
     operation at a time.  ``spectral.RhsKernel`` must return the same
     bytes (including signed zeros) at power-of-two K.  Evaluate
-    extended input inside the mpmath precision of the state.
+    extended input inside ``EXTENDED32.context()``: the signed transform
+    pair calls global mpmath functions.
     """
 
     def __init__(self, n_modes: int, b: float, dealias: bool, coeffs: np.ndarray) -> None:
-        with working_context(coeffs) as transforms:
-            self.n_modes = n_modes
-            self.keep = (n_modes - 1) // 3 + 1 if dealias else None
-            n_half = n_modes // 2 + 1
-            k = transforms.real(np.arange(n_half))
-            self.ik = 1j * k
-            self.symbol = self.ik / (1 + k * k)
-            b = transforms.scalar(b)
-            self.half_b = b / 2
-            self.half_rest = (3 - b) / 2
-            spectral, physical = transforms.complex_dtype, transforms.real_dtype
-            self._fields = np.empty((2, n_half), spectral)
-            self._physical = np.empty((2, n_modes), physical)
-            self._values = np.empty((3, n_modes), physical)
-            self._products = np.empty((3, n_half), spectral)
-            self._nonlocal = np.empty(n_half, spectral)
-            self._scaled = np.empty(n_half, spectral)
+        transforms = transforms_for(coeffs)
+        self.n_modes = n_modes
+        self.keep = (n_modes - 1) // 3 + 1 if dealias else None
+        n_half = n_modes // 2 + 1
+        k = transforms.real(np.arange(n_half))
+        self.ik = 1j * k
+        self.symbol = self.ik / (1 + k * k)
+        b = transforms.scalar(b)
+        self.half_b = b / 2
+        self.half_rest = (3 - b) / 2
+        spectral, physical = transforms.complex_dtype, transforms.real_dtype
+        self._fields = np.empty((2, n_half), spectral)
+        self._physical = np.empty((2, n_modes), physical)
+        self._values = np.empty((3, n_modes), physical)
+        self._products = np.empty((3, n_half), spectral)
+        self._nonlocal = np.empty(n_half, spectral)
+        self._scaled = np.empty(n_half, spectral)
 
     def products(self, half: np.ndarray) -> np.ndarray:
         keep = self.keep

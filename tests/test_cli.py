@@ -9,7 +9,7 @@ import pytest
 
 import bfamily.cli as cli
 import bfamily.tracker as tracker
-from bfamily.cli import (RunManifest, build_manifest, main, manifest_entries,
+from bfamily.cli import (build_manifest, main, manifest_entries,
                          parse_manifest_text, run_sweep, validate_cases)
 from bfamily.errors import ConfigError
 from bfamily.integrator import BFamilyConfig, simulate
@@ -82,16 +82,6 @@ class TestManifestParsing:
         ):
             with pytest.raises(ConfigError):
                 build_manifest(entries, tmp_path)
-
-    def test_schema_version_pinned(self, tmp_path):
-        manifest = build_manifest({}, tmp_path)
-        with pytest.raises(ConfigError):
-            RunManifest(
-                config=manifest.config,
-                fit=manifest.fit,
-                out_dir=tmp_path,
-                schema_version=99,
-            )
 
 
 class TestSimulateCommand:

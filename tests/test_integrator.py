@@ -21,7 +21,7 @@ from bfamily.integrator import (
     rk4_step,
     simulate,
 )
-from bfamily.precision import EXTENDED32, working_context
+from bfamily.precision import EXTENDED32
 from bfamily.spectral import RhsOptions, rhs_kernel
 
 from oracles import full_layout, full_layout_rk4_step, random_hermitian_spectrum
@@ -336,8 +336,7 @@ class TestSnapshotsOwnTheirMemory:
         traj = simulate(cfg, strip_monitor=monitor)
         arrays = [s.coeffs for s in traj.snapshots]
         assert len(arrays) == 21
-        with working_context(arrays[0]):
-            kernel = rhs_kernel(cfg.grid, cfg.rhs_options, arrays[0])
+        kernel = rhs_kernel(cfg.grid, cfg.rhs_options, arrays[0])
         held = [v for v in vars(kernel).values() if isinstance(v, np.ndarray)]
         for i, coeffs in enumerate(arrays):
             assert not any(np.shares_memory(coeffs, other) for other in arrays[i + 1 :])

@@ -14,7 +14,7 @@ from bfamily.core import (
 )
 from bfamily.errors import BlowUpOverflowError, SymmetryError
 from bfamily.integrator import rk4_step
-from bfamily.precision import EXTENDED32, working_context
+from bfamily.precision import EXTENDED32, transforms_for
 from bfamily.spectral import (
     RhsOptions,
     dealias_cutoff,
@@ -44,9 +44,8 @@ def to_extended(spectrum):
 
 def nonlinear_products(spectrum, options):
     """The kernel's product stage, each product as a Spectrum."""
-    with working_context(spectrum.coeffs):
-        kernel = rhs_kernel(spectrum.grid, options, spectrum.coeffs)
-        return tuple(Spectrum(spectrum.grid, p) for p in kernel.products(spectrum.coeffs))
+    kernel = rhs_kernel(spectrum.grid, options, spectrum.coeffs)
+    return tuple(Spectrum(spectrum.grid, p) for p in kernel.products(spectrum.coeffs))
 
 
 class TestDerivative:
@@ -254,16 +253,6 @@ class TestRhsKernel:
         assert rhs_kernel(g, RhsOptions(b=3.0), s.coeffs) is not first
         assert not first.symbol.flags.writeable
 
-    def test_extended_kernel_keyed_by_digits(self):
-        g = make_grid(16)
-        se = forward_transform(initial_datum(TYPE_I, g, EXTENDED32))
-        with mp.workdps(32):
-            k32 = rhs_kernel(g, RhsOptions(b=3.0), se.coeffs)
-        with mp.workdps(40):
-            k40 = rhs_kernel(g, RhsOptions(b=3.0), se.coeffs)
-        assert k32 is not k40
-        assert k32.transforms.digits == 32 and k40.transforms.digits == 40
-
     @pytest.mark.parametrize("K,b,dealias", [(32, 3.0, True), (64, 0.0, False), (24, 2.0, True)])
     def test_rhs_equals_full_layout_pipeline(self, K, b, dealias):
         rng = np.random.default_rng(K)
@@ -313,9 +302,8 @@ class TestFreshResults:
 
     def test_extended_kernel_results_share_no_memory(self):
         s = to_extended(sine_spectrum(16))
-        with working_context(s.coeffs):
-            kernel = rhs_kernel(s.grid, RhsOptions(b=3.0, dealias=True), s.coeffs)
-            first, second = kernel(s.coeffs), kernel(s.coeffs)
+        kernel = rhs_kernel(s.grid, RhsOptions(b=3.0, dealias=True), s.coeffs)
+        first, second = kernel(s.coeffs), kernel(s.coeffs)
         assert not np.shares_memory(first, second)
         assert not any(np.shares_memory(first, held) for held in held_arrays(kernel))
         assert all(a == b for a, b in zip(first, second, strict=True))
@@ -337,7 +325,8 @@ class TestKernelPin:
         args = (initial, grid) if precision is None else (initial, grid, precision)
         state = forward_transform(initial_datum(*args))
         pairs = []
-        with working_context(state.coeffs):
+        # the reference calls global mpmath functions
+        with transforms_for(state.coeffs).context():
             kernel = rhs_kernel(grid, opts, state.coeffs)
             reference = ReferenceRhsKernel(K, b, dealias, state.coeffs)
             for _ in range(steps):

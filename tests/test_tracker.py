@@ -15,7 +15,6 @@ from bfamily.core import PeriodicField, Spectrum, forward_transform
 from bfamily.errors import (EmptyWindowError, ExtrapolationError,
                             InsufficientDataError, NoiseFloorError)
 from bfamily.integrator import BFamilyConfig, StopReason, Trajectory, simulate
-from bfamily.precision import working_context
 from bfamily.synthetic import SyntheticSpec, oracle_spectrum
 from bfamily.tracker import (WYNN_RTOL, FitOptions, default_k_min,
                              estimate_x_star, extrapolate_blowup_time,
@@ -120,7 +119,7 @@ class TestLocalFit:
             s = math.log((m0 / m1) * (m2 / m1)) / math.log1p(1 / ((k - 1) * (k + 1)))
             d = math.log(m1 / m2) + s * -math.log1p(1.0 / k)
             assert local_fit(sp, k) == (s, d, math.log(m1) + s * math.log(k) + k * d)
-            with working_context(spx.coeffs):
+            with EXTENDED32.context():
                 m0, m1, m2 = np.abs(spx.coeffs[k - 1 : k + 2])
                 s = mp.log((m0 / m1) * (m2 / m1)) / mp.log(mp.mpf(k * k) / ((k - 1) * (k + 1)))
                 d = mp.log(m1 / m2) + s * mp.log(mp.mpf(k) / (k + 1))
@@ -263,10 +262,9 @@ class TestWynnMatchesReference:
     def test_oracle_sequences_extended(self, delta, alpha):
         sp = oracle_spectrum(SyntheticSpec(alpha=alpha, delta=delta, x_star=0.7),
                              make_grid(256), EXTENDED32)
-        with working_context(sp.coeffs):
-            for seq in sliding_sequences(sp, FitOptions(k_min=16)):
-                assert isinstance(seq[0], mp.mpf)
-                assert_matches_reference(seq)
+        for seq in sliding_sequences(sp, FitOptions(k_min=16)):
+            assert isinstance(seq[0], EXTENDED32.scalar_types[0])
+            assert_matches_reference(seq)
 
     @settings(deadline=None)
     @given(limit=finite, amp=finite.filter(lambda a: a != 0.0),
@@ -357,8 +355,7 @@ class TestWynnRows:
         sp = oracle_spectrum(spec, make_grid(512))
         assert max(self.assert_rows_match(list(sliding_sequences(sp, FitOptions(k_min=16))))) >= 2
         sp = oracle_spectrum(spec, make_grid(256), EXTENDED32)
-        with working_context(sp.coeffs):
-            self.assert_rows_match(list(sliding_sequences(sp, FitOptions(k_min=16))))
+        self.assert_rows_match(list(sliding_sequences(sp, FitOptions(k_min=16))))
 
     def test_one_row_stack_is_a_list(self):
         seq = [2.0 + 0.3 * 0.5 ** n for n in range(8)]
