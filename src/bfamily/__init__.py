@@ -11,7 +11,7 @@ from .core import (
     inverse_transform,
     make_grid,
 )
-from .integrator import BFamilyConfig, StopPolicy, StopReason, Trajectory, simulate
+from .integrator import BFamilyConfig, StopReason, Trajectory, simulate
 from .norms import GevreyParams, gevrey_norm, sobolev_norm
 from .precision import DOUBLE, EXTENDED32, Precision
 from .spectral import RhsOptions, dealias_cutoff, derivative, helmholtz_inverse_dx, rhs
@@ -45,7 +45,6 @@ __all__ = [
     "RhsOptions",
     "SingularityTrace",
     "Spectrum",
-    "StopPolicy",
     "StopReason",
     "SyntheticSpec",
     "TYPE_I",

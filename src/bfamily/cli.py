@@ -15,8 +15,9 @@ comment).  Recognized keys and their defaults:
     precision       = double     double or extended32
     min_strip_width = none       early-stop width (none: grid limit 2*pi/K)
 
-With ``min_strip_width = none``, ``simulate`` attaches no width monitor;
-``track`` and ``sweep`` always attach one.
+The fit keys and ``min_strip_width`` fill ``tracker.FitOptions``, which
+owns the early stop.  With ``min_strip_width = none``, ``simulate``
+attaches no width monitor; ``track`` and ``sweep`` always attach one.
 
 Command-line flags mirror the keys and override the file.  Outputs are
 CSV files whose ``#``-prefixed header repeats the schema version and the
@@ -42,7 +43,7 @@ import numpy as np
 
 from .core import GridSpec, inverse_transform
 from .errors import BFamilyError, ConfigError, InsufficientDataError
-from .integrator import BFamilyConfig, StopPolicy, StopReason, simulate
+from .integrator import BFamilyConfig, StopReason, simulate
 from .precision import DOUBLE, EXTENDED32, Precision
 from .spectral import derivative
 from .synthetic import SyntheticSpec, oracle_spectrum
@@ -156,23 +157,21 @@ def build_manifest(entries: dict, out_dir: Path) -> RunManifest:
         initial=initial,
         dealias=_parse_bool(merged["dealias"], "dealias"),
         sample_every=_parse_int(merged["sample_every"], "sample_every"),
-        stop_policy=StopPolicy(
-            min_strip_width=_parse_optional(
-                merged["min_strip_width"], "min_strip_width", _parse_float
-            )
-        ),
         precision=_precision_from_name(merged["precision"]),
     )
     fit = FitOptions(
         k_min=_parse_optional(merged["fit_kmin"], "fit_kmin", _parse_int),
         k_max=_parse_optional(merged["fit_kmax"], "fit_kmax", _parse_int),
+        min_strip_width=_parse_optional(
+            merged["min_strip_width"], "min_strip_width", _parse_float
+        ),
     )
     return RunManifest(config=config, fit=fit, out_dir=out_dir)
 
 
 def manifest_entries(manifest: RunManifest) -> dict:
     """The manifest back as plain strings, for provenance headers."""
-    config = manifest.config
+    config, fit = manifest.config, manifest.fit
     return {
         "b": repr(config.b),
         "modes": str(config.grid.n_modes),
@@ -181,13 +180,11 @@ def manifest_entries(manifest: RunManifest) -> dict:
         "initial": str(config.initial),
         "dealias": "true" if config.dealias else "false",
         "sample_every": str(config.sample_every),
-        "fit_kmin": "none" if manifest.fit.k_min is None else str(manifest.fit.k_min),
-        "fit_kmax": "none" if manifest.fit.k_max is None else str(manifest.fit.k_max),
+        "fit_kmin": "none" if fit.k_min is None else str(fit.k_min),
+        "fit_kmax": "none" if fit.k_max is None else str(fit.k_max),
         "precision": config.precision.label,
         "min_strip_width": (
-            "none"
-            if config.stop_policy.min_strip_width is None
-            else repr(config.stop_policy.min_strip_width)
+            "none" if fit.min_strip_width is None else repr(fit.min_strip_width)
         ),
     }
 
@@ -300,7 +297,7 @@ if sweep.exists():
 def cmd_simulate(manifest: RunManifest) -> int:
     config = manifest.config
     monitor = None
-    if config.stop_policy.min_strip_width is not None:
+    if manifest.fit.min_strip_width is not None:
         monitor = strip_monitor(manifest.fit)
     trajectory = simulate(config, strip_monitor=monitor)
     provenance = manifest_entries(manifest)

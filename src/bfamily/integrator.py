@@ -12,7 +12,8 @@ coefficients, which ``Spectrum`` stores in the kernel's own layout
 (modes k = 0..K/2): the four stages are plain arrays (one finiteness
 check each inside the kernel), and the result array becomes the new
 ``Spectrum`` as it is, without a copy or a symmetry check.
-``simulate`` additionally checks each new state for finiteness.  Both
+``simulate`` additionally checks each new state for finiteness; an
+early stop is the answer of the monitor it asks at each snapshot.  Both
 run one code path in either scalar mode: extended states carry their
 own 32-digit mpmath context, so nothing here enters one.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,31 +40,6 @@ class StopReason(enum.Enum):
 
 
 @dataclass(frozen=True)
-class StopPolicy:
-    """Early-termination rule for strip-width monitoring.
-
-    ``min_strip_width`` is the running analyticity-strip estimate below
-    which continuing is pointless (the singularity is within one grid
-    spacing of the real axis); None means the grid default 2*pi/K.  A
-    given width must be finite and positive: no estimate falls below
-    NaN or a nonpositive width, so either would silently disable the
-    early stop.
-    """
-
-    min_strip_width: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        width = self.min_strip_width
-        if width is not None and not (math.isfinite(width) and width > 0):
-            raise ConfigError(f"min_strip_width must be finite and positive, got {width}")
-
-    def threshold(self, grid: GridSpec) -> float:
-        if self.min_strip_width is not None:
-            return self.min_strip_width
-        return grid.resolution_limit
-
-
-@dataclass(frozen=True)
 class BFamilyConfig:
     """Complete description of one simulation run."""
 
@@ -74,7 +50,6 @@ class BFamilyConfig:
     initial: InitialSpec = "type1"
     dealias: bool = False
     sample_every: int = 1
-    stop_policy: StopPolicy = field(default_factory=StopPolicy)
     precision: Precision = DOUBLE
 
     def __post_init__(self) -> None:
@@ -146,34 +121,39 @@ def _stage_input(c0: np.ndarray, h: float, k: np.ndarray, out: np.ndarray) -> np
     return out
 
 
-StripMonitor = Callable[[float, Spectrum], Optional[float]]
-
-
-def simulate(config: BFamilyConfig, strip_monitor: Optional[StripMonitor] = None) -> Trajectory:
+def simulate(
+    config: BFamilyConfig, strip_monitor: Optional[Callable[[float, Spectrum], bool]] = None
+) -> Trajectory:
     """Integrate from t = 0 to t_end, recording every sample_every steps.
 
-    ``strip_monitor`` is an optional callback called once per recorded
-    snapshot after t = 0, in recording order; it receives (t, spectrum)
-    and may return a running analyticity-strip width estimate (or None
-    when it cannot tell).  When the estimate falls below the stop
-    policy's threshold the run ends early with
-    StopReason.RESOLUTION_LIMIT.  Physical-space
-    overflow ends the run with StopReason.OVERFLOW and the trajectory
-    holds everything recorded up to the last finite state.
+    ``strip_monitor`` is an optional yes/no question asked of every
+    recorded snapshot, t = 0 included, in recording order: it receives
+    (t, spectrum), and a true answer ends the run after that snapshot
+    with StopReason.RESOLUTION_LIMIT.  Physical-space overflow ends the
+    run with StopReason.OVERFLOW and the trajectory holds everything
+    recorded up to the last finite state.
     """
     u0 = initial_datum(config.initial, config.grid, config.precision)
     state = forward_transform(u0)
     opts = config.rhs_options
     dt = config.dt
-    threshold = config.stop_policy.threshold(config.grid)
 
     # steps of dt, then one short remainder step that ends at t_end
     n_full, remainder = _step_budget(config.t_end, dt)
     n_steps = n_full + (remainder > 0.0)
-    times = [0.0]
-    snapshots = [state]
+    times, snapshots = [], []
     stop = StopReason.REACHED_T_END
-    for step_index in range(1, n_steps + 1):
+    step_index, t = 0, 0.0
+    while True:
+        if step_index % config.sample_every == 0 or step_index == n_steps:
+            times.append(t)
+            snapshots.append(state)
+            if strip_monitor is not None and strip_monitor(t, state):
+                stop = StopReason.RESOLUTION_LIMIT
+                break
+        if step_index == n_steps:
+            break
+        step_index += 1
         if step_index <= n_full:
             h, t = dt, step_index * dt
         else:
@@ -186,14 +166,6 @@ def simulate(config: BFamilyConfig, strip_monitor: Optional[StripMonitor] = None
         if not all_finite(state.coeffs):
             stop = StopReason.OVERFLOW
             break
-        if step_index % config.sample_every == 0 or step_index == n_steps:
-            times.append(t)
-            snapshots.append(state)
-            if strip_monitor is not None:
-                width = strip_monitor(t, state)
-                if width is not None and width < threshold:
-                    stop = StopReason.RESOLUTION_LIMIT
-                    break
 
     return Trajectory(
         config=config,

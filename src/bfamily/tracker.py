@@ -25,10 +25,12 @@ delta falling toward the grid's resolution limit 2*pi/K signals a real
 singularity forming; linear extrapolation of delta(t) to zero estimates
 the blow-up time.
 
-``track_run`` is the tracked run: it simulates with a ``strip_monitor``
-attached, and the fits the monitor makes for the early stop are the fits
-the trace aggregates, so each snapshot is fitted once.  ``track`` fits
-and aggregates a trajectory that is already recorded.
+The early stop is the tracker's rule: ``strip_monitor`` fits each
+recorded snapshot and tells the integrator whether delta has fallen
+below ``FitOptions.min_strip_width``.  ``track_run`` simulates with it
+attached, and its fits are the fits the trace aggregates, so each
+snapshot is fitted once.  ``track`` fits and aggregates a trajectory
+that is already recorded.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Spectrum
-from .errors import (EmptyWindowError, ExtrapolationError,
+from .errors import (ConfigError, EmptyWindowError, ExtrapolationError,
                      InsufficientDataError, NoiseFloorError)
 from .integrator import BFamilyConfig, Trajectory, simulate
 from .precision import Precision, transforms_for
@@ -72,14 +74,29 @@ def default_k_min(n_modes: int) -> int:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Fit window for spectrum fits.
+    """Fit window for spectrum fits, and the strip width that ends a run.
 
     ``k_min``/``k_max`` bound the sliding window (None: max(8, K/16)
-    and the noise-floor index).
+    and the noise-floor index); a fit needs three wavenumbers from k >= 2,
+    so a given ``k_max`` below max(k_min, 2) + 2 is rejected.
+    ``min_strip_width`` is the fitted width below which ``strip_monitor``
+    ends a run, the singularity being within one grid spacing of the
+    real axis (None: the grid default 2*pi/K).  A given width must be
+    finite and positive: no estimate falls below NaN or a nonpositive
+    width, so either would silently disable the early stop.
     """
 
     k_min: Optional[int] = None
     k_max: Optional[int] = None
+    min_strip_width: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        k_lo = max(self.k_min or 2, 2)
+        if self.k_max is not None and self.k_max < k_lo + 2:
+            raise ConfigError(f"fit window [{k_lo}, {self.k_max}] has fewer than 3 wavenumbers")
+        width = self.min_strip_width
+        if width is not None and not (math.isfinite(width) and width > 0):
+            raise ConfigError(f"min_strip_width must be finite and positive, got {width}")
 
 
 @dataclass(frozen=True)
@@ -472,14 +489,13 @@ def track(trajectory: Trajectory, fit: FitOptions = FitOptions()) -> Singularity
 def track_run(config: BFamilyConfig, fit: FitOptions) -> tuple[Trajectory, SingularityTrace]:
     """Simulate with the strip monitor attached, then aggregate its fits.
 
-    ``simulate`` calls the monitor once per recorded snapshot after
-    t = 0, in order, so its record together with a fit of the initial
-    snapshot holds one outcome per snapshot: each snapshot is fitted
-    once.  The trace equals ``track(trajectory, fit)``.
+    ``simulate`` asks the monitor about every recorded snapshot, t = 0
+    included, in order, so its record holds one fit outcome per snapshot
+    in snapshot order: each snapshot is fitted once.  The trace equals
+    ``track(trajectory, fit)``.
     """
     results: list[Optional[FitResult]] = []
-    trajectory = simulate(config, strip_monitor=strip_monitor(fit, results))
-    results.insert(0, _fit_or_skip(trajectory.snapshots[0], fit))
+    trajectory = simulate(config, strip_monitor(fit, results))
     return trajectory, _trace(trajectory, results)
 
 
@@ -502,19 +518,20 @@ def late_time_alpha(trace: SingularityTrace) -> float:
 
 def strip_monitor(
     options: FitOptions = FitOptions(), record: Optional[list[Optional[FitResult]]] = None
-) -> Callable[[float, Spectrum], Optional[float]]:
-    """Monitor callback for the integrator's early-stop policy.
+) -> Callable[[float, Spectrum], bool]:
+    """The early-stop rule, as the yes/no question ``simulate`` asks per snapshot.
 
-    Returns the fitted strip width per snapshot, or None while the
-    spectrum cannot be fitted (window empty early in a run).  When
-    ``record`` is given, each snapshot's fit result (None for no fit) is
-    appended to it.
+    The monitor fits the snapshot and answers true when the fitted width
+    lies below ``options.min_strip_width`` (None: the grid limit 2*pi/K);
+    a spectrum that admits no fit never stops the run.  When ``record``
+    is given, each snapshot's fit result (None for no fit) is appended.
     """
 
-    def monitor(t: float, spectrum: Spectrum) -> Optional[float]:
+    def monitor(t: float, spectrum: Spectrum) -> bool:
         result = _fit_or_skip(spectrum, options)
         if record is not None:
             record.append(result)
-        return None if result is None else float(result.delta)
+        width = options.min_strip_width or spectrum.grid.resolution_limit
+        return result is not None and float(result.delta) < width
 
     return monitor

@@ -19,7 +19,7 @@ from bfamily import EXTENDED32, make_grid
 from bfamily.cli import build_manifest, run_sweep
 from bfamily.core import Spectrum, inverse_transform
 from bfamily.errors import InsufficientDataError
-from bfamily.integrator import BFamilyConfig, StopPolicy, simulate
+from bfamily.integrator import BFamilyConfig, simulate
 from bfamily.norms import sobolev_norm
 from bfamily.spectral import RhsOptions, dealias_cutoff, rhs
 from bfamily.synthetic import SyntheticSpec, oracle_spectrum
@@ -114,7 +114,7 @@ def deep_tracked_run(b, initial, t_end, min_width):
     """The calibrated high-resolution tracking setup shared by the b-family
     acceptance runs: 1024 modes, dt = 1e-4, dealiased, fits over k in
     [64, 300], snapshots every 25 steps."""
-    fit = FitOptions(k_min=64, k_max=300)
+    fit = FitOptions(k_min=64, k_max=300, min_strip_width=min_width)
     config = BFamilyConfig(
         b=b,
         grid=make_grid(1024),
@@ -123,7 +123,6 @@ def deep_tracked_run(b, initial, t_end, min_width):
         initial=initial,
         dealias=True,
         sample_every=25,
-        stop_policy=StopPolicy(min_strip_width=min_width),
     )
     _, trace = track_run(config, fit)
     return trace

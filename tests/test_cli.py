@@ -79,6 +79,7 @@ class TestManifestParsing:
             {"min_strip_width": "nan"},
             {"min_strip_width": "-1"},
             {"min_strip_width": "0"},
+            {"fit_kmin": "40", "fit_kmax": "10"},
         ):
             with pytest.raises(ConfigError):
                 build_manifest(entries, tmp_path)
@@ -169,6 +170,18 @@ class TestSimulateCommand:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
+    def test_min_strip_width_stops_early(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["simulate", "--modes", "128", "--dt", "0.001", "--t-end", "1.0",
+                     "--dealias", "true", "--sample-every", "20", "--fit-kmin", "10",
+                     "--fit-kmax", "40", "--min-strip-width", "0.1", "--out", str(out)])
+        assert code == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[-3:] == [
+            "stop_reason = resolution_limit", "snapshots = 34", "final_time = 0.66",
+        ]
+        assert len(list((out / "spectra").iterdir())) == 34
+
 
 class TestTrackCommand:
     def test_blowup_run_outputs(self, tmp_path):
@@ -213,6 +226,19 @@ class TestTrackCommand:
         assert cli.cmd_track(manifest) == 0
         lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
         assert f"used_unclean_fallback = {'true' if fallback else 'false'}" in lines
+
+    @pytest.mark.parametrize("command", [["track"], ["sweep", "--b-list", "2,3"]])
+    def test_inverted_fit_window_exits_2_before_running(self, tmp_path, monkeypatch, command):
+        def no_run(config, fit):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "track_run", no_run)
+        out = tmp_path / "o"
+        code = main([*command, "--modes", "128", "--dt", "0.001", "--t-end", "0.4",
+                     "--dealias", "true", "--sample-every", "40", "--fit-kmin", "40",
+                     "--fit-kmax", "10", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_no_decay_exits_4(self, tmp_path):
         # b = -1 stationary wave: every snapshot sits below the fit floor

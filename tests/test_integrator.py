@@ -1,4 +1,4 @@
-"""Fixed-step RK4 integration: accuracy, conservation, stop policy."""
+"""Fixed-step RK4 integration: accuracy, conservation, early stop."""
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +16,6 @@ from bfamily.core import (
 from bfamily.errors import BlowUpOverflowError, ConfigError, SymmetryError
 from bfamily.integrator import (
     BFamilyConfig,
-    StopPolicy,
     StopReason,
     rk4_step,
     simulate,
@@ -53,11 +52,6 @@ class TestConfigValidation:
     def test_rejects_nonfinite_b(self):
         with pytest.raises(ConfigError):
             BFamilyConfig(b=float("nan"), grid=make_grid(16), dt=1e-3, t_end=1.0)
-
-    @pytest.mark.parametrize("width", [float("nan"), -1.0, 0.0, float("inf")])
-    def test_rejects_bad_min_strip_width(self, width):
-        with pytest.raises(ConfigError):
-            StopPolicy(min_strip_width=width)
 
 
 class TestRk4Accuracy:
@@ -136,14 +130,20 @@ class TestTrajectoryRecording:
         cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.0105,
                             initial=TYPE_I, sample_every=5)
         seen = []
-        traj = simulate(cfg, strip_monitor=lambda t, s: seen.append((t, s)))
+
+        def monitor(t, s):
+            seen.append((t, s))
+            return False
+
+        traj = simulate(cfg, strip_monitor=monitor)
         assert traj.times[-1] == pytest.approx(0.0105, abs=1e-12)
         assert traj.stop_reason is StopReason.REACHED_T_END
         # full steps land on i*dt, the short last step on t_end exactly
         assert traj.times == (0.0, 5 * 1e-3, 10 * 1e-3, 0.0105)
-        # the monitor sees each recorded snapshot after t = 0, in order
-        assert [t for t, _ in seen] == list(traj.times[1:])
-        assert all(a is b for (_, a), b in zip(seen, traj.snapshots[1:]))
+        # the monitor sees every recorded snapshot, t = 0 first, in order
+        assert [t for t, _ in seen] == list(traj.times)
+        assert len(seen) == len(traj)
+        assert all(a is b for (_, a), b in zip(seen, traj.snapshots))
 
     def test_final_off_stride_state_recorded(self):
         cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.013,
@@ -155,27 +155,33 @@ class TestTrajectoryRecording:
 
 class TestStopPolicy:
     def test_monitor_triggers_resolution_limit(self):
-        widths = iter([0.5, 0.3, 0.05, 0.001, 0.0005])
+        answers = iter([False, False, False, False, True, False])
 
         def monitor(t, spec):
-            return next(widths)
+            return next(answers)
 
         cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.1,
-                            initial=TYPE_I, sample_every=10,
-                            stop_policy=StopPolicy(min_strip_width=0.01))
+                            initial=TYPE_I, sample_every=10)
         traj = simulate(cfg, strip_monitor=monitor)
         assert traj.stop_reason is StopReason.RESOLUTION_LIMIT
-        # stops at the fourth snapshot after t=0 (width 0.001 < 0.01)
+        # the first yes comes at the fifth snapshot, t = 0 counted; it is kept
         assert len(traj) == 5
+        assert traj.times[-1] == pytest.approx(0.04, abs=1e-12)
 
-    def test_default_threshold_is_grid_limit(self):
-        assert StopPolicy().threshold(make_grid(1024)) == pytest.approx(2 * np.pi / 1024)
+    def test_monitor_stop_at_t0_keeps_one_snapshot(self):
+        cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.1,
+                            initial=TYPE_I, sample_every=10)
+        traj = simulate(cfg, strip_monitor=lambda t, s: True)
+        assert traj.stop_reason is StopReason.RESOLUTION_LIMIT
+        assert traj.times == (0.0,)
+        assert traj.snapshots[0].coeffs.tobytes() == sine_state(32).coeffs.tobytes()
 
     def test_monitor_none_results_ignored(self):
         cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.02,
                             initial=TYPE_I, sample_every=10)
-        traj = simulate(cfg, strip_monitor=lambda t, s: None)
+        traj = simulate(cfg, strip_monitor=lambda t, s: False)
         assert traj.stop_reason is StopReason.REACHED_T_END
+        assert len(traj) == 3
 
     def test_overflow_truncates_run(self):
         cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-2, t_end=5.0,
@@ -331,7 +337,7 @@ class TestSnapshotsOwnTheirMemory:
 
         def monitor(t, spectrum):
             seen.append(spectrum.coeffs.tobytes())
-            return None
+            return False
 
         traj = simulate(cfg, strip_monitor=monitor)
         arrays = [s.coeffs for s in traj.snapshots]
@@ -341,5 +347,5 @@ class TestSnapshotsOwnTheirMemory:
         for i, coeffs in enumerate(arrays):
             assert not any(np.shares_memory(coeffs, other) for other in arrays[i + 1 :])
             assert not any(np.shares_memory(coeffs, buffer) for buffer in held)
-        # bytes at record time (the monitor saw each state right after its step)
-        assert [c.tobytes() for c in arrays[1:]] == seen
+        # bytes at record time (the monitor saw t = 0, then each state right after its step)
+        assert [c.tobytes() for c in arrays] == seen

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import bfamily.tracker as tracker
 from bfamily import DOUBLE, EXTENDED32, make_grid
 from bfamily.core import PeriodicField, Spectrum, forward_transform
-from bfamily.errors import (EmptyWindowError, ExtrapolationError,
+from bfamily.errors import (ConfigError, EmptyWindowError, ExtrapolationError,
                             InsufficientDataError, NoiseFloorError)
 from bfamily.integrator import BFamilyConfig, StopReason, Trajectory, simulate
 from bfamily.synthetic import SyntheticSpec, oracle_spectrum
@@ -394,7 +394,7 @@ class TestNonFiniteExtrapolation:
         self.poison(monkeypatch, row, value)
         with pytest.raises(ExtrapolationError):
             fit_spectrum(sp, options)
-        assert strip_monitor(options)(0.0, sp) is None
+        assert strip_monitor(options)(0.0, sp) is False
 
     def test_extended(self, monkeypatch):
         sp = oracle_spectrum(SyntheticSpec(alpha=1 / 2, delta=0.2, x_star=0.7),
@@ -630,9 +630,8 @@ class TestTrack:
 
         monkeypatch.setattr(tracker, "fit_spectrum", counting)
         trajectory, trace = track_run(config, fit)
-        # the monitor fits t > 0 during the run, then the initial snapshot
-        expected = trajectory.snapshots[1:] + trajectory.snapshots[:1]
-        assert [id(s) for s in calls] == [id(s) for s in expected]
+        # the monitor fits every snapshot once, in snapshot order, t = 0 first
+        assert [id(s) for s in calls] == [id(s) for s in trajectory.snapshots]
         assert trace == track(trajectory, fit)
 
     def test_recorded_skip_is_reused(self):
@@ -640,7 +639,7 @@ class TestTrack:
         sin_spectrum = forward_transform(
             PeriodicField(grid, np.sin(grid.nodes())))
         record = []
-        assert strip_monitor(FitOptions(k_min=16), record)(0.0, sin_spectrum) is None
+        assert strip_monitor(FitOptions(k_min=16), record)(0.0, sin_spectrum) is False
         assert record == [None]
         # the first monitored snapshot of the small run admits no fit
         config, fit = self.small_run()
@@ -649,14 +648,16 @@ class TestTrack:
 
     def test_strip_monitor_callback(self):
         grid = make_grid(1024)
-        monitor = strip_monitor(FitOptions(k_min=16))
+        record = []
+        monitor = strip_monitor(FitOptions(k_min=16), record)
         sin_spectrum = forward_transform(
             PeriodicField(grid, np.sin(grid.nodes())))
-        assert monitor(0.0, sin_spectrum) is None
+        assert monitor(0.0, sin_spectrum) is False
         good = oracle_spectrum(
             SyntheticSpec(alpha=1 / 3, delta=0.25, x_star=0.0), grid)
-        width = monitor(0.0, good)
-        assert abs(width - 0.25) < 1e-4
+        assert monitor(0.0, good) is False
+        assert record[0] is None
+        assert abs(record[1].delta - 0.25) < 1e-4
 
     def test_overflowing_extrapolation_is_skipped(self):
         # magnitudes oscillating in k drive the extrapolated log C past
@@ -667,4 +668,42 @@ class TestTrack:
         snapshot = simulate(config).snapshots[-1]
         with pytest.raises(ExtrapolationError):
             fit_spectrum(snapshot)
-        assert strip_monitor(FitOptions())(3.75, snapshot) is None
+        assert strip_monitor(FitOptions())(3.75, snapshot) is False
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("width", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_rejects_bad_min_strip_width(self, width):
+        with pytest.raises(ConfigError, match="min_strip_width must be finite and positive"):
+            FitOptions(min_strip_width=width)
+
+    @pytest.mark.parametrize("k_min, k_max", [(40, 10), (None, 3), (0, 3), (10, 11)])
+    def test_rejects_window_under_three_wavenumbers(self, k_min, k_max):
+        with pytest.raises(ConfigError, match="fewer than 3 wavenumbers"):
+            FitOptions(k_min=k_min, k_max=k_max)
+
+    @pytest.mark.parametrize("k_min, k_max", [(None, 4), (1, 4), (10, 12)])
+    def test_accepts_window_of_three_wavenumbers(self, k_min, k_max):
+        FitOptions(k_min=k_min, k_max=k_max)
+
+
+class TestStripMonitor:
+    """The early-stop rule: stop once the fitted width falls below the limit."""
+
+    GRID = make_grid(256)
+
+    def oracle(self, delta):
+        return oracle_spectrum(SyntheticSpec(alpha=1 / 3, delta=delta, x_star=0.5), self.GRID)
+
+    def test_default_width_is_grid_limit(self):
+        limit = 2 * math.pi / self.GRID.n_modes
+        record = []
+        monitor = strip_monitor(FitOptions(), record)
+        assert monitor(0.0, self.oracle(0.8 * limit)) is True
+        assert monitor(0.0, self.oracle(1.25 * limit)) is False
+        assert record[0].delta < limit < record[1].delta
+
+    def test_given_width_replaces_grid_limit(self):
+        monitor = strip_monitor(FitOptions(min_strip_width=0.1))
+        assert monitor(0.0, self.oracle(0.08)) is True
+        assert monitor(0.0, self.oracle(0.12)) is False
