@@ -16,8 +16,11 @@ comment).  Recognized keys and their defaults:
     min_strip_width = none       early-stop width (none: grid limit 2*pi/K)
 
 The fit keys and ``min_strip_width`` fill ``tracker.FitOptions``, which
-owns the early stop.  With ``min_strip_width = none``, ``simulate``
-attaches no width monitor; ``track`` and ``sweep`` always attach one.
+owns the early stop.  ``build_manifest`` rejects a ``fit_kmax`` that
+leaves fewer than three wavenumbers above the resolved ``fit_kmin`` at
+the manifest's K, before anything runs.  With ``min_strip_width =
+none``, ``simulate`` attaches no width monitor; ``track`` and ``sweep``
+always attach one.
 
 Command-line flags mirror the keys and override the file.  Outputs are
 CSV files whose ``#``-prefixed header repeats the schema version and the
@@ -166,6 +169,7 @@ def build_manifest(entries: dict, out_dir: Path) -> RunManifest:
             merged["min_strip_width"], "min_strip_width", _parse_float
         ),
     )
+    fit.check_window(config.grid.n_modes)
     return RunManifest(config=config, fit=fit, out_dir=out_dir)
 
 

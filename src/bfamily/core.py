@@ -27,7 +27,8 @@ mode's conversions and elementwise functions.  Nothing here tests a
 dtype, and nothing enters a precision context except ``initial_datum``
 around a user callable, which may call global mpmath functions.
 Extended coefficients from outside the package enter the mode's own
-context when ``Spectrum`` is built (``as_complex``).
+context, rounded to its 32 digits, when ``Spectrum`` is built
+(``as_complex``).
 
 Discrete Parseval identity under this normalisation:
 
@@ -132,8 +133,8 @@ class Spectrum:
     Construction checks the shape (K/2 + 1,) and raises SymmetryError
     when u_hat[0] or u_hat[K/2] has an imaginary part beyond round-off
     (for object arrays, the round-off of the extended mode, whose context
-    each element is converted into).  Non-finite entries are left to the
-    finiteness checks.
+    each element enters, rounded to the mode's 32 digits).  Non-finite
+    entries are left to the finiteness checks.
     """
 
     grid: GridSpec

@@ -8,13 +8,14 @@ and each supplies every operation whose double and extended forms
 differ:
 
 - the half-layout transform pair ``forward``/``inverse`` (numpy's
-  rfft/irfft, or a radix-2 mpmath FFT), which write into an ``out=``
-  array when given one.  It is the plain pair in numpy's
-  ``norm="forward"`` convention: ``forward`` returns the bins
-  k = 0..K/2 of rfft(x) / K and ``inverse`` is the unscaled irfft.  The
-  grid's sign (-1)**k that turns bins into coefficients, and forcing
-  k = 0 and K/2 real, are left to the callers: ``core``'s transforms
-  and the tables of ``spectral.RhsKernel``;
+  rfft/irfft, or a radix-2 mpmath FFT on root tables cached per
+  transform length), which write into an ``out=`` array when given
+  one.  It is the plain pair in numpy's ``norm="forward"`` convention:
+  ``forward`` returns the bins k = 0..K/2 of rfft(x) / K and
+  ``inverse`` is the unscaled irfft.  The grid's sign (-1)**k that
+  turns bins into coefficients, and forcing k = 0 and K/2 real, are
+  left to the callers: ``core``'s transforms and the tables of
+  ``spectral.RhsKernel``;
 - scalar ``log``, ``log_ratio`` (log(num/den) of two integers), ``exp``,
   ``sqrt``, ``arg``, ``exp_minus_i`` (exp(-i*theta)) and ``isfinite``,
   and the constants ``pi`` and ``zero`` (a complex zero);
@@ -45,14 +46,17 @@ extended values run at 32 digits whatever the global mpmath precision
 is, and no caller enters anything.  Object arrays from outside the
 package enter that context where they become package values: in
 ``Spectrum`` (through ``as_complex``) and in the inputs of the extended
-transforms.  ``context()`` sets the *global* mpmath precision to the
-mode's digits, for foreign code only: a user callable that calls global
-``mpmath`` functions, or a test's own reference.
+transforms.  Entry rounds each value to the context's precision, so a
+value computed at 60 digits does not carry its extra bits into the
+mode's arithmetic.  ``context()`` sets the *global* mpmath precision to
+the mode's digits, for foreign code only: a user callable that calls
+global ``mpmath`` functions, or a test's own reference.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -132,6 +136,17 @@ class DoublePrecision:
         return np.fft.irfft(half, n=n_modes, axis=-1, norm="forward", out=out)
 
 
+def _enter(value):
+    """``value`` in the extended context, rounded to its precision; an mpf stays an mpf.
+
+    ``convert`` keeps every digit of an mpmath value from another
+    context, so a 60-digit value would carry 200 bits into 32-digit
+    arithmetic; unary plus rounds it to the context's precision.  A
+    package value is already rounded and keeps its bits.
+    """
+    return +_CTX.convert(value)
+
+
 def _elementwise(func):
     """``func`` mapped over an object array."""
     return staticmethod(np.frompyfunc(func, 1, 1))
@@ -159,8 +174,7 @@ class ExtendedPrecision:
     exp_array = _elementwise(_CTX.exp)
     sin_array = _elementwise(_CTX.sin)
     real_part = _elementwise(_CTX.re)
-    # entry into the context: an outside mpf stays an mpf, a package value is kept
-    as_complex = _elementwise(_CTX.convert)
+    as_complex = _elementwise(_enter)
 
     @staticmethod
     def log_ratio(num: int, den: int):
@@ -198,7 +212,7 @@ class ExtendedPrecision:
         if out is None:
             out = np.empty(half.shape[:-1] + (K,), dtype=object)
         for index in np.ndindex(half.shape[:-1]):
-            row = [_CTX.convert(v) for v in half[index]]
+            row = [_enter(v) for v in half[index]]
             # the exp(+...) transform is the forward FFT under conjugation:
             # the conjugated full spectrum is conj(row) then the mirrored row
             bins = _mp_fft([_CTX.conj(v) for v in row] + row[K // 2 - 1 : 0 : -1])
@@ -206,23 +220,40 @@ class ExtendedPrecision:
         return out
 
 
+@functools.cache
+def _roots(n: int) -> tuple:
+    """exp(-2*pi*i*r/n) for r = 0..n-1, built once per transform length n."""
+    return tuple(_CTX.expjpi(_CTX.mpf(-2 * r) / n) for r in range(n))
+
+
 def _mp_fft(a: list) -> list:
-    """Radix-2 forward DFT, sum_j a_j exp(-2*pi*i*j*k/n), on extended scalars."""
+    """Radix-2 forward DFT, sum_j a_j exp(-2*pi*i*j*k/n), on extended scalars.
+
+    The twiddles come from the length's cached ``_roots`` table: the
+    same mpmath values that ``expjpi`` returns per butterfly, computed
+    once.  The m = 0 butterfly of each radix-2 combine skips its
+    multiply by the exact root 1; that multiply only rounds
+    ``odd[0]`` to the context's precision, so the skip keeps every
+    output bit as long as the inputs sit at that precision, which the
+    transforms' entry rounding (``_enter``, or ``mpc`` of a real sample)
+    guarantees.  Odd lengths, reached at K = 3 * 2**p, run the direct
+    sum with the table indexed by (j*k) mod n.
+    """
     n = len(a)
     if n == 1:
         return list(a)
+    roots = _roots(n)
     if n % 2:
-        return [
-            sum(a[j] * _CTX.expjpi(_CTX.mpf(-2 * ((j * k) % n)) / n) for j in range(n))
-            for k in range(n)
-        ]
+        return [sum(a[j] * roots[(j * k) % n] for j in range(n)) for k in range(n)]
+    half = n // 2
     even = _mp_fft(a[0::2])
     odd = _mp_fft(a[1::2])
     out = [None] * n
-    for m in range(n // 2):
-        tw = _CTX.expjpi(_CTX.mpf(-2 * m) / n) * odd[m]
+    out[0], out[half] = even[0] + odd[0], even[0] - odd[0]
+    for m in range(1, half):
+        tw = roots[m] * odd[m]
         out[m] = even[m] + tw
-        out[m + n // 2] = even[m] - tw
+        out[m + half] = even[m] - tw
     return out
 
 

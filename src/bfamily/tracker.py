@@ -78,7 +78,8 @@ class FitOptions:
 
     ``k_min``/``k_max`` bound the sliding window (None: max(8, K/16)
     and the noise-floor index); a fit needs three wavenumbers from k >= 2,
-    so a given ``k_max`` below max(k_min, 2) + 2 is rejected.
+    so a given ``k_max`` below max(k_min, 2) + 2 is rejected, and
+    ``check_window`` rejects it against the default k_min once K is known.
     ``min_strip_width`` is the fitted width below which ``strip_monitor``
     ends a run, the singularity being within one grid spacing of the
     real axis (None: the grid default 2*pi/K).  A given width must be
@@ -91,12 +92,27 @@ class FitOptions:
     min_strip_width: Optional[float] = None
 
     def __post_init__(self) -> None:
-        k_lo = max(self.k_min or 2, 2)
-        if self.k_max is not None and self.k_max < k_lo + 2:
-            raise ConfigError(f"fit window [{k_lo}, {self.k_max}] has fewer than 3 wavenumbers")
+        self._check_window(max(self.k_min or 2, 2))
         width = self.min_strip_width
         if width is not None and not (math.isfinite(width) and width > 0):
             raise ConfigError(f"min_strip_width must be finite and positive, got {width}")
+
+    def lowest_k(self, n_modes: int) -> int:
+        """The window's lower edge at K modes: ``k_min`` (None: max(8, K/16)), at least 2."""
+        return max(2, self.k_min if self.k_min is not None else default_k_min(n_modes))
+
+    def check_window(self, n_modes: int) -> None:
+        """Raise ConfigError when a given ``k_max`` leaves fewer than 3 wavenumbers at K modes.
+
+        Construction cannot see K, so it lets a default ``k_min`` pass
+        that resolves above ``k_max``; ``cli.build_manifest`` calls this
+        before anything runs.
+        """
+        self._check_window(self.lowest_k(n_modes))
+
+    def _check_window(self, k_lo: int) -> None:
+        if self.k_max is not None and self.k_max < k_lo + 2:
+            raise ConfigError(f"fit window [{k_lo}, {self.k_max}] has fewer than 3 wavenumbers")
 
 
 @dataclass(frozen=True)
@@ -295,10 +311,8 @@ def estimate_x_star(spectrum: Spectrum, ks: Sequence[int]):
 
 def _fit_window(mags: np.ndarray, floor, options: FitOptions) -> list[int]:
     K = 2 * (len(mags) - 1)
-    k_lo = options.k_min if options.k_min is not None else default_k_min(K)
-    k_hi = options.k_max if options.k_max is not None else K // 2 - 2
-    k_lo = max(2, k_lo)
-    k_hi = min(K // 2 - 2, k_hi)
+    k_lo = options.lowest_k(K)
+    k_hi = min(K // 2 - 2, options.k_max if options.k_max is not None else K // 2 - 2)
     ks = []
     for k in range(k_lo, k_hi + 1):
         if mags[k - 1] > floor and mags[k] > floor and mags[k + 1] > floor:

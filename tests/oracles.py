@@ -11,7 +11,70 @@ import numpy as np
 from bfamily.cli import SCHEMA_VERSION, _value_formatter
 from bfamily.core import GridSpec, PeriodicField, Spectrum, forward_transform
 from bfamily.errors import BlowUpOverflowError
-from bfamily.precision import _mp_fft, all_finite, transforms_for
+from bfamily.precision import all_finite, transforms_for
+
+
+# The frozen extended transform computes in a 32-digit context of its own:
+# the extended mode's precision (110 bits) and rounding, pinned here.
+_REFERENCE_CTX = mp.MPContext()
+_REFERENCE_CTX.dps = 32
+
+
+def reference_fft(a: list) -> list:
+    """Forward DFT, sum_j a_j exp(-2*pi*i*j*k/n), with each twiddle computed where it is used.
+
+    A frozen copy of the extended mode's radix-2 FFT before its root
+    tables: every butterfly evaluates its twiddle with ``expjpi``, the
+    exact root 1 included, and odd lengths sum directly.  Given inputs
+    at 32 digits it returns the same mpmath values, bit for bit, as
+    ``precision._mp_fft``.
+    """
+    ctx = _REFERENCE_CTX
+    n = len(a)
+    if n == 1:
+        return list(a)
+    if n % 2:
+        return [
+            sum(a[j] * ctx.expjpi(ctx.mpf(-2 * ((j * k) % n)) / n) for j in range(n))
+            for k in range(n)
+        ]
+    even = reference_fft(a[0::2])
+    odd = reference_fft(a[1::2])
+    out = [None] * n
+    for m in range(n // 2):
+        tw = ctx.expjpi(ctx.mpf(-2 * m) / n) * odd[m]
+        out[m] = even[m] + tw
+        out[m + n // 2] = even[m] - tw
+    return out
+
+
+def _reference_entry(value):
+    """``value`` as a 32-digit complex: real and imaginary parts rounded on their own."""
+    ctx = _REFERENCE_CTX
+    return ctx.mpc(ctx.mpf(mp.re(value)), ctx.mpf(mp.im(value)))
+
+
+def reference_extended_forward(values, n_modes: int) -> list:
+    """Bins k = 0..K/2 of the DFT of one row of real samples, divided by K.
+
+    ``EXTENDED32.forward`` of one row, on ``reference_fft``.
+    """
+    K = n_modes
+    bins = reference_fft([_reference_entry(v) for v in values])
+    return [bins[k] / K for k in range(K // 2 + 1)]
+
+
+def reference_extended_inverse(half, n_modes: int) -> list:
+    """Unscaled inverse DFT of one Hermitian half spectrum: ``EXTENDED32.inverse`` of one row.
+
+    Inputs are rounded to 32 digits on entry, then the exp(+...)
+    transform runs as ``reference_fft`` under conjugation.
+    """
+    K = n_modes
+    ctx = _REFERENCE_CTX
+    row = [_reference_entry(v) for v in half]
+    bins = reference_fft([ctx.conj(v) for v in row] + row[K // 2 - 1 : 0 : -1])
+    return [ctx.re(ctx.conj(v)) for v in bins]
 
 
 def random_field(grid: GridSpec, rng: np.random.Generator) -> PeriodicField:
@@ -187,14 +250,14 @@ def full_layout_rhs(coeffs: np.ndarray, b: float, dealias: bool) -> np.ndarray:
 
     def to_physical(c):
         if extended:
-            bins = _mp_fft([mp.conj(c[m] * ((-1) ** m)) for m in range(K)])
+            bins = reference_fft([mp.conj(c[m] * ((-1) ** m)) for m in range(K)])
             return np.array([mp.re(mp.conj(v)) for v in bins], dtype=object)
         return np.fft.irfft(c[:half] * signs, n=K, norm="forward")
 
     def to_spectral(values):
         out = np.empty(K, dtype=coeffs.dtype)
         if extended:
-            bins = _mp_fft([mp.mpc(v) for v in values])
+            bins = reference_fft([mp.mpc(v) for v in values])
             h = [bins[m] * ((-1) ** m) / K for m in range(half)]
             out[0], out[K // 2] = mp.mpc(mp.re(h[0])), mp.mpc(mp.re(h[K // 2]))
         else:
@@ -281,7 +344,7 @@ def signed_forward(values: np.ndarray, n_modes: int, out=None) -> np.ndarray:
     if out is None:
         out = np.empty(values.shape[:-1] + (K // 2 + 1,), dtype=object)
     for index in np.ndindex(values.shape[:-1]):
-        bins = _mp_fft([mp.mpc(v) for v in values[index]])
+        bins = reference_fft([mp.mpc(v) for v in values[index]])
         half = [bins[k] * ((-1) ** k) / K for k in range(K // 2 + 1)]
         half[0] = mp.mpc(mp.re(half[0]))
         half[K // 2] = mp.mpc(mp.re(half[K // 2]))
@@ -302,7 +365,7 @@ def signed_inverse(half: np.ndarray, n_modes: int, out=None) -> np.ndarray:
     for index in np.ndindex(half.shape[:-1]):
         row = half[index]
         full = list(row) + [mp.conj(v) for v in row[K // 2 - 1 : 0 : -1]]
-        bins = _mp_fft([mp.conj(v * ((-1) ** m)) for m, v in enumerate(full)])
+        bins = reference_fft([mp.conj(v * ((-1) ** m)) for m, v in enumerate(full)])
         out[index] = [mp.re(mp.conj(v)) for v in bins]
     return out
 

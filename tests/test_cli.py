@@ -240,6 +240,22 @@ class TestTrackCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["track"], ["sweep", "--b-list", "2,3"]])
+    def test_fit_kmax_below_default_window_exits_2_before_running(
+        self, tmp_path, monkeypatch, command
+    ):
+        # no --fit-kmin: the default max(8, K/16) = 8 leaves no 3 wavenumbers up to 5
+        def no_run(config, fit):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "track_run", no_run)
+        out = tmp_path / "o"
+        code = main([*command, "--modes", "128", "--dt", "0.001", "--t-end", "0.4",
+                     "--dealias", "true", "--sample-every", "40", "--fit-kmax", "5",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_no_decay_exits_4(self, tmp_path):
         # b = -1 stationary wave: every snapshot sits below the fit floor
         manifest = write_manifest(tmp_path / "m.txt", b="-1.0", dealias="false")

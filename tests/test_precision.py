@@ -1,12 +1,15 @@
-"""Extended results do not depend on the global mpmath precision."""
+"""Extended results: independent of the global mpmath precision, rounded on entry, pinned transforms."""
 
 import mpmath as mp
 import numpy as np
+import pytest
 
 from bfamily import (EXTENDED32, TYPE_I, FitOptions, RhsOptions, SyntheticSpec,
                      fit_spectrum, forward_transform, initial_datum, make_grid,
-                     oracle_field, oracle_spectrum, sobolev_norm)
+                     oracle_field, oracle_spectrum, precision, sobolev_norm)
 from bfamily.integrator import rk4_step
+
+from oracles import reference_extended_forward, reference_extended_inverse
 
 
 def at_default_and_raised(compute):
@@ -52,3 +55,99 @@ class TestGlobalPrecisionIgnored:
             forward, inverse = EXTENDED32.forward(global_samples, K), EXTENDED32.inverse(global_bins, K)
         assert all(a == b for a, b in zip(forward, bins, strict=True))
         assert all(a == b for a, b in zip(inverse, back, strict=True))
+
+
+def raw(values):
+    """The raw mpmath tuples (``_mpc_`` or ``_mpf_``) of a sequence of values."""
+    return [v._mpc_ if hasattr(v, "_mpc_") else v._mpf_ for v in values]
+
+
+def foreign_bins(K, seed=0):
+    """A Hermitian half spectrum computed at 60 digits: every part carries ~200 bits."""
+    rng = np.random.default_rng(seed)
+    with mp.workdps(60):
+        bins = [mp.mpc(mp.mpf(int(a)) / 7, mp.mpf(int(b)) / 9)
+                for a, b in rng.integers(-1000, 1000, (K // 2 + 1, 2))]
+        bins[0], bins[-1] = mp.mpc(bins[0].real), mp.mpc(bins[-1].real)
+    return np.array(bins, dtype=object)
+
+
+def foreign_samples(K, seed=0):
+    """Real samples computed at 60 digits."""
+    rng = np.random.default_rng(seed)
+    with mp.workdps(60):
+        return np.array([mp.mpf(int(a)) / 7 for a in rng.integers(-1000, 1000, K)], dtype=object)
+
+
+def rounded(values):
+    """Each value rounded to the extended mode's 32 digits, part by part."""
+    real, imag = EXTENDED32.scalar, EXTENDED32.scalar_types[1]
+    return np.array([imag(real(v.real), real(v.imag)) for v in values], dtype=object)
+
+
+class TestForeignDigitsRounded:
+    """Values from a wider mpmath precision are rounded where they enter the mode."""
+
+    def test_inverse_of_foreign_bins_equals_inverse_of_rounded_bins(self):
+        K = 16
+        bins = foreign_bins(K)
+        assert max(v.imag._mpf_[3] for v in bins) > 150  # really 60-digit values
+        foreign = EXTENDED32.inverse(bins, K)
+        assert raw(foreign) == raw(EXTENDED32.inverse(rounded(bins), K))
+
+    def test_as_complex_rounds_and_keeps_an_mpf_an_mpf(self):
+        bins = foreign_bins(16)
+        entered = EXTENDED32.as_complex(bins)
+        assert raw(entered) == raw(rounded(bins))
+        with mp.workdps(60):
+            third = mp.mpf(1) / 3
+        (value,) = EXTENDED32.as_complex(np.array([third], dtype=object))
+        assert isinstance(value, EXTENDED32.scalar_types[0])
+        assert value._mpf_ == EXTENDED32.scalar(third)._mpf_ != third._mpf_
+
+
+class TestExtendedTransformPin:
+    """``EXTENDED32.forward``/``inverse`` against the frozen per-butterfly-twiddle FFT.
+
+    K = 24 and 96 reach the odd-length (3-point) branch.
+    """
+
+    @staticmethod
+    def samples(K, seed=1):
+        rng = np.random.default_rng(seed)
+        return np.array([EXTENDED32.scalar(v) for v in rng.standard_normal(K)], dtype=object)
+
+    @pytest.mark.parametrize("K", [2, 4, 16, 24, 64, 96])
+    def test_forward_and_inverse_match_reference(self, K):
+        samples = self.samples(K)
+        bins = EXTENDED32.forward(samples, K)
+        assert raw(bins) == raw(reference_extended_forward(samples, K))
+        assert raw(EXTENDED32.inverse(bins, K)) == raw(reference_extended_inverse(bins, K))
+
+    def test_stacked_rows_match_reference(self):
+        K = 24
+        samples = np.stack([self.samples(K, seed) for seed in (2, 3, 4)])
+        bins = EXTENDED32.forward(samples, K)
+        back = EXTENDED32.inverse(bins, K)
+        assert bins.shape == (3, K // 2 + 1) and back.shape == (3, K)
+        for row, row_bins, row_back in zip(samples, bins, back):
+            assert raw(row_bins) == raw(reference_extended_forward(row, K))
+            assert raw(row_back) == raw(reference_extended_inverse(row_bins, K))
+
+    @pytest.mark.parametrize("K", [16, 24])
+    def test_foreign_input_matches_reference(self, K):
+        samples, bins = foreign_samples(K), foreign_bins(K)
+        assert raw(EXTENDED32.forward(samples, K)) == raw(reference_extended_forward(samples, K))
+        assert raw(EXTENDED32.inverse(bins, K)) == raw(reference_extended_inverse(bins, K))
+
+    def test_root_tables_do_not_depend_on_the_global_precision(self):
+        K = 96
+        samples = self.samples(K)
+        default_bins = raw(EXTENDED32.forward(samples, K))
+        default_roots = {n: raw(precision._roots(n)) for n in (3, 6, 12, 24, 48, 96)}
+        for dps in (60, 15):
+            precision._roots.cache_clear()
+            with mp.workdps(dps):
+                bins = raw(EXTENDED32.forward(samples, K))
+            assert bins == default_bins
+            assert {n: raw(precision._roots(n)) for n in default_roots} == default_roots
