@@ -16,11 +16,14 @@ comment).  Recognized keys and their defaults:
     min_strip_width = none       early-stop width (none: grid limit 2*pi/K)
 
 The fit keys and ``min_strip_width`` fill ``tracker.FitOptions``, which
-owns the early stop.  ``build_manifest`` rejects a ``fit_kmax`` that
-leaves fewer than three wavenumbers above the resolved ``fit_kmin`` at
-the manifest's K, before anything runs.  With ``min_strip_width =
-none``, ``simulate`` attaches no width monitor; ``track`` and ``sweep``
-always attach one.
+owns the fit window and the early stop.  ``build_manifest`` rejects a
+``fit_kmax`` below max(``fit_kmin``, 2) + 2 whatever K is.  The window at
+the manifest's K is checked where a fit runs, before any step: ``track``
+and ``sweep`` (before its worker pool starts) check it first, and a
+monitored ``simulate`` fails on its t = 0 fit.  With ``min_strip_width =
+none``, ``simulate`` attaches no width monitor and so fits nothing;
+``track`` and ``sweep`` always attach one.  ``validate`` checks its
+window at its K before the first case.
 
 Command-line flags mirror the keys and override the file.  Outputs are
 CSV files whose ``#``-prefixed header repeats the schema version and the
@@ -35,6 +38,7 @@ Exit codes: 0 success, 2 configuration error, 3 overflow before t_end,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -169,7 +173,6 @@ def build_manifest(entries: dict, out_dir: Path) -> RunManifest:
             merged["min_strip_width"], "min_strip_width", _parse_float
         ),
     )
-    fit.check_window(config.grid.n_modes)
     return RunManifest(config=config, fit=fit, out_dir=out_dir)
 
 
@@ -344,6 +347,7 @@ def cmd_simulate(manifest: RunManifest) -> int:
 
 def cmd_track(manifest: RunManifest) -> int:
     config = manifest.config
+    manifest.fit.window(config.grid.n_modes)
     trajectory, trace = track_run(config, manifest.fit)
     provenance = manifest_entries(manifest)
     fmt = _value_formatter(config.precision)
@@ -422,6 +426,8 @@ def run_sweep(
 
 def check_sweep_range(b_values: Sequence[float], allow_b_minus_one: bool) -> None:
     for b in b_values:
+        if not math.isfinite(b):
+            raise ConfigError(f"b must be finite, got {b}")
         if b < -1.0:
             raise ConfigError(
                 f"b = {b} is outside the supported range (b > -1); "
@@ -445,6 +451,7 @@ def cmd_sweep(
     if max_workers is not None and max_workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {max_workers}")
     check_sweep_range(b_values, allow_b_minus_one)
+    manifest.fit.window(manifest.config.grid.n_modes)
     rows = run_sweep(manifest, b_values, max_workers=max_workers)
     provenance = manifest_entries(manifest)
     fmt = _value_formatter(manifest.config.precision)
@@ -468,10 +475,16 @@ def validate_cases(
     x_star: float = 0.7,
     fit: Optional[FitOptions] = None,
 ) -> list:
-    """Closure suite rows: (delta, alpha, status, detail)."""
+    """Closure suite rows: (delta, alpha, status, detail).
+
+    ``fit`` defaults to a lower window edge of 16; a window that holds
+    fewer than three wavenumbers at ``n_modes`` raises ConfigError
+    before the first case.
+    """
     grid = GridSpec(n_modes)
     if fit is None:
         fit = FitOptions(k_min=16)
+    fit.window(n_modes)
     rows = []
     for delta in deltas:
         for alpha in alphas:
@@ -503,7 +516,7 @@ def validate_cases(
 
 
 def cmd_validate(n_modes: int, fit_kmin: Optional[int]) -> int:
-    fit = FitOptions(k_min=16 if fit_kmin is None else fit_kmin)
+    fit = None if fit_kmin is None else FitOptions(k_min=fit_kmin)
     rows = validate_cases(n_modes=n_modes, fit=fit)
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     for delta, alpha, status, detail in rows:

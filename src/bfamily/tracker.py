@@ -25,6 +25,12 @@ delta falling toward the grid's resolution limit 2*pi/K signals a real
 singularity forming; linear extrapolation of delta(t) to zero estimates
 the blow-up time.
 
+A fit reads the spectrum over one wavenumber window: ``FitOptions.window``
+resolves its bounds at K modes (or raises ConfigError), and
+``sliding_fit`` walks it once, from the lower edge up to the first
+triple on the noise floor.  ``fit_spectrum`` extrapolates what that walk
+returns.
+
 The early stop is the tracker's rule: ``strip_monitor`` fits each
 recorded snapshot and tells the integrator whether delta has fallen
 below ``FitOptions.min_strip_width``.  ``track_run`` simulates with it
@@ -67,19 +73,14 @@ EXTRAPOLATION_SAMPLES = 5
 LATE_ALPHA_SAMPLES = 3
 
 
-def default_k_min(n_modes: int) -> int:
-    """Default lower edge of the fit window: max(8, K/16)."""
-    return max(8, n_modes // 16)
-
-
 @dataclass(frozen=True)
 class FitOptions:
     """Fit window for spectrum fits, and the strip width that ends a run.
 
-    ``k_min``/``k_max`` bound the sliding window (None: max(8, K/16)
-    and the noise-floor index); a fit needs three wavenumbers from k >= 2,
-    so a given ``k_max`` below max(k_min, 2) + 2 is rejected, and
-    ``check_window`` rejects it against the default k_min once K is known.
+    ``k_min``/``k_max`` bound the sliding window that ``window`` resolves
+    at K modes (None: max(8, K/16) and K/2 - 2); a fit needs three
+    wavenumbers from k >= 2, so a given ``k_max`` below max(k_min, 2) + 2
+    is rejected here, before K is known.
     ``min_strip_width`` is the fitted width below which ``strip_monitor``
     ends a run, the singularity being within one grid spacing of the
     real axis (None: the grid default 2*pi/K).  A given width must be
@@ -92,27 +93,28 @@ class FitOptions:
     min_strip_width: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self._check_window(max(self.k_min or 2, 2))
+        k_lo = max(self.k_min or 2, 2)
+        if self.k_max is not None and self.k_max < k_lo + 2:
+            raise ConfigError(f"fit window [{k_lo}, {self.k_max}] has fewer than 3 wavenumbers")
         width = self.min_strip_width
         if width is not None and not (math.isfinite(width) and width > 0):
             raise ConfigError(f"min_strip_width must be finite and positive, got {width}")
 
-    def lowest_k(self, n_modes: int) -> int:
-        """The window's lower edge at K modes: ``k_min`` (None: max(8, K/16)), at least 2."""
-        return max(2, self.k_min if self.k_min is not None else default_k_min(n_modes))
+    def window(self, n_modes: int) -> range:
+        """The wavenumbers a fit at K modes may use, before the noise floor cuts it.
 
-    def check_window(self, n_modes: int) -> None:
-        """Raise ConfigError when a given ``k_max`` leaves fewer than 3 wavenumbers at K modes.
-
-        Construction cannot see K, so it lets a default ``k_min`` pass
-        that resolves above ``k_max``; ``cli.build_manifest`` calls this
-        before anything runs.
+        From ``k_min`` (None: max(8, K/16)), at least 2, to ``k_max``
+        capped at K/2 - 2, the last k whose triple k-1, k, k+1 lies below
+        the Nyquist slot.  Raises ConfigError when that leaves fewer than
+        3 wavenumbers; a run calls this before its first step.
         """
-        self._check_window(self.lowest_k(n_modes))
-
-    def _check_window(self, k_lo: int) -> None:
-        if self.k_max is not None and self.k_max < k_lo + 2:
-            raise ConfigError(f"fit window [{k_lo}, {self.k_max}] has fewer than 3 wavenumbers")
+        k_lo = max(2, max(8, n_modes // 16) if self.k_min is None else self.k_min)
+        k_hi = n_modes // 2 - 2 if self.k_max is None else min(self.k_max, n_modes // 2 - 2)
+        if k_hi < k_lo + 2:
+            raise ConfigError(
+                f"fit window [{k_lo}, {k_hi}] has fewer than 3 wavenumbers at K = {n_modes}"
+            )
+        return range(k_lo, k_hi + 1)
 
 
 @dataclass(frozen=True)
@@ -139,12 +141,13 @@ class FitResult:
 
 @dataclass(frozen=True)
 class SlidingFit:
-    """Sliding three-point estimates indexed by wavenumber."""
+    """Sliding three-point estimates indexed by wavenumber, with |u_hat[k]|."""
 
     k: tuple[int, ...]
     s: tuple
     delta: tuple
     log_c: tuple
+    magnitude: tuple
 
 
 def _magnitudes(spectrum: Spectrum, mode: Precision):
@@ -184,30 +187,28 @@ def _local_fit_from_triple(triple, k: int, mode: Precision):
     return s, delta, log_c
 
 
-def sliding_fit(spectrum: Spectrum, ks: Sequence[int]) -> SlidingFit:
-    """Apply the three-point fit across a window of wavenumbers."""
+def sliding_fit(spectrum: Spectrum, options: FitOptions = FitOptions()) -> SlidingFit:
+    """Apply the three-point fit across the fit window, up to the noise floor.
+
+    Walks ``options.window(K)`` upward and stops at the first k whose
+    triple is not above the floor: magnitudes decay with k, so that is
+    the floor index.  Raises ConfigError when the window itself holds
+    fewer than 3 wavenumbers, and EmptyWindowError when fewer than 3
+    remain below the floor index.
+    """
     mode = transforms_for(spectrum.coeffs)
     mags, floor = _magnitudes(spectrum, mode)
-    return _sliding_fit(mags, floor, ks, mode)
-
-
-def _sliding_fit(mags: np.ndarray, floor, ks: Sequence[int], mode: Precision) -> SlidingFit:
-    out_k, out_s, out_d, out_c = [], [], [], []
-    k_top = len(mags) - 3  # K/2 - 2
-    for k in ks:
-        if not 2 <= k <= k_top:
-            continue
+    rows = []
+    for k in options.window(spectrum.grid.n_modes):
         triple = mags[k - 1], mags[k], mags[k + 1]
         if not all(m > floor for m in triple):
-            continue
-        s, d, c = _local_fit_from_triple(triple, k, mode)
-        out_k.append(int(k))
-        out_s.append(s)
-        out_d.append(d)
-        out_c.append(c)
-    if not out_k:
-        raise EmptyWindowError("no admissible wavenumbers in the requested window")
-    return SlidingFit(k=tuple(out_k), s=tuple(out_s), delta=tuple(out_d), log_c=tuple(out_c))
+            break
+        rows.append((k, *_local_fit_from_triple(triple, k, mode), mags[k]))
+    if len(rows) < 3:
+        raise EmptyWindowError(
+            f"fit window holds {len(rows)} admissible wavenumbers; need at least 3"
+        )
+    return SlidingFit(*zip(*rows))
 
 
 def wynn_epsilon(seq):
@@ -309,39 +310,19 @@ def estimate_x_star(spectrum: Spectrum, ks: Sequence[int]):
     return (-slope + mode.pi) % two_pi - mode.pi
 
 
-def _fit_window(mags: np.ndarray, floor, options: FitOptions) -> list[int]:
-    K = 2 * (len(mags) - 1)
-    k_lo = options.lowest_k(K)
-    k_hi = min(K // 2 - 2, options.k_max if options.k_max is not None else K // 2 - 2)
-    ks = []
-    for k in range(k_lo, k_hi + 1):
-        if mags[k - 1] > floor and mags[k] > floor and mags[k + 1] > floor:
-            ks.append(k)
-        else:
-            # magnitudes decay with k: the first crossing is the floor index
-            break
-    return ks
-
-
 def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitResult:
     """Estimate (C, alpha, delta, x_star) from one spectrum.
 
-    Runs the sliding three-point fit over the admissible window, one
-    Wynn extrapolation of the three estimate sequences, and a phase fit
-    for the abscissa.  A raw negative strip width is clamped to zero and
-    flagged.  Raises EmptyWindowError when fewer than three admissible
-    wavenumbers remain, and ExtrapolationError when an extrapolated
+    Runs ``sliding_fit`` over the window, one Wynn extrapolation of the
+    three estimate sequences, and a phase fit for the abscissa.  A raw
+    negative strip width is clamped to zero and flagged.  Raises what
+    ``sliding_fit`` raises, and ExtrapolationError when an extrapolated
     limit (s, delta or log C) is not finite or log C overflows the
     amplitude.
     """
     mode = transforms_for(spectrum.coeffs)
-    mags, floor = _magnitudes(spectrum, mode)
-    ks = _fit_window(mags, floor, options)
-    if len(ks) < 3:
-        raise EmptyWindowError(
-            f"fit window holds {len(ks)} admissible wavenumbers; need at least 3"
-        )
-    sliding = _sliding_fit(mags, floor, ks, mode)
+    sliding = sliding_fit(spectrum, options)
+    ks = sliding.k
     limits = [limit for limit, _ in wynn_epsilon([sliding.s, sliding.delta, sliding.log_c])]
     s_lim, delta_lim, log_c_lim = limits
     if not all(mode.isfinite(limit) for limit in limits):
@@ -355,9 +336,9 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
     delta_out = 0 * abs(delta_lim) if clamped else delta_lim
 
     sq_sum = 0.0
-    for k in ks:
+    for k, magnitude in zip(ks, sliding.magnitude):
         model = log_c_lim - s_lim * mode.log(k) - delta_lim * k
-        dev = float(mode.log(mags[k]) - model)
+        dev = float(mode.log(magnitude) - model)
         sq_sum += dev * dev
     residual = math.sqrt(sq_sum / len(ks))
 
@@ -506,7 +487,9 @@ def track_run(config: BFamilyConfig, fit: FitOptions) -> tuple[Trajectory, Singu
     ``simulate`` asks the monitor about every recorded snapshot, t = 0
     included, in order, so its record holds one fit outcome per snapshot
     in snapshot order: each snapshot is fitted once.  The trace equals
-    ``track(trajectory, fit)``.
+    ``track(trajectory, fit)``.  A window that holds fewer than three
+    wavenumbers at the config's K raises ConfigError from the t = 0 fit,
+    before the first step.
     """
     results: list[Optional[FitResult]] = []
     trajectory = simulate(config, strip_monitor(fit, results))

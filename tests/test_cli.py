@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bfamily.cli as cli
+import bfamily.integrator as integrator
 import bfamily.tracker as tracker
 from bfamily.cli import (build_manifest, main, manifest_entries,
                          parse_manifest_text, run_sweep, validate_cases)
@@ -170,6 +171,25 @@ class TestSimulateCommand:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
+    def test_unmonitored_small_grid_checks_no_window(self, tmp_path):
+        # the default window [8, 6] at K = 16 is empty, but nothing is fitted
+        out = tmp_path / "o"
+        code = main(["simulate", "--modes", "16", "--dt", "0.01", "--t-end", "0.05",
+                     "--sample-every", "1", "--out", str(out)])
+        assert code == 0
+        assert len(list((out / "spectra").iterdir())) == 6
+
+    def test_monitored_small_grid_exits_2_before_any_step(self, tmp_path, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(integrator, "rk4_step", no_step)
+        out = tmp_path / "o"
+        code = main(["simulate", "--modes", "16", "--dt", "0.01", "--t-end", "0.05",
+                     "--min-strip-width", "0.1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_min_strip_width_stops_early(self, tmp_path):
         out = tmp_path / "out"
         code = main(["simulate", "--modes", "128", "--dt", "0.001", "--t-end", "1.0",
@@ -253,6 +273,23 @@ class TestTrackCommand:
         code = main([*command, "--modes", "128", "--dt", "0.001", "--t-end", "0.4",
                      "--dealias", "true", "--sample-every", "40", "--fit-kmax", "5",
                      "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", [["--fit-kmin", "40"],
+                                        ["--fit-kmin", "29", "--fit-kmax", "40"]])
+    @pytest.mark.parametrize("command", [["track"], ["sweep", "--b-list", "2,3"]])
+    def test_window_past_the_grid_exits_2_before_running(
+        self, tmp_path, monkeypatch, command, window
+    ):
+        # at K = 64 the window ends at K/2 - 2 = 30: [40, 30] and [29, 30] hold too few
+        def no_run(config, fit):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "track_run", no_run)
+        out = tmp_path / "o"
+        code = main([*command, "--modes", "64", "--dt", "0.001", "--t-end", "0.05",
+                     "--sample-every", "10", *window, "--out", str(out)])
         assert code == 2
         assert not out.exists()
 
@@ -427,6 +464,18 @@ class TestSweepCommand:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("b_list", ["nan,0", "0,inf"])
+    def test_non_finite_b_exits_2_without_a_pool(self, tmp_path, monkeypatch, b_list):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        manifest = self.sweep_manifest(tmp_path)
+        code = main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+                     f"--b-list={b_list}"])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_minus_one_needs_override(self, tmp_path):
         manifest = self.sweep_manifest(tmp_path)
         args = ["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
@@ -502,3 +551,25 @@ class TestValidateCommand:
         assert main(["validate", "--modes", "512", "--fit-kmin", "16"]) == 0
         out = capsys.readouterr().out
         assert "pass" in out and "0 fail" in out
+
+    def test_window_past_the_grid_exits_2_before_any_case(self, capsys, monkeypatch):
+        def no_fit(spectrum, options):
+            raise AssertionError("a case was fitted")
+
+        monkeypatch.setattr(cli, "fit_spectrum", no_fit)
+        assert main(["validate", "--modes", "512", "--fit-kmin", "300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fit window [300, 254] has fewer than 3 wavenumbers" in captured.err
+
+    def test_default_lower_edge_is_16(self, monkeypatch):
+        seen = []
+        real_fit = cli.fit_spectrum
+
+        def recording(spectrum, options):
+            seen.append(options)
+            return real_fit(spectrum, options)
+
+        monkeypatch.setattr(cli, "fit_spectrum", recording)
+        assert main(["validate", "--modes", "512"]) == 0
+        assert seen and all(options == FitOptions(k_min=16) for options in seen)

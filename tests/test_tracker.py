@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bfamily.integrator as integrator
 import bfamily.tracker as tracker
 from bfamily import DOUBLE, EXTENDED32, make_grid
 from bfamily.core import PeriodicField, Spectrum, forward_transform
@@ -16,10 +17,10 @@ from bfamily.errors import (ConfigError, EmptyWindowError, ExtrapolationError,
                             InsufficientDataError, NoiseFloorError)
 from bfamily.integrator import BFamilyConfig, StopReason, Trajectory, simulate
 from bfamily.synthetic import SyntheticSpec, oracle_spectrum
-from bfamily.tracker import (WYNN_RTOL, FitOptions, default_k_min,
-                             estimate_x_star, extrapolate_blowup_time,
-                             fit_spectrum, local_fit, sliding_fit,
-                             strip_monitor, track, track_run, wynn_epsilon)
+from bfamily.tracker import (WYNN_RTOL, FitOptions, estimate_x_star,
+                             extrapolate_blowup_time, fit_spectrum, local_fit,
+                             sliding_fit, strip_monitor, track, track_run,
+                             wynn_epsilon)
 
 from oracles import reference_wynn_epsilon, shanks_table_limit
 
@@ -89,7 +90,7 @@ class TestLocalFit:
             s_true = rng.uniform(0.0, 4.0)
             d_true = rng.uniform(0.0, 1.0)
             sp = pure_model_spectrum(grid, amplitude, s_true, d_true)
-            sl = sliding_fit(sp, range(2, 63))
+            sl = sliding_fit(sp, FitOptions(k_min=2, k_max=62))
             log_c = math.log(amplitude)
             for s, d, c in zip(sl.s, sl.delta, sl.log_c):
                 assert abs(s - s_true) / max(1.0, s_true) < 1e-10
@@ -142,7 +143,7 @@ class TestLocalFit:
 class TestSlidingFit:
     def test_constant_sequences_on_pure_model(self):
         sp = pure_model_spectrum(make_grid(128), 1.0, 1.6, 0.05)
-        sl = sliding_fit(sp, range(2, 63))
+        sl = sliding_fit(sp, FitOptions(k_min=2, k_max=62))
         assert max(sl.s) - min(sl.s) < 1e-10
         assert max(sl.delta) - min(sl.delta) < 1e-11
 
@@ -151,14 +152,45 @@ class TestSlidingFit:
         field = PeriodicField(grid, np.sin(grid.nodes()))
         sp = forward_transform(field)
         with pytest.raises(EmptyWindowError):
-            sliding_fit(sp, range(2, 31))
+            sliding_fit(sp, FitOptions(k_min=2, k_max=30))
 
     def test_window_truncates_at_noise_floor(self):
         sp = pure_model_spectrum(make_grid(256), 1.0, 1.0, 0.5)
-        sl = sliding_fit(sp, range(2, 127))
+        sl = sliding_fit(sp, FitOptions(k_min=2, k_max=126))
         # e^{-0.5k} crosses 1e3*eps*max around k = 60
         assert sl.k[-1] < 70
         assert all(k2 - k1 == 1 for k1, k2 in zip(sl.k, sl.k[1:]))
+
+    def test_walk_stops_at_first_triple_on_the_floor(self):
+        # a zero mode at k = 20 ends the window at k = 18, although the
+        # triples from k = 22 on lie above the floor again
+        model = pure_model_spectrum(make_grid(128), 1.0, 1.6, 0.05)
+        coeffs = model.coeffs.copy()
+        coeffs[20] = 0.0
+        sp = Spectrum(grid=model.grid, coeffs=coeffs)
+        sl = sliding_fit(sp, FitOptions(k_min=8))
+        assert sl.k == tuple(range(8, 19))
+        assert sl.magnitude == tuple(abs(sp.coeffs[k]) for k in sl.k)
+
+    def test_impossible_window_is_a_config_error(self):
+        sp = pure_model_spectrum(make_grid(64), 1.0, 1.6, 0.05)
+        with pytest.raises(ConfigError, match=r"fit window \[40, 30\]"):
+            sliding_fit(sp, FitOptions(k_min=40))
+
+    def test_fit_spectrum_fits_through_sliding_fit(self, monkeypatch):
+        # the module-level call is what a profiler's sliding_fit span sees
+        calls = []
+        real = tracker.sliding_fit
+
+        def counting(spectrum, options):
+            calls.append(options)
+            return real(spectrum, options)
+
+        monkeypatch.setattr(tracker, "sliding_fit", counting)
+        options = FitOptions(k_min=10, k_max=40)
+        fr = fit_spectrum(pure_model_spectrum(make_grid(128), 1.0, 1.6, 0.05), options)
+        assert calls == [options]
+        assert fr.k_window == (10, 40)
 
 
 class TestWynnEpsilon:
@@ -238,7 +270,7 @@ def assert_matches_reference(seq):
 def sliding_sequences(spectrum, options):
     """The (s, delta, log C) sequences that fit_spectrum extrapolates."""
     k_lo, k_hi = fit_spectrum(spectrum, options).k_window
-    sl = sliding_fit(spectrum, range(k_lo, k_hi + 1))
+    sl = sliding_fit(spectrum, FitOptions(k_min=k_lo, k_max=k_hi))
     return sl.s, sl.delta, sl.log_c
 
 
@@ -462,9 +494,9 @@ class TestFitSpectrum:
         assert not fr.delta_clamped
 
     def test_default_window_lower_edge(self):
-        assert default_k_min(64) == 8
-        assert default_k_min(256) == 16
-        assert default_k_min(2048) == 128
+        assert FitOptions().window(64)[0] == 8
+        assert FitOptions().window(256)[0] == 16
+        assert FitOptions().window(2048)[0] == 128
 
     def test_oracle_closure_module_scale(self):
         spec = SyntheticSpec(alpha=3 / 5, delta=0.2, x_star=1.0)
@@ -634,6 +666,16 @@ class TestTrack:
         assert [id(s) for s in calls] == [id(s) for s in trajectory.snapshots]
         assert trace == track(trajectory, fit)
 
+    def test_impossible_window_raises_before_the_first_step(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(integrator, "rk4_step", no_step)
+        config, _ = self.small_run()
+        # default k_max: K/2 - 2 = 62 at K = 128
+        with pytest.raises(ConfigError, match="fewer than 3 wavenumbers"):
+            track_run(config, FitOptions(k_min=61))
+
     def test_recorded_skip_is_reused(self):
         grid = make_grid(1024)
         sin_spectrum = forward_transform(
@@ -685,6 +727,24 @@ class TestFitOptions:
     @pytest.mark.parametrize("k_min, k_max", [(None, 4), (1, 4), (10, 12)])
     def test_accepts_window_of_three_wavenumbers(self, k_min, k_max):
         FitOptions(k_min=k_min, k_max=k_max)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        k_min=st.none() | st.integers(-4, 700),
+        k_max=st.none() | st.integers(-4, 700),
+        n_modes=st.integers(1, 1024).map(lambda half: 2 * half),
+    )
+    def test_window_is_three_contiguous_wavenumbers_or_config_error(self, k_min, k_max, n_modes):
+        lo = max(2, max(8, n_modes // 16) if k_min is None else k_min)
+        hi = n_modes // 2 - 2 if k_max is None else min(k_max, n_modes // 2 - 2)
+        try:
+            window = FitOptions(k_min=k_min, k_max=k_max).window(n_modes)
+        except ConfigError:
+            assert hi - lo + 1 < 3
+            return
+        assert isinstance(window, range) and window.step == 1
+        assert len(window) >= 3
+        assert lo <= window[0] and window[-1] <= hi
 
 
 class TestStripMonitor:
