@@ -8,9 +8,10 @@ and each supplies every operation whose double and extended forms
 differ:
 
 - the half-layout transform pair ``forward``/``inverse`` (numpy's
-  rfft/irfft, or a radix-2 mpmath FFT on root tables cached per
-  transform length), which write into an ``out=`` array when given
-  one.  It is the plain pair in numpy's ``norm="forward"`` convention:
+  rfft/irfft, or a radix-2 FFT on raw mpmath tuples with root tables
+  cached per transform length, which mirrors half the butterflies of
+  real input at power-of-two lengths), which write into an ``out=``
+  array when given one.  It is the plain pair in numpy's ``norm="forward"`` convention:
   ``forward`` returns the bins k = 0..K/2 of rfft(x) / K and
   ``inverse`` is the unscaled irfft.  The grid's sign (-1)**k that
   turns bins into coefficients, and forcing k = 0 and K/2 real, are
@@ -21,6 +22,9 @@ differ:
   and the constants ``pi`` and ``zero`` (a complex zero);
 - elementwise array ``exp_array``, ``sin_array`` and ``real_part``, and
   the finiteness test ``all_finite``;
+- ``near_singular``, the Wynn epsilon table's test for a near-singular
+  difference, one flag per row: numpy's expression for doubles, and an
+  exponent screen before the exact test for extended values;
 - conversions ``scalar``, ``real`` (to a real working-precision array)
   and ``as_complex``, and the array dtypes ``real_dtype`` and
   ``complex_dtype`` for preallocated buffers;
@@ -57,12 +61,15 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (from_int, fzero, mpc_add, mpc_add_mpf, mpc_conjugate,
+                           mpc_div_mpf, mpc_mul, mpc_sub, mpf_neg, mpf_pos)
 
 # The extended mode's private mpmath context: its values compute at 32 digits.
 _CTX = mp.MPContext()
@@ -135,6 +142,14 @@ class DoublePrecision:
         """Unscaled irfft: the K real samples whose bins k = 0..K/2 are ``half``."""
         return np.fft.irfft(half, n=n_modes, axis=-1, norm="forward", out=out)
 
+    def near_singular(self, prev: np.ndarray, d: np.ndarray, rtol: float) -> list:
+        """Per row of ``prev``: is any |d[i]| <= rtol * (|prev[i+1]| + |prev[i]|)?
+
+        ``d`` is prev's first difference along each row.
+        """
+        mag = np.abs(prev)
+        return (np.abs(d) <= rtol * (mag[:, 1:] + mag[:, :-1])).any(axis=1).tolist()
+
 
 def _enter(value):
     """``value`` in the extended context, rounded to its precision; an mpf stays an mpf.
@@ -197,13 +212,26 @@ class ExtendedPrecision:
         return all(_CTX.isfinite(v) for v in arr.ravel())
 
     def forward(self, values: np.ndarray, n_modes: int, out=None) -> np.ndarray:
-        """Bins k = 0..K/2 of the DFT of real samples, divided by K."""
+        """Bins k = 0..K/2 of the DFT of real samples, divided by K.
+
+        A row whose samples are all real takes ``_mp_fft``'s mirror at
+        power-of-two K; a row holding a non-real value, or K = 3 * 2**p,
+        takes the full butterflies.
+        """
         K = n_modes
         if out is None:
             out = np.empty(values.shape[:-1] + (K // 2 + 1,), dtype=object)
+        prec, rounding = _CTX._prec_rounding
+        scale = from_int(K)
+        power_of_two = K & (K - 1) == 0
         for index in np.ndindex(values.shape[:-1]):
-            bins = _mp_fft([_CTX.mpc(v) for v in values[index]])
-            out[index] = [bins[k] / K for k in range(K // 2 + 1)]
+            # what mpc(v) holds: a package mpf rounded, with a zero imaginary part
+            row = [(mpf_pos(v._mpf_, prec, rounding), fzero) if type(v) is _CTX.mpf
+                   else _CTX.mpc(v)._mpc_ for v in values[index]]
+            real = power_of_two and all(z[1] == fzero for z in row)
+            bins = _mp_fft(row, real)
+            out[index] = [_CTX.make_mpc(mpc_div_mpf(bins[k], scale, prec, rounding))
+                          for k in range(K // 2 + 1)]
         return out
 
     def inverse(self, half: np.ndarray, n_modes: int, out=None) -> np.ndarray:
@@ -211,13 +239,64 @@ class ExtendedPrecision:
         K = n_modes
         if out is None:
             out = np.empty(half.shape[:-1] + (K,), dtype=object)
+        prec, rounding = _CTX._prec_rounding
         for index in np.ndindex(half.shape[:-1]):
-            row = [_enter(v) for v in half[index]]
+            row = [_complex_tuple(_enter(v)) for v in half[index]]
             # the exp(+...) transform is the forward FFT under conjugation:
             # the conjugated full spectrum is conj(row) then the mirrored row
-            bins = _mp_fft([_CTX.conj(v) for v in row] + row[K // 2 - 1 : 0 : -1])
-            out[index] = [_CTX.re(_CTX.conj(v)) for v in bins]
+            full = [mpc_conjugate(z, prec, rounding) for z in row] + row[K // 2 - 1 : 0 : -1]
+            out[index] = [_CTX.make_mpf(z[0]) for z in _mp_fft(full)]
         return out
+
+    def near_singular(self, prev: np.ndarray, d: np.ndarray, rtol: float) -> list:
+        """Per row of ``prev``: is any |d[i]| <= rtol * (|prev[i+1]| + |prev[i]|)?
+
+        ``d`` is prev's first difference along each row.  An exponent
+        screen settles most entries without mpmath arithmetic.  With
+        mag(x) = exp + bc of x's raw tuple, |x| lies in [2**(mag-1),
+        2**mag), so |a| + |b| < 2**(M+1) for M the larger mag of the
+        operands, and rtol * (|a| + |b|), rounded, is at most 2**(M+e+1)
+        where 2**(e-1) <= rtol < 2**e.  Hence mag(d) >= M + e + 3, that is
+        M + floor(log2 rtol) + 4, means the test cannot hold.  A zero
+        difference is singular.  Every other entry, inf and nan included
+        (their mantissa is 0, as zero's is), and every value that is not
+        an mpf, takes the exact test, the double mode's expression
+        applied to the scalars: each operand computes at its own type
+        and precision.
+        """
+        shift = math.frexp(rtol)[1] + 3 if math.isfinite(rtol) else math.inf
+        flags = []
+        for row, diffs in zip(prev, d):
+            mags = [_mag(v) for v in row]
+            singular = False
+            for i, diff in enumerate(diffs):
+                t = getattr(diff, "_mpf_", None)
+                if t is not None and t[1] and t[2] + t[3] >= max(mags[i], mags[i + 1]) + shift:
+                    continue
+                if t == fzero or abs(diff) <= rtol * (abs(row[i + 1]) + abs(row[i])):
+                    singular = True
+                    break
+            flags.append(singular)
+        return flags
+
+
+def _complex_tuple(value) -> tuple:
+    """The raw ``_mpc_`` tuple of an extended value; an mpf gets a zero imaginary part."""
+    return value._mpc_ if hasattr(value, "_mpc_") else (value._mpf_, fzero)
+
+
+def _mag(value):
+    """An exponent m with |value| < 2**m: exp + bc of its raw mpf tuple.
+
+    Zero gets -inf.  Inf, nan and values without a raw mpf tuple get
+    +inf, so the screen never settles an entry from their magnitude.
+    """
+    t = getattr(value, "_mpf_", None)
+    if t is None:
+        return math.inf
+    if t[1]:
+        return t[2] + t[3]
+    return -math.inf if t == fzero else math.inf
 
 
 @functools.cache
@@ -226,34 +305,69 @@ def _roots(n: int) -> tuple:
     return tuple(_CTX.expjpi(_CTX.mpf(-2 * r) / n) for r in range(n))
 
 
-def _mp_fft(a: list) -> list:
-    """Radix-2 forward DFT, sum_j a_j exp(-2*pi*i*j*k/n), on extended scalars.
+@functools.cache
+def _root_tuples(n: int) -> tuple:
+    """The raw ``_mpc_`` tuples of ``_roots(n)``, which ``_mp_fft`` multiplies by."""
+    return tuple(root._mpc_ for root in _roots(n))
 
-    The twiddles come from the length's cached ``_roots`` table: the
-    same mpmath values that ``expjpi`` returns per butterfly, computed
-    once.  The m = 0 butterfly of each radix-2 combine skips its
-    multiply by the exact root 1; that multiply only rounds
-    ``odd[0]`` to the context's precision, so the skip keeps every
-    output bit as long as the inputs sit at that precision, which the
-    transforms' entry rounding (``_enter``, or ``mpc`` of a real sample)
-    guarantees.  Odd lengths, reached at K = 3 * 2**p, run the direct
-    sum with the table indexed by (j*k) mod n.
+
+def _mp_fft(a: list, real: bool = False) -> list:
+    """Radix-2 forward DFT, sum_j a_j exp(-2*pi*i*j*k/n), on raw ``_mpc_`` tuples.
+
+    The butterflies call libmp's ``mpc_add``, ``mpc_sub`` and ``mpc_mul``
+    at the extended context's precision and rounding: the functions
+    that mpc's operators call, with the operands in the same order, so
+    every output bit is the one mpc arithmetic gives.  The twiddles come
+    from the length's cached root table (``_root_tuples``): the same
+    values that ``expjpi`` returns per butterfly, computed once.  The
+    m = 0 butterfly of each radix-2 combine skips its multiply by the
+    exact root 1; that multiply only rounds ``odd[0]`` to the context's
+    precision, so the skip keeps every output bit as long as the inputs
+    sit at that precision, which the transforms' entry rounding
+    (``_enter``, or ``mpc`` of a real sample) guarantees.  Odd lengths,
+    reached at K = 3 * 2**p, run the direct sum with the table indexed
+    by (j*k) mod n, added up as Python's ``sum`` adds mpc values.
+
+    ``real`` says that every input is real (imaginary part ``fzero``)
+    and n is a power of two.  Each combine then computes its butterflies
+    for m = 0..half/2 only and fills the other outputs as
+    conj(out[n - k]).  The mirror keeps every bit: the sub-transforms of
+    real input are bitwise Hermitian (by induction), the root tables of
+    power-of-two lengths satisfy roots[half - m] == -conj(roots[m]) bit
+    for bit, and round-to-nearest is symmetric in sign, so the
+    butterfly at half - m computes exactly the conjugate of the one at
+    m.  ``_roots(3)`` breaks that identity, so lengths 3 * 2**p take
+    the full path.
     """
     n = len(a)
     if n == 1:
         return list(a)
-    roots = _roots(n)
+    prec, rounding = _CTX._prec_rounding
+    roots = _root_tuples(n)
     if n % 2:
-        return [sum(a[j] * roots[(j * k) % n] for j in range(n)) for k in range(n)]
+        out = []
+        for k in range(n):
+            total = mpc_add_mpf(mpc_mul(a[0], roots[0], prec, rounding), fzero, prec, rounding)
+            for j in range(1, n):
+                total = mpc_add(total, mpc_mul(a[j], roots[(j * k) % n], prec, rounding),
+                                prec, rounding)
+            out.append(total)
+        return out
     half = n // 2
-    even = _mp_fft(a[0::2])
-    odd = _mp_fft(a[1::2])
+    even = _mp_fft(a[0::2], real)
+    odd = _mp_fft(a[1::2], real)
     out = [None] * n
-    out[0], out[half] = even[0] + odd[0], even[0] - odd[0]
-    for m in range(1, half):
-        tw = roots[m] * odd[m]
-        out[m] = even[m] + tw
-        out[m + half] = even[m] - tw
+    out[0] = mpc_add(even[0], odd[0], prec, rounding)
+    out[half] = mpc_sub(even[0], odd[0], prec, rounding)
+    stop = half // 2 + 1 if real else half
+    for m in range(1, stop):
+        tw = mpc_mul(roots[m], odd[m], prec, rounding)
+        out[m] = mpc_add(even[m], tw, prec, rounding)
+        out[m + half] = mpc_sub(even[m], tw, prec, rounding)
+    if real:
+        for k in itertools.chain(range(stop, half), range(half + stop, n)):
+            re, im = out[n - k]
+            out[k] = re, mpf_neg(im)
     return out
 
 

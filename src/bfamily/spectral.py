@@ -45,7 +45,7 @@ import numpy as np
 
 from .core import GridSpec, Spectrum, grid_signs
 from .errors import BlowUpOverflowError
-from .precision import Precision, all_finite, transforms_for
+from .precision import Precision, transforms_for
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ class RhsKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(physical[0], physical[1], out=values[0])
             np.multiply(physical, physical, out=values[1:])
-        if not all_finite(values):
+        if not self.transforms.all_finite(values):
             raise BlowUpOverflowError("u, u_x or their products overflowed in physical space")
         products = self.transforms.forward(values, self.n_modes, out=self._products)
         products *= self.from_bins

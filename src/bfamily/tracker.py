@@ -235,10 +235,15 @@ def wynn_epsilon(seq):
 
     Each column is one whole-array step, on a float array for doubles
     and an object array for extended values, which compute at the
-    precision of their own context.  A double limit comes back as a
-    builtin float.
+    precision of their own context.  The near-singular test is the
+    scalar mode's ``near_singular``, one flag per row: numpy's
+    expression for doubles, and for extended values an exponent screen
+    that settles most entries without mpmath arithmetic and sends the
+    rest to the exact test, so both modes keep the same results.  A
+    double limit comes back as a builtin float.
     """
     prev = np.asarray(list(seq))
+    mode = transforms_for(prev)
     single = prev.ndim == 1
     if single:
         prev = prev[np.newaxis]
@@ -251,10 +256,9 @@ def wynn_epsilon(seq):
         prev_prev = np.repeat(0 * prev[:, :1], prev.shape[1], axis=1)
         while prev.shape[1] >= 2:
             d = prev[:, 1:] - prev[:, :-1]
-            mag = np.abs(prev)
-            singular = np.abs(d) <= WYNN_RTOL * (mag[:, 1:] + mag[:, :-1])
-            if singular.any():
-                live = ~singular.any(axis=1)
+            singular = mode.near_singular(prev, d, WYNN_RTOL)
+            if any(singular):
+                live = np.logical_not(singular)
                 if not live.any():
                     break
                 rows, prev, prev_prev, d = rows[live], prev[live], prev_prev[live], d[live]

@@ -168,7 +168,10 @@ def reference_wynn_epsilon(seq, rtol: float):
     whole-column array steps.  Same contract: returns ``(limit, depth)``
     for the deepest even column built before the first near-singular
     difference (|d| <= rtol * (|a| + |b|)), or the last element with
-    depth 0.  Works on floats and on mpf values.
+    depth 0.  Works on floats and on mpf values.  Frozen: the
+    near-singular test is the exact formula at every entry, without
+    the extended mode's exponent screen, so it pins the screened
+    results bit for bit.
     """
     values = list(seq)
     if len(values) < 3:

@@ -3,6 +3,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import mpf_neg
 
 from bfamily import (EXTENDED32, TYPE_I, FitOptions, RhsOptions, SyntheticSpec,
                      fit_spectrum, forward_transform, initial_datum, make_grid,
@@ -151,3 +152,56 @@ class TestExtendedTransformPin:
                 bins = raw(EXTENDED32.forward(samples, K))
             assert bins == default_bins
             assert {n: raw(precision._roots(n)) for n in default_roots} == default_roots
+
+    @pytest.mark.parametrize("K", [128, 256])
+    def test_mirrored_lengths_match_reference(self, K):
+        # real rows at power-of-two K mirror over several combine levels
+        samples = self.samples(K)
+        bins = EXTENDED32.forward(samples, K)
+        assert raw(bins) == raw(reference_extended_forward(samples, K))
+        assert raw(EXTENDED32.inverse(bins, K)) == raw(reference_extended_inverse(bins, K))
+
+    @pytest.mark.parametrize("K", [16, 64])
+    def test_row_with_a_non_real_value_takes_the_full_path(self, K):
+        complex_row = self.samples(K, seed=5)
+        complex_row[3] = EXTENDED32.scalar_types[1](complex_row[3], EXTENDED32.scalar(0.25))
+        samples = np.stack([self.samples(K, seed=6), complex_row, self.samples(K, seed=7)])
+        bins = EXTENDED32.forward(samples, K)
+        for row, row_bins in zip(samples, bins):
+            assert raw(row_bins) == raw(reference_extended_forward(row, K))
+
+    def test_tuple_tables_do_not_depend_on_the_global_precision(self):
+        K = 64
+        samples = self.samples(K)
+        default = EXTENDED32.forward(samples, K)
+        default_bins, default_back = raw(default), raw(EXTENDED32.inverse(default, K))
+        for dps in (60, 15):
+            precision._roots.cache_clear()
+            precision._root_tuples.cache_clear()
+            with mp.workdps(dps):
+                bins = EXTENDED32.forward(samples, K)
+                back = EXTENDED32.inverse(bins, K)
+            assert raw(bins) == default_bins and raw(back) == default_back
+
+
+def mirrors(roots) -> bool:
+    """roots[half - m] == -conj(roots[m]) bit for bit, for m = 0..half."""
+    half = len(roots) // 2
+    return all(
+        roots[half - m]._mpc_ == (mpf_neg(roots[m]._mpc_[0]), roots[m]._mpc_[1])
+        for m in range(half + 1)
+    )
+
+
+class TestRootMirror:
+    """The premise of the real-input mirror in ``precision._mp_fft``."""
+
+    @pytest.mark.parametrize("n", [2 ** p for p in range(1, 13)])
+    def test_power_of_two_tables_mirror_bit_for_bit(self, n):
+        assert mirrors(precision._roots(n))
+
+    def test_length_three_table_does_not(self):
+        # why K = 3 * 2**p keeps the full butterflies
+        roots = precision._roots(3)
+        assert roots[2]._mpc_ != precision._CTX.conj(roots[1])._mpc_
+        assert not mirrors(precision._roots(6))

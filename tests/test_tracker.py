@@ -403,6 +403,93 @@ class TestWynnRows:
             self.assert_rows_match(rows)
 
 
+def assert_rows_pinned(rows):
+    """``wynn_epsilon`` of a stack: each row's raw (limit, depth) equals the frozen reference's."""
+    results = wynn_epsilon(rows)
+    for row, (limit, depth) in zip(rows, results):
+        ref_limit, ref_depth = reference_wynn_epsilon(row, WYNN_RTOL)
+        assert depth == ref_depth
+        if isinstance(ref_limit, EXTENDED32.scalar_types[0]):
+            assert limit._mpf_ == ref_limit._mpf_
+        else:
+            assert same_value(limit, ref_limit)
+    return [depth for _, depth in results]
+
+
+def ext(num, den=1):
+    return EXTENDED32.scalar(num) / den
+
+
+class TestWynnScreen:
+    """The extended near-singular test, screened on exponents, against the exact formula."""
+
+    def test_closure_sequences_double_and_extended(self):
+        spec = SyntheticSpec(alpha=2 / 3, delta=0.35, x_star=0.7)
+        options = FitOptions(k_min=16)
+        double = sliding_sequences(oracle_spectrum(spec, make_grid(1024)), options)
+        assert max(assert_rows_pinned(list(double))) >= 2
+        extended = sliding_sequences(oracle_spectrum(spec, make_grid(256), EXTENDED32), options)
+        assert max(assert_rows_pinned(list(extended))) >= 2
+
+    def test_equal_neighbours_are_singular_at_depth_zero(self):
+        seq = [ext(1, 3), ext(2, 3), ext(2, 3), ext(5, 7), ext(1)]
+        stack = [seq, [ext(n * n) for n in range(5)]]
+        (limit, depth), _ = wynn_epsilon(stack)
+        assert (limit._mpf_, depth) == (seq[-1]._mpf_, 0)
+        assert_rows_pinned(stack)
+        assert_rows_pinned([[float(v) for v in seq]])
+
+    @pytest.mark.parametrize("factor, singular", [(1 - 2.0 ** -20, True), (1 + 2.0 ** -20, False)],
+                             ids=["below", "above"])
+    @pytest.mark.parametrize("a", [ext(3, 7), 1 - ext(2) ** -60], ids=["3/7", "top-of-binade"])
+    def test_relative_gap_at_the_tolerance(self, a, factor, singular):
+        # |b - a| against WYNN_RTOL * (|a| + |b|): a relative gap of about
+        # 2 * WYNN_RTOL, near 2**-39, which the screen leaves to the exact
+        # test; just under a power of two, |a| makes that gap widest
+        b = a * (1 + EXTENDED32.scalar(2 * WYNN_RTOL * factor))
+        seq = [a, b, ext(1), ext(2, 3), ext(5), ext(9, 4)]
+        prev = np.array([seq], dtype=object)
+        flags = EXTENDED32.near_singular(prev, prev[:, 1:] - prev[:, :-1], WYNN_RTOL)
+        assert flags == [singular]
+        assert (assert_rows_pinned([seq]) == [0]) == singular
+
+    def test_rows_with_inf_or_nan(self):
+        inf, nan = ext(math.inf), ext(math.nan)
+        base = [ext(1) - ext(1, (n + 2) ** 2) for n in range(7)]
+        rows = [base[:2] + [inf] + base[3:], base[:4] + [nan] + base[5:], base,
+                [inf] * 7, [-inf, inf] + base[2:]]
+        assert_rows_pinned(rows)
+
+    def test_screened_entries_cost_no_mpmath_operation(self, monkeypatch):
+        prev = np.array([[ext(2) ** n for n in range(6)], [ext(1, n + 1) for n in range(6)]],
+                        dtype=object)
+        d = prev[:, 1:] - prev[:, :-1]
+
+        def forbidden(value):
+            raise AssertionError("the exact test was reached")
+
+        monkeypatch.setattr(EXTENDED32.scalar_types[0], "__abs__", forbidden)
+        assert EXTENDED32.near_singular(prev, d, WYNN_RTOL) == [False, False]
+
+    @settings(deadline=None, max_examples=300)
+    @given(mantissa=st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+           exponent=st.integers(min_value=-300, max_value=300),
+           negative=st.booleans(),
+           gap_log2=st.floats(min_value=-50.0, max_value=-30.0),
+           shrink=st.booleans(),
+           rtol=st.sampled_from([WYNN_RTOL, 2.0 ** -40, 3 * 2.0 ** -41]))
+    def test_screen_equals_exact_formula(self, mantissa, exponent, negative, gap_log2, shrink,
+                                         rtol):
+        a = EXTENDED32.scalar(math.ldexp(-mantissa if negative else mantissa, exponent))
+        gap = EXTENDED32.scalar(2.0 ** gap_log2)
+        b = a * (1 - gap if shrink else 1 + gap)
+        d = b - a
+        exact = abs(d) <= rtol * (abs(b) + abs(a))
+        flags = EXTENDED32.near_singular(np.array([[a, b]], dtype=object),
+                                         np.array([[d]], dtype=object), rtol)
+        assert flags == [exact]
+
+
 class TestNonFiniteExtrapolation:
     """A non-finite Wynn limit is an ExtrapolationError, and the snapshot is skipped."""
 
