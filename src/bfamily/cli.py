@@ -127,8 +127,8 @@ _MANIFEST_DEFAULTS = {
 
 
 def parse_manifest_text(text: str) -> dict:
-    """Flat ``key = value`` lines to a string map; unknown keys rejected."""
-    entries = {}
+    """Flat ``key = value`` lines to a string map; unknown and repeated keys rejected."""
+    entries, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -138,6 +138,11 @@ def parse_manifest_text(text: str) -> dict:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _MANIFEST_DEFAULTS:
             raise ConfigError(f"manifest line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"manifest line {lineno}: key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         entries[key] = value
     return entries
 

@@ -23,8 +23,9 @@ differ:
 - elementwise array ``exp_array``, ``sin_array`` and ``real_part``, and
   the finiteness test ``all_finite``;
 - ``near_singular``, the Wynn epsilon table's test for a near-singular
-  difference, one flag per row: numpy's expression for doubles, and an
-  exponent screen before the exact test for extended values;
+  difference, one flag per row of a table whose rows are interleaved in
+  one flat array: numpy's expression for doubles, and an exponent
+  screen before the exact test for extended values;
 - conversions ``scalar``, ``real`` (to a real working-precision array)
   and ``as_complex``, and the array dtypes ``real_dtype`` and
   ``complex_dtype`` for preallocated buffers;
@@ -142,13 +143,19 @@ class DoublePrecision:
         """Unscaled irfft: the K real samples whose bins k = 0..K/2 are ``half``."""
         return np.fft.irfft(half, n=n_modes, axis=-1, norm="forward", out=out)
 
-    def near_singular(self, prev: np.ndarray, d: np.ndarray, rtol: float) -> list:
-        """Per row of ``prev``: is any |d[i]| <= rtol * (|prev[i+1]| + |prev[i]|)?
+    def near_singular(self, prev: np.ndarray, d: np.ndarray, width: int, rtol: float) -> list:
+        """Per row: is any |d[i]| <= rtol * (|prev[i+w]| + |prev[i]|), with w = ``width``?
 
-        ``d`` is prev's first difference along each row.
+        ``prev`` holds ``width`` interleaved rows, entry n of row r at
+        index n*w + r, and ``d`` is prev[w:] - prev[:-w], so d[i]
+        belongs to row i mod w.  One flag array covers the whole table;
+        it is reduced per row only when some flag is set.
         """
         mag = np.abs(prev)
-        return (np.abs(d) <= rtol * (mag[:, 1:] + mag[:, :-1])).any(axis=1).tolist()
+        flags = np.abs(d) <= rtol * (mag[width:] + mag[:-width])
+        if not np.count_nonzero(flags):
+            return [False] * width
+        return flags.reshape(-1, width).any(axis=0).tolist()
 
 
 def _enter(value):
@@ -248,32 +255,36 @@ class ExtendedPrecision:
             out[index] = [_CTX.make_mpf(z[0]) for z in _mp_fft(full)]
         return out
 
-    def near_singular(self, prev: np.ndarray, d: np.ndarray, rtol: float) -> list:
-        """Per row of ``prev``: is any |d[i]| <= rtol * (|prev[i+1]| + |prev[i]|)?
+    def near_singular(self, prev: np.ndarray, d: np.ndarray, width: int, rtol: float) -> list:
+        """Per row: is any |d[i]| <= rtol * (|prev[i+w]| + |prev[i]|), with w = ``width``?
 
-        ``d`` is prev's first difference along each row.  An exponent
-        screen settles most entries without mpmath arithmetic.  With
-        mag(x) = exp + bc of x's raw tuple, |x| lies in [2**(mag-1),
-        2**mag), so |a| + |b| < 2**(M+1) for M the larger mag of the
-        operands, and rtol * (|a| + |b|), rounded, is at most 2**(M+e+1)
-        where 2**(e-1) <= rtol < 2**e.  Hence mag(d) >= M + e + 3, that is
-        M + floor(log2 rtol) + 4, means the test cannot hold.  A zero
-        difference is singular.  Every other entry, inf and nan included
-        (their mantissa is 0, as zero's is), and every value that is not
-        an mpf, takes the exact test, the double mode's expression
-        applied to the scalars: each operand computes at its own type
-        and precision.
+        ``prev`` holds ``width`` interleaved rows, entry n of row r at
+        index n*w + r, and ``d`` is prev[w:] - prev[:-w].  Each row
+        walks its own neighbour pairs (i, i + w) and stops at its first
+        singular one.  An exponent screen settles most entries without
+        mpmath arithmetic.  With mag(x) = exp + bc of x's raw tuple, |x|
+        lies in [2**(mag-1), 2**mag), so |a| + |b| < 2**(M+1) for M the
+        larger mag of the operands, and rtol * (|a| + |b|), rounded, is
+        at most 2**(M+e+1) where 2**(e-1) <= rtol < 2**e.  Hence
+        mag(d) >= M + e + 3, that is M + floor(log2 rtol) + 4, means the
+        test cannot hold.  A zero difference is singular.  Every other
+        entry, inf and nan included (their mantissa is 0, as zero's is),
+        and every value that is not an mpf, takes the exact test, the
+        double mode's expression applied to the scalars: each operand
+        computes at its own type and precision.
         """
         shift = math.frexp(rtol)[1] + 3 if math.isfinite(rtol) else math.inf
+        values, diffs = prev.tolist(), d.tolist()
+        mags = [_mag(v) for v in values]
         flags = []
-        for row, diffs in zip(prev, d):
-            mags = [_mag(v) for v in row]
+        for row in range(width):
             singular = False
-            for i, diff in enumerate(diffs):
+            for i in range(row, len(diffs), width):
+                diff = diffs[i]
                 t = getattr(diff, "_mpf_", None)
-                if t is not None and t[1] and t[2] + t[3] >= max(mags[i], mags[i + 1]) + shift:
+                if t is not None and t[1] and t[2] + t[3] >= max(mags[i], mags[i + width]) + shift:
                     continue
-                if t == fzero or abs(diff) <= rtol * (abs(row[i + 1]) + abs(row[i])):
+                if t == fzero or abs(diff) <= rtol * (abs(values[i + width]) + abs(values[i])):
                     singular = True
                     break
             flags.append(singular)

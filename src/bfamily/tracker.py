@@ -41,6 +41,7 @@ that is already recorded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -127,7 +128,8 @@ class FitResult:
     the wavenumber range actually fitted, and ``residual`` the RMS
     log-magnitude misfit of the extrapolated model over that window.
     ``delta_clamped`` flags a (slightly) negative raw width estimate
-    that was clamped to zero.
+    that was clamped to zero.  ``wynn_depth`` holds the Wynn columns
+    that the limits of s, delta and log C were taken from.
     """
 
     amplitude: float
@@ -136,18 +138,20 @@ class FitResult:
     x_star: float
     k_window: tuple[int, int]
     residual: float
+    wynn_depth: tuple[int, int, int]
     delta_clamped: bool = False
 
 
 @dataclass(frozen=True)
 class SlidingFit:
-    """Sliding three-point estimates indexed by wavenumber, with |u_hat[k]|."""
+    """Sliding three-point estimates indexed by wavenumber, with |u_hat[k]| and its log."""
 
     k: tuple[int, ...]
     s: tuple
     delta: tuple
     log_c: tuple
     magnitude: tuple
+    log_magnitude: tuple
 
 
 def _magnitudes(spectrum: Spectrum, mode: Precision):
@@ -175,16 +179,36 @@ def local_fit(spectrum: Spectrum, k: int):
         raise NoiseFloorError(
             f"magnitudes around k={k} sit at or below the noise floor {float(floor):.3e}"
         )
-    return _local_fit_from_triple(triple, k, mode)
+    return _three_point_fit(*triple, k, _wavenumber_logs(mode, k), mode)[:3]
 
 
-def _local_fit_from_triple(triple, k: int, mode: Precision):
-    m_lo, m_mid, m_hi = triple
-    s = mode.log((m_lo / m_mid) * (m_hi / m_mid)) / mode.log_ratio(k * k, (k - 1) * (k + 1))
-    step = mode.log_ratio(k, k + 1)
-    delta = mode.log(m_mid / m_hi) + s * step
-    log_c = mode.log(m_mid) + s * mode.log(k) + k * delta
-    return s, delta, log_c
+def _wavenumber_logs(mode: Precision, k: int) -> tuple:
+    """The logs the three-point fit at k takes from k alone.
+
+    log(k**2 / ((k-1)*(k+1))), log(k/(k+1)) and log k, in the mode's
+    scalar functions.
+    """
+    return mode.log_ratio(k * k, (k - 1) * (k + 1)), mode.log_ratio(k, k + 1), mode.log(k)
+
+
+@functools.lru_cache(maxsize=16)
+def _window_logs(mode: Precision, window: range) -> tuple:
+    """``_wavenumber_logs`` for every k of a fit window, built once per (mode, window).
+
+    The extended values belong to the mode's own context, so the global
+    mpmath precision does not enter them.
+    """
+    return tuple(_wavenumber_logs(mode, k) for k in window)
+
+
+def _three_point_fit(m_lo, m_mid, m_hi, k: int, logs: tuple, mode: Precision):
+    """(s, delta, log C, log m_mid) from the magnitudes at k-1, k, k+1 and k's logs."""
+    log_ratio_sq, log_step, log_k = logs
+    log_mid = mode.log(m_mid)
+    s = mode.log((m_lo / m_mid) * (m_hi / m_mid)) / log_ratio_sq
+    delta = mode.log(m_mid / m_hi) + s * log_step
+    log_c = log_mid + s * log_k + k * delta
+    return s, delta, log_c, log_mid
 
 
 def sliding_fit(spectrum: Spectrum, options: FitOptions = FitOptions()) -> SlidingFit:
@@ -195,20 +219,30 @@ def sliding_fit(spectrum: Spectrum, options: FitOptions = FitOptions()) -> Slidi
     the floor index.  Raises ConfigError when the window itself holds
     fewer than 3 wavenumbers, and EmptyWindowError when fewer than 3
     remain below the floor index.
+
+    One comparison over the window's magnitudes finds the floor index,
+    and the magnitudes below it come out as builtin scalars in one
+    ``tolist()``.  The logs that depend on k alone come from a table
+    built once per (mode, window), ``_window_logs``; each k then runs
+    the formula that ``local_fit`` runs, so every row equals
+    ``local_fit(spectrum, k)`` bit for bit.  log|u_hat[k]|, which log C
+    needs, is kept as ``log_magnitude``.
     """
     mode = transforms_for(spectrum.coeffs)
     mags, floor = _magnitudes(spectrum, mode)
-    rows = []
-    for k in options.window(spectrum.grid.n_modes):
-        triple = mags[k - 1], mags[k], mags[k + 1]
-        if not all(m > floor for m in triple):
-            break
-        rows.append((k, *_local_fit_from_triple(triple, k, mode), mags[k]))
+    window = options.window(spectrum.grid.n_modes)
+    span = mags[window.start - 1 : window.stop + 1]
+    below = np.flatnonzero(np.logical_not(span > floor))
+    m = span[: below[0] if len(below) else len(span)].tolist()
+    logs = _window_logs(mode, window)
+    rows = [(k, *_three_point_fit(m[i], m[i + 1], m[i + 2], k, logs[i], mode), m[i + 1])
+            for i, k in enumerate(window[: max(len(m) - 2, 0)])]
     if len(rows) < 3:
         raise EmptyWindowError(
             f"fit window holds {len(rows)} admissible wavenumbers; need at least 3"
         )
-    return SlidingFit(*zip(*rows))
+    k, s, delta, log_c, log_magnitude, magnitude = zip(*rows)
+    return SlidingFit(k, s, delta, log_c, magnitude, log_magnitude)
 
 
 def wynn_epsilon(seq):
@@ -233,40 +267,57 @@ def wynn_epsilon(seq):
     first near-singular column, so each row's result is the one it gets
     alone; a single sequence is the one-row case.
 
-    Each column is one whole-array step, on a float array for doubles
-    and an object array for extended values, which compute at the
+    The w rows still in the loop share one flat C-contiguous column,
+    entry n of row r at index n*w + r, so each column step is three
+    whole-array operations on contiguous 1-D arrays: the differences
+    prev[w:] - prev[:-w], the next column prev_prev[w:len(prev)] + 1/d,
+    and, after an even column, its last w entries, kept as the rows'
+    limits.  A row that meets a near-singular difference takes its
+    limit from there and leaves through
+    ``reshape(-1, w)[:, live].ravel()``.  The arrays are float for
+    doubles and object for extended values, which compute at the
     precision of their own context.  The near-singular test is the
-    scalar mode's ``near_singular``, one flag per row: numpy's
-    expression for doubles, and for extended values an exponent screen
-    that settles most entries without mpmath arithmetic and sends the
-    rest to the exact test, so both modes keep the same results.  A
-    double limit comes back as a builtin float.
+    scalar mode's ``near_singular`` on the flat column, one flag per
+    row: numpy's expression for doubles, and for extended values an
+    exponent screen that settles most entries without mpmath arithmetic
+    and sends the rest to the exact test, so both modes keep the same
+    results.  A double limit comes back as a builtin float.
     """
-    prev = np.asarray(list(seq))
-    mode = transforms_for(prev)
-    single = prev.ndim == 1
+    table = np.asarray(list(seq))
+    mode = transforms_for(table)
+    single = table.ndim == 1
     if single:
-        prev = prev[np.newaxis]
-    if prev.shape[1] < 3:
+        table = table[np.newaxis]
+    if table.shape[1] < 3:
         raise ValueError("epsilon acceleration needs at least 3 sequence entries")
-    best = [(row.item(-1), 0) for row in prev]
-    rows = np.arange(len(prev))  # the input row of each row still in the loop
+    width, n_terms = table.shape
+    best = [None] * width
+    rows = np.arange(width)  # the input row of each row still in the loop
+    limits, depth = table[:, -1], 0  # the live rows' last even column, and its index
+    prev = table.T.ravel()
     col = 0
     with np.errstate(all="ignore"):
-        prev_prev = np.repeat(0 * prev[:, :1], prev.shape[1], axis=1)
-        while prev.shape[1] >= 2:
-            d = prev[:, 1:] - prev[:, :-1]
-            singular = mode.near_singular(prev, d, WYNN_RTOL)
+        prev_prev = np.tile(0 * table[:, 0], n_terms)
+        while len(prev) >= 2 * width:
+            d = prev[width:] - prev[:-width]
+            singular = mode.near_singular(prev, d, width, WYNN_RTOL)
             if any(singular):
+                singular = np.array(singular)
+                for row, limit in zip(rows[singular], limits[singular].tolist()):
+                    best[row] = (limit, depth)
                 live = np.logical_not(singular)
-                if not live.any():
+                rows, limits = rows[live], limits[live]
+                if not len(rows):
                     break
-                rows, prev, prev_prev, d = rows[live], prev[live], prev_prev[live], d[live]
+                prev, prev_prev, d = (a.reshape(-1, width)[:, live].ravel()
+                                      for a in (prev, prev_prev, d))
+                width = len(rows)
             col += 1
-            prev_prev, prev = prev, prev_prev[:, 1:prev.shape[1]] + 1 / d
+            prev_prev, prev = prev, prev_prev[width:len(prev)] + 1 / d
             if col % 2 == 0:
-                for row, limit in zip(rows, prev[:, -1].tolist()):
-                    best[row] = (limit, col)
+                limits, depth = prev[-width:], col
+    for row, limit in zip(rows, limits.tolist()):
+        best[row] = (limit, depth)
     return best[0] if single else best
 
 
@@ -318,7 +369,8 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
     """Estimate (C, alpha, delta, x_star) from one spectrum.
 
     Runs ``sliding_fit`` over the window, one Wynn extrapolation of the
-    three estimate sequences, and a phase fit for the abscissa.  A raw
+    three estimate sequences, whose depths the result keeps, and a
+    phase fit for the abscissa.  A raw
     negative strip width is clamped to zero and flagged.  Raises what
     ``sliding_fit`` raises, and ExtrapolationError when an extrapolated
     limit (s, delta or log C) is not finite or log C overflows the
@@ -327,7 +379,7 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
     mode = transforms_for(spectrum.coeffs)
     sliding = sliding_fit(spectrum, options)
     ks = sliding.k
-    limits = [limit for limit, _ in wynn_epsilon([sliding.s, sliding.delta, sliding.log_c])]
+    limits, depths = zip(*wynn_epsilon([sliding.s, sliding.delta, sliding.log_c]))
     s_lim, delta_lim, log_c_lim = limits
     if not all(mode.isfinite(limit) for limit in limits):
         raise ExtrapolationError(
@@ -340,9 +392,10 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
     delta_out = 0 * abs(delta_lim) if clamped else delta_lim
 
     sq_sum = 0.0
-    for k, magnitude in zip(ks, sliding.magnitude):
-        model = log_c_lim - s_lim * mode.log(k) - delta_lim * k
-        dev = float(mode.log(magnitude) - model)
+    logs = _window_logs(mode, options.window(spectrum.grid.n_modes))
+    for k, (_, _, log_k), log_magnitude in zip(ks, logs, sliding.log_magnitude):
+        model = log_c_lim - s_lim * log_k - delta_lim * k
+        dev = float(log_magnitude - model)
         sq_sum += dev * dev
     residual = math.sqrt(sq_sum / len(ks))
 
@@ -359,6 +412,7 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
         x_star=x_star,
         k_window=(ks[0], ks[-1]),
         residual=residual,
+        wynn_depth=depths,
         delta_clamped=clamped,
     )
 

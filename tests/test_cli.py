@@ -47,6 +47,26 @@ class TestManifestParsing:
         with pytest.raises(ConfigError):
             parse_manifest_text("just some words\n")
 
+    def test_repeated_key_rejected_with_both_lines(self):
+        with pytest.raises(ConfigError, match=r"line 4: key 'modes' repeats line 2"):
+            parse_manifest_text("b = 2.5\nmodes = 128\n# a comment\nmodes = 256\n")
+
+    def test_repeated_key_in_a_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("dt = 0.001\nb = 3.0\ndt = 0.002\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--manifest", str(path), "--out", str(out)]) == 2
+        assert "line 3: key 'dt' repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_overrides_a_file_key(self, tmp_path):
+        # a flag is not a second manifest line: it replaces the file's value
+        manifest = write_manifest(tmp_path / "m.txt", t_end="0.05")
+        out = tmp_path / "o"
+        assert main(["simulate", "--manifest", str(manifest), "--t-end", "0.02",
+                     "--out", str(out)]) == 0
+        assert "t_end = 0.02" in (out / "summary.txt").read_text()
+
     def test_defaults_fill_in(self, tmp_path):
         manifest = build_manifest({}, tmp_path)
         assert manifest.config.grid.n_modes == 1024

@@ -172,6 +172,30 @@ class TestSlidingFit:
         assert sl.k == tuple(range(8, 19))
         assert sl.magnitude == tuple(abs(sp.coeffs[k]) for k in sl.k)
 
+    @pytest.mark.parametrize("precision, n_modes", [(DOUBLE, 4096), (EXTENDED32, 256)],
+                             ids=["double-4096", "extended-256"])
+    def test_rows_equal_local_fit_bit_for_bit(self, precision, n_modes):
+        # every row is local_fit's formula with the logs read from the
+        # window's table; the extended table is built under a global
+        # precision of 60 digits, which its values must not see
+        spec = SyntheticSpec(alpha=1 / 2, delta=0.02 if precision is DOUBLE else 0.2, x_star=0.7)
+        sp = oracle_spectrum(spec, make_grid(n_modes), precision)
+        options = FitOptions(k_min=16)
+        tracker._window_logs.cache_clear()
+        with mp.workdps(60):
+            built = sliding_fit(sp, options)
+        mags = sp.magnitudes_nonnegative()
+        for sl in (built, sliding_fit(sp, options)):
+            assert len(sl.k) > 100 and sl.k == tuple(range(16, 16 + len(sl.k)))
+            for k, *row in zip(sl.k, sl.s, sl.delta, sl.log_c, sl.magnitude, sl.log_magnitude):
+                magnitude = mags[k].item() if precision is DOUBLE else mags[k]
+                expected = (*local_fit(sp, k), magnitude, precision.log(mags[k]))
+                for got, value in zip(row, expected):
+                    if precision is DOUBLE:
+                        assert same_value(got, value), (k, got, value)
+                    else:
+                        assert got._mpf_ == value._mpf_, (k, got, value)
+
     def test_impossible_window_is_a_config_error(self):
         sp = pure_model_spectrum(make_grid(64), 1.0, 1.6, 0.05)
         with pytest.raises(ConfigError, match=r"fit window \[40, 30\]"):
@@ -389,9 +413,61 @@ class TestWynnRows:
         sp = oracle_spectrum(spec, make_grid(256), EXTENDED32)
         self.assert_rows_match(list(sliding_sequences(sp, FitOptions(k_min=16))))
 
+    @pytest.mark.parametrize("precision, n_modes", [(DOUBLE, 4096), (EXTENDED32, 256)],
+                             ids=["double-4096", "extended-256"])
+    def test_fit_result_carries_the_depths(self, precision, n_modes):
+        sp = oracle_spectrum(SyntheticSpec(alpha=1 / 2, delta=0.1, x_star=0.7),
+                             make_grid(n_modes), precision)
+        options = FitOptions(k_min=16)
+        sl = sliding_fit(sp, options)
+        depths = tuple(depth for _, depth in wynn_epsilon([sl.s, sl.delta, sl.log_c]))
+        assert fit_spectrum(sp, options).wynn_depth == depths
+        assert min(depths) >= 2
+
     def test_one_row_stack_is_a_list(self):
         seq = [2.0 + 0.3 * 0.5 ** n for n in range(8)]
         assert wynn_epsilon([seq]) == [wynn_epsilon(seq)]
+
+    # Rows that leave the loop at known columns.  HARMONIC runs to the end
+    # of its 11-term table, at column 10.  EARLY (one geometric run) makes
+    # column 2 constant along that run, so building column 3 meets a
+    # near-singular difference; TWO (two geometric runs) does the same at
+    # column 5, and CONSTANT at column 1.
+    HARMONIC = np.cumsum([(-1) ** (n + 1) / n for n in range(1, 12)]).tolist()
+    EARLY = [0.3, -1.2, 2.9] + [2.0 + 0.5 * 0.5 ** k for k in range(8)]
+    TWO = [0.3, -1.2, 2.9, 0.7] + [1.0 + 0.5 * 0.5 ** k - 0.25 * 0.2 ** k for k in range(7)]
+    CONSTANT = [5.0] * 11
+
+    def live_rows_per_column(self, monkeypatch, rows):
+        """The depths of ``assert_rows_match(rows)``, and the live rows at each column step."""
+        widths = []
+        real = type(DOUBLE).near_singular
+
+        def spy(mode, prev, d, width, rtol):
+            widths.append(width)
+            return real(mode, prev, d, width, rtol)
+
+        monkeypatch.setattr(type(DOUBLE), "near_singular", spy)
+        wynn_epsilon(rows)
+        monkeypatch.undo()
+        return self.assert_rows_match(rows), widths
+
+    def test_middle_row_leaves_first(self, monkeypatch):
+        depths, widths = self.live_rows_per_column(
+            monkeypatch, [self.HARMONIC, self.EARLY, self.TWO])
+        assert depths == [10, 2, 4]
+        assert widths == [3, 3, 3, 2, 2] + [1] * 5
+
+    def test_two_row_stack(self, monkeypatch):
+        depths, widths = self.live_rows_per_column(monkeypatch, [self.EARLY, self.HARMONIC])
+        assert depths == [2, 10]
+        assert widths == [2, 2, 2] + [1] * 7
+
+    def test_row_singular_at_column_zero_while_others_run_on(self, monkeypatch):
+        depths, widths = self.live_rows_per_column(
+            monkeypatch, [self.HARMONIC, self.CONSTANT, self.TWO, self.EARLY])
+        assert depths == [10, 0, 4, 2]
+        assert widths == [4, 3, 3, 2, 2] + [1] * 5
 
     @settings(deadline=None)
     @given(n=st.integers(min_value=3, max_value=20), data=st.data())
@@ -448,8 +524,8 @@ class TestWynnScreen:
         # test; just under a power of two, |a| makes that gap widest
         b = a * (1 + EXTENDED32.scalar(2 * WYNN_RTOL * factor))
         seq = [a, b, ext(1), ext(2, 3), ext(5), ext(9, 4)]
-        prev = np.array([seq], dtype=object)
-        flags = EXTENDED32.near_singular(prev, prev[:, 1:] - prev[:, :-1], WYNN_RTOL)
+        prev = np.array(seq, dtype=object)
+        flags = EXTENDED32.near_singular(prev, prev[1:] - prev[:-1], 1, WYNN_RTOL)
         assert flags == [singular]
         assert (assert_rows_pinned([seq]) == [0]) == singular
 
@@ -461,15 +537,16 @@ class TestWynnScreen:
         assert_rows_pinned(rows)
 
     def test_screened_entries_cost_no_mpmath_operation(self, monkeypatch):
+        # two rows interleaved: entry n of row r at index 2*n + r
         prev = np.array([[ext(2) ** n for n in range(6)], [ext(1, n + 1) for n in range(6)]],
-                        dtype=object)
-        d = prev[:, 1:] - prev[:, :-1]
+                        dtype=object).T.ravel()
+        d = prev[2:] - prev[:-2]
 
         def forbidden(value):
             raise AssertionError("the exact test was reached")
 
         monkeypatch.setattr(EXTENDED32.scalar_types[0], "__abs__", forbidden)
-        assert EXTENDED32.near_singular(prev, d, WYNN_RTOL) == [False, False]
+        assert EXTENDED32.near_singular(prev, d, 2, WYNN_RTOL) == [False, False]
 
     @settings(deadline=None, max_examples=300)
     @given(mantissa=st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
@@ -485,8 +562,8 @@ class TestWynnScreen:
         b = a * (1 - gap if shrink else 1 + gap)
         d = b - a
         exact = abs(d) <= rtol * (abs(b) + abs(a))
-        flags = EXTENDED32.near_singular(np.array([[a, b]], dtype=object),
-                                         np.array([[d]], dtype=object), rtol)
+        flags = EXTENDED32.near_singular(np.array([a, b], dtype=object),
+                                         np.array([d], dtype=object), 1, rtol)
         assert flags == [exact]
 
 
