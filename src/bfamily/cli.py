@@ -222,7 +222,10 @@ def _csv_lines(rows, fmt) -> Iterator[str]:
 
 
 def write_csv(path: Path, provenance: dict, columns: Sequence[str], lines: Iterable[str]) -> None:
-    """Write the header, then the data ``lines`` (newline-terminated) as they are yielded."""
+    """Write the header, then the data ``lines`` as they are yielded.
+
+    Each item is newline-terminated and may hold several lines.
+    """
     with path.open("w") as out:
         out.write(f"# schema_version = {SCHEMA_VERSION}\n")
         out.writelines(f"# {key} = {value}\n" for key, value in provenance.items())
@@ -231,19 +234,23 @@ def write_csv(path: Path, provenance: dict, columns: Sequence[str], lines: Itera
 
 
 def _magnitude_lines(trajectory, fmt) -> Iterator[str]:
-    """``t,k,|u_hat[k]|`` for k = 0..K/2-1 of every snapshot.
+    """``t,k,|u_hat[k]|`` for k = 0..K/2-1 of every snapshot, one string per snapshot.
 
-    Each snapshot is converted to builtin scalars in one ``tolist``, and
-    ``t`` is formatted once per snapshot.  Scalar ``abs`` of a builtin
-    complex equals that of a numpy complex128; array ``np.abs`` can
-    differ in the last bit, so it is not used.  ``abs`` of an extended
-    value rounds to the extended mode's own 32 digits.
+    Each snapshot is converted to builtin scalars in one ``tolist``, its
+    lines are joined into one string, ``t`` is formatted once per
+    snapshot and the ``,k,`` cells once per run.  Scalar ``abs`` of a
+    builtin complex equals that of a numpy complex128; array ``np.abs``
+    can differ in the last bit, so it is not used.  ``abs`` of an
+    extended value rounds to the extended mode's own 32 digits, and
+    ``fmt`` formats every magnitude, so extended values print all their
+    digits.
     """
     half = trajectory.config.grid.n_modes // 2
+    heads = [f",{k}," for k in range(half)]
     for t, snapshot in zip(trajectory.times, trajectory.snapshots):
         stamp = fmt(t)
-        for k, c in enumerate(snapshot.coeffs[:half].tolist()):
-            yield f"{stamp},{k},{fmt(abs(c))}\n"
+        yield "".join([f"{stamp}{head}{fmt(abs(c))}\n"
+                       for head, c in zip(heads, snapshot.coeffs[:half].tolist())])
 
 
 def _write_summary(path: Path, provenance: dict, facts: dict) -> None:

@@ -7,16 +7,16 @@ the objects ``DOUBLE`` and ``EXTENDED32`` (``Precision`` is their type),
 and each supplies every operation whose double and extended forms
 differ:
 
-- the half-layout transform pair ``forward``/``inverse`` (numpy's
-  rfft/irfft, or a radix-2 FFT on raw mpmath tuples with root tables
-  cached per transform length, which mirrors half the butterflies of
-  real input at power-of-two lengths), which write into an ``out=``
-  array when given one.  It is the plain pair in numpy's ``norm="forward"`` convention:
-  ``forward`` returns the bins k = 0..K/2 of rfft(x) / K and
-  ``inverse`` is the unscaled irfft.  The grid's sign (-1)**k that
-  turns bins into coefficients, and forcing k = 0 and K/2 real, are
-  left to the callers: ``core``'s transforms and the tables of
-  ``spectral.RhsKernel``;
+- the half-layout transform pair ``forward``/``inverse`` (pocketfft's
+  real-input gufuncs, or a radix-2 FFT on raw mpmath tuples with root
+  tables cached per transform length, which mirrors half the
+  butterflies of real input at power-of-two lengths), which write into
+  an ``out=`` array when given one.  It is the plain pair in numpy's
+  ``norm="forward"`` convention: ``forward`` returns the bins
+  k = 0..K/2 of rfft(x) / K and ``inverse`` is the unscaled irfft.  The
+  grid's sign (-1)**k that turns bins into coefficients, and forcing
+  k = 0 and K/2 real, are left to the callers: ``core``'s transforms
+  and the tables of ``spectral.RhsKernel``;
 - scalar ``log``, ``log_ratio`` (log(num/den) of two integers), ``exp``,
   ``sqrt``, ``arg``, ``exp_minus_i`` (exp(-i*theta)) and ``isfinite``,
   and the constants ``pi`` and ``zero`` (a complex zero);
@@ -45,6 +45,17 @@ array ``np.log`` (likewise ``abs`` and ``np.abs``) differ in the last
 bit on some inputs, so swapping one for the other changes double
 results.
 
+The double transforms call the gufuncs ``rfft_n_even`` and ``irfft``
+of numpy's private module ``numpy.fft._pocketfft_umath`` (numpy >= 2.0,
+the floor in pyproject.toml), bound once at import.  They are what
+``np.fft.rfft`` and ``np.fft.irfft`` call: the public wrappers only pick
+the gufunc, work out the scale factor (1/K for the forward transform
+and 1 for the inverse in the ``norm="forward"`` convention), normalise
+the axis and check or allocate ``out``.  Skipping that per-call work
+keeps every output bit and took 40-50% off each transform at K = 256
+(numpy 2.4 on a 2-core x86-64 host), where the right-hand side's two
+transforms per evaluation are mostly call overhead.
+
 The extended mode owns a private mpmath context at 32 decimal digits.
 An mpmath value carries its context, so arithmetic and functions on
 extended values run at 32 digits whatever the global mpmath precision
@@ -71,10 +82,16 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import (from_int, fzero, mpc_add, mpc_add_mpf, mpc_conjugate,
                            mpc_div_mpf, mpc_mul, mpc_sub, mpf_neg, mpf_pos)
+from numpy.fft import _pocketfft_umath
 
 # The extended mode's private mpmath context: its values compute at 32 digits.
 _CTX = mp.MPContext()
 _CTX.dps = 32
+
+
+# The gufuncs behind np.fft.rfft (even lengths) and np.fft.irfft, called directly.
+_RFFT = _pocketfft_umath.rfft_n_even
+_IRFFT = _pocketfft_umath.irfft
 
 
 def _double_log_ratio(num: int, den: int) -> float:
@@ -94,10 +111,15 @@ def _double_exp_minus_i(theta) -> complex:
 
 @dataclass(frozen=True)
 class DoublePrecision:
-    """IEEE double: complex128/float64 arrays, numpy's rfft, ``math`` scalars.
+    """IEEE double: complex128/float64 arrays, pocketfft transforms, ``math`` scalars.
 
     Transforms act along the last axis, so a stack of fields or half
-    spectra is transformed in one call.
+    spectra is transformed in one call.  They call the pocketfft gufuncs
+    that ``np.fft.rfft``/``irfft`` call (``_RFFT``, ``_IRFFT``, from
+    numpy's private ``numpy.fft._pocketfft_umath``, numpy >= 2.0) with
+    the factors those wrappers pass: the same bits, without the
+    wrappers' per-call work.  K is even (``GridSpec`` requires it), so
+    the forward gufunc is the even-length one.
     """
 
     digits = 15  # decimal digits a double always carries
@@ -136,12 +158,28 @@ class DoublePrecision:
         return bool(np.isfinite(arr).all())
 
     def forward(self, values: np.ndarray, n_modes: int, out=None) -> np.ndarray:
-        """rfft(values) / K: bins k = 0..K/2 of real samples."""
-        return np.fft.rfft(values, axis=-1, norm="forward", out=out)
+        """rfft(values) / K: bins k = 0..K/2 of real samples, for even K.
+
+        ``np.fft.rfft(values, norm="forward")`` bit for bit: the same
+        gufunc with the same factor 1/K.  The gufunc takes the number of
+        bins from ``out``, so one of shape (..., K/2+1) is allocated
+        when none is given.
+        """
+        if out is None:
+            out = np.empty(values.shape[:-1] + (n_modes // 2 + 1,), np.complex128)
+        return _RFFT(values, 1 / n_modes, out=out)
 
     def inverse(self, half: np.ndarray, n_modes: int, out=None) -> np.ndarray:
-        """Unscaled irfft: the K real samples whose bins k = 0..K/2 are ``half``."""
-        return np.fft.irfft(half, n=n_modes, axis=-1, norm="forward", out=out)
+        """Unscaled irfft: the K real samples whose bins k = 0..K/2 are ``half``.
+
+        ``np.fft.irfft(half, n=K, norm="forward")`` bit for bit: the
+        same gufunc with the same factor 1.  The gufunc takes K from
+        ``out``, so one of shape (..., K) is allocated when none is
+        given.
+        """
+        if out is None:
+            out = np.empty(half.shape[:-1] + (n_modes,), np.float64)
+        return _IRFFT(half, 1.0, out=out)
 
     def near_singular(self, prev: np.ndarray, d: np.ndarray, width: int, rtol: float) -> list:
         """Per row: is any |d[i]| <= rtol * (|prev[i+w]| + |prev[i]|), with w = ``width``?

@@ -192,13 +192,30 @@ def _wavenumber_logs(mode: Precision, k: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _window_logs(mode: Precision, window: range) -> tuple:
-    """``_wavenumber_logs`` for every k of a fit window, built once per (mode, window).
+def _window_logs(mode: Precision, window: range) -> list:
+    """The cached ``_wavenumber_logs`` table of a fit window, one per (mode, window).
 
-    The extended values belong to the mode's own context, so the global
+    It starts empty: ``_logs_upto`` grows it as far as a walk reaches,
+    and a walk that the noise floor ends early builds no more.
+    """
+    return []
+
+
+def _logs_upto(mode: Precision, window: range, count: int) -> list:
+    """The window's log table, holding at least its first ``count`` rows.
+
+    Row i is ``_wavenumber_logs(mode, window[i])``.  The new rows are
+    stored by slice assignment at their own indices, so a table grown
+    from several threads at once still holds each row's own value.  The
+    extended values belong to the mode's own context, so the global
     mpmath precision does not enter them.
     """
-    return tuple(_wavenumber_logs(mode, k) for k in window)
+    logs = _window_logs(mode, window)
+    start = len(logs)
+    if start < count:
+        rows = [_wavenumber_logs(mode, k) for k in window[start:count]]
+        logs[start : start + len(rows)] = rows
+    return logs
 
 
 def _three_point_fit(m_lo, m_mid, m_hi, k: int, logs: tuple, mode: Precision):
@@ -223,10 +240,10 @@ def sliding_fit(spectrum: Spectrum, options: FitOptions = FitOptions()) -> Slidi
     One comparison over the window's magnitudes finds the floor index,
     and the magnitudes below it come out as builtin scalars in one
     ``tolist()``.  The logs that depend on k alone come from a table
-    built once per (mode, window), ``_window_logs``; each k then runs
-    the formula that ``local_fit`` runs, so every row equals
-    ``local_fit(spectrum, k)`` bit for bit.  log|u_hat[k]|, which log C
-    needs, is kept as ``log_magnitude``.
+    cached per (mode, window) and grown as far as the walks reach
+    (``_logs_upto``); each k then runs the formula that ``local_fit``
+    runs, so every row equals ``local_fit(spectrum, k)`` bit for bit.
+    log|u_hat[k]|, which log C needs, is kept as ``log_magnitude``.
     """
     mode = transforms_for(spectrum.coeffs)
     mags, floor = _magnitudes(spectrum, mode)
@@ -234,9 +251,10 @@ def sliding_fit(spectrum: Spectrum, options: FitOptions = FitOptions()) -> Slidi
     span = mags[window.start - 1 : window.stop + 1]
     below = np.flatnonzero(np.logical_not(span > floor))
     m = span[: below[0] if len(below) else len(span)].tolist()
-    logs = _window_logs(mode, window)
+    walk = window[: max(len(m) - 2, 0)]
+    logs = _logs_upto(mode, window, len(walk))
     rows = [(k, *_three_point_fit(m[i], m[i + 1], m[i + 2], k, logs[i], mode), m[i + 1])
-            for i, k in enumerate(window[: max(len(m) - 2, 0)])]
+            for i, k in enumerate(walk)]
     if len(rows) < 3:
         raise EmptyWindowError(
             f"fit window holds {len(rows)} admissible wavenumbers; need at least 3"
@@ -392,7 +410,7 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
     delta_out = 0 * abs(delta_lim) if clamped else delta_lim
 
     sq_sum = 0.0
-    logs = _window_logs(mode, options.window(spectrum.grid.n_modes))
+    logs = _logs_upto(mode, options.window(spectrum.grid.n_modes), len(ks))
     for k, (_, _, log_k), log_magnitude in zip(ks, logs, sliding.log_magnitude):
         model = log_c_lim - s_lim * log_k - delta_lim * k
         dev = float(log_magnitude - model)

@@ -287,6 +287,36 @@ class TestTransformConvention:
         half = rng.standard_normal((2, K // 2 + 1)) + 1j * rng.standard_normal((2, K // 2 + 1))
         assert DOUBLE.inverse(half, K).tobytes() == (np.fft.irfft(half, n=K) * K).tobytes()
 
+    # K = 6, 34 and 96 are not powers of two, so 1/K is inexact
+    PINNED_SIZES = (6, 34, 96, 1024)
+    LEADING_SHAPES = [(), (2,), (3,)]
+
+    @pytest.mark.parametrize("K", PINNED_SIZES)
+    @pytest.mark.parametrize("lead", LEADING_SHAPES, ids=["1d", "2-rows", "3-rows"])
+    def test_forward_is_numpy_rfft_forward_norm(self, K, lead):
+        x = np.random.default_rng(K + len(lead)).standard_normal(lead + (K,))
+        want = np.fft.rfft(x, axis=-1, norm="forward")
+        got = DOUBLE.forward(x, K)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        out = np.empty(lead + (K // 2 + 1,), np.complex128)
+        assert DOUBLE.forward(x, K, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("K", PINNED_SIZES)
+    @pytest.mark.parametrize("lead", LEADING_SHAPES, ids=["1d", "2-rows", "3-rows"])
+    def test_inverse_is_numpy_irfft_forward_norm(self, K, lead):
+        rng = np.random.default_rng(K + len(lead) + 7)
+        shape = lead + (K // 2 + 1,)
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = np.fft.irfft(half, n=K, axis=-1, norm="forward")
+        got = DOUBLE.inverse(half, K)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        out = np.empty(lead + (K,))
+        assert DOUBLE.inverse(half, K, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
     @staticmethod
     def fields(K):
         """Random samples, and data with exact zeros and symmetries."""

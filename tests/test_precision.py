@@ -1,9 +1,13 @@
-"""Extended results: independent of the global mpmath precision, rounded on entry, pinned transforms."""
+"""Extended results: independent of the global mpmath precision, rounded on entry, pinned transforms.
+
+Also the double transforms' binding to numpy's private pocketfft gufuncs.
+"""
 
 import mpmath as mp
 import numpy as np
 import pytest
 from mpmath.libmp import mpf_neg
+from numpy.fft import _pocketfft
 
 from bfamily import (EXTENDED32, TYPE_I, FitOptions, RhsOptions, SyntheticSpec,
                      fit_spectrum, forward_transform, initial_datum, make_grid,
@@ -205,3 +209,18 @@ class TestRootMirror:
         roots = precision._roots(3)
         assert roots[2]._mpc_ != precision._CTX.conj(roots[1])._mpc_
         assert not mirrors(precision._roots(6))
+
+
+class TestDoubleGufuncBinding:
+    """The double transforms call the gufuncs that numpy.fft's wrappers dispatch to.
+
+    ``np.fft.rfft`` and ``np.fft.irfft`` call ``_pocketfft.pfu.rfft_n_even``
+    (even lengths) and ``_pocketfft.pfu.irfft``.  A numpy release that
+    moves or replaces them fails here by name.
+    """
+
+    def test_forward_binds_rfft_n_even(self):
+        assert precision._RFFT is _pocketfft.pfu.rfft_n_even
+
+    def test_inverse_binds_irfft(self):
+        assert precision._IRFFT is _pocketfft.pfu.irfft

@@ -196,6 +196,23 @@ class TestSlidingFit:
                     else:
                         assert got._mpf_ == value._mpf_, (k, got, value)
 
+    def test_log_table_grows_only_as_far_as_the_walks_reach(self):
+        # the zero mode at k = 20 ends the first walk at k = 18; a second
+        # spectrum without it walks further and grows the same table
+        model = pure_model_spectrum(make_grid(128), 1.0, 1.6, 0.05)
+        coeffs = model.coeffs.copy()
+        coeffs[20] = 0.0
+        options = FitOptions(k_min=8)
+        window = options.window(128)
+        tracker._window_logs.cache_clear()
+        short = sliding_fit(Spectrum(grid=model.grid, coeffs=coeffs), options)
+        table = tracker._window_logs(DOUBLE, window)
+        assert len(table) == len(short.k) == 11
+        full = sliding_fit(model, options)
+        assert len(full.k) > len(short.k)
+        assert tracker._window_logs(DOUBLE, window) is table and len(table) == len(full.k)
+        assert table == [tracker._wavenumber_logs(DOUBLE, k) for k in full.k]
+
     def test_impossible_window_is_a_config_error(self):
         sp = pure_model_spectrum(make_grid(64), 1.0, 1.6, 0.05)
         with pytest.raises(ConfigError, match=r"fit window \[40, 30\]"):
