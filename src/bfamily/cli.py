@@ -11,7 +11,7 @@ comment).  Recognized keys and their defaults:
     dealias         = false      2/3-rule truncation of the products
     sample_every    = 25         steps between recorded snapshots
     fit_kmin        = none       lower fit-window edge (none: max(8, K/16))
-    fit_kmax        = none       upper fit-window edge (none: noise floor)
+    fit_kmax        = none       upper fit-window edge (none: K/2 - 2; the noise floor may cut it)
     precision       = double     double or extended32
     min_strip_width = none       early-stop width (none: grid limit 2*pi/K)
 
@@ -45,13 +45,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .core import GridSpec, inverse_transform
 from .errors import BFamilyError, ConfigError, InsufficientDataError
 from .integrator import BFamilyConfig, StopReason, simulate
-from .precision import DOUBLE, EXTENDED32, Precision
+from .precision import MODES, Precision
 from .spectral import derivative
 from .synthetic import SyntheticSpec, oracle_spectrum
 from .tracker import (FitOptions, fit_spectrum, late_time_alpha, strip_monitor,
@@ -148,25 +147,22 @@ def parse_manifest_text(text: str) -> dict:
 
 
 def _precision_from_name(raw: str) -> Precision:
-    for precision in (DOUBLE, EXTENDED32):
-        if raw.strip().lower() == precision.label:
-            return precision
-    raise ConfigError(f"precision must be 'double' or 'extended32', got {raw!r}")
+    mode = MODES.get(raw.strip().lower())
+    if mode is None:
+        raise ConfigError(f"precision must be {' or '.join(map(repr, MODES))}, got {raw!r}")
+    return mode
 
 
 def build_manifest(entries: dict, out_dir: Path) -> RunManifest:
     """Materialize a RunManifest from string entries (defaults filled in)."""
     merged = dict(_MANIFEST_DEFAULTS)
     merged.update(entries)
-    initial = merged["initial"].strip()
-    if initial not in ("type1", "type2"):
-        raise ConfigError(f"initial must be 'type1' or 'type2', got {initial!r}")
     config = BFamilyConfig(
         b=_parse_float(merged["b"], "b"),
         grid=GridSpec(_parse_int(merged["modes"], "modes")),
         dt=_parse_float(merged["dt"], "dt"),
         t_end=_parse_float(merged["t_end"], "t_end"),
-        initial=initial,
+        initial=merged["initial"].strip(),
         dealias=_parse_bool(merged["dealias"], "dealias"),
         sample_every=_parse_int(merged["sample_every"], "sample_every"),
         precision=_precision_from_name(merged["precision"]),
@@ -202,16 +198,14 @@ def manifest_entries(manifest: RunManifest) -> dict:
 
 
 def _value_formatter(precision: Precision):
-    digits = precision.digits + 2
+    text = precision.text
 
     def fmt(value) -> str:
         if value is None:
             return ""
         if isinstance(value, (int, np.integer)):
             return str(int(value))
-        if isinstance(value, precision.scalar_types):
-            return mp.nstr(value, digits)
-        return repr(float(value))
+        return text(value)
 
     return fmt
 

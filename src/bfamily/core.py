@@ -22,6 +22,8 @@ seam between double and extended arithmetic: ``forward_transform`` and
 rfft/irfft, or a radix-2 mpmath FFT) and apply the grid's sign
 (-1)**k = exp(-i*k*x_0) between its bins and the coefficients
 (``grid_signs``); ``forward_transform`` also forces k = 0 and K/2 real.
+``PeriodicField`` holds its samples finite (its mode's ``all_finite``)
+and read-only, so ``forward_transform`` does not check them again.
 ``GridSpec.nodes`` and ``initial_datum`` build their arrays with the
 mode's conversions and elementwise functions.  Nothing here tests a
 dtype, and nothing enters a precision context except ``initial_datum``
@@ -46,7 +48,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import NonFiniteFieldError, OddResolutionError, SymmetryError
-from .precision import DOUBLE, Precision, all_finite, transforms_for
+from .precision import DOUBLE, Precision, transforms_for
 
 MIN_MODES = 8
 
@@ -117,12 +119,9 @@ class PeriodicField:
             raise ValueError(
                 f"expected {self.grid.n_modes} samples, got shape {values.shape}"
             )
-        if not all_finite(values):
+        if not transforms_for(values).all_finite(values):
             raise NonFiniteFieldError("field samples must be finite")
         object.__setattr__(self, "values", _frozen_copy(values))
-
-    def nodes(self, precision: Precision = DOUBLE) -> np.ndarray:
-        return self.grid.nodes(precision)
 
 
 @dataclass(frozen=True)
@@ -197,8 +196,6 @@ def forward_transform(field: PeriodicField) -> Spectrum:
     The k = 0 and k = K/2 coefficients come out exactly real.
     """
     values = field.values
-    if not all_finite(values):
-        raise NonFiniteFieldError("cannot transform a non-finite field")
     K = field.grid.n_modes
     coeffs = transforms_for(values).forward(values, K) * grid_signs(K)
     coeffs[0], coeffs[-1] = coeffs[0].real, coeffs[-1].real

@@ -27,9 +27,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import GridSpec, InitialSpec, Spectrum, forward_transform, initial_datum
+from .core import (TYPE_I, TYPE_II, GridSpec, InitialSpec, Spectrum, forward_transform,
+                   initial_datum)
 from .errors import BlowUpOverflowError, ConfigError
-from .precision import DOUBLE, Precision, all_finite
+from .precision import DOUBLE, Precision, transforms_for
 from .spectral import RhsOptions, rhs_kernel
 
 
@@ -53,6 +54,8 @@ class BFamilyConfig:
     precision: Precision = DOUBLE
 
     def __post_init__(self) -> None:
+        if isinstance(self.initial, str) and self.initial not in (TYPE_I, TYPE_II):
+            raise ConfigError(f"initial must be {TYPE_I!r} or {TYPE_II!r}, got {self.initial!r}")
         if not (np.isfinite(self.b)):
             raise ConfigError(f"b must be finite, got {self.b}")
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -135,6 +138,8 @@ def simulate(
     """
     u0 = initial_datum(config.initial, config.grid, config.precision)
     state = forward_transform(u0)
+    # a supplied initial field keeps its own mode, whatever config.precision says
+    all_finite = transforms_for(state.coeffs).all_finite
     opts = config.rhs_options
     dt = config.dt
 

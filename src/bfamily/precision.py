@@ -3,9 +3,9 @@
 Every numerical routine in the package runs in one of two scalar modes:
 IEEE double (numpy float64/complex128 arrays) or extended decimal
 precision backed by mpmath (object arrays of mpf/mpc).  The modes are
-the objects ``DOUBLE`` and ``EXTENDED32`` (``Precision`` is their type),
-and each supplies every operation whose double and extended forms
-differ:
+the objects ``DOUBLE`` and ``EXTENDED32`` (``Precision`` is their type,
+and ``MODES`` maps each mode's ``label`` to it), and each supplies
+every operation whose double and extended forms differ:
 
 - the half-layout transform pair ``forward``/``inverse`` (pocketfft's
   real-input gufuncs, or a radix-2 FFT on raw mpmath tuples with root
@@ -22,6 +22,8 @@ differ:
   and the constants ``pi`` and ``zero`` (a complex zero);
 - elementwise array ``exp_array``, ``sin_array`` and ``real_part``, and
   the finiteness test ``all_finite``;
+- ``text``, a scalar as result files print it: a float's ``repr``, or
+  ``digits`` + 2 significant digits of the extended mode's own values;
 - ``near_singular``, the Wynn epsilon table's test for a near-singular
   difference, one flag per row of a table whose rows are interleaved in
   one flat array: numpy's expression for doubles, and an exponent
@@ -33,9 +35,11 @@ differ:
   ``scalar_types`` of the mode's own scalars (empty for double), and a
   ``context()`` for code outside the package.
 
-A function reads its mode once, from a ``Precision`` argument or from an
-array (``transforms_for``), and then runs one code path.  The dtype test
-in ``transforms_for`` is the only place that tells the two modes apart.
+A function reads its mode once, from a ``Precision`` argument, from an
+array (``transforms_for``) or from a label (``MODES``), and then runs
+one code path.  The dtype test in ``transforms_for`` is the only place
+that tells the two modes apart; no other module imports mpmath or names
+``EXTENDED32`` or a mode's class but to re-export it (a test checks).
 
 The double mode binds scalar ``math`` functions for scalar operations
 and numpy functions for array operations, and ``log_ratio`` takes
@@ -154,6 +158,9 @@ class DoublePrecision:
     def as_complex(self, arr: np.ndarray) -> np.ndarray:
         return arr.astype(np.complex128, copy=False)
 
+    def text(self, value) -> str:
+        return repr(float(value))
+
     def all_finite(self, arr: np.ndarray) -> bool:
         return bool(np.isfinite(arr).all())
 
@@ -253,6 +260,12 @@ class ExtendedPrecision:
     def real(self, values) -> np.ndarray:
         return np.array([_CTX.mpf(v) for v in np.asarray(values, dtype=object)], dtype=object)
 
+    def text(self, value) -> str:
+        """An mpf or mpc to ``digits`` + 2 significant digits, anything else as a float."""
+        if isinstance(value, self.scalar_types):
+            return mp.nstr(value, self.digits + 2)
+        return repr(float(value))
+
     def all_finite(self, arr: np.ndarray) -> bool:
         return all(_CTX.isfinite(v) for v in arr.ravel())
 
@@ -349,15 +362,9 @@ def _mag(value):
 
 
 @functools.cache
-def _roots(n: int) -> tuple:
-    """exp(-2*pi*i*r/n) for r = 0..n-1, built once per transform length n."""
-    return tuple(_CTX.expjpi(_CTX.mpf(-2 * r) / n) for r in range(n))
-
-
-@functools.cache
 def _root_tuples(n: int) -> tuple:
-    """The raw ``_mpc_`` tuples of ``_roots(n)``, which ``_mp_fft`` multiplies by."""
-    return tuple(root._mpc_ for root in _roots(n))
+    """exp(-2*pi*i*r/n) for r = 0..n-1 as raw ``_mpc_`` tuples, built once per length n."""
+    return tuple(_CTX.expjpi(_CTX.mpf(-2 * r) / n)._mpc_ for r in range(n))
 
 
 def _mp_fft(a: list, real: bool = False) -> list:
@@ -385,7 +392,7 @@ def _mp_fft(a: list, real: bool = False) -> list:
     power-of-two lengths satisfy roots[half - m] == -conj(roots[m]) bit
     for bit, and round-to-nearest is symmetric in sign, so the
     butterfly at half - m computes exactly the conjugate of the one at
-    m.  ``_roots(3)`` breaks that identity, so lengths 3 * 2**p take
+    m.  ``_root_tuples(3)`` breaks that identity, so lengths 3 * 2**p take
     the full path.
     """
     n = len(a)
@@ -424,13 +431,9 @@ Precision = Union[DoublePrecision, ExtendedPrecision]
 
 DOUBLE = DoublePrecision()
 EXTENDED32 = ExtendedPrecision()
+MODES = {mode.label: mode for mode in (DOUBLE, EXTENDED32)}
 
 
 def transforms_for(arr: np.ndarray) -> Precision:
     """The scalar mode of an array: extended for object arrays, else double."""
     return EXTENDED32 if arr.dtype == object else DOUBLE
-
-
-def all_finite(arr: np.ndarray) -> bool:
-    """Finiteness check in the array's scalar mode."""
-    return transforms_for(arr).all_finite(arr)

@@ -11,7 +11,7 @@ import numpy as np
 from bfamily.cli import SCHEMA_VERSION, _value_formatter
 from bfamily.core import GridSpec, PeriodicField, Spectrum, forward_transform
 from bfamily.errors import BlowUpOverflowError
-from bfamily.precision import all_finite, transforms_for
+from bfamily.precision import transforms_for
 
 
 # The frozen extended transform computes in a 32-digit context of its own:
@@ -418,7 +418,7 @@ class ReferenceRhsKernel:
             np.multiply(u, ux, out=values[0])
             np.multiply(u, u, out=values[1])
             np.multiply(ux, ux, out=values[2])
-        if not all_finite(values):
+        if not transforms_for(values).all_finite(values):
             raise BlowUpOverflowError("u, u_x or their products overflowed in physical space")
         products = signed_forward(values, self.n_modes, out=self._products)
         if keep is not None:

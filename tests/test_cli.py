@@ -14,6 +14,7 @@ from bfamily.cli import (build_manifest, main, manifest_entries,
                          parse_manifest_text, run_sweep, validate_cases)
 from bfamily.errors import ConfigError
 from bfamily.integrator import BFamilyConfig, simulate
+from bfamily.precision import EXTENDED32
 from bfamily.tracker import FitOptions
 
 from oracles import reference_magnitudes_csv
@@ -104,6 +105,29 @@ class TestManifestParsing:
         ):
             with pytest.raises(ConfigError):
                 build_manifest(entries, tmp_path)
+
+    def test_precision_label_is_trimmed_and_case_folded(self, tmp_path):
+        manifest = build_manifest({"precision": " Extended32 "}, tmp_path)
+        assert manifest.config.precision is EXTENDED32
+        assert manifest_entries(manifest)["precision"] == "extended32"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("precision", "quad", "precision must be 'double' or 'extended32', got 'quad'"),
+        ("initial", "type3", "initial must be 'type1' or 'type2', got 'type3'"),
+        ("initial", " type3 ", "initial must be 'type1' or 'type2', got 'type3'"),
+    ])
+    def test_bad_name_exits_2_with_its_message(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "o"
+        flag = "--" + key
+        assert main(["simulate", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_precision_flag_with_spaces_runs(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["simulate", "--precision", " Extended32 ", "--modes", "16", "--dt", "0.01",
+                     "--t-end", "0.02", "--out", str(out)]) == 0
+        assert "precision = extended32" in (out / "summary.txt").read_text().splitlines()
 
 
 class TestSimulateCommand:

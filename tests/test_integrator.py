@@ -20,7 +20,7 @@ from bfamily.integrator import (
     rk4_step,
     simulate,
 )
-from bfamily.precision import EXTENDED32
+from bfamily.precision import DOUBLE, EXTENDED32
 from bfamily.spectral import RhsOptions, rhs_kernel
 
 from oracles import full_layout, full_layout_rk4_step, random_hermitian_spectrum
@@ -52,6 +52,12 @@ class TestConfigValidation:
     def test_rejects_nonfinite_b(self):
         with pytest.raises(ConfigError):
             BFamilyConfig(b=float("nan"), grid=make_grid(16), dt=1e-3, t_end=1.0)
+
+    @pytest.mark.parametrize("name", ["typo", "type3", "Type1", " type1"])
+    def test_rejects_unknown_initial_name_when_built(self, name):
+        message = rf"initial must be 'type1' or 'type2', got '{name}'"
+        with pytest.raises(ConfigError, match=message):
+            BFamilyConfig(b=3.0, grid=make_grid(16), dt=1e-3, t_end=1.0, initial=name)
 
 
 class TestRk4Accuracy:
@@ -213,6 +219,16 @@ class TestTravelingWaves:
 
 
 class TestExtendedMode:
+    @pytest.mark.parametrize("field_mode, config_mode",
+                             [(EXTENDED32, DOUBLE), (DOUBLE, EXTENDED32)])
+    def test_supplied_field_runs_in_its_own_mode(self, field_mode, config_mode):
+        grid = make_grid(16)
+        field = initial_datum(TYPE_I, grid, field_mode)
+        traj = simulate(BFamilyConfig(b=3.0, grid=grid, dt=1e-2, t_end=2e-2, initial=field,
+                                      precision=config_mode))
+        assert traj.stop_reason is StopReason.REACHED_T_END
+        assert traj.snapshots[-1].coeffs.dtype == field_mode.complex_dtype
+
     def test_short_run_matches_double(self):
         kwargs = dict(b=3.0, grid=make_grid(16), dt=1e-3, t_end=5e-3,
                       initial=TYPE_I, sample_every=5)

@@ -1,7 +1,12 @@
 """Extended results: independent of the global mpmath precision, rounded on entry, pinned transforms.
 
-Also the double transforms' binding to numpy's private pocketfft gufuncs.
+Also the double transforms' binding to numpy's private pocketfft gufuncs,
+the modes' printing and lookup, and the seam itself: no other module
+imports mpmath or names the extended mode.
 """
+
+import ast
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +14,7 @@ import pytest
 from mpmath.libmp import mpf_neg
 from numpy.fft import _pocketfft
 
-from bfamily import (EXTENDED32, TYPE_I, FitOptions, RhsOptions, SyntheticSpec,
+from bfamily import (DOUBLE, EXTENDED32, TYPE_I, FitOptions, RhsOptions, SyntheticSpec,
                      fit_spectrum, forward_transform, initial_datum, make_grid,
                      oracle_field, oracle_spectrum, precision, sobolev_norm)
 from bfamily.integrator import rk4_step
@@ -149,13 +154,13 @@ class TestExtendedTransformPin:
         K = 96
         samples = self.samples(K)
         default_bins = raw(EXTENDED32.forward(samples, K))
-        default_roots = {n: raw(precision._roots(n)) for n in (3, 6, 12, 24, 48, 96)}
+        default_roots = {n: precision._root_tuples(n) for n in (3, 6, 12, 24, 48, 96)}
         for dps in (60, 15):
-            precision._roots.cache_clear()
+            precision._root_tuples.cache_clear()
             with mp.workdps(dps):
                 bins = raw(EXTENDED32.forward(samples, K))
             assert bins == default_bins
-            assert {n: raw(precision._roots(n)) for n in default_roots} == default_roots
+            assert {n: precision._root_tuples(n) for n in default_roots} == default_roots
 
     @pytest.mark.parametrize("K", [128, 256])
     def test_mirrored_lengths_match_reference(self, K):
@@ -180,7 +185,6 @@ class TestExtendedTransformPin:
         default = EXTENDED32.forward(samples, K)
         default_bins, default_back = raw(default), raw(EXTENDED32.inverse(default, K))
         for dps in (60, 15):
-            precision._roots.cache_clear()
             precision._root_tuples.cache_clear()
             with mp.workdps(dps):
                 bins = EXTENDED32.forward(samples, K)
@@ -189,11 +193,10 @@ class TestExtendedTransformPin:
 
 
 def mirrors(roots) -> bool:
-    """roots[half - m] == -conj(roots[m]) bit for bit, for m = 0..half."""
+    """roots[half - m] == -conj(roots[m]) bit for bit, for m = 0..half, on raw tuples."""
     half = len(roots) // 2
     return all(
-        roots[half - m]._mpc_ == (mpf_neg(roots[m]._mpc_[0]), roots[m]._mpc_[1])
-        for m in range(half + 1)
+        roots[half - m] == (mpf_neg(roots[m][0]), roots[m][1]) for m in range(half + 1)
     )
 
 
@@ -202,13 +205,13 @@ class TestRootMirror:
 
     @pytest.mark.parametrize("n", [2 ** p for p in range(1, 13)])
     def test_power_of_two_tables_mirror_bit_for_bit(self, n):
-        assert mirrors(precision._roots(n))
+        assert mirrors(precision._root_tuples(n))
 
     def test_length_three_table_does_not(self):
         # why K = 3 * 2**p keeps the full butterflies
-        roots = precision._roots(3)
-        assert roots[2]._mpc_ != precision._CTX.conj(roots[1])._mpc_
-        assert not mirrors(precision._roots(6))
+        roots = precision._root_tuples(3)
+        assert roots[2] != (roots[1][0], mpf_neg(roots[1][1]))
+        assert not mirrors(precision._root_tuples(6))
 
 
 class TestDoubleGufuncBinding:
@@ -224,3 +227,85 @@ class TestDoubleGufuncBinding:
 
     def test_inverse_binds_irfft(self):
         assert precision._IRFFT is _pocketfft.pfu.irfft
+
+
+class TestText:
+    """``Precision.text``: a scalar as the result files print it."""
+
+    @pytest.mark.parametrize("value", [0.1, -2.5e-300, 1.0, np.float64(1 / 3), 7, True])
+    def test_double_is_the_float_repr(self, value):
+        assert DOUBLE.text(value) == repr(float(value))
+
+    def extended_values(self):
+        third = EXTENDED32.scalar(1) / 3
+        return [third, -EXTENDED32.scalar(2) ** -200,
+                EXTENDED32.zero + third + 1j * EXTENDED32.sqrt(EXTENDED32.scalar(2))]
+
+    def test_extended_prints_digits_plus_two(self):
+        for value in self.extended_values():
+            expected = mp.nstr(value, 34)
+            assert EXTENDED32.text(value) == expected
+            for dps in (60, 15):
+                with mp.workdps(dps):
+                    assert EXTENDED32.text(value) == expected
+
+    @pytest.mark.parametrize("value", [0.1, np.float64(1 / 3), 1e300])
+    def test_foreign_value_in_extended_is_the_float_repr(self, value):
+        assert EXTENDED32.text(value) == repr(float(value))
+
+
+class TestSeam:
+    """Only ``precision`` tells the modes apart: a scan of the package's sources."""
+
+    FORBIDDEN = {"EXTENDED32", "ExtendedPrecision", "DoublePrecision"}
+
+    @staticmethod
+    def sources():
+        return sorted(Path(precision.__file__).parent.glob("*.py"))
+
+    @staticmethod
+    def imported_modules(tree) -> set:
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module)
+        return modules
+
+    def named(self, tree, module: str) -> set:
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                # the package's public re-export of the modes
+                if module == "__init__" and node.level == 1 and node.module == "precision":
+                    continue
+                names.update(alias.name for alias in node.names)
+        return names & self.FORBIDDEN
+
+    def test_the_scan_sees_the_package(self):
+        names = {path.stem for path in self.sources()}
+        assert {"__init__", "cli", "core", "integrator", "precision", "tracker"} <= names
+
+    def test_only_precision_imports_mpmath(self):
+        offenders = {
+            path.name for path in self.sources()
+            if path.stem != "precision"
+            and any(m.split(".")[0] == "mpmath"
+                    for m in self.imported_modules(ast.parse(path.read_text())))
+        }
+        assert offenders == set()
+
+    def test_only_precision_names_the_extended_mode_or_a_mode_class(self):
+        offenders = {
+            path.name: sorted(self.named(ast.parse(path.read_text()), path.stem))
+            for path in self.sources() if path.stem != "precision"
+        }
+        assert {name: found for name, found in offenders.items() if found} == {}
+
+    def test_no_module_level_finiteness_pass_through(self):
+        assert not hasattr(precision, "all_finite")
