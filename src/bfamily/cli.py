@@ -1,7 +1,7 @@
 """Batch front end: simulate, track, sweep, and validate runs from manifests.
 
 A manifest is a flat text file of ``key = value`` lines (``#`` starts a
-comment).  Recognized keys and their defaults:
+comment).  The keys, with the defaults and parsers in ``_MANIFEST_KEYS``:
 
     b               = 3.0        family parameter
     modes           = 1024       grid resolution K
@@ -42,6 +42,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -104,24 +105,30 @@ def _parse_int(raw: str, key: str) -> int:
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
 
 
-def _parse_optional(raw: str, key: str, parser):
-    if raw.strip().lower() in ("none", ""):
-        return None
-    return parser(raw, key)
+def _parse_precision(raw: str, key: str) -> Precision:
+    mode = MODES.get(raw.strip().lower())
+    if mode is None:
+        raise ConfigError(f"{key} must be {' or '.join(map(repr, MODES))}, got {raw!r}")
+    return mode
 
 
-_MANIFEST_DEFAULTS = {
-    "b": "3.0",
-    "modes": "1024",
-    "dt": "0.0001",
-    "t_end": "1.0",
-    "initial": "type1",
-    "dealias": "false",
-    "sample_every": "25",
-    "fit_kmin": "none",
-    "fit_kmax": "none",
-    "precision": "double",
-    "min_strip_width": "none",
+def _optional(parser):
+    return lambda raw, key: None if raw.strip().lower() in ("none", "") else parser(raw, key)
+
+
+# key: (default text, parser, where a RunManifest holds the value), in provenance order
+_MANIFEST_KEYS = {
+    "b": ("3.0", _parse_float, "config.b"),
+    "modes": ("1024", _parse_int, "config.grid.n_modes"),
+    "dt": ("0.0001", _parse_float, "config.dt"),
+    "t_end": ("1.0", _parse_float, "config.t_end"),
+    "initial": ("type1", lambda raw, key: raw.strip(), "config.initial"),
+    "dealias": ("false", _parse_bool, "config.dealias"),
+    "sample_every": ("25", _parse_int, "config.sample_every"),
+    "fit_kmin": ("none", _optional(_parse_int), "fit.k_min"),
+    "fit_kmax": ("none", _optional(_parse_int), "fit.k_max"),
+    "precision": ("double", _parse_precision, "config.precision"),
+    "min_strip_width": ("none", _optional(_parse_float), "fit.min_strip_width"),
 }
 
 
@@ -135,7 +142,7 @@ def parse_manifest_text(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"manifest line {lineno} is not 'key = value': {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _MANIFEST_DEFAULTS:
+        if key not in _MANIFEST_KEYS:
             raise ConfigError(f"manifest line {lineno}: unknown key {key!r}")
         if key in first_line:
             raise ConfigError(
@@ -146,55 +153,36 @@ def parse_manifest_text(text: str) -> dict:
     return entries
 
 
-def _precision_from_name(raw: str) -> Precision:
-    mode = MODES.get(raw.strip().lower())
-    if mode is None:
-        raise ConfigError(f"precision must be {' or '.join(map(repr, MODES))}, got {raw!r}")
-    return mode
-
-
 def build_manifest(entries: dict, out_dir: Path) -> RunManifest:
     """Materialize a RunManifest from string entries (defaults filled in)."""
-    merged = dict(_MANIFEST_DEFAULTS)
-    merged.update(entries)
+    v = {key: parse(entries.get(key, default), key)
+         for key, (default, parse, _) in _MANIFEST_KEYS.items()}
     config = BFamilyConfig(
-        b=_parse_float(merged["b"], "b"),
-        grid=GridSpec(_parse_int(merged["modes"], "modes")),
-        dt=_parse_float(merged["dt"], "dt"),
-        t_end=_parse_float(merged["t_end"], "t_end"),
-        initial=merged["initial"].strip(),
-        dealias=_parse_bool(merged["dealias"], "dealias"),
-        sample_every=_parse_int(merged["sample_every"], "sample_every"),
-        precision=_precision_from_name(merged["precision"]),
+        b=v["b"], grid=GridSpec(v["modes"]), dt=v["dt"], t_end=v["t_end"], initial=v["initial"],
+        dealias=v["dealias"], sample_every=v["sample_every"], precision=v["precision"],
     )
-    fit = FitOptions(
-        k_min=_parse_optional(merged["fit_kmin"], "fit_kmin", _parse_int),
-        k_max=_parse_optional(merged["fit_kmax"], "fit_kmax", _parse_int),
-        min_strip_width=_parse_optional(
-            merged["min_strip_width"], "min_strip_width", _parse_float
-        ),
-    )
+    fit = FitOptions(k_min=v["fit_kmin"], k_max=v["fit_kmax"],
+                     min_strip_width=v["min_strip_width"])
     return RunManifest(config=config, fit=fit, out_dir=out_dir)
+
+
+def _entry_text(value) -> str:
+    """A manifest value as its provenance text, which its key's parser reads back."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, Precision):
+        return value.label
+    return str(value)
 
 
 def manifest_entries(manifest: RunManifest) -> dict:
     """The manifest back as plain strings, for provenance headers."""
-    config, fit = manifest.config, manifest.fit
-    return {
-        "b": repr(config.b),
-        "modes": str(config.grid.n_modes),
-        "dt": repr(config.dt),
-        "t_end": repr(config.t_end),
-        "initial": str(config.initial),
-        "dealias": "true" if config.dealias else "false",
-        "sample_every": str(config.sample_every),
-        "fit_kmin": "none" if fit.k_min is None else str(fit.k_min),
-        "fit_kmax": "none" if fit.k_max is None else str(fit.k_max),
-        "precision": config.precision.label,
-        "min_strip_width": (
-            "none" if fit.min_strip_width is None else repr(fit.min_strip_width)
-        ),
-    }
+    return {key: _entry_text(attrgetter(path)(manifest))
+            for key, (_, _, path) in _MANIFEST_KEYS.items()}
 
 
 def _value_formatter(precision: Precision):
@@ -539,7 +527,7 @@ def cmd_validate(n_modes: int, fit_kmin: Optional[int]) -> int:
 def _add_manifest_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--manifest", type=Path, help="manifest file to load")
     parser.add_argument("--out", type=Path, help="output directory")
-    for key in _MANIFEST_DEFAULTS:
+    for key in _MANIFEST_KEYS:
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=f"key_{key}", metavar="VALUE")
 
@@ -552,7 +540,7 @@ def _manifest_from_args(args, default_out: str) -> RunManifest:
         except OSError as exc:
             raise ConfigError(f"cannot read manifest: {exc}") from exc
         entries.update(parse_manifest_text(text))
-    for key in _MANIFEST_DEFAULTS:
+    for key in _MANIFEST_KEYS:
         override = getattr(args, f"key_{key}")
         if override is not None:
             entries[key] = override

@@ -25,7 +25,8 @@ rfft/irfft, or a radix-2 mpmath FFT) and apply the grid's sign
 ``PeriodicField`` holds its samples finite (its mode's ``all_finite``)
 and read-only, so ``forward_transform`` does not check them again.
 ``GridSpec.nodes`` and ``initial_datum`` build their arrays with the
-mode's conversions and elementwise functions.  Nothing here tests a
+mode's conversions and elementwise functions, ``initial_datum`` from a
+profile name or a callable (``check_initial``).  Nothing here tests a
 dtype, and nothing enters a precision context except ``initial_datum``
 around a user callable, which may call global mpmath functions.
 Extended coefficients from outside the package enter the mode's own
@@ -47,7 +48,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import NonFiniteFieldError, OddResolutionError, SymmetryError
+from .errors import ConfigError, NonFiniteFieldError, OddResolutionError, SymmetryError
 from .precision import DOUBLE, Precision, transforms_for
 
 MIN_MODES = 8
@@ -210,32 +211,35 @@ def inverse_transform(spectrum: Spectrum) -> PeriodicField:
     return PeriodicField(spectrum.grid, values)
 
 
-InitialSpec = Union[str, PeriodicField, Callable]
+InitialSpec = Union[str, Callable]
+
+
+def check_initial(initial) -> None:
+    """Raise ConfigError unless ``initial`` is ``type1``, ``type2`` or a callable."""
+    if isinstance(initial, str) and initial not in (TYPE_I, TYPE_II):
+        raise ConfigError(f"initial must be {TYPE_I!r} or {TYPE_II!r}, got {initial!r}")
+    if not (isinstance(initial, str) or callable(initial)):
+        raise ConfigError(f"initial must be a name or a callable, got a {type(initial).__name__}")
 
 
 def initial_datum(
     initial: InitialSpec, grid: GridSpec, precision: Precision = DOUBLE
 ) -> PeriodicField:
-    """Build the initial field from a named profile, samples, or callable.
+    """Build the initial field in the requested scalar mode from a named profile or a callable.
 
     Recognised names: ``type1`` (sin x) and ``type2`` (1 + sin x).  A
     callable receives node coordinates in the requested scalar mode, and
     runs inside the mode's ``context()`` so that global mpmath functions
     it calls work at the mode's digits; its results are converted into
-    the mode.
+    the mode.  Any other value raises ConfigError (``check_initial``).
     """
-    if isinstance(initial, PeriodicField):
-        if initial.grid != grid:
-            raise ValueError("supplied field lives on a different grid")
-        return initial
+    check_initial(initial)
     x = grid.nodes(precision)
     if callable(initial):
         with precision.context():
             values = precision.real([initial(xj) for xj in x])
     elif initial == TYPE_I:
         values = precision.sin_array(x)
-    elif initial == TYPE_II:
-        values = 1 + precision.sin_array(x)
     else:
-        raise ValueError(f"unknown initial datum {initial!r}")
+        values = 1 + precision.sin_array(x)
     return PeriodicField(grid, values)

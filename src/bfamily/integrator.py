@@ -12,10 +12,11 @@ coefficients, which ``Spectrum`` stores in the kernel's own layout
 (modes k = 0..K/2): the four stages are plain arrays (one finiteness
 check each inside the kernel), and the result array becomes the new
 ``Spectrum`` as it is, without a copy or a symmetry check.
-``simulate`` additionally checks each new state for finiteness; an
-early stop is the answer of the monitor it asks at each snapshot.  Both
-run one code path in either scalar mode: extended states carry their
-own 32-digit mpmath context, so nothing here enters one.
+``simulate`` builds the initial datum in ``config.precision``, checks
+each new state for finiteness with that mode, and ends early when the
+monitor it asks at each snapshot says so.  Both run one code path in
+either scalar mode: extended states carry their own 32-digit mpmath
+context, so nothing here enters one.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (TYPE_I, TYPE_II, GridSpec, InitialSpec, Spectrum, forward_transform,
-                   initial_datum)
+from .core import GridSpec, InitialSpec, Spectrum, check_initial, forward_transform, initial_datum
 from .errors import BlowUpOverflowError, ConfigError
-from .precision import DOUBLE, Precision, transforms_for
+from .precision import DOUBLE, Precision
 from .spectral import RhsOptions, rhs_kernel
 
 
@@ -42,7 +42,7 @@ class StopReason(enum.Enum):
 
 @dataclass(frozen=True)
 class BFamilyConfig:
-    """Complete description of one simulation run."""
+    """Complete description of one simulation run; ``precision`` is every snapshot's mode."""
 
     b: float
     grid: GridSpec
@@ -54,14 +54,15 @@ class BFamilyConfig:
     precision: Precision = DOUBLE
 
     def __post_init__(self) -> None:
-        if isinstance(self.initial, str) and self.initial not in (TYPE_I, TYPE_II):
-            raise ConfigError(f"initial must be {TYPE_I!r} or {TYPE_II!r}, got {self.initial!r}")
+        check_initial(self.initial)
         if not (np.isfinite(self.b)):
             raise ConfigError(f"b must be finite, got {self.b}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end > 0):
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ConfigError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
         if not isinstance(self.sample_every, (int, np.integer)) or self.sample_every < 1:
             raise ConfigError(f"sample_every must be a positive integer, got {self.sample_every}")
 
@@ -127,7 +128,7 @@ def _stage_input(c0: np.ndarray, h: float, k: np.ndarray, out: np.ndarray) -> np
 def simulate(
     config: BFamilyConfig, strip_monitor: Optional[Callable[[float, Spectrum], bool]] = None
 ) -> Trajectory:
-    """Integrate from t = 0 to t_end, recording every sample_every steps.
+    """Integrate from t = 0 to t_end in ``config.precision``, recording every sample_every steps.
 
     ``strip_monitor`` is an optional yes/no question asked of every
     recorded snapshot, t = 0 included, in recording order: it receives
@@ -138,8 +139,7 @@ def simulate(
     """
     u0 = initial_datum(config.initial, config.grid, config.precision)
     state = forward_transform(u0)
-    # a supplied initial field keeps its own mode, whatever config.precision says
-    all_finite = transforms_for(state.coeffs).all_finite
+    all_finite = config.precision.all_finite
     opts = config.rhs_options
     dt = config.dt
 

@@ -5,6 +5,9 @@ series summation, high-precision arithmetic.  The package must agree
 with these, not the other way around.
 """
 
+import functools
+import math
+
 import mpmath as mp
 import numpy as np
 
@@ -84,6 +87,30 @@ def random_field(grid: GridSpec, rng: np.random.Generator) -> PeriodicField:
 def random_hermitian_spectrum(grid: GridSpec, rng: np.random.Generator) -> Spectrum:
     """Spectrum of a random real field; Hermitian exactly by construction."""
     return forward_transform(random_field(grid, rng))
+
+
+@functools.lru_cache(maxsize=None)
+def burgers_spectrum(t: float, grid: GridSpec) -> Spectrum:
+    """The inviscid Burgers solution from u0 = -sin x at a time 0 < t < 1, cached per (t, K).
+
+    u(x, t) = -2 sum_{k>=1} J_k(kt)/(kt) sin kx (Fubini 1935; Platzman,
+    Tellus 16, 1964), so u_hat[k] = i J_k(kt)/(kt) for 1 <= k < K/2; the
+    mean and the Nyquist slot are zero.  The wave breaks at t_s = 1 at
+    x = 0.  Before that the nearest singularity is a square-root branch
+    point (alpha = 1/2) at the strip width arccosh(1/t) - sqrt(1 - t^2).
+    Each coefficient is mpmath's Bessel function at 20 digits, rounded
+    to a double once.
+    """
+    coeffs = np.zeros(grid.n_modes // 2 + 1, dtype=complex)
+    with mp.workdps(20):
+        for k in range(1, grid.n_modes // 2):
+            coeffs[k] = 1j * float(mp.besselj(k, k * t) / (k * t))
+    return Spectrum(grid, coeffs)
+
+
+def burgers_strip_width(t: float) -> float:
+    """The exact strip width of ``burgers_spectrum`` at time t."""
+    return math.acosh(1 / t) - math.sqrt(1 - t * t)
 
 
 def convolution_rhs(spectrum: Spectrum, b: float, cutoff: int) -> np.ndarray:

@@ -91,6 +91,26 @@ class TestManifestParsing:
         assert rebuilt.config == manifest.config
         assert rebuilt.fit == manifest.fit
 
+    def test_entries_print_every_key_as_before(self, tmp_path):
+        # every key away from its default, in forms the parsers normalise
+        entries = {
+            "b": "-0.5", "modes": "128", "dt": "1e-5", "t_end": "2", "initial": " type2 ",
+            "dealias": "on", "sample_every": "7", "fit_kmin": "3", "fit_kmax": "40",
+            "precision": " Extended32", "min_strip_width": "1e-7",
+        }
+        assert list(manifest_entries(build_manifest(entries, tmp_path)).items()) == [
+            ("b", "-0.5"), ("modes", "128"), ("dt", "1e-05"), ("t_end", "2.0"),
+            ("initial", "type2"), ("dealias", "true"), ("sample_every", "7"),
+            ("fit_kmin", "3"), ("fit_kmax", "40"), ("precision", "extended32"),
+            ("min_strip_width", "1e-07"),
+        ]
+        assert list(manifest_entries(build_manifest({}, tmp_path)).items()) == [
+            ("b", "3.0"), ("modes", "1024"), ("dt", "0.0001"), ("t_end", "1.0"),
+            ("initial", "type1"), ("dealias", "false"), ("sample_every", "25"),
+            ("fit_kmin", "none"), ("fit_kmax", "none"), ("precision", "double"),
+            ("min_strip_width", "none"),
+        ]
+
     def test_bad_values_rejected(self, tmp_path):
         for entries in (
             {"dealias": "maybe"},
@@ -176,6 +196,17 @@ class TestSimulateCommand:
         manifest = write_manifest(tmp_path / "m.txt", dt="-0.001")
         code = main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_step_count_that_is_not_finite_exits_2(self, tmp_path, capsys):
+        # t_end / dt overflows to inf: a configuration error, not an OverflowError traceback
+        out = tmp_path / "o"
+        code = main(["simulate", "--modes", "16", "--dt", "1e-300", "--t-end", "1e300",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: t_end / dt must be finite, got 1e+300 / 1e-300\n"
+        )
+        assert not out.exists()
 
     def test_flag_overrides_file(self, tmp_path):
         manifest = write_manifest(tmp_path / "m.txt", dt="-0.001")

@@ -18,7 +18,7 @@ from bfamily.core import (
     inverse_transform,
     make_grid,
 )
-from bfamily.errors import NonFiniteFieldError, OddResolutionError, SymmetryError
+from bfamily.errors import ConfigError, NonFiniteFieldError, OddResolutionError, SymmetryError
 from bfamily.precision import DOUBLE, EXTENDED32
 
 from oracles import signed_forward, signed_inverse
@@ -233,19 +233,18 @@ class TestInitialDatum:
                 assert isinstance(v, EXTENDED32.scalar_types[0])
                 assert abs(v - mp.cos(2 * x)) < mp.mpf(10) ** -31
 
-    def test_passthrough_field(self):
-        g = make_grid(16)
-        f = PeriodicField(g, np.zeros(16))
-        assert initial_datum(f, g) is f
-
-    def test_grid_mismatch_rejected(self):
-        f = PeriodicField(make_grid(16), np.zeros(16))
-        with pytest.raises(ValueError):
-            initial_datum(f, make_grid(32))
-
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^initial must be 'type1' or 'type2', got 'type3'$"):
             initial_datum("type3", make_grid(16))
+
+    @pytest.mark.parametrize("mode", [DOUBLE, EXTENDED32], ids=lambda m: m.label)
+    @pytest.mark.parametrize("K", [16, 32])
+    def test_field_rejected(self, mode, K):
+        # a datum is a name or a callable, built in the mode it is asked for
+        field = initial_datum(TYPE_I, make_grid(K), mode)
+        message = r"^initial must be a name or a callable, got a PeriodicField$"
+        with pytest.raises(ConfigError, match=message):
+            initial_datum(field, make_grid(16), mode)
 
 
 class TestExtendedPrecision:

@@ -59,6 +59,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             BFamilyConfig(b=3.0, grid=make_grid(16), dt=1e-3, t_end=1.0, initial=name)
 
+    @pytest.mark.parametrize("config_mode", [DOUBLE, EXTENDED32], ids=lambda m: m.label)
+    @pytest.mark.parametrize("field_mode", [DOUBLE, EXTENDED32], ids=lambda m: m.label)
+    @pytest.mark.parametrize("K", [16, 32])
+    def test_rejects_a_field_initial_when_built(self, config_mode, field_mode, K):
+        # the config's precision alone sets the run's mode, so no field is taken as it is
+        field = initial_datum(TYPE_I, make_grid(K), field_mode)
+        with pytest.raises(ConfigError, match="initial must be a name or a callable"):
+            BFamilyConfig(b=3.0, grid=make_grid(16), dt=1e-3, t_end=1.0, initial=field,
+                          precision=config_mode)
+
+    @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-300), (1.0, 5e-324)])
+    def test_rejects_a_step_count_that_is_not_finite(self, t_end, dt):
+        with pytest.raises(ConfigError, match=r"t_end / dt must be finite"):
+            BFamilyConfig(b=3.0, grid=make_grid(16), dt=dt, t_end=t_end)
+
 
 class TestRk4Accuracy:
     """Expected rates pinned by direct step-doubling / tiny-step oracles."""
@@ -219,15 +234,14 @@ class TestTravelingWaves:
 
 
 class TestExtendedMode:
-    @pytest.mark.parametrize("field_mode, config_mode",
-                             [(EXTENDED32, DOUBLE), (DOUBLE, EXTENDED32)])
-    def test_supplied_field_runs_in_its_own_mode(self, field_mode, config_mode):
-        grid = make_grid(16)
-        field = initial_datum(TYPE_I, grid, field_mode)
-        traj = simulate(BFamilyConfig(b=3.0, grid=grid, dt=1e-2, t_end=2e-2, initial=field,
-                                      precision=config_mode))
+    @pytest.mark.parametrize("mode, dtype", [(DOUBLE, np.complex128), (EXTENDED32, object)],
+                             ids=["double", "extended32"])
+    def test_callable_initial_runs_in_the_config_mode(self, mode, dtype):
+        traj = simulate(BFamilyConfig(b=3.0, grid=make_grid(16), dt=1e-2, t_end=2e-2,
+                                      initial=lambda x: 1 + mp.sin(x), precision=mode))
         assert traj.stop_reason is StopReason.REACHED_T_END
-        assert traj.snapshots[-1].coeffs.dtype == field_mode.complex_dtype
+        assert traj.config.precision is mode
+        assert [s.coeffs.dtype for s in traj.snapshots] == [np.dtype(dtype)] * len(traj)
 
     def test_short_run_matches_double(self):
         kwargs = dict(b=3.0, grid=make_grid(16), dt=1e-3, t_end=5e-3,

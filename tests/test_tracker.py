@@ -1,5 +1,6 @@
 """Singularity tracker: fit identities, extrapolation benchmarks, closure."""
 
+import functools
 import math
 import warnings
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import bfamily.integrator as integrator
 import bfamily.tracker as tracker
 from bfamily import DOUBLE, EXTENDED32, make_grid
-from bfamily.core import PeriodicField, Spectrum, forward_transform
+from bfamily.core import PeriodicField, Spectrum, forward_transform, inverse_transform
 from bfamily.errors import (ConfigError, EmptyWindowError, ExtrapolationError,
                             InsufficientDataError, NoiseFloorError)
 from bfamily.integrator import BFamilyConfig, StopReason, Trajectory, simulate
@@ -22,7 +23,8 @@ from bfamily.tracker import (WYNN_RTOL, FitOptions, estimate_x_star,
                              sliding_fit, strip_monitor, track, track_run,
                              wynn_epsilon)
 
-from oracles import reference_wynn_epsilon, shanks_table_limit
+from oracles import (burgers_spectrum, burgers_strip_width, reference_wynn_epsilon,
+                     shanks_table_limit)
 
 
 def pure_model_spectrum(grid, amplitude, s, delta, x_star=0.0):
@@ -892,6 +894,51 @@ class TestTrack:
         with pytest.raises(ExtrapolationError):
             fit_spectrum(snapshot)
         assert strip_monitor(FitOptions())(3.75, snapshot) is False
+
+
+# the acceptance runs' window scaling [K/16, 300 K/1024] at K = 512
+_BURGERS_GRID = make_grid(512)
+_BURGERS_FIT = FitOptions(k_min=32, k_max=150)
+_BURGERS_TIMES = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.925)
+
+
+@functools.lru_cache(maxsize=None)
+def _burgers_fit(t):
+    return fit_spectrum(burgers_spectrum(t, _BURGERS_GRID), _BURGERS_FIT)
+
+
+class TestBurgersOracle:
+    """The tracker on the exact inviscid Burgers spectrum: delta(t), alpha = 1/2, x* = 0, t_s = 1."""
+
+    def test_oracle_solves_the_implicit_equation(self):
+        # u = -sin(x - u t) on the nodes, the truncated tail being below round-off at t = 0.5
+        u = inverse_transform(burgers_spectrum(0.5, _BURGERS_GRID)).values
+        x = _BURGERS_GRID.nodes()
+        assert np.abs(u + np.sin(x - 0.5 * u)).max() < 1e-13
+
+    @pytest.mark.parametrize("t", _BURGERS_TIMES)
+    def test_strip_width(self, t):
+        assert abs(float(_burgers_fit(t).delta) - burgers_strip_width(t)) < 2e-5
+
+    def test_square_root_character_while_resolved(self):
+        fits = {t: _burgers_fit(t) for t in _BURGERS_TIMES}
+        resolved = {t: f for t, f in fits.items() if f.k_window[1] * float(f.delta) >= 5}
+        assert len(resolved) >= 5
+        for t, f in resolved.items():
+            assert abs(float(f.alpha) - 0.5) < 0.01, t
+
+    @pytest.mark.parametrize("t", _BURGERS_TIMES)
+    def test_breaking_abscissa(self, t):
+        assert abs(float(_burgers_fit(t).x_star)) < 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the linear width law extrapolates t_s early "
+                              "(ROADMAP item 9: the 3/2 law)")
+    def test_blowup_time(self):
+        times = [round(0.95 + 0.005 * i, 3) for i in range(7)]
+        spectra = [burgers_spectrum(t, _BURGERS_GRID) for t in times]
+        trace = track(_trajectory_from_spectra(times, spectra, _BURGERS_GRID), _BURGERS_FIT)
+        assert abs(trace.t_s_estimate - 1.0) < 1e-3
 
 
 class TestFitOptions:
