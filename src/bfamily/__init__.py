@@ -9,13 +9,12 @@ from .core import (
     forward_transform,
     initial_datum,
     inverse_transform,
-    make_grid,
 )
 from .integrator import BFamilyConfig, StopReason, Trajectory, simulate
 from .norms import GevreyParams, gevrey_norm, sobolev_norm
 from .precision import DOUBLE, EXTENDED32, Precision
-from .spectral import RhsOptions, dealias_cutoff, derivative, helmholtz_inverse_dx, rhs
-from .synthetic import SyntheticSpec, oracle_coefficients, oracle_field, oracle_spectrum
+from .spectral import RhsOptions, dealias_cutoff, derivative, rhs
+from .synthetic import SyntheticSpec, oracle_field, oracle_spectrum
 from .tracker import (
     FitOptions,
     FitResult,
@@ -55,13 +54,10 @@ __all__ = [
     "fit_spectrum",
     "forward_transform",
     "gevrey_norm",
-    "helmholtz_inverse_dx",
     "initial_datum",
     "inverse_transform",
     "late_time_alpha",
     "local_fit",
-    "make_grid",
-    "oracle_coefficients",
     "oracle_field",
     "oracle_spectrum",
     "rhs",

@@ -19,8 +19,8 @@ The fit keys and ``min_strip_width`` fill ``tracker.FitOptions``, which
 owns the fit window and the early stop.  ``build_manifest`` rejects a
 ``fit_kmax`` below max(``fit_kmin``, 2) + 2 whatever K is.  The window at
 the manifest's K is checked where a fit runs, before any step: ``track``
-and ``sweep`` (before its worker pool starts) check it first, and a
-monitored ``simulate`` fails on its t = 0 fit.  With ``min_strip_width =
+and a monitored ``simulate`` fail on their t = 0 fit, and ``sweep``
+checks it before its worker pool starts.  With ``min_strip_width =
 none``, ``simulate`` attaches no width monitor and so fits nothing;
 ``track`` and ``sweep`` always attach one.  ``validate`` checks its
 window at its K before the first case.
@@ -341,7 +341,6 @@ def cmd_simulate(manifest: RunManifest) -> int:
 
 def cmd_track(manifest: RunManifest) -> int:
     config = manifest.config
-    manifest.fit.window(config.grid.n_modes)
     trajectory, trace = track_run(config, manifest.fit)
     provenance = manifest_entries(manifest)
     fmt = _value_formatter(config.precision)

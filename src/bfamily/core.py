@@ -96,11 +96,6 @@ class GridSpec:
         return 2.0 * np.pi / self.n_modes
 
 
-def make_grid(n_modes: int) -> GridSpec:
-    """Validated grid constructor."""
-    return GridSpec(n_modes)
-
-
 def _frozen_copy(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.setflags(write=False)
@@ -173,10 +168,6 @@ class Spectrum:
         object.__setattr__(spectrum, "grid", grid)
         object.__setattr__(spectrum, "coeffs", coeffs)
         return spectrum
-
-    def magnitudes_nonnegative(self) -> np.ndarray:
-        """|u_hat[k]| for k = 0 .. K/2 (Nyquist slot included last)."""
-        return np.abs(self.coeffs)
 
 
 @functools.lru_cache(maxsize=32)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -55,15 +56,26 @@ class BFamilyConfig:
 
     def __post_init__(self) -> None:
         check_initial(self.initial)
+        for name in ("b", "dt", "t_end"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.dealias, bool):
+            raise ConfigError(f"dealias must be a bool, got {self.dealias!r}")
         if not (np.isfinite(self.b)):
             raise ConfigError(f"b must be finite, got {self.b}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end > 0):
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if not math.isfinite(self.t_end / self.dt):
+        steps = self.t_end / self.dt
+        if not math.isfinite(steps):
             raise ConfigError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
-        if not isinstance(self.sample_every, (int, np.integer)) or self.sample_every < 1:
+        # past 2**53 steps, neither the step count nor step_index * dt is exact in a double
+        if steps >= 2.0**53:
+            raise ConfigError(f"t_end / dt must be below 2**53, got {self.t_end} / {self.dt}")
+        if (isinstance(self.sample_every, bool)
+                or not isinstance(self.sample_every, (int, np.integer)) or self.sample_every < 1):
             raise ConfigError(f"sample_every must be a positive integer, got {self.sample_every}")
 
     @property

@@ -29,11 +29,12 @@ buffers are built once per (K, b, dealias, scalar mode) and cached by
 ``rhs_kernel``.  One evaluation makes fifteen numpy calls, the two
 transforms included, and one finiteness check, on the stacked
 physical-space products: a non-finite u or u_x makes u^2 or u_x^2
-non-finite too.  ``Spectrum`` stores the same layout, so ``rhs``,
-``derivative`` and ``helmholtz_inverse_dx`` act on its coefficients
-directly.  The same code serves double and extended precision; the
-transform pair, the tables and the buffer dtypes come from the scalar
-mode (``precision.transforms_for``).
+non-finite too.  The nonlocal symbol ik / (1 + k^2), that is
+(1 - d_xx)^{-1} d_x, exists only as the kernel's ``symbol`` table.
+``Spectrum`` stores the same layout, so ``rhs`` and ``derivative`` act
+on its coefficients directly.  The same code serves double and
+extended precision; the transform pair, the tables and the buffer
+dtypes come from the scalar mode (``precision.transforms_for``).
 """
 
 from __future__ import annotations
@@ -96,18 +97,6 @@ def derivative(spectrum: Spectrum, order: int = 1) -> Spectrum:
     coeffs = spectrum.coeffs * ik**order
     if order % 2 == 1:
         coeffs[-1] *= 0
-    return Spectrum(spectrum.grid, coeffs)
-
-
-def helmholtz_inverse_dx(spectrum: Spectrum) -> Spectrum:
-    """Apply the symbol i*k / (1 + k^2), i.e. (1 - d_xx)^{-1} d_x.
-
-    The k = 0 slot is annihilated by the symbol; the Nyquist slot is
-    zeroed explicitly because the symbol is odd.
-    """
-    _, symbol = _symbols(transforms_for(spectrum.coeffs), spectrum.grid.wavenumbers())
-    coeffs = spectrum.coeffs * symbol
-    coeffs[-1] *= 0
     return Spectrum(spectrum.grid, coeffs)
 
 

@@ -15,7 +15,9 @@ through the binomial series (1 - w)**alpha = sum_k binom(alpha, k) (-w)**k:
 
 with u_hat[-k] the conjugate.  The coefficients are generated by the
 stable product recurrence for the binomial term, never through Gamma
-functions, so no cancellation enters at large k.
+functions, so no cancellation enters at large k.  ``oracle_spectrum``
+returns them for k = 0 .. K/2 - 1 on a grid of K modes, and
+``oracle_field`` samples the function on the grid's nodes.
 
 Non-integer alpha gives a genuine branch point; a nonnegative integer
 alpha truncates the series to a trigonometric polynomial (an entire
@@ -83,14 +85,6 @@ def _coefficient_table(spec: SyntheticSpec, count: int, precision: Precision) ->
         table.append(half * signed * precision.exp(-delta * k)
                      * precision.exp_minus_i(k * x_star))
     return np.array(table)
-
-
-def oracle_coefficients(spec: SyntheticSpec, k: int,
-                        precision: Precision = DOUBLE) -> complex:
-    """Closed-form coefficient u_hat[k] of the oracle function, k >= 0."""
-    if k < 0:
-        raise ValueError(f"coefficient index must be nonnegative, got {k}")
-    return _coefficient_table(spec, k + 1, precision)[k]
 
 
 def oracle_spectrum(spec: SyntheticSpec, grid: GridSpec,

@@ -159,7 +159,7 @@ def _magnitudes(spectrum: Spectrum, mode: Precision):
 
     A mode participates in fits only if its magnitude exceeds the floor.
     """
-    mags = spectrum.magnitudes_nonnegative()
+    mags = np.abs(spectrum.coeffs)
     return mags, NOISE_FLOOR_FACTOR * mode.ulp * mags.max()
 
 
@@ -451,12 +451,6 @@ class SingularityTrace:
     t_s_estimate: Optional[float]
     t_s_stderr: Optional[float]
     used_unclean_fallback: bool = False
-
-    def deltas(self) -> np.ndarray:
-        return np.array([float(f.delta) for f in self.fits])
-
-    def alphas(self) -> np.ndarray:
-        return np.array([float(f.alpha) for f in self.fits])
 
 
 def extrapolate_blowup_time(times: Sequence[float], deltas: Sequence[float]):

@@ -15,7 +15,7 @@ import numpy as np
 
 import conftest
 
-from bfamily import EXTENDED32, make_grid
+from bfamily import EXTENDED32, GridSpec
 from bfamily.cli import build_manifest, run_sweep
 from bfamily.core import Spectrum, inverse_transform
 from bfamily.errors import InsufficientDataError
@@ -43,7 +43,7 @@ def pure_decay_spectrum(n_modes: int, s: float, delta: float) -> Spectrum:
     coeffs[0] = 1.0
     for k in range(1, n_modes // 2):
         coeffs[k] = k ** (-s) * math.exp(-delta * k)
-    return Spectrum(make_grid(n_modes), coeffs)
+    return Spectrum(GridSpec(n_modes), coeffs)
 
 
 def pure_decay_spectrum_extended(n_modes: int, s: float, delta: float) -> Spectrum:
@@ -53,7 +53,7 @@ def pure_decay_spectrum_extended(n_modes: int, s: float, delta: float) -> Spectr
         coeffs[0] = mp.mpc(1)
         for k in range(1, n_modes // 2):
             coeffs[k] = mp.mpc(mp.mpf(k) ** (-s_mp) * mp.exp(-d_mp * k))
-    return Spectrum(make_grid(n_modes), coeffs)
+    return Spectrum(GridSpec(n_modes), coeffs)
 
 
 def test_three_point_fit_identity_on_pure_decay():
@@ -92,7 +92,7 @@ def test_three_point_fit_identity_on_pure_decay():
 
 
 def test_synthetic_closure_recovery():
-    grid = make_grid(2048)
+    grid = GridSpec(2048)
     fit = FitOptions(k_min=16)
     worst_d = worst_a = worst_x = 0.0
     for alpha in (1 / 3, 3 / 5, 2 / 3):
@@ -117,7 +117,7 @@ def deep_tracked_run(b, initial, t_end, min_width):
     fit = FitOptions(k_min=64, k_max=300, min_strip_width=min_width)
     config = BFamilyConfig(
         b=b,
-        grid=make_grid(1024),
+        grid=GridSpec(1024),
         dt=1e-4,
         t_end=t_end,
         initial=initial,
@@ -172,7 +172,7 @@ def test_b2_algebraic_characters():
 def minus_one_run(initial):
     config = BFamilyConfig(
         b=-1.0,
-        grid=make_grid(64),
+        grid=GridSpec(64),
         dt=1e-3,
         t_end=1.0,
         initial=initial,
@@ -223,7 +223,7 @@ def test_mean_and_energy_conservation():
     for b in (-1.0, 0.0, 2.0, 3.0):
         config = BFamilyConfig(
             b=b,
-            grid=make_grid(128),
+            grid=GridSpec(128),
             dt=1e-3,
             t_end=0.3,
             initial="type2",
@@ -240,7 +240,7 @@ def test_mean_and_energy_conservation():
     # H1 energy along the b=2 run, stopped a safe margin before blow-up
     config = BFamilyConfig(
         b=2.0,
-        grid=make_grid(512),
+        grid=GridSpec(512),
         dt=1e-4,
         t_end=1.165,
         initial="type1",
@@ -262,7 +262,7 @@ def test_mean_and_energy_conservation():
 
 def test_dealiased_rhs_equals_truncated_convolution():
     rng = np.random.default_rng(2024)
-    grid = make_grid(16)
+    grid = GridSpec(16)
     cutoff = dealias_cutoff(16)
     tol = 1e3 * np.finfo(np.float64).eps
     worst = 0.0

@@ -35,6 +35,18 @@ def write_manifest(path, **overrides):
     return path
 
 
+def forbid_running(monkeypatch, command):
+    """Fail the test if ``track`` takes a step or ``sweep`` starts a run."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    if command[0] == "track":
+        # track_run is called: its t = 0 fit must fail before any step
+        monkeypatch.setattr(integrator, "rk4_step", no_run)
+    else:
+        monkeypatch.setattr(cli, "track_run", no_run)
+
+
 class TestManifestParsing:
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\nb = 2.5   # trailing\nmodes = 128\n"
@@ -208,6 +220,21 @@ class TestSimulateCommand:
         )
         assert not out.exists()
 
+    def test_step_count_past_2_to_the_53_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 1e20 steps would run until killed; a regression fails at the first step instead
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(integrator, "rk4_step", no_step)
+        out = tmp_path / "o"
+        code = main(["simulate", "--modes", "16", "--dt", "1e-20", "--t-end", "1",
+                     "--sample-every", "100000", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: t_end / dt must be below 2**53, got 1.0 / 1e-20\n"
+        )
+        assert not out.exists()
+
     def test_flag_overrides_file(self, tmp_path):
         manifest = write_manifest(tmp_path / "m.txt", dt="-0.001")
         out = tmp_path / "out"
@@ -324,10 +351,7 @@ class TestTrackCommand:
 
     @pytest.mark.parametrize("command", [["track"], ["sweep", "--b-list", "2,3"]])
     def test_inverted_fit_window_exits_2_before_running(self, tmp_path, monkeypatch, command):
-        def no_run(config, fit):
-            raise AssertionError("a run started")
-
-        monkeypatch.setattr(cli, "track_run", no_run)
+        forbid_running(monkeypatch, command)
         out = tmp_path / "o"
         code = main([*command, "--modes", "128", "--dt", "0.001", "--t-end", "0.4",
                      "--dealias", "true", "--sample-every", "40", "--fit-kmin", "40",
@@ -340,10 +364,7 @@ class TestTrackCommand:
         self, tmp_path, monkeypatch, command
     ):
         # no --fit-kmin: the default max(8, K/16) = 8 leaves no 3 wavenumbers up to 5
-        def no_run(config, fit):
-            raise AssertionError("a run started")
-
-        monkeypatch.setattr(cli, "track_run", no_run)
+        forbid_running(monkeypatch, command)
         out = tmp_path / "o"
         code = main([*command, "--modes", "128", "--dt", "0.001", "--t-end", "0.4",
                      "--dealias", "true", "--sample-every", "40", "--fit-kmax", "5",
@@ -358,10 +379,7 @@ class TestTrackCommand:
         self, tmp_path, monkeypatch, command, window
     ):
         # at K = 64 the window ends at K/2 - 2 = 30: [40, 30] and [29, 30] hold too few
-        def no_run(config, fit):
-            raise AssertionError("a run started")
-
-        monkeypatch.setattr(cli, "track_run", no_run)
+        forbid_running(monkeypatch, command)
         out = tmp_path / "o"
         code = main([*command, "--modes", "64", "--dt", "0.001", "--t-end", "0.05",
                      "--sample-every", "10", *window, "--out", str(out)])

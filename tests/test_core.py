@@ -16,7 +16,6 @@ from bfamily.core import (
     forward_transform,
     initial_datum,
     inverse_transform,
-    make_grid,
 )
 from bfamily.errors import ConfigError, NonFiniteFieldError, OddResolutionError, SymmetryError
 from bfamily.precision import DOUBLE, EXTENDED32
@@ -41,38 +40,38 @@ def half_spectra(draw, sizes):
     parts = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n)
     re, im = np.array(draw(parts)), np.array(draw(parts))
     im[0] = im[-1] = 0.0
-    return make_grid(K), re + 1j * im
+    return GridSpec(K), re + 1j * im
 
 
 class TestGridSpec:
     def test_odd_resolution_rejected(self):
         with pytest.raises(OddResolutionError):
-            make_grid(17)
+            GridSpec(17)
 
     def test_too_small_rejected(self):
         with pytest.raises(OddResolutionError):
-            make_grid(4)
+            GridSpec(4)
 
     def test_non_integer_rejected(self):
         with pytest.raises(OddResolutionError):
-            make_grid(16.0)
+            GridSpec(16.0)
 
     def test_nodes_cover_half_open_interval(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         x = g.nodes()
         assert x[0] == pytest.approx(-np.pi)
         assert x[-1] == pytest.approx(np.pi - g.spacing)
         assert np.allclose(np.diff(x), g.spacing)
 
     def test_wavenumber_layout(self):
-        g = make_grid(8)
+        g = GridSpec(8)
         assert list(g.wavenumbers()) == [0, 1, 2, 3, 4]
 
     def test_resolution_limit(self):
-        assert make_grid(1024).resolution_limit == pytest.approx(2 * np.pi / 1024)
+        assert GridSpec(1024).resolution_limit == pytest.approx(2 * np.pi / 1024)
 
     def test_extended_nodes_match_double(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         xd = g.nodes()
         xe = g.nodes(EXTENDED32)
         assert max(abs(float(a) - b) for a, b in zip(xe, xd)) < 1e-15
@@ -80,7 +79,7 @@ class TestGridSpec:
 
 class TestFieldValidation:
     def test_rejects_nan(self):
-        g = make_grid(8)
+        g = GridSpec(8)
         vals = np.zeros(8)
         vals[3] = np.nan
         with pytest.raises(NonFiniteFieldError):
@@ -88,10 +87,10 @@ class TestFieldValidation:
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            PeriodicField(make_grid(8), np.zeros(9))
+            PeriodicField(GridSpec(8), np.zeros(9))
 
     def test_values_are_read_only(self):
-        f = PeriodicField(make_grid(8), np.zeros(8))
+        f = PeriodicField(GridSpec(8), np.zeros(8))
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
@@ -99,18 +98,18 @@ class TestFieldValidation:
 class TestForwardTransform:
     def test_sine_coefficients(self):
         # sin x = -(i/2) e^{ix} + (i/2) e^{-ix}
-        s = forward_transform(initial_datum(TYPE_I, make_grid(32)))
+        s = forward_transform(initial_datum(TYPE_I, GridSpec(32)))
         assert s.coeffs[1] == pytest.approx(-0.5j, abs=1e-15)
         others = [s.coeffs[k] for k in range(17) if k != 1]
         assert max(abs(c) for c in others) < 1e-15
 
     def test_type2_adds_mean(self):
-        s = forward_transform(initial_datum(TYPE_II, make_grid(32)))
+        s = forward_transform(initial_datum(TYPE_II, GridSpec(32)))
         assert s.coeffs[0] == pytest.approx(1.0, abs=1e-15)
         assert s.coeffs[1] == pytest.approx(-0.5j, abs=1e-15)
 
     def test_cosine_coefficients(self):
-        g = make_grid(32)
+        g = GridSpec(32)
         s = forward_transform(PeriodicField(g, np.cos(g.nodes())))
         assert s.coeffs[1] == pytest.approx(0.5, abs=1e-15)
 
@@ -118,14 +117,14 @@ class TestForwardTransform:
         # the stored modes k = 0..K/2 fix the rest; k = 0 and K/2 are real
         rng = np.random.default_rng(7)
         for K in (8, 34, 128):
-            s = random_hermitian_spectrum(make_grid(K), rng)
+            s = random_hermitian_spectrum(GridSpec(K), rng)
             assert s.coeffs.shape == (K // 2 + 1,)
             assert s.coeffs[0].imag == 0.0 and s.coeffs[-1].imag == 0.0
 
     def test_parseval(self):
         rng = np.random.default_rng(11)
         for K in (16, 64, 250):
-            u = random_field(make_grid(K), rng)
+            u = random_field(GridSpec(K), rng)
             lhs = float(np.sum(u.values**2)) / K
             power = np.abs(forward_transform(u).coeffs) ** 2
             rhs = float(power[0] + 2 * np.sum(power[1:-1]) + power[-1])
@@ -136,25 +135,25 @@ class TestInverseTransform:
     def test_roundtrip_field(self):
         rng = np.random.default_rng(3)
         for K in (8, 64, 222):
-            u = random_field(make_grid(K), rng)
+            u = random_field(GridSpec(K), rng)
             v = inverse_transform(forward_transform(u))
             assert np.abs(v.values - u.values).max() < 1e-13
 
     def test_roundtrip_spectrum(self):
         rng = np.random.default_rng(5)
-        s = random_hermitian_spectrum(make_grid(64), rng)
+        s = random_hermitian_spectrum(GridSpec(64), rng)
         s2 = forward_transform(inverse_transform(s))
         assert np.abs(s2.coeffs - s.coeffs).max() < 1e-14
 
     def test_rejects_imaginary_mean(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         c = np.zeros(9, dtype=complex)
         c[0] = 1.0j
         with pytest.raises(SymmetryError):
             inverse_transform(Spectrum(g, c))
 
     def test_nyquist_alternating_signal_roundtrip(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         u = PeriodicField(g, (-1.0) ** np.arange(16))
         v = inverse_transform(forward_transform(u))
         assert np.abs(v.values - u.values).max() < 1e-14
@@ -195,35 +194,28 @@ class TestHermitianRoundTrip:
 
     @pytest.mark.parametrize("slot", [0, -1], ids=["mean", "nyquist"])
     def test_extended_imaginary_self_conjugate_mode_rejected(self, slot):
-        s = forward_transform(initial_datum(TYPE_II, make_grid(16), EXTENDED32))
+        s = forward_transform(initial_datum(TYPE_II, GridSpec(16), EXTENDED32))
         c = np.array(s.coeffs)
         with EXTENDED32.context():
             c[slot] += mp.mpc(0, "1e-20")
         with pytest.raises(SymmetryError):
-            Spectrum(make_grid(16), c)
+            Spectrum(GridSpec(16), c)
 
 
 class TestSpectrumAccess:
     def test_coeff_bounds(self):
         # exactly the K/2 + 1 modes k = 0..K/2: neither the full K slots
         # nor the K/2 slots without the Nyquist mode
-        g = make_grid(16)
+        g = GridSpec(16)
         for n in (16, 8):
             with pytest.raises(ValueError):
                 Spectrum(g, np.zeros(n, dtype=complex))
         assert Spectrum(g, np.zeros(9, dtype=complex)).coeffs.shape == (9,)
 
-    def test_magnitudes_nonnegative_layout(self):
-        g = make_grid(16)
-        s = forward_transform(initial_datum(TYPE_I, g))
-        m = s.magnitudes_nonnegative()
-        assert m.shape == (9,)  # k = 0..8 with the Nyquist slot last
-        assert m[1] == pytest.approx(0.5, abs=1e-15)
-
 
 class TestInitialDatum:
     def test_custom_callable(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         f = initial_datum(lambda x: np.cos(2 * x), g)
         assert np.allclose(f.values, np.cos(2 * g.nodes()))
         fe = initial_datum(lambda x: mp.cos(2 * x), g, EXTENDED32)
@@ -235,26 +227,26 @@ class TestInitialDatum:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError, match=r"^initial must be 'type1' or 'type2', got 'type3'$"):
-            initial_datum("type3", make_grid(16))
+            initial_datum("type3", GridSpec(16))
 
     @pytest.mark.parametrize("mode", [DOUBLE, EXTENDED32], ids=lambda m: m.label)
     @pytest.mark.parametrize("K", [16, 32])
     def test_field_rejected(self, mode, K):
         # a datum is a name or a callable, built in the mode it is asked for
-        field = initial_datum(TYPE_I, make_grid(K), mode)
+        field = initial_datum(TYPE_I, GridSpec(K), mode)
         message = r"^initial must be a name or a callable, got a PeriodicField$"
         with pytest.raises(ConfigError, match=message):
-            initial_datum(field, make_grid(16), mode)
+            initial_datum(field, GridSpec(16), mode)
 
 
 class TestExtendedPrecision:
     def test_sine_coefficients_at_32_digits(self):
-        s = forward_transform(initial_datum(TYPE_I, make_grid(16), EXTENDED32))
+        s = forward_transform(initial_datum(TYPE_I, GridSpec(16), EXTENDED32))
         with mp.workdps(32):
             assert abs(s.coeffs[1] + mp.mpc(0, 1) / 2) < mp.mpf("1e-30")
 
     def test_roundtrip_at_32_digits(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         u = initial_datum(TYPE_II, g, EXTENDED32)
         v = inverse_transform(forward_transform(u))
         with mp.workdps(32):
@@ -262,7 +254,7 @@ class TestExtendedPrecision:
             assert err < mp.mpf("1e-30")
 
     def test_matches_double_path(self):
-        g = make_grid(24)  # exercises the non-power-of-two direct summation
+        g = GridSpec(24)  # exercises the non-power-of-two direct summation
         sd = forward_transform(initial_datum(TYPE_I, g))
         se = forward_transform(initial_datum(TYPE_I, g, EXTENDED32))
         with mp.workdps(32):
@@ -319,7 +311,7 @@ class TestTransformConvention:
     @staticmethod
     def fields(K):
         """Random samples, and data with exact zeros and symmetries."""
-        grid = make_grid(K)
+        grid = GridSpec(K)
         rng = np.random.default_rng(K + 2)
         return [random_field(grid, rng), initial_datum(TYPE_I, grid), initial_datum(TYPE_II, grid)]
 
@@ -340,7 +332,7 @@ class TestTransformConvention:
 
     @pytest.mark.parametrize("K", [8, 16])
     def test_extended_signed_transforms_unchanged(self, K):
-        field = initial_datum(TYPE_II, make_grid(K), EXTENDED32)
+        field = initial_datum(TYPE_II, GridSpec(K), EXTENDED32)
         with mp.workdps(32):
             spectrum = forward_transform(field)
             assert all(a == b for a, b in zip(spectrum.coeffs, signed_forward(field.values, K)))

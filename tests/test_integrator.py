@@ -1,5 +1,7 @@
 """Fixed-step RK4 integration: accuracy, conservation, early stop."""
 
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -7,11 +9,11 @@ import pytest
 from bfamily.core import (
     TYPE_I,
     TYPE_II,
+    GridSpec,
     Spectrum,
     forward_transform,
     initial_datum,
     inverse_transform,
-    make_grid,
 )
 from bfamily.errors import BlowUpOverflowError, ConfigError, SymmetryError
 from bfamily.integrator import (
@@ -27,7 +29,7 @@ from oracles import full_layout, full_layout_rk4_step, random_hermitian_spectrum
 
 
 def sine_state(K=64):
-    return forward_transform(initial_datum(TYPE_I, make_grid(K)))
+    return forward_transform(initial_datum(TYPE_I, GridSpec(K)))
 
 
 def advance(state, dt, n, opts):
@@ -39,47 +41,84 @@ def advance(state, dt, n, opts):
 class TestConfigValidation:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ConfigError):
-            BFamilyConfig(b=3.0, grid=make_grid(16), dt=0.0, t_end=1.0)
+            BFamilyConfig(b=3.0, grid=GridSpec(16), dt=0.0, t_end=1.0)
 
     def test_rejects_nonpositive_t_end(self):
         with pytest.raises(ConfigError):
-            BFamilyConfig(b=3.0, grid=make_grid(16), dt=1e-3, t_end=-1.0)
+            BFamilyConfig(b=3.0, grid=GridSpec(16), dt=1e-3, t_end=-1.0)
 
     def test_rejects_bad_sample_every(self):
         with pytest.raises(ConfigError):
-            BFamilyConfig(b=3.0, grid=make_grid(16), dt=1e-3, t_end=1.0, sample_every=0)
+            BFamilyConfig(b=3.0, grid=GridSpec(16), dt=1e-3, t_end=1.0, sample_every=0)
+
+    def test_rejects_a_bool_sample_every(self):
+        with pytest.raises(ConfigError, match="sample_every must be a positive integer"):
+            BFamilyConfig(b=3.0, grid=GridSpec(16), dt=1e-3, t_end=1.0, sample_every=True)
 
     def test_rejects_nonfinite_b(self):
         with pytest.raises(ConfigError):
-            BFamilyConfig(b=float("nan"), grid=make_grid(16), dt=1e-3, t_end=1.0)
+            BFamilyConfig(b=float("nan"), grid=GridSpec(16), dt=1e-3, t_end=1.0)
 
     @pytest.mark.parametrize("name", ["typo", "type3", "Type1", " type1"])
     def test_rejects_unknown_initial_name_when_built(self, name):
         message = rf"initial must be 'type1' or 'type2', got '{name}'"
         with pytest.raises(ConfigError, match=message):
-            BFamilyConfig(b=3.0, grid=make_grid(16), dt=1e-3, t_end=1.0, initial=name)
+            BFamilyConfig(b=3.0, grid=GridSpec(16), dt=1e-3, t_end=1.0, initial=name)
 
     @pytest.mark.parametrize("config_mode", [DOUBLE, EXTENDED32], ids=lambda m: m.label)
     @pytest.mark.parametrize("field_mode", [DOUBLE, EXTENDED32], ids=lambda m: m.label)
     @pytest.mark.parametrize("K", [16, 32])
     def test_rejects_a_field_initial_when_built(self, config_mode, field_mode, K):
         # the config's precision alone sets the run's mode, so no field is taken as it is
-        field = initial_datum(TYPE_I, make_grid(K), field_mode)
+        field = initial_datum(TYPE_I, GridSpec(K), field_mode)
         with pytest.raises(ConfigError, match="initial must be a name or a callable"):
-            BFamilyConfig(b=3.0, grid=make_grid(16), dt=1e-3, t_end=1.0, initial=field,
+            BFamilyConfig(b=3.0, grid=GridSpec(16), dt=1e-3, t_end=1.0, initial=field,
                           precision=config_mode)
 
     @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-300), (1.0, 5e-324)])
     def test_rejects_a_step_count_that_is_not_finite(self, t_end, dt):
         with pytest.raises(ConfigError, match=r"t_end / dt must be finite"):
-            BFamilyConfig(b=3.0, grid=make_grid(16), dt=dt, t_end=t_end)
+            BFamilyConfig(b=3.0, grid=GridSpec(16), dt=dt, t_end=t_end)
+
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 1e-20), (2.0**53, 1.0), (2.0**60, 0.5)])
+    def test_rejects_a_step_count_of_2_to_the_53_or_more(self, t_end, dt):
+        # past 2**53 the step count and step_index * dt are no longer exact doubles
+        message = r"t_end / dt must be below 2\*\*53, got " + re.escape(f"{t_end} / {dt}") + "$"
+        with pytest.raises(ConfigError, match=message):
+            BFamilyConfig(b=3.0, grid=GridSpec(16), dt=dt, t_end=t_end)
+
+    def test_accepts_a_step_count_just_below_2_to_the_53(self):
+        BFamilyConfig(b=3.0, grid=GridSpec(16), dt=1.0, t_end=2.0**53 - 1)
+
+    @pytest.mark.parametrize("value", ["3", None, True, False], ids=repr)
+    @pytest.mark.parametrize("name", ["b", "dt", "t_end"])
+    def test_rejects_a_number_that_is_not_real(self, name, value):
+        kwargs = dict(b=3.0, grid=GridSpec(16), dt=1e-3, t_end=1.0)
+        kwargs[name] = value
+        message = rf"^{name} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            BFamilyConfig(**kwargs)
+
+    @pytest.mark.parametrize("b, dt, t_end", [
+        (3, 0.001, 1), (np.float64(2.0), np.float32(0.001), np.int64(1)),
+    ], ids=["int", "numpy"])
+    def test_accepts_integer_and_numpy_numbers(self, b, dt, t_end):
+        config = BFamilyConfig(b=b, grid=GridSpec(16), dt=dt, t_end=t_end)
+        assert (config.b, config.dt, config.t_end) == (b, dt, t_end)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None], ids=repr)
+    def test_rejects_a_dealias_that_is_not_a_bool(self, value):
+        # "false" is truthy, so unchecked it would have run dealiased
+        message = rf"^dealias must be a bool, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            BFamilyConfig(b=3.0, grid=GridSpec(16), dt=1e-3, t_end=1.0, dealias=value)
 
 
 class TestRk4Accuracy:
     """Expected rates pinned by direct step-doubling / tiny-step oracles."""
 
     def test_constant_state_is_exact_fixed_point(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         c = np.zeros(9, dtype=complex)
         c[0] = 1.75
         s = rk4_step(Spectrum(g, c), 1e-2, RhsOptions(b=3.0))
@@ -122,7 +161,7 @@ class TestRk4Accuracy:
 class TestConservation:
     def test_mean_mode_bitwise_constant(self):
         for b in (2.0, 3.0):
-            cfg = BFamilyConfig(b=b, grid=make_grid(64), dt=1e-3, t_end=0.1,
+            cfg = BFamilyConfig(b=b, grid=GridSpec(64), dt=1e-3, t_end=0.1,
                                 initial=TYPE_II, sample_every=10)
             traj = simulate(cfg)
             first = traj.snapshots[0].coeffs[0]
@@ -130,7 +169,7 @@ class TestConservation:
 
     def test_hermitian_symmetry_exact_along_run(self):
         # the stored modes fix the negative ones; k = 0 and K/2 stay real
-        cfg = BFamilyConfig(b=3.0, grid=make_grid(64), dt=1e-3, t_end=0.2,
+        cfg = BFamilyConfig(b=3.0, grid=GridSpec(64), dt=1e-3, t_end=0.2,
                             initial=TYPE_I, sample_every=50)
         traj = simulate(cfg)
         assert all(s.coeffs.shape == (33,) for s in traj.snapshots)
@@ -140,7 +179,7 @@ class TestConservation:
 
 class TestTrajectoryRecording:
     def test_times_and_stride(self):
-        cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.1,
+        cfg = BFamilyConfig(b=3.0, grid=GridSpec(32), dt=1e-3, t_end=0.1,
                             initial=TYPE_I, sample_every=10)
         traj = simulate(cfg)
         assert traj.stop_reason is StopReason.REACHED_T_END
@@ -148,7 +187,7 @@ class TestTrajectoryRecording:
         np.testing.assert_allclose(traj.times, np.arange(11) * 0.01, atol=1e-12)
 
     def test_remainder_step_reaches_t_end(self):
-        cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.0105,
+        cfg = BFamilyConfig(b=3.0, grid=GridSpec(32), dt=1e-3, t_end=0.0105,
                             initial=TYPE_I, sample_every=5)
         seen = []
 
@@ -167,7 +206,7 @@ class TestTrajectoryRecording:
         assert all(a is b for (_, a), b in zip(seen, traj.snapshots))
 
     def test_final_off_stride_state_recorded(self):
-        cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.013,
+        cfg = BFamilyConfig(b=3.0, grid=GridSpec(32), dt=1e-3, t_end=0.013,
                             initial=TYPE_I, sample_every=5)
         traj = simulate(cfg)
         assert traj.times[-1] == pytest.approx(0.013, abs=1e-12)
@@ -181,7 +220,7 @@ class TestStopPolicy:
         def monitor(t, spec):
             return next(answers)
 
-        cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.1,
+        cfg = BFamilyConfig(b=3.0, grid=GridSpec(32), dt=1e-3, t_end=0.1,
                             initial=TYPE_I, sample_every=10)
         traj = simulate(cfg, strip_monitor=monitor)
         assert traj.stop_reason is StopReason.RESOLUTION_LIMIT
@@ -190,7 +229,7 @@ class TestStopPolicy:
         assert traj.times[-1] == pytest.approx(0.04, abs=1e-12)
 
     def test_monitor_stop_at_t0_keeps_one_snapshot(self):
-        cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.1,
+        cfg = BFamilyConfig(b=3.0, grid=GridSpec(32), dt=1e-3, t_end=0.1,
                             initial=TYPE_I, sample_every=10)
         traj = simulate(cfg, strip_monitor=lambda t, s: True)
         assert traj.stop_reason is StopReason.RESOLUTION_LIMIT
@@ -198,14 +237,14 @@ class TestStopPolicy:
         assert traj.snapshots[0].coeffs.tobytes() == sine_state(32).coeffs.tobytes()
 
     def test_monitor_none_results_ignored(self):
-        cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-3, t_end=0.02,
+        cfg = BFamilyConfig(b=3.0, grid=GridSpec(32), dt=1e-3, t_end=0.02,
                             initial=TYPE_I, sample_every=10)
         traj = simulate(cfg, strip_monitor=lambda t, s: False)
         assert traj.stop_reason is StopReason.REACHED_T_END
         assert len(traj) == 3
 
     def test_overflow_truncates_run(self):
-        cfg = BFamilyConfig(b=3.0, grid=make_grid(32), dt=1e-2, t_end=5.0,
+        cfg = BFamilyConfig(b=3.0, grid=GridSpec(32), dt=1e-2, t_end=5.0,
                             initial=lambda x: 1e155 * np.sin(x), sample_every=1)
         traj = simulate(cfg)
         assert traj.stop_reason is StopReason.OVERFLOW
@@ -216,7 +255,7 @@ class TestTravelingWaves:
     """At b = -1 the family admits exact sinusoid solutions."""
 
     def test_type2_travels_at_half_speed(self):
-        cfg = BFamilyConfig(b=-1.0, grid=make_grid(64), dt=1e-3, t_end=1.0,
+        cfg = BFamilyConfig(b=-1.0, grid=GridSpec(64), dt=1e-3, t_end=1.0,
                             initial=TYPE_II, sample_every=200)
         traj = simulate(cfg)
         x = cfg.grid.nodes()
@@ -225,7 +264,7 @@ class TestTravelingWaves:
         assert np.abs(u - ref).max() < 1e-12
 
     def test_type1_is_stationary(self):
-        cfg = BFamilyConfig(b=-1.0, grid=make_grid(64), dt=1e-3, t_end=1.0,
+        cfg = BFamilyConfig(b=-1.0, grid=GridSpec(64), dt=1e-3, t_end=1.0,
                             initial=TYPE_I, sample_every=200)
         traj = simulate(cfg)
         x = cfg.grid.nodes()
@@ -237,14 +276,14 @@ class TestExtendedMode:
     @pytest.mark.parametrize("mode, dtype", [(DOUBLE, np.complex128), (EXTENDED32, object)],
                              ids=["double", "extended32"])
     def test_callable_initial_runs_in_the_config_mode(self, mode, dtype):
-        traj = simulate(BFamilyConfig(b=3.0, grid=make_grid(16), dt=1e-2, t_end=2e-2,
+        traj = simulate(BFamilyConfig(b=3.0, grid=GridSpec(16), dt=1e-2, t_end=2e-2,
                                       initial=lambda x: 1 + mp.sin(x), precision=mode))
         assert traj.stop_reason is StopReason.REACHED_T_END
         assert traj.config.precision is mode
         assert [s.coeffs.dtype for s in traj.snapshots] == [np.dtype(dtype)] * len(traj)
 
     def test_short_run_matches_double(self):
-        kwargs = dict(b=3.0, grid=make_grid(16), dt=1e-3, t_end=5e-3,
+        kwargs = dict(b=3.0, grid=GridSpec(16), dt=1e-3, t_end=5e-3,
                       initial=TYPE_I, sample_every=5)
         td = simulate(BFamilyConfig(**kwargs))
         te = simulate(BFamilyConfig(**kwargs, precision=EXTENDED32))
@@ -272,7 +311,7 @@ class TestFullLayoutReference:
     )
     def test_double_trajectory_value_identical(self, b, K, dt, initial):
         opts = RhsOptions(b=b, dealias=True)
-        state = forward_transform(initial_datum(initial, make_grid(K)))
+        state = forward_transform(initial_datum(initial, GridSpec(K)))
         ref = full_layout(state)
         for step in range(300):
             state = rk4_step(state, dt, opts)
@@ -285,7 +324,7 @@ class TestFullLayoutReference:
         # the extended32 benchmark configuration: K=64, b=3, dt=1e-3, dealiased
         opts = RhsOptions(b=3.0, dealias=True)
         with EXTENDED32.context():
-            state = forward_transform(initial_datum(TYPE_I, make_grid(64), EXTENDED32))
+            state = forward_transform(initial_datum(TYPE_I, GridSpec(64), EXTENDED32))
             ref = full_layout(state)
             for step in range(5):
                 state = rk4_step(state, 1e-3, opts)
@@ -303,18 +342,18 @@ class TestStepChecks:
         c = np.array(sine_state(16).coeffs)
         c[slot] += value
         with pytest.raises(SymmetryError):
-            rk4_step(Spectrum(make_grid(16), c), 1e-3, RhsOptions(b=3.0))
+            rk4_step(Spectrum(GridSpec(16), c), 1e-3, RhsOptions(b=3.0))
 
     def test_non_hermitian_extended_state_rejected(self):
-        s = forward_transform(initial_datum(TYPE_I, make_grid(16), EXTENDED32))
+        s = forward_transform(initial_datum(TYPE_I, GridSpec(16), EXTENDED32))
         c = np.array(s.coeffs)
         c[0] = mp.mpc(0, 1)
         with pytest.raises(SymmetryError):
-            rk4_step(Spectrum(make_grid(16), c), 1e-3, RhsOptions(b=3.0))
+            rk4_step(Spectrum(GridSpec(16), c), 1e-3, RhsOptions(b=3.0))
 
     @pytest.mark.parametrize("dealias", [False, True])
     def test_overflow_raises(self, dealias):
-        g = make_grid(16)
+        g = GridSpec(16)
         c = np.zeros(9, dtype=complex)
         c[1] = 1e200
         with pytest.raises(BlowUpOverflowError):
@@ -333,7 +372,7 @@ class TestSelfConjugateSlotsKept:
     @pytest.mark.parametrize("dealias", [False, True])
     def test_double(self, dealias):
         rng = np.random.default_rng(53)
-        g = make_grid(64)
+        g = GridSpec(64)
         # a smooth state with a nonzero mean and a nonzero Nyquist mode
         c = np.array(sine_state(64).coeffs) + 1e-3 * random_hermitian_spectrum(g, rng).coeffs
         c[0] += 0.75
@@ -347,10 +386,10 @@ class TestSelfConjugateSlotsKept:
 
     def test_extended32(self):
         with EXTENDED32.context():
-            field = initial_datum(TYPE_II, make_grid(16), EXTENDED32)
+            field = initial_datum(TYPE_II, GridSpec(16), EXTENDED32)
             c = np.array(forward_transform(field).coeffs)
             c[-1] = mp.mpc("1e-3")
-            state = Spectrum(make_grid(16), c)
+            state = Spectrum(GridSpec(16), c)
             for _ in range(3):
                 new = rk4_step(state, 1e-3, RhsOptions(b=3.0))
                 self.assert_slots_kept(state.coeffs, new.coeffs)
@@ -361,7 +400,7 @@ class TestSnapshotsOwnTheirMemory:
     """Each recorded state is its own array, untouched by later steps."""
 
     def test_no_shared_memory_and_early_bytes_unchanged(self):
-        cfg = BFamilyConfig(b=3.0, grid=make_grid(64), dt=1e-3, t_end=0.02,
+        cfg = BFamilyConfig(b=3.0, grid=GridSpec(64), dt=1e-3, t_end=0.02,
                             initial=TYPE_I, dealias=True, sample_every=1)
         seen = []
 

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bfamily import EXTENDED32, make_grid
+from bfamily import EXTENDED32, GridSpec
 from bfamily.core import PeriodicField, Spectrum, forward_transform
 from bfamily.errors import GevreyOverflowError
 from bfamily.norms import GevreyParams, gevrey_norm, sobolev_norm
@@ -16,7 +16,7 @@ from oracles import random_hermitian_spectrum
 
 
 def sin_spectrum(n_modes, precision=None):
-    grid = make_grid(n_modes)
+    grid = GridSpec(n_modes)
     if precision is None:
         return forward_transform(PeriodicField(grid, np.sin(grid.nodes())))
     x = grid.nodes(precision)
@@ -26,7 +26,7 @@ def sin_spectrum(n_modes, precision=None):
 
 
 def noise_spectrum(n_modes, seed):
-    return random_hermitian_spectrum(make_grid(n_modes), np.random.default_rng(seed))
+    return random_hermitian_spectrum(GridSpec(n_modes), np.random.default_rng(seed))
 
 
 class TestParams:
@@ -56,13 +56,13 @@ class TestSobolevNorm:
         assert abs(sobolev_norm(sin_spectrum(64), 1.0) - math.sqrt(2 * math.pi)) < 1e-14
 
     def test_zero_field(self):
-        grid = make_grid(32)
+        grid = GridSpec(32)
         spectrum = Spectrum(grid, np.zeros(17, dtype=complex))
         assert sobolev_norm(spectrum, 3.0) == 0.0
 
     def test_constant_field_order_free(self):
         # only the k = 0 slot carries energy, so the order cannot matter
-        grid = make_grid(32)
+        grid = GridSpec(32)
         coeffs = np.zeros(17, dtype=complex)
         coeffs[0] = 2.0
         spectrum = Spectrum(grid, coeffs)
@@ -92,7 +92,7 @@ class TestGevreyNorm:
 
     def test_sine_unit_radius(self):
         # e^{2*1*1} * (1/4 + 1/4) = e^2 / 2, so the norm is e*sqrt(pi)
-        grid = make_grid(64)
+        grid = GridSpec(64)
         coeffs = np.zeros(33, dtype=complex)
         coeffs[1] = -0.5j  # and 0.5j at k = -1
         value = gevrey_norm(Spectrum(grid, coeffs), GevreyParams(0.0, 1.0))
@@ -112,7 +112,7 @@ class TestGevreyNorm:
 
     def test_overflow_raises(self):
         spec = SyntheticSpec(alpha=1 / 3, delta=0.05, x_star=0.0, amplitude=1.0)
-        spectrum = oracle_spectrum(spec, make_grid(1024))
+        spectrum = oracle_spectrum(spec, GridSpec(1024))
         with pytest.raises(GevreyOverflowError):
             gevrey_norm(spectrum, GevreyParams(0.0, 1.5))
 
@@ -122,7 +122,7 @@ class TestGevreyNorm:
         spec = SyntheticSpec(alpha=1 / 3, delta=0.3, x_star=0.7, amplitude=1.0)
         params = GevreyParams(0.0, 0.25)
         norms = [
-            gevrey_norm(oracle_spectrum(spec, make_grid(n)), params)
+            gevrey_norm(oracle_spectrum(spec, GridSpec(n)), params)
             for n in (128, 256, 512)
         ]
         assert abs(norms[1] / norms[0] - 1.0) < 1e-7
@@ -134,7 +134,7 @@ class TestGevreyNorm:
         spec = SyntheticSpec(alpha=1 / 3, delta=0.3, x_star=0.7, amplitude=1.0)
         params = GevreyParams(0.0, 0.35)
         norms = [
-            gevrey_norm(oracle_spectrum(spec, make_grid(n)), params)
+            gevrey_norm(oracle_spectrum(spec, GridSpec(n)), params)
             for n in (128, 256, 512)
         ]
         assert norms[1] > 1.05 * norms[0]

@@ -14,8 +14,8 @@ import pytest
 from mpmath.libmp import mpf_neg
 from numpy.fft import _pocketfft
 
-from bfamily import (DOUBLE, EXTENDED32, TYPE_I, FitOptions, RhsOptions, SyntheticSpec,
-                     fit_spectrum, forward_transform, initial_datum, make_grid,
+from bfamily import (DOUBLE, EXTENDED32, TYPE_I, FitOptions, GridSpec, RhsOptions,
+                     SyntheticSpec, fit_spectrum, forward_transform, initial_datum,
                      oracle_field, oracle_spectrum, precision, sobolev_norm)
 from bfamily.integrator import rk4_step
 
@@ -31,7 +31,7 @@ def at_default_and_raised(compute):
 
 
 def sine_state(K):
-    return forward_transform(initial_datum(TYPE_I, make_grid(K), EXTENDED32))
+    return forward_transform(initial_datum(TYPE_I, GridSpec(K), EXTENDED32))
 
 
 class TestGlobalPrecisionIgnored:
@@ -43,7 +43,7 @@ class TestGlobalPrecisionIgnored:
     def test_fit_spectrum(self):
         spec = SyntheticSpec(alpha=0.4, delta=0.2, x_star=0.7)
         default, raised = at_default_and_raised(
-            lambda: fit_spectrum(oracle_spectrum(spec, make_grid(256), EXTENDED32),
+            lambda: fit_spectrum(oracle_spectrum(spec, GridSpec(256), EXTENDED32),
                                  FitOptions(k_min=16))
         )
         assert default == raised
@@ -56,7 +56,7 @@ class TestGlobalPrecisionIgnored:
         # K = 24 reaches the FFT's odd-length branch, where an input is a left operand
         K = 24
         spec = SyntheticSpec(alpha=0.4, delta=0.2, x_star=0.7)
-        samples = oracle_field(spec, make_grid(K), EXTENDED32).values
+        samples = oracle_field(spec, GridSpec(K), EXTENDED32).values
         bins = EXTENDED32.forward(samples, K)
         back = EXTENDED32.inverse(bins, K)
         with mp.workdps(60):

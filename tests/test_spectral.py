@@ -6,11 +6,11 @@ import pytest
 
 from bfamily.core import (
     TYPE_I,
+    GridSpec,
     PeriodicField,
     Spectrum,
     forward_transform,
     initial_datum,
-    make_grid,
 )
 from bfamily.errors import BlowUpOverflowError, SymmetryError
 from bfamily.integrator import rk4_step
@@ -19,7 +19,6 @@ from bfamily.spectral import (
     RhsOptions,
     dealias_cutoff,
     derivative,
-    helmholtz_inverse_dx,
     rhs,
     rhs_kernel,
 )
@@ -34,7 +33,7 @@ from oracles import (
 
 
 def sine_spectrum(K=32):
-    return forward_transform(initial_datum(TYPE_I, make_grid(K)))
+    return forward_transform(initial_datum(TYPE_I, GridSpec(K)))
 
 
 def to_extended(spectrum):
@@ -62,7 +61,7 @@ class TestDerivative:
         np.testing.assert_array_equal(derivative(s, 0).coeffs, s.coeffs)
 
     def test_odd_order_zeroes_nyquist(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         c = np.zeros(9, dtype=complex)
         c[8] = 1.0  # unpaired mode k = K/2 = 8
         d = derivative(Spectrum(g, c), 1)
@@ -73,26 +72,6 @@ class TestDerivative:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             derivative(sine_spectrum(), -1)
-
-
-class TestHelmholtzInverseDx:
-    def test_sine_maps_to_half_cosine(self):
-        # (1 - d_xx)^{-1} d_x sin = cos / (1 + 1) = cos(x)/2
-        h = helmholtz_inverse_dx(sine_spectrum())
-        assert h.coeffs[1] == pytest.approx(0.25, abs=1e-15)
-
-    def test_annihilates_constant(self):
-        g = make_grid(16)
-        c = np.zeros(9, dtype=complex)
-        c[0] = 3.0
-        h = helmholtz_inverse_dx(Spectrum(g, c))
-        assert np.abs(h.coeffs).max() == 0.0
-
-    def test_zeroes_nyquist(self):
-        g = make_grid(16)
-        c = np.zeros(9, dtype=complex)
-        c[8] = 1.0
-        assert helmholtz_inverse_dx(Spectrum(g, c)).coeffs[8] == 0.0
 
 
 class TestDealiasCutoff:
@@ -122,12 +101,12 @@ class TestNonlinearProducts:
 
     def test_nyquist_zeroed(self):
         rng = np.random.default_rng(19)
-        s = random_hermitian_spectrum(make_grid(16), rng)
+        s = random_hermitian_spectrum(GridSpec(16), rng)
         for prod in nonlinear_products(s, RhsOptions(b=3.0)):
             assert prod.coeffs[8] == 0.0
 
     def test_overflow_raises(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         c = np.zeros(9, dtype=complex)
         c[1] = 1e200
         with pytest.raises(BlowUpOverflowError):
@@ -135,7 +114,7 @@ class TestNonlinearProducts:
 
     def test_dealiased_products_zero_upper_third(self):
         rng = np.random.default_rng(37)
-        s = random_hermitian_spectrum(make_grid(32), rng)
+        s = random_hermitian_spectrum(GridSpec(32), rng)
         kc = dealias_cutoff(32)
         for prod in nonlinear_products(s, RhsOptions(b=3.0, dealias=True)):
             assert all(prod.coeffs[kc + 1 :] == 0.0)
@@ -143,7 +122,7 @@ class TestNonlinearProducts:
 
 class TestRhs:
     def test_constant_is_fixed_point(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         c = np.zeros(9, dtype=complex)
         c[0] = 2.5
         out = rhs(Spectrum(g, c), RhsOptions(b=3.0))
@@ -152,21 +131,21 @@ class TestRhs:
     def test_mean_component_exactly_zero(self):
         rng = np.random.default_rng(23)
         for b in (-1.0, 0.0, 2.0, 3.0, 4.5):
-            s = random_hermitian_spectrum(make_grid(32), rng)
+            s = random_hermitian_spectrum(GridSpec(32), rng)
             assert rhs(s, RhsOptions(b=b)).coeffs[0] == 0.0
 
     def test_preserves_hermitian_symmetry_exactly(self):
         # the stored modes fix the negative ones; k = 0 and K/2 stay real
         rng = np.random.default_rng(29)
         for K in (16, 64):
-            s = random_hermitian_spectrum(make_grid(K), rng)
+            s = random_hermitian_spectrum(GridSpec(K), rng)
             out = rhs(s, RhsOptions(b=3.0))
             assert out.coeffs[0].imag == 0.0 and out.coeffs[-1].imag == 0.0
 
     def test_affine_in_b(self):
         # the b-dependence enters linearly through the stress term
         rng = np.random.default_rng(31)
-        s = random_hermitian_spectrum(make_grid(32), rng)
+        s = random_hermitian_spectrum(GridSpec(32), rng)
         r0 = rhs(s, RhsOptions(b=0.0)).coeffs
         r1 = rhs(s, RhsOptions(b=1.0)).coeffs
         r4 = rhs(s, RhsOptions(b=4.0)).coeffs
@@ -189,7 +168,7 @@ class TestConvolutionEquivalence:
         opts = RhsOptions(b=3.0, dealias=True)
         kc = dealias_cutoff(K)
         for _ in range(10):
-            s = random_hermitian_spectrum(make_grid(K), rng)
+            s = random_hermitian_spectrum(GridSpec(K), rng)
             got = rhs(s, opts).coeffs
             want = convolution_rhs(s, b=3.0, cutoff=kc)
             scale = max(np.abs(want).max(), 1.0)
@@ -203,7 +182,7 @@ class TestConvolutionEquivalence:
         opts = RhsOptions(b=3.0, dealias=True)
         kc = dealias_cutoff(K)
         for _ in range(10):
-            s = random_hermitian_spectrum(make_grid(K), rng)
+            s = random_hermitian_spectrum(GridSpec(K), rng)
             got = np.array([complex(c) for c in rhs(to_extended(s), opts).coeffs])
             want = convolution_rhs(s, b=3.0, cutoff=kc)
             scale = max(np.abs(want).max(), 1.0)
@@ -213,7 +192,7 @@ class TestConvolutionEquivalence:
         rng = np.random.default_rng(77)
         K = 16
         kc = dealias_cutoff(K)
-        s = random_hermitian_spectrum(make_grid(K), rng)
+        s = random_hermitian_spectrum(GridSpec(K), rng)
         for b in (-0.5, 0.0, 2.0, 3.0):
             got = rhs(s, RhsOptions(b=b, dealias=True)).coeffs
             want = convolution_rhs(s, b=b, cutoff=kc)
@@ -223,7 +202,7 @@ class TestConvolutionEquivalence:
 
 class TestExtendedMode:
     def test_rhs_matches_double(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         sd = forward_transform(initial_datum(TYPE_I, g))
         se = forward_transform(initial_datum(TYPE_I, g, EXTENDED32))
         rd = rhs(sd, RhsOptions(b=3.0)).coeffs
@@ -233,7 +212,7 @@ class TestExtendedMode:
             assert float(err) < 1e-14
 
     def test_dealiased_rhs_matches_double(self):
-        g = make_grid(16)
+        g = GridSpec(16)
         sd = forward_transform(initial_datum(TYPE_I, g))
         se = forward_transform(initial_datum(TYPE_I, g, EXTENDED32))
         rd = rhs(sd, RhsOptions(b=3.0, dealias=True)).coeffs
@@ -245,7 +224,7 @@ class TestExtendedMode:
 
 class TestRhsKernel:
     def test_tables_cached_per_configuration(self):
-        g = make_grid(32)
+        g = GridSpec(32)
         s = sine_spectrum()
         first = rhs_kernel(g, RhsOptions(b=3.0, dealias=True), s.coeffs)
         assert rhs_kernel(g, RhsOptions(b=3.0, dealias=True), s.coeffs) is first
@@ -256,7 +235,7 @@ class TestRhsKernel:
     @pytest.mark.parametrize("K,b,dealias", [(32, 3.0, True), (64, 0.0, False), (24, 2.0, True)])
     def test_rhs_equals_full_layout_pipeline(self, K, b, dealias):
         rng = np.random.default_rng(K)
-        s = random_hermitian_spectrum(make_grid(K), rng)
+        s = random_hermitian_spectrum(GridSpec(K), rng)
         got = rhs(s, RhsOptions(b=b, dealias=dealias)).coeffs
         want = full_layout_rhs(full_layout(s), b, dealias)
         np.testing.assert_array_equal(got, want[: K // 2 + 1])
@@ -265,7 +244,7 @@ class TestRhsKernel:
         c = np.array(sine_spectrum(16).coeffs)
         c[0] = 1.0j
         with pytest.raises(SymmetryError):
-            rhs(Spectrum(make_grid(16), c), RhsOptions(b=3.0))
+            rhs(Spectrum(GridSpec(16), c), RhsOptions(b=3.0))
 
 
 def held_arrays(kernel):
@@ -279,7 +258,7 @@ class TestFreshResults:
     def test_consecutive_rhs_results_are_independent(self):
         rng = np.random.default_rng(41)
         opts = RhsOptions(b=3.0, dealias=True)
-        first_in, second_in = (random_hermitian_spectrum(make_grid(32), rng) for _ in range(2))
+        first_in, second_in = (random_hermitian_spectrum(GridSpec(32), rng) for _ in range(2))
         first = rhs(first_in, opts).coeffs
         kept = first.tobytes()
         second = rhs(second_in, opts).coeffs
@@ -289,7 +268,7 @@ class TestFreshResults:
     @pytest.mark.parametrize("dealias", [False, True])
     def test_kernel_results_share_no_memory(self, dealias):
         rng = np.random.default_rng(43)
-        g = make_grid(32)
+        g = GridSpec(32)
         states = [random_hermitian_spectrum(g, rng).coeffs for _ in range(3)]
         kernel = rhs_kernel(g, RhsOptions(b=2.0, dealias=dealias), states[0])
         results = [kernel(c) for c in states]
@@ -320,7 +299,7 @@ class TestKernelPin:
     @staticmethod
     def run(K, b, dealias, initial, dt, steps, precision=None):
         """Pairs of (kernel, reference) results on each state of an RK4 run."""
-        grid = make_grid(K)
+        grid = GridSpec(K)
         opts = RhsOptions(b=b, dealias=dealias)
         args = (initial, grid) if precision is None else (initial, grid, precision)
         state = forward_transform(initial_datum(*args))

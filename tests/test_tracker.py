@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import bfamily.integrator as integrator
 import bfamily.tracker as tracker
-from bfamily import DOUBLE, EXTENDED32, make_grid
+from bfamily import DOUBLE, EXTENDED32, GridSpec
 from bfamily.core import PeriodicField, Spectrum, forward_transform, inverse_transform
 from bfamily.errors import (ConfigError, EmptyWindowError, ExtrapolationError,
                             InsufficientDataError, NoiseFloorError)
@@ -53,7 +53,7 @@ def pure_model_spectrum_extended(grid, amplitude, s, delta):
 class TestLocalFit:
     def test_exact_identity_on_pure_model(self):
         # the three-point formulas are algebraically exact on the model
-        grid = make_grid(256)
+        grid = GridSpec(256)
         sp = pure_model_spectrum(grid, 1.0, 1.6, 0.05)
         checked = 0
         for k in range(2, 127):
@@ -68,7 +68,7 @@ class TestLocalFit:
         assert checked > 100
 
     def test_pure_exponential_gives_zero_exponent(self):
-        grid = make_grid(128)
+        grid = GridSpec(128)
         sp = pure_model_spectrum(grid, 1.0, 0.0, 0.3)
         for k in (2, 10, 30, 60):
             s, d, _ = local_fit(sp, k)
@@ -77,7 +77,7 @@ class TestLocalFit:
 
     def test_cubic_root_character(self):
         # s = 4/3 corresponds to a branch point of order 1/3
-        grid = make_grid(128)
+        grid = GridSpec(128)
         sp = pure_model_spectrum(grid, 1.0, 4 / 3, 0.2)
         for k in (4, 16, 40, 62):
             s, d, _ = local_fit(sp, k)
@@ -86,7 +86,7 @@ class TestLocalFit:
 
     def test_identity_property_random_draws(self):
         rng = np.random.default_rng(42)
-        grid = make_grid(128)
+        grid = GridSpec(128)
         for _ in range(12):
             amplitude = rng.uniform(0.5, 2.0)
             s_true = rng.uniform(0.0, 4.0)
@@ -100,7 +100,7 @@ class TestLocalFit:
                 assert abs(c - log_c) / max(1.0, abs(log_c)) < 1e-10
 
     def test_extended_identity_to_thirty_digits(self):
-        grid = make_grid(64)
+        grid = GridSpec(64)
         sp = pure_model_spectrum_extended(grid, 1, 1.6, 0.05)
         with mp.workdps(32):
             s_true = mp.mpf(1.6)
@@ -115,7 +115,7 @@ class TestLocalFit:
         # double: scalar math.log and math.log1p near 1; extended: mp.log of
         # the exact integer ratios.  Array np.log differs in the last bit.
         spec = SyntheticSpec(alpha=0.4, delta=0.2, x_star=0.7)
-        grid = make_grid(256)
+        grid = GridSpec(256)
         sp, spx = oracle_spectrum(spec, grid), oracle_spectrum(spec, grid, EXTENDED32)
         for k in (2, 8, 15, 60):
             m0, m1, m2 = np.abs(sp.coeffs[k - 1 : k + 2])
@@ -130,13 +130,13 @@ class TestLocalFit:
             assert local_fit(spx, k) == expected
 
     def test_out_of_range_k_rejected(self):
-        sp = pure_model_spectrum(make_grid(64), 1.0, 1.0, 0.1)
+        sp = pure_model_spectrum(GridSpec(64), 1.0, 1.0, 0.1)
         for bad in (0, 1, 31, 40):
             with pytest.raises(ValueError):
                 local_fit(sp, bad)
 
     def test_noise_floor_raises(self):
-        sp = pure_model_spectrum(make_grid(256), 1.0, 1.0, 0.5)
+        sp = pure_model_spectrum(GridSpec(256), 1.0, 1.0, 0.5)
         # e^{-0.5 k} reaches the floor well before k = 120
         with pytest.raises(NoiseFloorError):
             local_fit(sp, 120)
@@ -144,20 +144,20 @@ class TestLocalFit:
 
 class TestSlidingFit:
     def test_constant_sequences_on_pure_model(self):
-        sp = pure_model_spectrum(make_grid(128), 1.0, 1.6, 0.05)
+        sp = pure_model_spectrum(GridSpec(128), 1.0, 1.6, 0.05)
         sl = sliding_fit(sp, FitOptions(k_min=2, k_max=62))
         assert max(sl.s) - min(sl.s) < 1e-10
         assert max(sl.delta) - min(sl.delta) < 1e-11
 
     def test_two_mode_spectrum_has_empty_window(self):
-        grid = make_grid(64)
+        grid = GridSpec(64)
         field = PeriodicField(grid, np.sin(grid.nodes()))
         sp = forward_transform(field)
         with pytest.raises(EmptyWindowError):
             sliding_fit(sp, FitOptions(k_min=2, k_max=30))
 
     def test_window_truncates_at_noise_floor(self):
-        sp = pure_model_spectrum(make_grid(256), 1.0, 1.0, 0.5)
+        sp = pure_model_spectrum(GridSpec(256), 1.0, 1.0, 0.5)
         sl = sliding_fit(sp, FitOptions(k_min=2, k_max=126))
         # e^{-0.5k} crosses 1e3*eps*max around k = 60
         assert sl.k[-1] < 70
@@ -166,7 +166,7 @@ class TestSlidingFit:
     def test_walk_stops_at_first_triple_on_the_floor(self):
         # a zero mode at k = 20 ends the window at k = 18, although the
         # triples from k = 22 on lie above the floor again
-        model = pure_model_spectrum(make_grid(128), 1.0, 1.6, 0.05)
+        model = pure_model_spectrum(GridSpec(128), 1.0, 1.6, 0.05)
         coeffs = model.coeffs.copy()
         coeffs[20] = 0.0
         sp = Spectrum(grid=model.grid, coeffs=coeffs)
@@ -181,12 +181,12 @@ class TestSlidingFit:
         # window's table; the extended table is built under a global
         # precision of 60 digits, which its values must not see
         spec = SyntheticSpec(alpha=1 / 2, delta=0.02 if precision is DOUBLE else 0.2, x_star=0.7)
-        sp = oracle_spectrum(spec, make_grid(n_modes), precision)
+        sp = oracle_spectrum(spec, GridSpec(n_modes), precision)
         options = FitOptions(k_min=16)
         tracker._window_logs.cache_clear()
         with mp.workdps(60):
             built = sliding_fit(sp, options)
-        mags = sp.magnitudes_nonnegative()
+        mags = np.abs(sp.coeffs)
         for sl in (built, sliding_fit(sp, options)):
             assert len(sl.k) > 100 and sl.k == tuple(range(16, 16 + len(sl.k)))
             for k, *row in zip(sl.k, sl.s, sl.delta, sl.log_c, sl.magnitude, sl.log_magnitude):
@@ -201,7 +201,7 @@ class TestSlidingFit:
     def test_log_table_grows_only_as_far_as_the_walks_reach(self):
         # the zero mode at k = 20 ends the first walk at k = 18; a second
         # spectrum without it walks further and grows the same table
-        model = pure_model_spectrum(make_grid(128), 1.0, 1.6, 0.05)
+        model = pure_model_spectrum(GridSpec(128), 1.0, 1.6, 0.05)
         coeffs = model.coeffs.copy()
         coeffs[20] = 0.0
         options = FitOptions(k_min=8)
@@ -216,7 +216,7 @@ class TestSlidingFit:
         assert table == [tracker._wavenumber_logs(DOUBLE, k) for k in full.k]
 
     def test_impossible_window_is_a_config_error(self):
-        sp = pure_model_spectrum(make_grid(64), 1.0, 1.6, 0.05)
+        sp = pure_model_spectrum(GridSpec(64), 1.0, 1.6, 0.05)
         with pytest.raises(ConfigError, match=r"fit window \[40, 30\]"):
             sliding_fit(sp, FitOptions(k_min=40))
 
@@ -231,7 +231,7 @@ class TestSlidingFit:
 
         monkeypatch.setattr(tracker, "sliding_fit", counting)
         options = FitOptions(k_min=10, k_max=40)
-        fr = fit_spectrum(pure_model_spectrum(make_grid(128), 1.0, 1.6, 0.05), options)
+        fr = fit_spectrum(pure_model_spectrum(GridSpec(128), 1.0, 1.6, 0.05), options)
         assert calls == [options]
         assert fr.k_window == (10, 40)
 
@@ -328,7 +328,7 @@ class TestWynnMatchesReference:
     ])
     def test_closure_sequences_double(self, delta, alpha):
         sp = oracle_spectrum(SyntheticSpec(alpha=alpha, delta=delta, x_star=0.7),
-                             make_grid(1024))
+                             GridSpec(1024))
         depths = [assert_matches_reference(seq)
                   for seq in sliding_sequences(sp, FitOptions(k_min=16))]
         assert max(depths) >= 2
@@ -336,7 +336,7 @@ class TestWynnMatchesReference:
     @pytest.mark.parametrize("delta, alpha", [(0.2, 2 / 5), (0.5, 2 / 3)])
     def test_oracle_sequences_extended(self, delta, alpha):
         sp = oracle_spectrum(SyntheticSpec(alpha=alpha, delta=delta, x_star=0.7),
-                             make_grid(256), EXTENDED32)
+                             GridSpec(256), EXTENDED32)
         for seq in sliding_sequences(sp, FitOptions(k_min=16)):
             assert isinstance(seq[0], EXTENDED32.scalar_types[0])
             assert_matches_reference(seq)
@@ -427,16 +427,16 @@ class TestWynnRows:
 
     def test_fit_sequences_double_and_extended(self):
         spec = SyntheticSpec(alpha=1 / 2, delta=0.1, x_star=0.7)
-        sp = oracle_spectrum(spec, make_grid(512))
+        sp = oracle_spectrum(spec, GridSpec(512))
         assert max(self.assert_rows_match(list(sliding_sequences(sp, FitOptions(k_min=16))))) >= 2
-        sp = oracle_spectrum(spec, make_grid(256), EXTENDED32)
+        sp = oracle_spectrum(spec, GridSpec(256), EXTENDED32)
         self.assert_rows_match(list(sliding_sequences(sp, FitOptions(k_min=16))))
 
     @pytest.mark.parametrize("precision, n_modes", [(DOUBLE, 4096), (EXTENDED32, 256)],
                              ids=["double-4096", "extended-256"])
     def test_fit_result_carries_the_depths(self, precision, n_modes):
         sp = oracle_spectrum(SyntheticSpec(alpha=1 / 2, delta=0.1, x_star=0.7),
-                             make_grid(n_modes), precision)
+                             GridSpec(n_modes), precision)
         options = FitOptions(k_min=16)
         sl = sliding_fit(sp, options)
         depths = tuple(depth for _, depth in wynn_epsilon([sl.s, sl.delta, sl.log_c]))
@@ -521,9 +521,9 @@ class TestWynnScreen:
     def test_closure_sequences_double_and_extended(self):
         spec = SyntheticSpec(alpha=2 / 3, delta=0.35, x_star=0.7)
         options = FitOptions(k_min=16)
-        double = sliding_sequences(oracle_spectrum(spec, make_grid(1024)), options)
+        double = sliding_sequences(oracle_spectrum(spec, GridSpec(1024)), options)
         assert max(assert_rows_pinned(list(double))) >= 2
-        extended = sliding_sequences(oracle_spectrum(spec, make_grid(256), EXTENDED32), options)
+        extended = sliding_sequences(oracle_spectrum(spec, GridSpec(256), EXTENDED32), options)
         assert max(assert_rows_pinned(list(extended))) >= 2
 
     def test_equal_neighbours_are_singular_at_depth_zero(self):
@@ -603,7 +603,7 @@ class TestNonFiniteExtrapolation:
     @pytest.mark.parametrize("row", [0, 1, 2], ids=["s", "delta", "log_c"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_double(self, monkeypatch, row, value):
-        sp = oracle_spectrum(SyntheticSpec(alpha=1 / 2, delta=0.2, x_star=0.7), make_grid(256))
+        sp = oracle_spectrum(SyntheticSpec(alpha=1 / 2, delta=0.2, x_star=0.7), GridSpec(256))
         options = FitOptions(k_min=16)
         assert fit_spectrum(sp, options).residual < 0.15
         self.poison(monkeypatch, row, value)
@@ -613,7 +613,7 @@ class TestNonFiniteExtrapolation:
 
     def test_extended(self, monkeypatch):
         sp = oracle_spectrum(SyntheticSpec(alpha=1 / 2, delta=0.2, x_star=0.7),
-                             make_grid(256), EXTENDED32)
+                             GridSpec(256), EXTENDED32)
         self.poison(monkeypatch, 1, mp.nan)
         with pytest.raises(ExtrapolationError):
             fit_spectrum(sp, FitOptions(k_min=16))
@@ -624,19 +624,19 @@ class TestEstimateXStar:
     def test_oracle_abscissa_recovery(self, x_star):
         spec = SyntheticSpec(alpha=0.5, delta=0.1, x_star=x_star)
         for precision in (DOUBLE, EXTENDED32):
-            sp = oracle_spectrum(spec, make_grid(512), precision)
+            sp = oracle_spectrum(spec, GridSpec(512), precision)
             est = estimate_x_star(sp, list(range(16, 100)))
             assert abs(est - x_star) < 1e-12
 
     def test_even_real_data_gives_exact_zero(self):
-        for sp in (pure_model_spectrum(make_grid(128), 1.0, 1.5, 0.1, x_star=0.0),
-                   pure_model_spectrum_extended(make_grid(128), 1.0, 1.5, 0.1)):
+        for sp in (pure_model_spectrum(GridSpec(128), 1.0, 1.5, 0.1, x_star=0.0),
+                   pure_model_spectrum_extended(GridSpec(128), 1.0, 1.5, 0.1)):
             assert estimate_x_star(sp, list(range(8, 40))) == 0.0
 
     def test_result_reduced_to_principal_interval(self):
         spec = SyntheticSpec(alpha=0.5, delta=0.1, x_star=math.pi + 0.5)
         for precision in (DOUBLE, EXTENDED32):
-            sp = oracle_spectrum(spec, make_grid(512), precision)
+            sp = oracle_spectrum(spec, GridSpec(512), precision)
             est = estimate_x_star(sp, list(range(16, 100)))
             assert -math.pi <= est < math.pi
             assert abs(est - (math.pi + 0.5 - 2 * math.pi)) < 1e-12
@@ -651,15 +651,15 @@ class TestEstimateXStar:
         phase = k * (math.pi - eps) + 1.5 * eps / 40**2 * (k - k0) ** 3
         coeffs = np.maximum(k, 1) ** -1.5 * np.exp(-0.1 * k) * np.exp(1j * phase)
         coeffs[0] = coeffs[-1] = 1.0
-        est = estimate_x_star(Spectrum(grid=make_grid(K), coeffs=coeffs), ks)
+        est = estimate_x_star(Spectrum(grid=GridSpec(K), coeffs=coeffs), ks)
         slope = np.polyfit(np.array(ks, dtype=float), phase[ks], 1)[0]
         wrapped = (-slope + math.pi) % (2 * math.pi) - math.pi
         assert -math.pi <= est < math.pi
         assert abs(est - wrapped) < 1e-12
 
     def test_too_few_wavenumbers_rejected(self):
-        for sp in (pure_model_spectrum(make_grid(64), 1.0, 1.0, 0.1),
-                   pure_model_spectrum_extended(make_grid(64), 1.0, 1.0, 0.1)):
+        for sp in (pure_model_spectrum(GridSpec(64), 1.0, 1.0, 0.1),
+                   pure_model_spectrum_extended(GridSpec(64), 1.0, 1.0, 0.1)):
             with pytest.raises(EmptyWindowError):
                 estimate_x_star(sp, [5])
 
@@ -667,7 +667,7 @@ class TestEstimateXStar:
 class TestFitSpectrum:
     def test_exact_model_example(self):
         # (C, s, delta) = (1, 1.6, 0.05): constant sliding sequences
-        fr = fit_spectrum(pure_model_spectrum(make_grid(64), 1.0, 1.6, 0.05))
+        fr = fit_spectrum(pure_model_spectrum(GridSpec(64), 1.0, 1.6, 0.05))
         assert abs(fr.alpha - 0.6) < 1e-12
         assert abs(fr.delta - 0.05) < 1e-12
         assert abs(fr.amplitude - 1.0) < 1e-12
@@ -683,14 +683,14 @@ class TestFitSpectrum:
 
     def test_oracle_closure_module_scale(self):
         spec = SyntheticSpec(alpha=3 / 5, delta=0.2, x_star=1.0)
-        sp = oracle_spectrum(spec, make_grid(1024))
+        sp = oracle_spectrum(spec, GridSpec(1024))
         fr = fit_spectrum(sp, FitOptions(k_min=16))
         assert abs(fr.delta - 0.2) < 1e-4
         assert abs(fr.alpha - 3 / 5) < 0.02
         assert abs(fr.x_star - 1.0) < 1e-6
 
     def test_scale_equivariance_power_of_two(self):
-        base = pure_model_spectrum(make_grid(256), 1.0, 1.6, 0.05, x_star=0.7)
+        base = pure_model_spectrum(GridSpec(256), 1.0, 1.6, 0.05, x_star=0.7)
         fr1 = fit_spectrum(base)
         fr2 = fit_spectrum(Spectrum(grid=base.grid, coeffs=base.coeffs * 2.0))
         assert fr2.alpha == fr1.alpha
@@ -699,7 +699,7 @@ class TestFitSpectrum:
         assert fr2.amplitude / fr1.amplitude == pytest.approx(2.0, rel=1e-9)
 
     def test_scale_equivariance_general_factor(self):
-        base = pure_model_spectrum(make_grid(256), 1.0, 1.6, 0.05)
+        base = pure_model_spectrum(GridSpec(256), 1.0, 1.6, 0.05)
         fr1 = fit_spectrum(base)
         fr3 = fit_spectrum(Spectrum(grid=base.grid, coeffs=base.coeffs * 3.0))
         assert abs(fr3.alpha - fr1.alpha) < 1e-12
@@ -711,7 +711,7 @@ class TestFitSpectrum:
         coeffs[0] = 1.0
         for k in range(1, K // 2):
             coeffs[k] = k ** (-2.0) * math.exp(1e-6 * k)
-        fr = fit_spectrum(Spectrum(grid=make_grid(K), coeffs=coeffs))
+        fr = fit_spectrum(Spectrum(grid=GridSpec(K), coeffs=coeffs))
         assert fr.delta_clamped
         assert fr.delta == 0.0
         assert abs(fr.alpha - 1.0) < 1e-9
@@ -720,12 +720,12 @@ class TestFitSpectrum:
         # default k_min = 128 at K = 2048 sits past the noise-floor index
         # when delta = 0.2; an explicit lower edge is required there
         spec = SyntheticSpec(alpha=1 / 3, delta=0.2, x_star=0.0)
-        sp = oracle_spectrum(spec, make_grid(2048))
+        sp = oracle_spectrum(spec, GridSpec(2048))
         with pytest.raises(EmptyWindowError):
             fit_spectrum(sp)
 
     def test_extended_fit(self):
-        fr = fit_spectrum(pure_model_spectrum_extended(make_grid(64), 1, 1.6, 0.05))
+        fr = fit_spectrum(pure_model_spectrum_extended(GridSpec(64), 1, 1.6, 0.05))
         assert float(abs(fr.alpha - mp.mpf(1.6) + 1)) < 1e-25
         assert float(abs(fr.delta - mp.mpf(0.05))) < 1e-25
         assert float(abs(fr.amplitude - 1)) < 1e-25
@@ -740,7 +740,7 @@ def _trajectory_from_spectra(times, spectra, grid):
 class TestBlowupExtrapolation:
     def test_linear_width_history(self):
         # delta(t) = 0.5 - 0.4 t crosses zero at t_s = 1.25
-        grid = make_grid(1024)
+        grid = GridSpec(1024)
         times = [0.1 + 0.05 * i for i in range(9)]
         spectra = [oracle_spectrum(
             SyntheticSpec(alpha=1 / 3, delta=0.5 - 0.4 * t, x_star=1.0), grid)
@@ -750,11 +750,11 @@ class TestBlowupExtrapolation:
         assert abs(trace.t_s_estimate - 1.25) < 1e-3
         assert 0.0 < trace.t_s_stderr < 1e-3
         assert trace.t_s_estimate > trace.times[-1]
-        assert np.all(np.abs(trace.alphas() - 1 / 3) < 0.02)
+        assert all(abs(float(f.alpha) - 1 / 3) < 0.02 for f in trace.fits)
         assert len(trace.times) == 9
 
     def test_constant_width_gives_no_blowup_time(self):
-        grid = make_grid(1024)
+        grid = GridSpec(1024)
         times = [0.1 * i for i in range(6)]
         spectra = [oracle_spectrum(
             SyntheticSpec(alpha=1 / 3, delta=0.3, x_star=0.0), grid)
@@ -788,7 +788,7 @@ class TestBlowupExtrapolation:
 
 class TestTrack:
     def test_unfittable_snapshots_are_skipped(self):
-        grid = make_grid(1024)
+        grid = GridSpec(1024)
         sin_spectrum = forward_transform(
             PeriodicField(grid, np.sin(grid.nodes())))
         times = [0.0, 0.1, 0.2, 0.3]
@@ -800,7 +800,7 @@ class TestTrack:
         assert trace.times == (0.1, 0.2, 0.3)
 
     def test_all_unfittable_raises(self):
-        grid = make_grid(256)
+        grid = GridSpec(256)
         sin_spectrum = forward_transform(
             PeriodicField(grid, np.sin(grid.nodes())))
         with pytest.raises(InsufficientDataError):
@@ -808,7 +808,7 @@ class TestTrack:
                                            [sin_spectrum] * 3, grid))
 
     def width_history(self):
-        grid = make_grid(1024)
+        grid = GridSpec(1024)
         times = [0.1 + 0.05 * i for i in range(6)]
         spectra = [oracle_spectrum(
             SyntheticSpec(alpha=1 / 3, delta=0.5 - 0.4 * t, x_star=1.0), grid)
@@ -826,11 +826,12 @@ class TestTrack:
         trace = track(self.width_history(), FitOptions(k_min=16))
         assert trace.used_unclean_fallback
         sel = slice(-tracker.EXTRAPOLATION_SAMPLES, None)
-        expected = extrapolate_blowup_time(trace.times[sel], trace.deltas()[sel])
+        deltas = [float(f.delta) for f in trace.fits]
+        expected = extrapolate_blowup_time(trace.times[sel], deltas[sel])
         assert (trace.t_s_estimate, trace.t_s_stderr) == expected
 
     def small_run(self):
-        config = BFamilyConfig(b=3.0, grid=make_grid(128), dt=1e-3, t_end=0.4,
+        config = BFamilyConfig(b=3.0, grid=GridSpec(128), dt=1e-3, t_end=0.4,
                                dealias=True, sample_every=40)
         return config, FitOptions(k_min=10, k_max=40)
 
@@ -860,7 +861,7 @@ class TestTrack:
             track_run(config, FitOptions(k_min=61))
 
     def test_recorded_skip_is_reused(self):
-        grid = make_grid(1024)
+        grid = GridSpec(1024)
         sin_spectrum = forward_transform(
             PeriodicField(grid, np.sin(grid.nodes())))
         record = []
@@ -872,7 +873,7 @@ class TestTrack:
         assert trace.times == trajectory.times[2:]
 
     def test_strip_monitor_callback(self):
-        grid = make_grid(1024)
+        grid = GridSpec(1024)
         record = []
         monitor = strip_monitor(FitOptions(k_min=16), record)
         sin_spectrum = forward_transform(
@@ -887,7 +888,7 @@ class TestTrack:
     def test_overflowing_extrapolation_is_skipped(self):
         # magnitudes oscillating in k drive the extrapolated log C past
         # the double range; the fit raises a typed error, the monitor skips
-        config = BFamilyConfig(b=2.0, grid=make_grid(256), dt=5e-4, t_end=3.75,
+        config = BFamilyConfig(b=2.0, grid=GridSpec(256), dt=5e-4, t_end=3.75,
                                initial=lambda x: 1 + 0.4 * np.sin(x),
                                dealias=True, sample_every=7500)
         snapshot = simulate(config).snapshots[-1]
@@ -897,7 +898,7 @@ class TestTrack:
 
 
 # the acceptance runs' window scaling [K/16, 300 K/1024] at K = 512
-_BURGERS_GRID = make_grid(512)
+_BURGERS_GRID = GridSpec(512)
 _BURGERS_FIT = FitOptions(k_min=32, k_max=150)
 _BURGERS_TIMES = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.925)
 
@@ -978,7 +979,7 @@ class TestFitOptions:
 class TestStripMonitor:
     """The early-stop rule: stop once the fitted width falls below the limit."""
 
-    GRID = make_grid(256)
+    GRID = GridSpec(256)
 
     def oracle(self, delta):
         return oracle_spectrum(SyntheticSpec(alpha=1 / 3, delta=delta, x_star=0.5), self.GRID)
