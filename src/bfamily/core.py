@@ -43,6 +43,7 @@ Discrete Parseval identity under this normalisation:
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -203,6 +204,16 @@ def inverse_transform(spectrum: Spectrum) -> PeriodicField:
 
 
 InitialSpec = Union[str, Callable]
+
+
+def check_real(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is a real number; a bool is not one.
+
+    ints, floats and numpy numbers pass.  Settings call this before any
+    range test, so a str or None gets a typed error, not numpy's.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
 def check_initial(initial) -> None:

@@ -22,7 +22,7 @@ class SymmetryError(BFamilyError):
 
 
 class BlowUpOverflowError(BFamilyError):
-    """Physical-space values overflowed during a nonlinear evaluation."""
+    """A right-hand-side evaluation or an RK4 step produced a non-finite value."""
 
 
 class NoiseFloorError(BFamilyError):

@@ -9,11 +9,15 @@ zeros there.
 
 ``rk4_step`` runs the cached ``spectral.RhsKernel`` on the state's
 coefficients, which ``Spectrum`` stores in the kernel's own layout
-(modes k = 0..K/2): the four stages are plain arrays (one finiteness
-check each inside the kernel), and the result array becomes the new
-``Spectrum`` as it is, without a copy or a symmetry check.
-``simulate`` builds the initial datum in ``config.precision``, checks
-each new state for finiteness with that mode, and ends early when the
+(modes k = 0..K/2): the four stages are plain arrays, and the result
+array becomes the new ``Spectrum`` as it is, without a copy or a
+symmetry check.  The kernel itself is unguarded.  The step runs its
+stages and its weighted sum under one ``np.errstate`` that silences
+overflow, then checks the result once for finiteness: a non-finite
+value in any stage reaches the result (the kernel's k = 0 slot is
+NaN·0 or inf·0, which stays NaN), so one check sees every overflow.
+``simulate`` builds the initial datum in ``config.precision``, ends
+with StopReason.OVERFLOW when a step raises, and ends early when the
 monitor it asks at each snapshot says so.  Both run one code path in
 either scalar mode: extended states carry their own 32-digit mpmath
 context, so nothing here enters one.
@@ -23,13 +27,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import GridSpec, InitialSpec, Spectrum, check_initial, forward_transform, initial_datum
+from .core import (GridSpec, InitialSpec, Spectrum, check_initial, check_real, forward_transform,
+                   initial_datum)
 from .errors import BlowUpOverflowError, ConfigError
 from .precision import DOUBLE, Precision
 from .spectral import RhsOptions, rhs_kernel
@@ -57,9 +61,7 @@ class BFamilyConfig:
     def __post_init__(self) -> None:
         check_initial(self.initial)
         for name in ("b", "dt", "t_end"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            check_real(name, getattr(self, name))
         if not isinstance(self.dealias, bool):
             raise ConfigError(f"dealias must be a bool, got {self.dealias!r}")
         if not (np.isfinite(self.b)):
@@ -108,25 +110,31 @@ def rk4_step(state: Spectrum, dt: float, options: RhsOptions) -> Spectrum:
     operation order of the textbook formula.  The kernel forces the
     k = 0 and K/2 slots of every stage to exact zero, so the result
     keeps the input's values there and is built without the Spectrum
-    symmetry check.  Raises BlowUpOverflowError when a stage overflows.
+    symmetry check.  The stages and the sum run under one errstate that
+    silences overflow warnings, and the result is checked once: raises
+    BlowUpOverflowError when it is not finite, whether a stage's
+    products, a transform or the sum overflowed.
     """
     grid = state.grid
     c0 = state.coeffs
     f = rhs_kernel(grid, options, c0)
     stage = np.empty_like(c0)
-    k1 = f(c0)
-    k2 = f(_stage_input(c0, dt / 2, k1, stage))
-    k3 = f(_stage_input(c0, dt / 2, k2, stage))
-    k4 = f(_stage_input(c0, dt, k3, stage))
-    # the kernel returns fresh arrays, so k2 and k3 can be overwritten
-    total = k2
-    total *= 2
-    total += k1
-    k3 *= 2
-    total += k3
-    total += k4
-    total *= dt / 6
-    total += c0
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = f(c0)
+        k2 = f(_stage_input(c0, dt / 2, k1, stage))
+        k3 = f(_stage_input(c0, dt / 2, k2, stage))
+        k4 = f(_stage_input(c0, dt, k3, stage))
+        # the kernel returns fresh arrays, so k2 and k3 can be overwritten
+        total = k2
+        total *= 2
+        total += k1
+        k3 *= 2
+        total += k3
+        total += k4
+        total *= dt / 6
+        total += c0
+    if not f.transforms.all_finite(total):
+        raise BlowUpOverflowError("an RK4 step overflowed: its result is not finite")
     return Spectrum.unchecked(grid, total)
 
 
@@ -145,13 +153,13 @@ def simulate(
     ``strip_monitor`` is an optional yes/no question asked of every
     recorded snapshot, t = 0 included, in recording order: it receives
     (t, spectrum), and a true answer ends the run after that snapshot
-    with StopReason.RESOLUTION_LIMIT.  Physical-space overflow ends the
-    run with StopReason.OVERFLOW and the trajectory holds everything
-    recorded up to the last finite state.
+    with StopReason.RESOLUTION_LIMIT.  A step that overflows
+    (``rk4_step`` raises BlowUpOverflowError) ends the run with
+    StopReason.OVERFLOW, and the trajectory holds everything recorded up
+    to the last finite state.
     """
     u0 = initial_datum(config.initial, config.grid, config.precision)
     state = forward_transform(u0)
-    all_finite = config.precision.all_finite
     opts = config.rhs_options
     dt = config.dt
 
@@ -178,9 +186,6 @@ def simulate(
         try:
             state = rk4_step(state, h, opts)
         except BlowUpOverflowError:
-            stop = StopReason.OVERFLOW
-            break
-        if not all_finite(state.coeffs):
             stop = StopReason.OVERFLOW
             break
 

@@ -27,9 +27,13 @@ input zeroing, so entering and leaving spectral space cost one multiply
 each.  The tables, the constants b/2 and (3-b)/2 and the scratch
 buffers are built once per (K, b, dealias, scalar mode) and cached by
 ``rhs_kernel``.  One evaluation makes fifteen numpy calls, the two
-transforms included, and one finiteness check, on the stacked
-physical-space products: a non-finite u or u_x makes u^2 or u_x^2
-non-finite too.  The nonlocal symbol ik / (1 + k^2), that is
+transforms included, and no overflow guard: its callers enter one
+``np.errstate`` and run one finiteness check around it.  ``rk4_step``
+guards a whole step that way, and ``rhs`` and ``RhsKernel.products``
+each guard their own result.  A check of the result sees every
+overflow of the evaluation: a non-finite value in physical space
+reaches every bin of the forward transform, and a multiply by zero
+keeps it NaN.  The nonlocal symbol ik / (1 + k^2), that is
 (1 - d_xx)^{-1} d_x, exists only as the kernel's ``symbol`` table.
 ``Spectrum`` stores the same layout, so ``rhs`` and ``derivative`` act
 on its coefficients directly.  The same code serves double and
@@ -40,12 +44,13 @@ dtypes come from the scalar mode (``precision.transforms_for``).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, Spectrum, grid_signs
-from .errors import BlowUpOverflowError
+from .core import GridSpec, Spectrum, check_real, grid_signs
+from .errors import BlowUpOverflowError, ConfigError
 from .precision import Precision, transforms_for
 
 
@@ -56,15 +61,19 @@ class RhsOptions:
     b selects the member of the family (2: Camassa-Holm, 3:
     Degasperis-Procesi).  With ``dealias`` the upper third of modes is
     zeroed before and after products (two-thirds rule); the default
-    keeps the full spectrum.
+    keeps the full spectrum.  ``b`` must be a finite real number (not a
+    bool) and ``dealias`` a bool; anything else is a ConfigError.
     """
 
     b: float
     dealias: bool = False
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.b):
-            raise ValueError("b must be finite")
+        check_real("b", self.b)
+        if not math.isfinite(self.b):
+            raise ConfigError(f"b must be finite, got {self.b}")
+        if not isinstance(self.dealias, bool):
+            raise ConfigError(f"dealias must be a bool, got {self.dealias!r}")
 
 
 def dealias_cutoff(n_modes: int) -> int:
@@ -133,10 +142,17 @@ class RhsKernel:
     evaluation: the bins of (u, u_x), their physical values, the three
     products in physical space and in spectral space, the two weighted
     products and the nonlocal term.  Each stage writes into them with
-    ufunc ``out=``.  Only the time derivative that ``__call__`` returns
-    is freshly allocated, so it shares memory with no buffer and with no
-    earlier result.  The buffers make an instance serve one evaluation
-    at a time: it is not safe to evaluate from several threads at once.
+    ufunc ``out=``, through row views bound once here, and the zeroing
+    multiplies by a 0-d zero of the mode's complex dtype: the same ufunc
+    loops as indexing per call and a Python scalar zero, so the same
+    bits.  Only the time derivative that ``__call__`` returns is freshly
+    allocated, so it shares memory with no buffer and with no earlier
+    result.  The buffers make an instance serve one evaluation at a
+    time: it is not safe to evaluate from several threads at once.
+
+    ``__call__`` is bare arithmetic: it neither silences numpy's
+    overflow warnings nor checks its result, so its callers do both
+    (see the module docstring).  ``products`` guards itself.
     """
 
     def __init__(self, n_modes: int, options: RhsOptions, transforms: Precision) -> None:
@@ -163,8 +179,26 @@ class RhsKernel:
         self._products = np.empty((3, n_half), spectral)
         # the Nyquist slot, and with dealiasing the whole upper third
         self._zeroed = self._products[:, min(keep, n_half - 1) :]
+        self._zero = np.array(transforms.zero, dtype=spectral)
         self._weighted = np.empty((2, n_half), spectral)
         self._nonlocal = np.empty(n_half, spectral)
+        # row views: u and u_x; u u_x and (u^2, u_x^2) in physical and spectral space;
+        # (b/2) u^2 and ((3-b)/2) u_x^2 in spectral space
+        self._u, self._u_x = self._physical
+        self._advective, self._squares = self._values[0], self._values[1:]
+        self._advective_hat, self._squares_hat = self._products[0], self._products[1:]
+        self._weighted_u2, self._weighted_u_x2 = self._weighted
+
+    def _evaluate_products(self, half: np.ndarray) -> np.ndarray:
+        """``products`` without the overflow guard."""
+        fields = np.multiply(half, self.to_bins, out=self._fields)
+        physical = self.transforms.inverse(fields, self.n_modes, out=self._physical)
+        np.multiply(self._u, self._u_x, out=self._advective)
+        np.multiply(physical, physical, out=self._squares)
+        products = self.transforms.forward(self._values, self.n_modes, out=self._products)
+        products *= self.from_bins
+        self._zeroed *= self._zero
+        return products
 
     def products(self, half: np.ndarray) -> np.ndarray:
         """Half spectra of (u u_x, u^2, u_x^2), stacked; Nyquist slots zeroed.
@@ -172,32 +206,33 @@ class RhsKernel:
         With dealiasing the upper third is zeroed too, in the input and
         in the products.  The result is the kernel's scratch buffer: the
         next evaluation overwrites it.  Raises BlowUpOverflowError when
-        a product overflows in physical space.
+        a product is not finite.
         """
-        fields = np.multiply(half, self.to_bins, out=self._fields)
-        physical = self.transforms.inverse(fields, self.n_modes, out=self._physical)
-        values = self._values
-        # overflow here is detected and reported as a blow-up, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(physical[0], physical[1], out=values[0])
-            np.multiply(physical, physical, out=values[1:])
-        if not self.transforms.all_finite(values):
-            raise BlowUpOverflowError("u, u_x or their products overflowed in physical space")
-        products = self.transforms.forward(values, self.n_modes, out=self._products)
-        products *= self.from_bins
-        self._zeroed *= self.transforms.zero
-        return products
+        return _guarded(self.transforms, self._evaluate_products, half)
 
     def __call__(self, half: np.ndarray) -> np.ndarray:
-        """Time derivative of the half spectrum, in a fresh array; its k = 0 slot is exact zero."""
-        products = self.products(half)
-        weighted = np.multiply(products[1:], self.weights, out=self._weighted)
-        nonlocal_part = np.add(weighted[0], weighted[1], out=self._nonlocal)
+        """Time derivative of the half spectrum, in a fresh array; its k = 0 slot is exact zero.
+
+        Unguarded: the caller silences overflow warnings and checks the
+        result (or a later value that it reaches) for finiteness.
+        """
+        self._evaluate_products(half)
+        np.multiply(self._squares_hat, self.weights, out=self._weighted)
+        nonlocal_part = np.add(self._weighted_u2, self._weighted_u_x2, out=self._nonlocal)
         nonlocal_part *= self.symbol
-        nonlocal_part += products[0]
+        nonlocal_part += self._advective_hat
         out = np.negative(nonlocal_part)
         out[0] *= 0
         return out
+
+
+def _guarded(transforms: Precision, evaluate, half: np.ndarray) -> np.ndarray:
+    """``evaluate(half)`` with overflow raised as BlowUpOverflowError, not warned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = evaluate(half)
+    if not transforms.all_finite(result):
+        raise BlowUpOverflowError("the right-hand side overflowed: its result is not finite")
+    return result
 
 
 @functools.lru_cache(maxsize=32)
@@ -216,7 +251,8 @@ def rhs(spectrum: Spectrum, options: RhsOptions) -> Spectrum:
     The k = 0 component is set to exact zero: the advective product has
     zero discrete mean (its positive and negative wavenumber
     contributions cancel in exact arithmetic) and the nonlocal symbol
-    vanishes at k = 0, so zeroing only removes round-off.
+    vanishes at k = 0, so zeroing only removes round-off.  Raises
+    BlowUpOverflowError when the result is not finite.
     """
     kernel = rhs_kernel(spectrum.grid, options, spectrum.coeffs)
-    return Spectrum(spectrum.grid, kernel(spectrum.coeffs))
+    return Spectrum(spectrum.grid, _guarded(kernel.transforms, kernel, spectrum.coeffs))

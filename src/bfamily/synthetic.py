@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, PeriodicField, Spectrum
+from .core import GridSpec, PeriodicField, Spectrum, check_real
 from .errors import ConfigError
 from .precision import DOUBLE, Precision
 
@@ -41,8 +41,9 @@ from .precision import DOUBLE, Precision
 class SyntheticSpec:
     """Branch-point parameters: character, strip width, abscissa, scale.
 
-    ``delta`` must be positive and ``amplitude`` positive.  ``alpha``
-    may be any real number; nonnegative integers degenerate to
+    Every field must be a finite real number (not a bool), ``delta``
+    positive and ``amplitude`` positive; anything else is a ConfigError.
+    ``alpha`` may be any real number; nonnegative integers degenerate to
     trigonometric polynomials (binomial series truncates).
     """
 
@@ -52,6 +53,8 @@ class SyntheticSpec:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "delta", "x_star", "amplitude"):
+            check_real(name, getattr(self, name))
         if not (math.isfinite(self.alpha) and math.isfinite(self.delta)
                 and math.isfinite(self.x_star) and math.isfinite(self.amplitude)):
             raise ConfigError("synthetic parameters must be finite")

@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Spectrum
+from .core import Spectrum, check_real
 from .errors import (ConfigError, EmptyWindowError, ExtrapolationError,
                      InsufficientDataError, NoiseFloorError)
 from .integrator import BFamilyConfig, Trajectory, simulate
@@ -86,7 +87,9 @@ class FitOptions:
     ends a run, the singularity being within one grid spacing of the
     real axis (None: the grid default 2*pi/K).  A given width must be
     finite and positive: no estimate falls below NaN or a nonpositive
-    width, so either would silently disable the early stop.
+    width, so either would silently disable the early stop.  Each field
+    is None or a number of its type (``k_min``/``k_max`` integers, not
+    bools; the width a real number); anything else is a ConfigError.
     """
 
     k_min: Optional[int] = None
@@ -94,6 +97,13 @@ class FitOptions:
     min_strip_width: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("k_min", "k_max"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{name} must be an integer or None, got {value!r}")
+        if self.min_strip_width is not None:
+            check_real("min_strip_width", self.min_strip_width)
         k_lo = max(self.k_min or 2, 2)
         if self.k_max is not None and self.k_max < k_lo + 2:
             raise ConfigError(f"fit window [{k_lo}, {self.k_max}] has fewer than 3 wavenumbers")

@@ -1,6 +1,7 @@
 """Fixed-step RK4 integration: accuracy, conservation, early stop."""
 
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from bfamily.core import (
     initial_datum,
     inverse_transform,
 )
+import bfamily.integrator as integrator
 from bfamily.errors import BlowUpOverflowError, ConfigError, SymmetryError
 from bfamily.integrator import (
     BFamilyConfig,
@@ -22,8 +24,8 @@ from bfamily.integrator import (
     rk4_step,
     simulate,
 )
-from bfamily.precision import DOUBLE, EXTENDED32
-from bfamily.spectral import RhsOptions, rhs_kernel
+from bfamily.precision import DOUBLE, EXTENDED32, DoublePrecision
+from bfamily.spectral import RhsOptions, rhs, rhs_kernel
 
 from oracles import full_layout, full_layout_rk4_step, random_hermitian_spectrum
 
@@ -249,6 +251,8 @@ class TestStopPolicy:
         traj = simulate(cfg)
         assert traj.stop_reason is StopReason.OVERFLOW
         assert traj.times[-1] < 5.0
+        # the first step overflows: only the initial state is recorded
+        assert traj.times == (0.0,)
 
 
 class TestTravelingWaves:
@@ -356,8 +360,81 @@ class TestStepChecks:
         g = GridSpec(16)
         c = np.zeros(9, dtype=complex)
         c[1] = 1e200
-        with pytest.raises(BlowUpOverflowError):
-            rk4_step(Spectrum(g, c), 1e-3, RhsOptions(b=3.0, dealias=dealias))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpOverflowError):
+                rk4_step(Spectrum(g, c), 1e-3, RhsOptions(b=3.0, dealias=dealias))
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_overflow_in_the_weighted_sum_raises(self, dealias):
+        # every stage is finite (|k| about 6e307, u about 2e100), and the
+        # stage inputs barely move at dt = 1e-220; k1 + 2 k2 + 2 k3 + k4
+        # is not finite, so the step raises where it used to return inf
+        state = forward_transform(initial_datum(lambda x: 2e100 * np.sin(x), GridSpec(16)))
+        opts = RhsOptions(b=1.5e108, dealias=dealias)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 5e307 < np.abs(rhs(state, opts).coeffs).max() < 1e308
+            with pytest.raises(BlowUpOverflowError):
+                rk4_step(state, 1e-220, opts)
+
+
+def count_guards(monkeypatch):
+    """Count entries into ``np.errstate`` and double ``all_finite`` calls from here on."""
+    counts = {"errstate": 0, "all_finite": 0}
+    errstate, all_finite = np.errstate, DoublePrecision.all_finite
+
+    def counting_errstate(**kwargs):
+        counts["errstate"] += 1
+        return errstate(**kwargs)
+
+    def counting_all_finite(self, arr):
+        counts["all_finite"] += 1
+        return all_finite(self, arr)
+
+    monkeypatch.setattr(np, "errstate", counting_errstate)
+    monkeypatch.setattr(DoublePrecision, "all_finite", counting_all_finite)
+    return counts
+
+
+class TestOneGuardPerStep:
+    """The kernel is bare arithmetic; each step enters one errstate and checks once."""
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_kernel_call_is_unguarded(self, monkeypatch, dealias):
+        state = sine_state(32)
+        kernel = rhs_kernel(state.grid, RhsOptions(b=3.0, dealias=dealias), state.coeffs)
+        counts = count_guards(monkeypatch)
+        kernel(state.coeffs)
+        assert counts == {"errstate": 0, "all_finite": 0}
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_step_guards_once(self, monkeypatch, dealias):
+        state, opts = sine_state(32), RhsOptions(b=3.0, dealias=dealias)
+        rk4_step(state, 1e-3, opts)  # builds and caches the kernel
+        counts = count_guards(monkeypatch)
+        rk4_step(state, 1e-3, opts)
+        assert counts == {"errstate": 1, "all_finite": 1}
+
+    def test_simulate_checks_each_step_once(self, monkeypatch):
+        cfg = BFamilyConfig(b=3.0, grid=GridSpec(32), dt=1e-3, t_end=0.02, sample_every=5)
+        counts = count_guards(monkeypatch)
+        forward_transform(initial_datum(cfg.initial, cfg.grid))
+        datum_checks = counts["all_finite"]
+        counts["all_finite"] = 0
+        per_step = []
+        step = integrator.rk4_step
+
+        def counting_step(*args):
+            before = counts["all_finite"]
+            result = step(*args)
+            per_step.append(counts["all_finite"] - before)
+            return result
+
+        monkeypatch.setattr(integrator, "rk4_step", counting_step)
+        simulate(cfg)
+        assert per_step == [1] * 20
+        assert counts["all_finite"] == 20 + datum_checks
 
 
 class TestSelfConjugateSlotsKept:

@@ -1,5 +1,8 @@
 """Spectral operators and the mode-system right-hand side."""
 
+import math
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from bfamily.core import (
     forward_transform,
     initial_datum,
 )
-from bfamily.errors import BlowUpOverflowError, SymmetryError
+from bfamily.errors import BlowUpOverflowError, ConfigError, SymmetryError
 from bfamily.integrator import rk4_step
 from bfamily.precision import EXTENDED32, transforms_for
 from bfamily.spectral import (
@@ -109,8 +112,10 @@ class TestNonlinearProducts:
         g = GridSpec(16)
         c = np.zeros(9, dtype=complex)
         c[1] = 1e200
-        with pytest.raises(BlowUpOverflowError):
-            nonlinear_products(Spectrum(g, c), RhsOptions(b=3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpOverflowError):
+                nonlinear_products(Spectrum(g, c), RhsOptions(b=3.0))
 
     def test_dealiased_products_zero_upper_third(self):
         rng = np.random.default_rng(37)
@@ -118,6 +123,25 @@ class TestNonlinearProducts:
         kc = dealias_cutoff(32)
         for prod in nonlinear_products(s, RhsOptions(b=3.0, dealias=True)):
             assert all(prod.coeffs[kc + 1 :] == 0.0)
+
+
+class TestOverflowGuard:
+    """``rhs`` and ``RhsKernel.products`` raise on overflow, and never warn."""
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("entry", ["products", "rhs"])
+    @pytest.mark.parametrize("slot,value", [(1, 1e200), (0, 1e154)], ids=["physical", "transform"])
+    def test_overflow_raises(self, slot, value, entry, dealias):
+        # physical: u^2 overflows on the nodes; transform: u^2 = 1e308 is
+        # finite on every node, and its rfft's sum over 16 nodes is not
+        c = np.zeros(9, dtype=complex)
+        c[slot] = value
+        state, opts = Spectrum(GridSpec(16), c), RhsOptions(b=3.0, dealias=dealias)
+        evaluate = nonlinear_products if entry == "products" else rhs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpOverflowError):
+                evaluate(state, opts)
 
 
 class TestRhs:
@@ -220,6 +244,29 @@ class TestExtendedMode:
         with mp.workdps(32):
             err = max(abs(mp.mpc(a) - b) for a, b in zip(rd, re_))
             assert float(err) < 1e-14
+
+
+class TestRhsOptions:
+    @pytest.mark.parametrize("b", ["3", None, True, False, 3j])
+    def test_rejects_b_that_is_not_a_real_number(self, b):
+        with pytest.raises(ConfigError, match="b must be a real number, got"):
+            RhsOptions(b=b)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, np.float64("nan")],
+                             ids=["nan", "inf", "-inf", "numpy-nan"])
+    def test_rejects_non_finite_b(self, b):
+        with pytest.raises(ConfigError, match="b must be finite"):
+            RhsOptions(b=b)
+
+    @pytest.mark.parametrize("dealias", ["false", "true", 0, 1, None, np.bool_(True)],
+                             ids=["str-false", "str-true", "0", "1", "None", "numpy-bool"])
+    def test_rejects_dealias_that_is_not_a_bool(self, dealias):
+        with pytest.raises(ConfigError, match="dealias must be a bool, got"):
+            RhsOptions(b=3.0, dealias=dealias)
+
+    @pytest.mark.parametrize("b", [3, 3.0, np.float64(3.0), np.int64(3), -1])
+    def test_accepts_real_numbers(self, b):
+        assert RhsOptions(b=b, dealias=True).b == b
 
 
 class TestRhsKernel:

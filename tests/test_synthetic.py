@@ -29,6 +29,13 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SyntheticSpec(alpha=math.nan, delta=0.2, x_star=0.0)
 
+    @pytest.mark.parametrize("name", ["alpha", "delta", "x_star", "amplitude"])
+    @pytest.mark.parametrize("value", ["0.5", None, True, 0.5j], ids=["str", "None", "bool", "complex"])
+    def test_rejects_a_field_that_is_not_a_real_number(self, name, value):
+        fields = {"alpha": 0.5, "delta": 0.2, "x_star": 0.0, "amplitude": 1.0, name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be a real number, got"):
+            SyntheticSpec(**fields)
+
     def test_integer_alpha_permitted(self):
         # degenerate truncating member of the family, still constructible
         SyntheticSpec(alpha=1.0, delta=0.2, x_star=0.0)

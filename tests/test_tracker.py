@@ -957,6 +957,22 @@ class TestFitOptions:
     def test_accepts_window_of_three_wavenumbers(self, k_min, k_max):
         FitOptions(k_min=k_min, k_max=k_max)
 
+    @pytest.mark.parametrize("name", ["k_min", "k_max"])
+    @pytest.mark.parametrize("value", ["16", 16.0, True, False, [16]],
+                             ids=["str", "float", "True", "False", "list"])
+    def test_rejects_a_window_edge_that_is_not_an_integer(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer or None, got"):
+            FitOptions(**{name: value})
+
+    @pytest.mark.parametrize("width", ["0.1", True, 0.1j, [0.1]], ids=["str", "bool", "complex", "list"])
+    def test_rejects_a_width_that_is_not_a_real_number(self, width):
+        with pytest.raises(ConfigError, match="min_strip_width must be a real number, got"):
+            FitOptions(min_strip_width=width)
+
+    def test_accepts_numpy_numbers(self):
+        options = FitOptions(k_min=np.int64(16), k_max=np.int32(40), min_strip_width=np.float64(0.1))
+        assert options.window(256) == range(16, 41)
+
     @settings(max_examples=400, deadline=None)
     @given(
         k_min=st.none() | st.integers(-4, 700),
