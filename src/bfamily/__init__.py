@@ -11,7 +11,7 @@ from .core import (
     inverse_transform,
 )
 from .integrator import BFamilyConfig, StopReason, Trajectory, simulate
-from .norms import GevreyParams, gevrey_norm, sobolev_norm
+from .norms import sobolev_norm
 from .precision import DOUBLE, EXTENDED32, Precision
 from .spectral import RhsOptions, dealias_cutoff, derivative, rhs
 from .synthetic import SyntheticSpec, oracle_field, oracle_spectrum
@@ -37,7 +37,6 @@ __all__ = [
     "EXTENDED32",
     "FitOptions",
     "FitResult",
-    "GevreyParams",
     "GridSpec",
     "PeriodicField",
     "Precision",
@@ -53,7 +52,6 @@ __all__ = [
     "derivative",
     "fit_spectrum",
     "forward_transform",
-    "gevrey_norm",
     "initial_datum",
     "inverse_transform",
     "late_time_alpha",

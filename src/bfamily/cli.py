@@ -31,16 +31,19 @@ full manifest, so a result file is its own provenance record; nothing
 else (no timestamps) enters the files, and reruns of the same manifest
 in double precision are bit-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 overflow before t_end,
-4 insufficient data for the requested estimate.
+Exit codes: 0 success, 2 configuration error (an output that cannot be
+created or written included), 3 overflow before t_end, 4 insufficient
+data for the requested estimate.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -235,6 +238,19 @@ def _magnitude_lines(trajectory, fmt) -> Iterator[str]:
                        for head, c in zip(heads, snapshot.coeffs[:half].tolist())])
 
 
+@contextmanager
+def _writing(out: Path) -> Iterator[None]:
+    """The write phase of a command: an OSError there is a ConfigError naming ``out``.
+
+    Commands enter it only after their run, so an OSError from the run
+    or the worker pool is never reported as an unwritable output.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output to {out}: {exc}") from exc
+
+
 def _write_summary(path: Path, provenance: dict, facts: dict) -> None:
     lines = [f"schema_version = {SCHEMA_VERSION}"]
     lines.extend(f"{key} = {value}" for key, value in provenance.items())
@@ -305,34 +321,35 @@ def cmd_simulate(manifest: RunManifest) -> int:
     fmt = _value_formatter(config.precision)
 
     out = manifest.out_dir
-    (out / "spectra").mkdir(parents=True, exist_ok=True)
-    (out / "fields").mkdir(parents=True, exist_ok=True)
     x = config.grid.nodes(config.precision)
-    for index, (t, snapshot) in enumerate(zip(trajectory.times, trajectory.snapshots)):
-        stamp = dict(provenance, t=fmt(t))
-        write_csv(
-            out / "spectra" / f"spectrum_{index:04d}.csv",
-            stamp,
-            ("k", "re", "im"),
-            _csv_lines(((k, c.real, c.imag) for k, c in enumerate(snapshot.coeffs)), fmt),
+    with _writing(out):
+        (out / "spectra").mkdir(parents=True, exist_ok=True)
+        (out / "fields").mkdir(parents=True, exist_ok=True)
+        for index, (t, snapshot) in enumerate(zip(trajectory.times, trajectory.snapshots)):
+            stamp = dict(provenance, t=fmt(t))
+            write_csv(
+                out / "spectra" / f"spectrum_{index:04d}.csv",
+                stamp,
+                ("k", "re", "im"),
+                _csv_lines(((k, c.real, c.imag) for k, c in enumerate(snapshot.coeffs)), fmt),
+            )
+            u = inverse_transform(snapshot).values
+            ux = inverse_transform(derivative(snapshot)).values
+            write_csv(
+                out / "fields" / f"field_{index:04d}.csv",
+                stamp,
+                ("x", "u", "ux"),
+                _csv_lines(zip(x, u, ux), fmt),
+            )
+        _write_summary(
+            out / "summary.txt",
+            provenance,
+            {
+                "stop_reason": trajectory.stop_reason.value,
+                "snapshots": len(trajectory),
+                "final_time": fmt(trajectory.times[-1]),
+            },
         )
-        u = inverse_transform(snapshot).values
-        ux = inverse_transform(derivative(snapshot)).values
-        write_csv(
-            out / "fields" / f"field_{index:04d}.csv",
-            stamp,
-            ("x", "u", "ux"),
-            _csv_lines(zip(x, u, ux), fmt),
-        )
-    _write_summary(
-        out / "summary.txt",
-        provenance,
-        {
-            "stop_reason": trajectory.stop_reason.value,
-            "snapshots": len(trajectory),
-            "final_time": fmt(trajectory.times[-1]),
-        },
-    )
     if trajectory.stop_reason is StopReason.OVERFLOW:
         print("overflow before t_end; partial trajectory written", file=sys.stderr)
         return EXIT_OVERFLOW
@@ -346,37 +363,39 @@ def cmd_track(manifest: RunManifest) -> int:
     fmt = _value_formatter(config.precision)
 
     out = manifest.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "singularity.csv",
-        provenance,
-        ("t", "delta", "alpha", "x_star", "residual"),
-        _csv_lines(
-            ((t, f.delta, f.alpha, f.x_star, f.residual) for t, f in zip(trace.times, trace.fits)),
-            fmt,
-        ),
-    )
-    write_csv(
-        out / "magnitudes.csv",
-        provenance,
-        ("t", "k", "magnitude"),
-        _magnitude_lines(trajectory, fmt),
-    )
-    alpha_late = late_time_alpha(trace)
-    _write_summary(
-        out / "summary.txt",
-        provenance,
-        {
-            "stop_reason": trajectory.stop_reason.value,
-            "snapshots": len(trajectory),
-            "fitted_snapshots": len(trace.fits),
-            "t_s": fmt(trace.t_s_estimate),
-            "t_s_stderr": fmt(trace.t_s_stderr),
-            "late_time_alpha": fmt(alpha_late),
-            "used_unclean_fallback": "true" if trace.used_unclean_fallback else "false",
-        },
-    )
-    (out / "plot.py").write_text(_PLOT_SCRIPT)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        write_csv(
+            out / "singularity.csv",
+            provenance,
+            ("t", "delta", "alpha", "x_star", "residual"),
+            _csv_lines(
+                ((t, f.delta, f.alpha, f.x_star, f.residual)
+                 for t, f in zip(trace.times, trace.fits)),
+                fmt,
+            ),
+        )
+        write_csv(
+            out / "magnitudes.csv",
+            provenance,
+            ("t", "k", "magnitude"),
+            _magnitude_lines(trajectory, fmt),
+        )
+        alpha_late = late_time_alpha(trace)
+        _write_summary(
+            out / "summary.txt",
+            provenance,
+            {
+                "stop_reason": trajectory.stop_reason.value,
+                "snapshots": len(trajectory),
+                "fitted_snapshots": len(trace.fits),
+                "t_s": fmt(trace.t_s_estimate),
+                "t_s_stderr": fmt(trace.t_s_stderr),
+                "late_time_alpha": fmt(alpha_late),
+                "used_unclean_fallback": "true" if trace.used_unclean_fallback else "false",
+            },
+        )
+        (out / "plot.py").write_text(_PLOT_SCRIPT)
     if trace.t_s_estimate is None:
         print("no significant strip-width decay; t_s not estimated")
     else:
@@ -407,12 +426,17 @@ def _sweep_entry(task: tuple) -> tuple:
 def run_sweep(
     manifest: RunManifest, b_values: Sequence[float], max_workers: Optional[int] = None
 ) -> list:
-    """Run one tracked simulation per b (worker pool), rows sorted by b."""
+    """Run one tracked simulation per b (worker pool), rows sorted by b.
+
+    The pool holds no more workers than there are b values: under fork
+    it starts all of them at once.
+    """
     tasks = [(manifest, float(b)) for b in b_values]
     if len(tasks) == 1:
         rows = [_sweep_entry(tasks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        workers = min(len(tasks), max_workers or os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_entry, tasks))
     return sorted(rows, key=lambda row: row[0])
 
@@ -449,11 +473,11 @@ def cmd_sweep(
     provenance = manifest_entries(manifest)
     fmt = _value_formatter(manifest.config.precision)
     out = manifest.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "sweep.csv", provenance, ("b", "t_s", "t_s_stderr", "alpha"), _csv_lines(rows, fmt)
-    )
-    (out / "plot.py").write_text(_PLOT_SCRIPT)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        write_csv(out / "sweep.csv", provenance, ("b", "t_s", "t_s_stderr", "alpha"),
+                  _csv_lines(rows, fmt))
+        (out / "plot.py").write_text(_PLOT_SCRIPT)
     for b, t_s, _, alpha in rows:
         t_text = "none" if t_s is None else f"{t_s:.6f}"
         a_text = "none" if alpha is None else f"{alpha:.4f}"

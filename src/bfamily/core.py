@@ -78,10 +78,6 @@ class GridSpec:
         if self.n_modes < MIN_MODES:
             raise OddResolutionError(f"n_modes must be at least {MIN_MODES}, got {self.n_modes}")
 
-    @property
-    def spacing(self) -> float:
-        return 2.0 * np.pi / self.n_modes
-
     def nodes(self, precision: Precision = DOUBLE) -> np.ndarray:
         """Node positions x_j = -pi + j*2*pi/K in the requested scalar mode."""
         K = self.n_modes

@@ -22,7 +22,7 @@ class SymmetryError(BFamilyError):
 
 
 class BlowUpOverflowError(BFamilyError):
-    """A right-hand-side evaluation or an RK4 step produced a non-finite value."""
+    """A computed value left the floating range: a right-hand side, an RK4 step or a norm."""
 
 
 class NoiseFloorError(BFamilyError):
@@ -35,10 +35,6 @@ class EmptyWindowError(BFamilyError):
 
 class InsufficientDataError(BFamilyError):
     """Too few usable snapshots to extrapolate a singularity time."""
-
-
-class GevreyOverflowError(BFamilyError):
-    """The exponential weight overflows for the requested strip radius."""
 
 
 class ExtrapolationError(BFamilyError):

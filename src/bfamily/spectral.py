@@ -29,11 +29,10 @@ buffers are built once per (K, b, dealias, scalar mode) and cached by
 ``rhs_kernel``.  One evaluation makes fifteen numpy calls, the two
 transforms included, and no overflow guard: its callers enter one
 ``np.errstate`` and run one finiteness check around it.  ``rk4_step``
-guards a whole step that way, and ``rhs`` and ``RhsKernel.products``
-each guard their own result.  A check of the result sees every
-overflow of the evaluation: a non-finite value in physical space
-reaches every bin of the forward transform, and a multiply by zero
-keeps it NaN.  The nonlocal symbol ik / (1 + k^2), that is
+guards a whole step that way, and ``rhs`` its one evaluation.  A check
+of the result sees every overflow of the evaluation: a non-finite value
+in physical space reaches every bin of the forward transform, and a
+multiply by zero keeps it NaN.  The nonlocal symbol ik / (1 + k^2), that is
 (1 - d_xx)^{-1} d_x, exists only as the kernel's ``symbol`` table.
 ``Spectrum`` stores the same layout, so ``rhs`` and ``derivative`` act
 on its coefficients directly.  The same code serves double and
@@ -93,19 +92,16 @@ def _symbols(transforms: Precision, wavenumbers: np.ndarray) -> tuple[np.ndarray
     return ik, ik / (1 + k * k)
 
 
-def derivative(spectrum: Spectrum, order: int = 1) -> Spectrum:
-    """Spectral derivative: u_hat[k] -> (i k)^order u_hat[k].
+def derivative(spectrum: Spectrum) -> Spectrum:
+    """First spectral derivative: u_hat[k] -> i k u_hat[k].
 
-    Odd orders zero the Nyquist slot: the unpaired mode has no
-    conjugate partner, and an imaginary multiple of it cannot belong to
-    a real field.
+    The Nyquist slot is zeroed: the unpaired mode has no conjugate
+    partner, and an imaginary multiple of it cannot belong to a real
+    field.
     """
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
     ik, _ = _symbols(transforms_for(spectrum.coeffs), spectrum.grid.wavenumbers())
-    coeffs = spectrum.coeffs * ik**order
-    if order % 2 == 1:
-        coeffs[-1] *= 0
+    coeffs = spectrum.coeffs * ik
+    coeffs[-1] *= 0
     return Spectrum(spectrum.grid, coeffs)
 
 
@@ -150,9 +146,9 @@ class RhsKernel:
     result.  The buffers make an instance serve one evaluation at a
     time: it is not safe to evaluate from several threads at once.
 
-    ``__call__`` is bare arithmetic: it neither silences numpy's
-    overflow warnings nor checks its result, so its callers do both
-    (see the module docstring).  ``products`` guards itself.
+    ``__call__`` is the kernel's one method, and it is bare arithmetic:
+    it neither silences numpy's overflow warnings nor checks its result,
+    so its callers do both (see the module docstring).
     """
 
     def __init__(self, n_modes: int, options: RhsOptions, transforms: Precision) -> None:
@@ -189,8 +185,15 @@ class RhsKernel:
         self._advective_hat, self._squares_hat = self._products[0], self._products[1:]
         self._weighted_u2, self._weighted_u_x2 = self._weighted
 
-    def _evaluate_products(self, half: np.ndarray) -> np.ndarray:
-        """``products`` without the overflow guard."""
+    def __call__(self, half: np.ndarray) -> np.ndarray:
+        """Time derivative of the half spectrum, in a fresh array; its k = 0 slot is exact zero.
+
+        The half spectra of (u u_x, u^2, u_x^2) are formed in the
+        product buffer, with the Nyquist slots (and, with dealiasing,
+        the upper third) zeroed, then weighted and combined.  Unguarded:
+        the caller silences overflow warnings and checks the result (or
+        a later value that it reaches) for finiteness.
+        """
         fields = np.multiply(half, self.to_bins, out=self._fields)
         physical = self.transforms.inverse(fields, self.n_modes, out=self._physical)
         np.multiply(self._u, self._u_x, out=self._advective)
@@ -198,25 +201,6 @@ class RhsKernel:
         products = self.transforms.forward(self._values, self.n_modes, out=self._products)
         products *= self.from_bins
         self._zeroed *= self._zero
-        return products
-
-    def products(self, half: np.ndarray) -> np.ndarray:
-        """Half spectra of (u u_x, u^2, u_x^2), stacked; Nyquist slots zeroed.
-
-        With dealiasing the upper third is zeroed too, in the input and
-        in the products.  The result is the kernel's scratch buffer: the
-        next evaluation overwrites it.  Raises BlowUpOverflowError when
-        a product is not finite.
-        """
-        return _guarded(self.transforms, self._evaluate_products, half)
-
-    def __call__(self, half: np.ndarray) -> np.ndarray:
-        """Time derivative of the half spectrum, in a fresh array; its k = 0 slot is exact zero.
-
-        Unguarded: the caller silences overflow warnings and checks the
-        result (or a later value that it reaches) for finiteness.
-        """
-        self._evaluate_products(half)
         np.multiply(self._squares_hat, self.weights, out=self._weighted)
         nonlocal_part = np.add(self._weighted_u2, self._weighted_u_x2, out=self._nonlocal)
         nonlocal_part *= self.symbol
@@ -224,15 +208,6 @@ class RhsKernel:
         out = np.negative(nonlocal_part)
         out[0] *= 0
         return out
-
-
-def _guarded(transforms: Precision, evaluate, half: np.ndarray) -> np.ndarray:
-    """``evaluate(half)`` with overflow raised as BlowUpOverflowError, not warned."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = evaluate(half)
-    if not transforms.all_finite(result):
-        raise BlowUpOverflowError("the right-hand side overflowed: its result is not finite")
-    return result
 
 
 @functools.lru_cache(maxsize=32)
@@ -255,4 +230,8 @@ def rhs(spectrum: Spectrum, options: RhsOptions) -> Spectrum:
     BlowUpOverflowError when the result is not finite.
     """
     kernel = rhs_kernel(spectrum.grid, options, spectrum.coeffs)
-    return Spectrum(spectrum.grid, _guarded(kernel.transforms, kernel, spectrum.coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = kernel(spectrum.coeffs)
+    if not kernel.transforms.all_finite(result):
+        raise BlowUpOverflowError("the right-hand side overflowed: its result is not finite")
+    return Spectrum(spectrum.grid, result)

@@ -154,13 +154,12 @@ class FitResult:
 
 @dataclass(frozen=True)
 class SlidingFit:
-    """Sliding three-point estimates indexed by wavenumber, with |u_hat[k]| and its log."""
+    """Sliding three-point estimates indexed by wavenumber, with log|u_hat[k]|."""
 
     k: tuple[int, ...]
     s: tuple
     delta: tuple
     log_c: tuple
-    magnitude: tuple
     log_magnitude: tuple
 
 
@@ -263,14 +262,13 @@ def sliding_fit(spectrum: Spectrum, options: FitOptions = FitOptions()) -> Slidi
     m = span[: below[0] if len(below) else len(span)].tolist()
     walk = window[: max(len(m) - 2, 0)]
     logs = _logs_upto(mode, window, len(walk))
-    rows = [(k, *_three_point_fit(m[i], m[i + 1], m[i + 2], k, logs[i], mode), m[i + 1])
+    rows = [(k, *_three_point_fit(m[i], m[i + 1], m[i + 2], k, logs[i], mode))
             for i, k in enumerate(walk)]
     if len(rows) < 3:
         raise EmptyWindowError(
             f"fit window holds {len(rows)} admissible wavenumbers; need at least 3"
         )
-    k, s, delta, log_c, log_magnitude, magnitude = zip(*rows)
-    return SlidingFit(k, s, delta, log_c, magnitude, log_magnitude)
+    return SlidingFit(*zip(*rows))
 
 
 def wynn_epsilon(seq):

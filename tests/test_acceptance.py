@@ -185,7 +185,7 @@ def minus_one_run(initial):
 def grid_l2_error(trajectory, exact_values) -> float:
     grid = trajectory.config.grid
     u = inverse_transform(trajectory.snapshots[-1]).values
-    return math.sqrt(grid.spacing * float(np.sum((u - exact_values) ** 2)))
+    return math.sqrt(2 * math.pi / grid.n_modes * float(np.sum((u - exact_values) ** 2)))
 
 
 def test_minus_one_traveling_waves_stay_analytic():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import mpmath as mp
 import numpy as np
@@ -593,6 +594,34 @@ class TestSweepCommand:
         ]
         assert rows[1] == "-1.0,,,"
 
+    @pytest.mark.parametrize("n_b, max_workers, expected", [
+        (2, 5000, 2), (5, 2, 2), (3, 1, 1), (3, None, min(3, os.cpu_count() or 1)),
+    ])
+    def test_pool_holds_at_most_one_worker_per_b(self, tmp_path, monkeypatch,
+                                                n_b, max_workers, expected):
+        # a fake pool records its size and maps in this process: no worker starts
+        requested = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli, "_sweep_entry", lambda task: (task[1], None, None, None))
+        b_values = [float(b) for b in range(n_b)]
+        rows = run_sweep(build_manifest({}, tmp_path), b_values[::-1], max_workers=max_workers)
+        assert [row[0] for row in rows] == b_values
+        assert requested == [expected]
+
     def test_run_sweep_importable(self, tmp_path):
         manifest = build_manifest(
             {
@@ -609,6 +638,35 @@ class TestSweepCommand:
         rows = run_sweep(manifest, [3.0, 2.0], max_workers=2)
         assert [row[0] for row in rows] == [2.0, 3.0]
         assert all(row[1] is not None for row in rows)
+
+
+class TestUnwritableOutput:
+    RUN = ["--modes", "64", "--dt", "0.01", "--t-end", "0.1", "--sample-every", "2",
+           "--fit-kmin", "4", "--fit-kmax", "20"]
+    COMMANDS = [["simulate"], ["track"], ["sweep", "--b-list", "2,3", "--workers", "2"]]
+
+    @pytest.mark.parametrize("target", ["afile/sub", "afile"], ids=["under-a-file", "a-file"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_unwritable_out_exits_2_with_one_line(self, tmp_path, capsys, command, target):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / target
+        assert main([*command, *self.RUN, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write output to {out}: ")
+        assert err.count("\n") == 1
+        assert (tmp_path / "afile").read_text() == ""
+
+    @pytest.mark.parametrize("command", [["track"], ["sweep", "--b-list", "3"]],
+                             ids=lambda c: c[0])
+    def test_an_os_error_of_the_run_is_not_an_output_error(self, tmp_path, monkeypatch,
+                                                          command):
+        def failing_run(*args, **kwargs):
+            raise OSError("a compute-phase failure")
+
+        monkeypatch.setattr(cli, "track_run", failing_run)
+        with pytest.raises(OSError, match="a compute-phase failure"):
+            main([*command, *self.RUN, "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
 
 
 class TestValidateCommand:

@@ -1,5 +1,7 @@
 """Grid, field/spectrum types, and transform conventions."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -60,8 +62,8 @@ class TestGridSpec:
         g = GridSpec(16)
         x = g.nodes()
         assert x[0] == pytest.approx(-np.pi)
-        assert x[-1] == pytest.approx(np.pi - g.spacing)
-        assert np.allclose(np.diff(x), g.spacing)
+        assert x[-1] == pytest.approx(np.pi - 2 * math.pi / g.n_modes)
+        assert np.allclose(np.diff(x), 2 * math.pi / g.n_modes)
 
     def test_wavenumber_layout(self):
         g = GridSpec(8)

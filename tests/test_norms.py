@@ -1,4 +1,4 @@
-"""Norm module: closed forms, weight monotonicity, refinement behavior."""
+"""Norm module: closed forms, order monotonicity, overflow and bit identity."""
 
 import math
 
@@ -8,8 +8,9 @@ import pytest
 
 from bfamily import EXTENDED32, GridSpec
 from bfamily.core import PeriodicField, Spectrum, forward_transform
-from bfamily.errors import GevreyOverflowError
-from bfamily.norms import GevreyParams, gevrey_norm, sobolev_norm
+from bfamily.errors import BlowUpOverflowError
+from bfamily.norms import sobolev_norm
+from bfamily.precision import DOUBLE
 from bfamily.synthetic import SyntheticSpec, oracle_spectrum
 
 from oracles import random_hermitian_spectrum
@@ -27,21 +28,6 @@ def sin_spectrum(n_modes, precision=None):
 
 def noise_spectrum(n_modes, seed):
     return random_hermitian_spectrum(GridSpec(n_modes), np.random.default_rng(seed))
-
-
-class TestParams:
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            GevreyParams(order=1.0, radius=-0.1)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            GevreyParams(order=math.nan, radius=0.0)
-        with pytest.raises(ValueError):
-            GevreyParams(order=0.0, radius=math.inf)
-
-    def test_zero_radius_allowed(self):
-        assert GevreyParams(order=2.0, radius=0.0).radius == 0.0
 
 
 class TestSobolevNorm:
@@ -81,74 +67,49 @@ class TestSobolevNorm:
         with mp.workdps(50):
             assert abs(value - mp.sqrt(mp.pi)) < mp.mpf("1e-30")
 
-
-class TestGevreyNorm:
-    def test_zero_radius_reduces_to_sobolev(self):
-        spectrum = noise_spectrum(64, seed=3)
-        for order in (0.0, 1.5):
-            assert gevrey_norm(spectrum, GevreyParams(order, 0.0)) == sobolev_norm(
-                spectrum, order
-            )
-
-    def test_sine_unit_radius(self):
-        # e^{2*1*1} * (1/4 + 1/4) = e^2 / 2, so the norm is e*sqrt(pi)
-        grid = GridSpec(64)
-        coeffs = np.zeros(33, dtype=complex)
-        coeffs[1] = -0.5j  # and 0.5j at k = -1
-        value = gevrey_norm(Spectrum(grid, coeffs), GevreyParams(0.0, 1.0))
-        assert abs(value - math.e * math.sqrt(math.pi)) < 1e-14
-
-    def test_sine_unit_radius_from_transform(self):
-        # small grid keeps the weight from amplifying transform round-off
-        value = gevrey_norm(sin_spectrum(16), GevreyParams(0.0, 1.0))
-        assert abs(value - math.e * math.sqrt(math.pi)) < 1e-13
-
-    def test_monotone_in_radius(self):
-        spectrum = noise_spectrum(64, seed=5)
-        norms = [
-            gevrey_norm(spectrum, GevreyParams(1.0, rho)) for rho in (0.0, 0.05, 0.1)
-        ]
-        assert norms[0] < norms[1] < norms[2]
+    def test_extended_reaches_past_double_range(self):
+        # sin x alone, |u_hat| = 1/2 at k = +-1: the norm is sqrt(pi) * 2^(order/2)
+        sine = sin_spectrum(16, EXTENDED32)
+        coeffs = sine.coeffs.copy()
+        coeffs[0] *= 0
+        coeffs[2:] *= 0
+        value = sobolev_norm(Spectrum(sine.grid, coeffs), 2100.0)
+        assert value > mp.mpf("1e308")
+        with mp.workdps(50):
+            assert abs(value / (mp.sqrt(mp.pi) * mp.mpf(2) ** 1050) - 1) < mp.mpf("1e-30")
 
     def test_overflow_raises(self):
+        # (1 + k^2)^200 passes 1e313 from k = 6 on, where |u_hat| is still about 1e-2
         spec = SyntheticSpec(alpha=1 / 3, delta=0.05, x_star=0.0, amplitude=1.0)
         spectrum = oracle_spectrum(spec, GridSpec(1024))
-        with pytest.raises(GevreyOverflowError):
-            gevrey_norm(spectrum, GevreyParams(0.0, 1.5))
+        with pytest.raises(BlowUpOverflowError):
+            sobolev_norm(spectrum, 200.0)
 
-    def test_refinement_stable_below_strip_width(self):
-        # weight radius under the strip width: the sum converges under
-        # grid refinement
-        spec = SyntheticSpec(alpha=1 / 3, delta=0.3, x_star=0.7, amplitude=1.0)
-        params = GevreyParams(0.0, 0.25)
-        norms = [
-            gevrey_norm(oracle_spectrum(spec, GridSpec(n)), params)
-            for n in (128, 256, 512)
-        ]
-        assert abs(norms[1] / norms[0] - 1.0) < 1e-7
-        assert abs(norms[2] / norms[1] - 1.0) < 1e-8
+    @pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_order_rejected(self, order):
+        with pytest.raises(ValueError):
+            sobolev_norm(sin_spectrum(16), order)
 
-    def test_refinement_divergent_above_strip_width(self):
-        # weight radius past the strip width: refinement exposes the
-        # divergence instead of converging
-        spec = SyntheticSpec(alpha=1 / 3, delta=0.3, x_star=0.7, amplitude=1.0)
-        params = GevreyParams(0.0, 0.35)
-        norms = [
-            gevrey_norm(oracle_spectrum(spec, GridSpec(n)), params)
-            for n in (128, 256, 512)
-        ]
-        assert norms[1] > 1.05 * norms[0]
-        assert norms[2] > 50.0 * norms[1]
-
-    def test_extended_reaches_past_double_range(self):
-        spectrum = sin_spectrum(16, EXTENDED32)
-        value = gevrey_norm(spectrum, GevreyParams(0.0, 400.0))
-        assert mp.isfinite(value)
-        assert value > mp.mpf("1e308")
-
-    def test_extended_sine_unit_radius(self):
-        spectrum = sin_spectrum(16, EXTENDED32)
-        value = gevrey_norm(spectrum, GevreyParams(0.0, 1.0))
-        with mp.workdps(50):
-            assert abs(value - mp.e * mp.sqrt(mp.pi)) < mp.mpf("1e-29")
-
+    @pytest.mark.parametrize("source", ["random", "oracle", "oracle-extended", "sine-extended"])
+    def test_bits_equal_the_weighted_sum(self, source):
+        # the norm is this sum, operation for operation: a reordering
+        # shows in the last bit
+        spec = SyntheticSpec(alpha=1 / 3, delta=0.2, x_star=0.7)
+        spectrum = {
+            "random": lambda: noise_spectrum(64, seed=23),
+            "oracle": lambda: oracle_spectrum(spec, GridSpec(64)),
+            "oracle-extended": lambda: oracle_spectrum(spec, GridSpec(64), EXTENDED32),
+            "sine-extended": lambda: sin_spectrum(16, EXTENDED32),
+        }[source]()
+        precision = EXTENDED32 if source.endswith("extended") else DOUBLE
+        k = precision.real(spectrum.grid.wavenumbers())
+        for order in (0.0, 1.0, 1.5, 3.0):
+            weights = (1 + k**2) ** order
+            weights[1:-1] *= 2
+            total = np.sum(weights * np.abs(spectrum.coeffs) ** 2)
+            expected = precision.sqrt(2 * precision.pi * total)
+            got = sobolev_norm(spectrum, order)
+            if precision is DOUBLE:
+                assert got.hex() == expected.hex()
+            else:
+                assert got._mpf_ == expected._mpf_

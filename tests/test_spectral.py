@@ -44,37 +44,20 @@ def to_extended(spectrum):
     return Spectrum(spectrum.grid, np.array([mp.mpc(c) for c in spectrum.coeffs], dtype=object))
 
 
-def nonlinear_products(spectrum, options):
-    """The kernel's product stage, each product as a Spectrum."""
-    kernel = rhs_kernel(spectrum.grid, options, spectrum.coeffs)
-    return tuple(Spectrum(spectrum.grid, p) for p in kernel.products(spectrum.coeffs))
-
-
 class TestDerivative:
     def test_sine_to_cosine(self):
         d = derivative(sine_spectrum())
         assert d.coeffs[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_second_derivative_negates_sine(self):
-        d2 = derivative(sine_spectrum(), order=2)
+        d2 = derivative(derivative(sine_spectrum()))
         assert d2.coeffs[1] == pytest.approx(0.5j, abs=1e-15)
 
-    def test_order_zero_is_identity(self):
-        s = sine_spectrum()
-        np.testing.assert_array_equal(derivative(s, 0).coeffs, s.coeffs)
-
-    def test_odd_order_zeroes_nyquist(self):
+    def test_zeroes_nyquist(self):
         g = GridSpec(16)
         c = np.zeros(9, dtype=complex)
         c[8] = 1.0  # unpaired mode k = K/2 = 8
-        d = derivative(Spectrum(g, c), 1)
-        assert d.coeffs[8] == 0.0
-        d2 = derivative(Spectrum(g, c), 2)
-        assert d2.coeffs[8] == pytest.approx(-64.0)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            derivative(sine_spectrum(), -1)
+        assert derivative(Spectrum(g, c)).coeffs[8] == 0.0
 
 
 class TestDealiasCutoff:
@@ -89,47 +72,11 @@ class TestDealiasCutoff:
             assert abs(2 * kc - K) > kc
 
 
-class TestNonlinearProducts:
-    """The product stage of the right-hand-side kernel."""
-
-    def test_sine_products(self):
-        # u u_x = sin(2x)/2, u^2 = (1 - cos 2x)/2, u_x^2 = (1 + cos 2x)/2
-        adv, u_sq, ux_sq = nonlinear_products(sine_spectrum(), RhsOptions(b=2.0))
-        assert adv.coeffs[2] == pytest.approx(-0.25j, abs=1e-15)
-        assert adv.coeffs[0] == pytest.approx(0.0, abs=1e-15)
-        assert u_sq.coeffs[0] == pytest.approx(0.5, abs=1e-15)
-        assert u_sq.coeffs[2] == pytest.approx(-0.25, abs=1e-15)
-        assert ux_sq.coeffs[0] == pytest.approx(0.5, abs=1e-15)
-        assert ux_sq.coeffs[2] == pytest.approx(0.25, abs=1e-15)
-
-    def test_nyquist_zeroed(self):
-        rng = np.random.default_rng(19)
-        s = random_hermitian_spectrum(GridSpec(16), rng)
-        for prod in nonlinear_products(s, RhsOptions(b=3.0)):
-            assert prod.coeffs[8] == 0.0
-
-    def test_overflow_raises(self):
-        g = GridSpec(16)
-        c = np.zeros(9, dtype=complex)
-        c[1] = 1e200
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BlowUpOverflowError):
-                nonlinear_products(Spectrum(g, c), RhsOptions(b=3.0))
-
-    def test_dealiased_products_zero_upper_third(self):
-        rng = np.random.default_rng(37)
-        s = random_hermitian_spectrum(GridSpec(32), rng)
-        kc = dealias_cutoff(32)
-        for prod in nonlinear_products(s, RhsOptions(b=3.0, dealias=True)):
-            assert all(prod.coeffs[kc + 1 :] == 0.0)
-
-
 class TestOverflowGuard:
-    """``rhs`` and ``RhsKernel.products`` raise on overflow, and never warn."""
+    """The kernel's guarded callers, ``rhs`` and ``rk4_step``, raise on overflow, never warn."""
 
     @pytest.mark.parametrize("dealias", [False, True])
-    @pytest.mark.parametrize("entry", ["products", "rhs"])
+    @pytest.mark.parametrize("entry", ["rk4_step", "rhs"])
     @pytest.mark.parametrize("slot,value", [(1, 1e200), (0, 1e154)], ids=["physical", "transform"])
     def test_overflow_raises(self, slot, value, entry, dealias):
         # physical: u^2 overflows on the nodes; transform: u^2 = 1e308 is
@@ -137,11 +84,13 @@ class TestOverflowGuard:
         c = np.zeros(9, dtype=complex)
         c[slot] = value
         state, opts = Spectrum(GridSpec(16), c), RhsOptions(b=3.0, dealias=dealias)
-        evaluate = nonlinear_products if entry == "products" else rhs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BlowUpOverflowError):
-                evaluate(state, opts)
+                if entry == "rhs":
+                    rhs(state, opts)
+                else:
+                    rk4_step(state, 1e-3, opts)
 
 
 class TestRhs:
@@ -165,6 +114,17 @@ class TestRhs:
             s = random_hermitian_spectrum(GridSpec(K), rng)
             out = rhs(s, RhsOptions(b=3.0))
             assert out.coeffs[0].imag == 0.0 and out.coeffs[-1].imag == 0.0
+
+    def test_nyquist_zeroed(self):
+        rng = np.random.default_rng(19)
+        s = random_hermitian_spectrum(GridSpec(16), rng)
+        assert rhs(s, RhsOptions(b=3.0)).coeffs[8] == 0.0
+
+    def test_dealiased_rhs_zero_upper_third(self):
+        rng = np.random.default_rng(37)
+        s = random_hermitian_spectrum(GridSpec(32), rng)
+        kc = dealias_cutoff(32)
+        assert all(rhs(s, RhsOptions(b=3.0, dealias=True)).coeffs[kc + 1 :] == 0.0)
 
     def test_affine_in_b(self):
         # the b-dependence enters linearly through the stress term
