@@ -72,6 +72,49 @@ class TestDealiasCutoff:
             assert abs(2 * kc - K) > kc
 
 
+def evaluated_products(spectrum, options):
+    """Evaluate ``rhs`` and return the kernel's product stage, (u u_x, u^2, u_x^2) as Spectra.
+
+    The cached kernel keeps the three products of its last evaluation in
+    its product buffer; the returned Spectra hold copies of its rows.
+    An overflowing evaluation still raises from ``rhs``, so overflow
+    cases read the buffer through ``product_buffer`` instead.
+    """
+    rhs(spectrum, options)
+    return tuple(Spectrum(spectrum.grid, row.copy()) for row in product_buffer(spectrum, options))
+
+
+def product_buffer(spectrum, options):
+    return rhs_kernel(spectrum.grid, options, spectrum.coeffs)._products
+
+
+class TestNonlinearProducts:
+    """The product stage of the right-hand-side kernel, read after an ``rhs`` evaluation."""
+
+    def test_sine_products(self):
+        # u u_x = sin(2x)/2, u^2 = (1 - cos 2x)/2, u_x^2 = (1 + cos 2x)/2;
+        # the k = 0 products are the means that rhs itself zeroes
+        adv, u_sq, ux_sq = evaluated_products(sine_spectrum(), RhsOptions(b=2.0))
+        assert adv.coeffs[2] == pytest.approx(-0.25j, abs=1e-15)
+        assert adv.coeffs[0] == pytest.approx(0.0, abs=1e-15)
+        assert u_sq.coeffs[0] == pytest.approx(0.5, abs=1e-15)
+        assert u_sq.coeffs[2] == pytest.approx(-0.25, abs=1e-15)
+        assert ux_sq.coeffs[0] == pytest.approx(0.5, abs=1e-15)
+        assert ux_sq.coeffs[2] == pytest.approx(0.25, abs=1e-15)
+
+    def test_overflow_raises(self):
+        # the overflow happens in the product stage: u^2 and u_x^2 overflow
+        # on the nodes, and no product bin is left finite
+        c = np.zeros(9, dtype=complex)
+        c[1] = 1e200
+        state, opts = Spectrum(GridSpec(16), c), RhsOptions(b=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpOverflowError):
+                rhs(state, opts)
+        assert not np.isfinite(product_buffer(state, opts)).any()
+
+
 class TestOverflowGuard:
     """The kernel's guarded callers, ``rhs`` and ``rk4_step``, raise on overflow, never warn."""
 
