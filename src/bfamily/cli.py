@@ -31,15 +31,16 @@ full manifest, so a result file is its own provenance record; nothing
 else (no timestamps) enters the files, and reruns of the same manifest
 in double precision are bit-identical.
 
-Exit codes: 0 success, 2 configuration error (an output that cannot be
-created or written included), 3 overflow before t_end, 4 insufficient
-data for the requested estimate.
+Exit codes: 0 success, 1 a ``validate`` case failed (``EXIT_VALIDATE_FAIL``),
+2 configuration error (an output that cannot be created or written
+included; an ``--out`` under a non-directory fails before the run), 3
+overflow before t_end, 4 insufficient data for the requested estimate.
+A tracked run with no clean fit exits 0 with an empty late alpha.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -63,6 +64,7 @@ from .tracker import (FitOptions, fit_spectrum, late_time_alpha, strip_monitor,
 SCHEMA_VERSION = 2
 
 EXIT_OK = 0
+EXIT_VALIDATE_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_OVERFLOW = 3
 EXIT_INSUFFICIENT = 4
@@ -243,7 +245,9 @@ def _writing(out: Path) -> Iterator[None]:
     """The write phase of a command: an OSError there is a ConfigError naming ``out``.
 
     Commands enter it only after their run, so an OSError from the run
-    or the worker pool is never reported as an unwritable output.
+    or the worker pool is never reported as an unwritable output.  An
+    ``--out`` under a non-directory is refused before the run; this
+    catches what only a write shows (permissions, a full disk).
     """
     try:
         yield
@@ -359,6 +363,7 @@ def cmd_simulate(manifest: RunManifest) -> int:
 def cmd_track(manifest: RunManifest) -> int:
     config = manifest.config
     trajectory, trace = track_run(config, manifest.fit)
+    alpha_late = late_time_alpha(trace)
     provenance = manifest_entries(manifest)
     fmt = _value_formatter(config.precision)
 
@@ -381,7 +386,6 @@ def cmd_track(manifest: RunManifest) -> int:
             ("t", "k", "magnitude"),
             _magnitude_lines(trajectory, fmt),
         )
-        alpha_late = late_time_alpha(trace)
         _write_summary(
             out / "summary.txt",
             provenance,
@@ -401,7 +405,7 @@ def cmd_track(manifest: RunManifest) -> int:
     else:
         print(
             f"t_s = {trace.t_s_estimate:.6f} +- {trace.t_s_stderr:.6f}, "
-            f"late-time alpha = {alpha_late:.4f}"
+            f"late-time alpha = {_alpha_text(alpha_late)}"
         )
     if trajectory.stop_reason is StopReason.OVERFLOW:
         print("overflow before t_end; partial trace written", file=sys.stderr)
@@ -409,18 +413,22 @@ def cmd_track(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
+def _alpha_text(alpha: Optional[float]) -> str:
+    return "none" if alpha is None else f"{alpha:.4f}"
+
+
 def _sweep_entry(task: tuple) -> tuple:
-    """One sweep worker: returns (b, t_s, t_s_stderr, late alpha)."""
-    manifest, b = task
+    """One sweep worker on a ``(config, fit)`` task: returns (b, t_s, t_s_stderr, late alpha).
+
+    A run with fewer than two fits gives a row of Nones after its b, and
+    one with no clean fit a None late alpha (``late_time_alpha``).
+    """
+    config, fit = task
     try:
-        _, trace = track_run(replace(manifest.config, b=b), manifest.fit)
+        _, trace = track_run(config, fit)
     except InsufficientDataError:
-        return (b, None, None, None)
-    try:
-        alpha = late_time_alpha(trace)
-    except InsufficientDataError:
-        alpha = None
-    return (b, trace.t_s_estimate, trace.t_s_stderr, alpha)
+        return (config.b, None, None, None)
+    return (config.b, trace.t_s_estimate, trace.t_s_stderr, late_time_alpha(trace))
 
 
 def run_sweep(
@@ -428,10 +436,12 @@ def run_sweep(
 ) -> list:
     """Run one tracked simulation per b (worker pool), rows sorted by b.
 
-    The pool holds no more workers than there are b values: under fork
-    it starts all of them at once.
+    Each b's config is built before any pool starts, so a b that
+    ``BFamilyConfig`` refuses (a NaN, say) is a ConfigError with no
+    worker started.  The pool holds no more workers than there are b
+    values: under fork it starts all of them at once.
     """
-    tasks = [(manifest, float(b)) for b in b_values]
+    tasks = [(replace(manifest.config, b=float(b)), manifest.fit) for b in b_values]
     if len(tasks) == 1:
         rows = [_sweep_entry(tasks[0])]
     else:
@@ -443,8 +453,6 @@ def run_sweep(
 
 def check_sweep_range(b_values: Sequence[float], allow_b_minus_one: bool) -> None:
     for b in b_values:
-        if not math.isfinite(b):
-            raise ConfigError(f"b must be finite, got {b}")
         if b < -1.0:
             raise ConfigError(
                 f"b = {b} is outside the supported range (b > -1); "
@@ -480,8 +488,7 @@ def cmd_sweep(
         (out / "plot.py").write_text(_PLOT_SCRIPT)
     for b, t_s, _, alpha in rows:
         t_text = "none" if t_s is None else f"{t_s:.6f}"
-        a_text = "none" if alpha is None else f"{alpha:.4f}"
-        print(f"b = {b}: t_s = {t_text}, late-time alpha = {a_text}")
+        print(f"b = {b}: t_s = {t_text}, late-time alpha = {_alpha_text(alpha)}")
     return EXIT_OK
 
 
@@ -515,16 +522,11 @@ def validate_cases(
             except BFamilyError as exc:
                 rows.append((delta, alpha, "FAIL", type(exc).__name__))
                 continue
-            misses = []
-            d_err = abs(float(result.delta) - delta)
-            a_err = abs(float(result.alpha) - alpha)
-            x_err = abs(float(result.x_star) - x_star)
-            if d_err > VALIDATE_DELTA_TOL:
-                misses.append(f"delta off by {d_err:.2e}")
-            if a_err > VALIDATE_ALPHA_TOL:
-                misses.append(f"alpha off by {a_err:.2e}")
-            if x_err > VALIDATE_X_STAR_TOL:
-                misses.append(f"x_star off by {x_err:.2e}")
+            misses = [f"{name} off by {error:.2e}" for name, error, tolerance in (
+                ("delta", abs(float(result.delta) - delta), VALIDATE_DELTA_TOL),
+                ("alpha", abs(float(result.alpha) - alpha), VALIDATE_ALPHA_TOL),
+                ("x_star", abs(float(result.x_star) - x_star), VALIDATE_X_STAR_TOL),
+            ) if error > tolerance]
             if misses:
                 rows.append((delta, alpha, "FAIL", "; ".join(misses)))
             else:
@@ -544,7 +546,7 @@ def cmd_validate(n_modes: int, fit_kmin: Optional[int]) -> int:
         f"validate: {counts['PASS']} pass, {counts['FAIL']} fail, "
         f"{counts['SKIP']} skip"
     )
-    return EXIT_OK if counts["FAIL"] == 0 else 1
+    return EXIT_OK if counts["FAIL"] == 0 else EXIT_VALIDATE_FAIL
 
 
 def _add_manifest_flags(parser: argparse.ArgumentParser) -> None:
@@ -568,6 +570,9 @@ def _manifest_from_args(args, default_out: str) -> RunManifest:
         if override is not None:
             entries[key] = override
     out_dir = args.out if args.out is not None else Path(default_out)
+    existing = next((p for p in (out_dir, *out_dir.parents) if os.path.exists(p)), None)
+    if existing is not None and not os.path.isdir(existing):
+        raise ConfigError(f"cannot write output to {out_dir}: {existing} is not a directory")
     return build_manifest(entries, out_dir)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,7 +47,11 @@ class StopReason(enum.Enum):
 
 @dataclass(frozen=True)
 class BFamilyConfig:
-    """Complete description of one simulation run; ``precision`` is every snapshot's mode."""
+    """Complete description of one simulation run; ``precision`` is every snapshot's mode.
+
+    ``rhs_options`` is built from ``b`` and ``dealias`` with the config,
+    and ``RhsOptions`` is the one check of those two fields.
+    """
 
     b: float
     grid: GridSpec
@@ -57,15 +61,13 @@ class BFamilyConfig:
     dealias: bool = False
     sample_every: int = 1
     precision: Precision = DOUBLE
+    rhs_options: RhsOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_initial(self.initial)
-        for name in ("b", "dt", "t_end"):
+        object.__setattr__(self, "rhs_options", RhsOptions(b=self.b, dealias=self.dealias))
+        for name in ("dt", "t_end"):
             check_real(name, getattr(self, name))
-        if not isinstance(self.dealias, bool):
-            raise ConfigError(f"dealias must be a bool, got {self.dealias!r}")
-        if not (np.isfinite(self.b)):
-            raise ConfigError(f"b must be finite, got {self.b}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end > 0):
@@ -79,10 +81,6 @@ class BFamilyConfig:
         if (isinstance(self.sample_every, bool)
                 or not isinstance(self.sample_every, (int, np.integer)) or self.sample_every < 1):
             raise ConfigError(f"sample_every must be a positive integer, got {self.sample_every}")
-
-    @property
-    def rhs_options(self) -> RhsOptions:
-        return RhsOptions(b=self.b, dealias=self.dealias)
 
 
 @dataclass(frozen=True)

@@ -201,30 +201,13 @@ def _wavenumber_logs(mode: Precision, k: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _window_logs(mode: Precision, window: range) -> list:
-    """The cached ``_wavenumber_logs`` table of a fit window, one per (mode, window).
+def _window_logs(mode: Precision, window: range) -> tuple:
+    """``_wavenumber_logs`` of every k in a fit window, built once per (mode, window).
 
-    It starts empty: ``_logs_upto`` grows it as far as a walk reaches,
-    and a walk that the noise floor ends early builds no more.
-    """
-    return []
-
-
-def _logs_upto(mode: Precision, window: range, count: int) -> list:
-    """The window's log table, holding at least its first ``count`` rows.
-
-    Row i is ``_wavenumber_logs(mode, window[i])``.  The new rows are
-    stored by slice assignment at their own indices, so a table grown
-    from several threads at once still holds each row's own value.  The
-    extended values belong to the mode's own context, so the global
+    The extended values belong to the mode's own context, so the global
     mpmath precision does not enter them.
     """
-    logs = _window_logs(mode, window)
-    start = len(logs)
-    if start < count:
-        rows = [_wavenumber_logs(mode, k) for k in window[start:count]]
-        logs[start : start + len(rows)] = rows
-    return logs
+    return tuple(_wavenumber_logs(mode, k) for k in window)
 
 
 def _three_point_fit(m_lo, m_mid, m_hi, k: int, logs: tuple, mode: Precision):
@@ -248,10 +231,10 @@ def sliding_fit(spectrum: Spectrum, options: FitOptions = FitOptions()) -> Slidi
 
     One comparison over the window's magnitudes finds the floor index,
     and the magnitudes below it come out as builtin scalars in one
-    ``tolist()``.  The logs that depend on k alone come from a table
-    cached per (mode, window) and grown as far as the walks reach
-    (``_logs_upto``); each k then runs the formula that ``local_fit``
-    runs, so every row equals ``local_fit(spectrum, k)`` bit for bit.
+    ``tolist()``.  The logs that depend on k alone come from the
+    window's cached table (``_window_logs``); each k then runs the
+    formula that ``local_fit`` runs, so every row equals
+    ``local_fit(spectrum, k)`` bit for bit.
     log|u_hat[k]|, which log C needs, is kept as ``log_magnitude``.
     """
     mode = transforms_for(spectrum.coeffs)
@@ -261,7 +244,7 @@ def sliding_fit(spectrum: Spectrum, options: FitOptions = FitOptions()) -> Slidi
     below = np.flatnonzero(np.logical_not(span > floor))
     m = span[: below[0] if len(below) else len(span)].tolist()
     walk = window[: max(len(m) - 2, 0)]
-    logs = _logs_upto(mode, window, len(walk))
+    logs = _window_logs(mode, window)
     rows = [(k, *_three_point_fit(m[i], m[i + 1], m[i + 2], k, logs[i], mode))
             for i, k in enumerate(walk)]
     if len(rows) < 3:
@@ -418,7 +401,7 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
     delta_out = 0 * abs(delta_lim) if clamped else delta_lim
 
     sq_sum = 0.0
-    logs = _logs_upto(mode, options.window(spectrum.grid.n_modes), len(ks))
+    logs = _window_logs(mode, options.window(spectrum.grid.n_modes))
     for k, (_, _, log_k), log_magnitude in zip(ks, logs, sliding.log_magnitude):
         model = log_c_lim - s_lim * log_k - delta_lim * k
         dev = float(log_magnitude - model)
@@ -574,21 +557,19 @@ def track_run(config: BFamilyConfig, fit: FitOptions) -> tuple[Trajectory, Singu
     return trajectory, _trace(trajectory, results)
 
 
-def late_time_alpha(trace: SingularityTrace) -> float:
+def late_time_alpha(trace: SingularityTrace) -> Optional[float]:
     """Mean fitted algebraic character over the last well-fitted snapshots.
 
     The character estimate keeps its meaning after the width estimate
     drops below the grid floor (the algebraic part of the decay is
     still resolved), so unlike the blow-up extrapolation this keeps the
     deepest snapshots: it averages the last LATE_ALPHA_SAMPLES fits
-    whose residual stays under MAX_RESIDUAL.
+    whose residual stays under MAX_RESIDUAL.  None when no fit does:
+    the trace then has no late character, and ``track`` and ``sweep``
+    report it as missing.
     """
     good = [float(f.alpha) for f in trace.fits if f.residual < MAX_RESIDUAL]
-    if not good:
-        raise InsufficientDataError(
-            "no snapshot fit stays under the residual gate"
-        )
-    return float(np.mean(good[-LATE_ALPHA_SAMPLES:]))
+    return float(np.mean(good[-LATE_ALPHA_SAMPLES:])) if good else None
 
 
 def strip_monitor(

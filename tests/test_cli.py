@@ -387,6 +387,26 @@ class TestTrackCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_no_clean_fit_writes_all_outputs_and_exits_0(self, tmp_path, capsys):
+        # 24 fits, none under the residual gate: no late alpha, the same t_s as sweep
+        run = ["--b", "4", "--modes", "32", "--initial", "type2", "--dealias", "true",
+               "--dt", "0.001", "--t-end", "1.0", "--sample-every", "20",
+               "--fit-kmin", "2", "--fit-kmax", "5"]
+        assert main(["sweep", *run, "--b-list", "4", "--out", str(tmp_path / "sweep")]) == 0
+        swept = capsys.readouterr().out
+        assert swept.endswith(", late-time alpha = none\n")
+        out = tmp_path / "track"
+        assert main(["track", *run, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == [
+            "magnitudes.csv", "plot.py", "singularity.csv", "summary.txt"]
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert "late_time_alpha = " in lines
+        assert "used_unclean_fallback = true" in lines
+        assert printed.endswith(", late-time alpha = none\n")
+        t_s_text = swept.split("t_s = ", 1)[1].split(",", 1)[0]
+        assert printed.startswith(f"t_s = {t_s_text} +- ")
+
     def test_no_decay_exits_4(self, tmp_path):
         # b = -1 stationary wave: every snapshot sits below the fit floor
         manifest = write_manifest(tmp_path / "m.txt", b="-1.0", dealias="false")
@@ -616,7 +636,7 @@ class TestSweepCommand:
                 return [fn(task) for task in tasks]
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(cli, "_sweep_entry", lambda task: (task[1], None, None, None))
+        monkeypatch.setattr(cli, "_sweep_entry", lambda task: (task[0].b, None, None, None))
         b_values = [float(b) for b in range(n_b)]
         rows = run_sweep(build_manifest({}, tmp_path), b_values[::-1], max_workers=max_workers)
         assert [row[0] for row in rows] == b_values
@@ -647,13 +667,20 @@ class TestUnwritableOutput:
 
     @pytest.mark.parametrize("target", ["afile/sub", "afile"], ids=["under-a-file", "a-file"])
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
-    def test_unwritable_out_exits_2_with_one_line(self, tmp_path, capsys, command, target):
+    def test_unwritable_out_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                  command, target):
+        # the refusal comes before the run: a run that started would fail here
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "simulate", no_run)
+        monkeypatch.setattr(cli, "track_run", no_run)
         (tmp_path / "afile").write_text("")
         out = tmp_path / target
         assert main([*command, *self.RUN, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: cannot write output to {out}: ")
-        assert err.count("\n") == 1
+        assert err == (f"configuration error: cannot write output to {out}: "
+                       f"{tmp_path / 'afile'} is not a directory\n")
         assert (tmp_path / "afile").read_text() == ""
 
     @pytest.mark.parametrize("command", [["track"], ["sweep", "--b-list", "3"]],
