@@ -34,8 +34,9 @@ in double precision are bit-identical.
 Exit codes: 0 success, 1 a ``validate`` case failed (``EXIT_VALIDATE_FAIL``),
 2 configuration error (an output that cannot be created or written
 included; an ``--out`` under a non-directory fails before the run), 3
-overflow before t_end, 4 insufficient data for the requested estimate.
-A tracked run with no clean fit exits 0 with an empty late alpha.
+overflow before t_end (the partial run's outputs are written).  A
+tracked run with no blow-up time or no clean fit exits 0 with an empty
+t_s or late alpha; stderr notes a t_s from the unclean fallback.
 """
 
 from __future__ import annotations
@@ -53,13 +54,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import GridSpec, inverse_transform
-from .errors import BFamilyError, ConfigError, InsufficientDataError
+from .errors import BFamilyError, ConfigError
 from .integrator import BFamilyConfig, StopReason, simulate
 from .precision import MODES, Precision
 from .spectral import derivative
 from .synthetic import SyntheticSpec, oracle_spectrum
-from .tracker import (FitOptions, fit_spectrum, late_time_alpha, strip_monitor,
-                      track_run)
+from .tracker import (MIN_EXTRAPOLATION_SAMPLES, FitOptions, fit_spectrum, late_time_alpha,
+                      strip_monitor, track_run)
 
 SCHEMA_VERSION = 2
 
@@ -67,7 +68,6 @@ EXIT_OK = 0
 EXIT_VALIDATE_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_OVERFLOW = 3
-EXIT_INSUFFICIENT = 4
 
 # Closure tolerances of the validate suite (absolute).
 VALIDATE_DELTA_TOL = 1e-4
@@ -400,13 +400,11 @@ def cmd_track(manifest: RunManifest) -> int:
             },
         )
         (out / "plot.py").write_text(_PLOT_SCRIPT)
-    if trace.t_s_estimate is None:
-        print("no significant strip-width decay; t_s not estimated")
-    else:
-        print(
-            f"t_s = {trace.t_s_estimate:.6f} +- {trace.t_s_stderr:.6f}, "
-            f"late-time alpha = {_alpha_text(alpha_late)}"
-        )
+    t_text = ("none" if trace.t_s_estimate is None
+              else f"{trace.t_s_estimate:.6f} +- {trace.t_s_stderr:.6f}")
+    print(f"t_s = {t_text}, late-time alpha = {_alpha_text(alpha_late)}")
+    if trace.used_unclean_fallback:
+        print(_FALLBACK_NOTE, file=sys.stderr)
     if trajectory.stop_reason is StopReason.OVERFLOW:
         print("overflow before t_end; partial trace written", file=sys.stderr)
         return EXIT_OVERFLOW
@@ -417,18 +415,25 @@ def _alpha_text(alpha: Optional[float]) -> str:
     return "none" if alpha is None else f"{alpha:.4f}"
 
 
-def _sweep_entry(task: tuple) -> tuple:
-    """One sweep worker on a ``(config, fit)`` task: returns (b, t_s, t_s_stderr, late alpha).
+_FALLBACK_NOTE = (f"t_s comes from the unclean fallback: fewer than {MIN_EXTRAPOLATION_SAMPLES} "
+                  "fits passed the residual and width gates")
 
-    A run with fewer than two fits gives a row of Nones after its b, and
-    one with no clean fit a None late alpha (``late_time_alpha``).
+
+def _sweep_entry(task: tuple) -> tuple:
+    """One sweep worker on a ``(config, fit)`` task.
+
+    Returns the row (b, t_s, t_s_stderr, late alpha), None where the
+    run has no t_s or no clean fit, followed by its stderr notes: a t_s
+    from the unclean fallback, and an overflow, each naming b.
     """
     config, fit = task
-    try:
-        _, trace = track_run(config, fit)
-    except InsufficientDataError:
-        return (config.b, None, None, None)
-    return (config.b, trace.t_s_estimate, trace.t_s_stderr, late_time_alpha(trace))
+    trajectory, trace = track_run(config, fit)
+    notes = []
+    if trace.used_unclean_fallback:
+        notes.append(f"b = {config.b}: {_FALLBACK_NOTE}")
+    if trajectory.stop_reason is StopReason.OVERFLOW:
+        notes.append(f"b = {config.b}: overflow before t_end; the row comes from the partial run")
+    return (config.b, trace.t_s_estimate, trace.t_s_stderr, late_time_alpha(trace), *notes)
 
 
 def run_sweep(
@@ -439,16 +444,21 @@ def run_sweep(
     Each b's config is built before any pool starts, so a b that
     ``BFamilyConfig`` refuses (a NaN, say) is a ConfigError with no
     worker started.  The pool holds no more workers than there are b
-    values: under fork it starts all of them at once.
+    values: under fork it starts all of them at once.  The runs' notes
+    go to stderr in b order; each row keeps its four cells.
     """
     tasks = [(replace(manifest.config, b=float(b)), manifest.fit) for b in b_values]
     if len(tasks) == 1:
-        rows = [_sweep_entry(tasks[0])]
+        entries = [_sweep_entry(tasks[0])]
     else:
         workers = min(len(tasks), max_workers or os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_entry, tasks))
-    return sorted(rows, key=lambda row: row[0])
+            entries = list(pool.map(_sweep_entry, tasks))
+    entries.sort(key=lambda entry: entry[0])
+    for entry in entries:
+        for note in entry[4:]:
+            print(note, file=sys.stderr)
+    return [entry[:4] for entry in entries]
 
 
 def check_sweep_range(b_values: Sequence[float], allow_b_minus_one: bool) -> None:
@@ -625,15 +635,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 allow_b_minus_one=args.allow_b_minus_one,
                 max_workers=args.workers,
             )
-        if args.command == "validate":
-            return cmd_validate(args.modes, args.fit_kmin)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_validate(args.modes, args.fit_kmin)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InsufficientDataError as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
 
 
 if __name__ == "__main__":

@@ -33,9 +33,5 @@ class EmptyWindowError(BFamilyError):
     """No admissible wavenumbers remain in the requested fit window."""
 
 
-class InsufficientDataError(BFamilyError):
-    """Too few usable snapshots to extrapolate a singularity time."""
-
-
 class ExtrapolationError(BFamilyError):
     """An extrapolated fit parameter leaves the representable range."""

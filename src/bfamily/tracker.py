@@ -50,8 +50,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Spectrum, check_real
-from .errors import (ConfigError, EmptyWindowError, ExtrapolationError,
-                     InsufficientDataError, NoiseFloorError)
+from .errors import ConfigError, EmptyWindowError, ExtrapolationError, NoiseFloorError
 from .integrator import BFamilyConfig, Trajectory, simulate
 from .precision import Precision, transforms_for
 
@@ -70,6 +69,10 @@ MAX_RESIDUAL = 0.15
 
 # The blow-up time is extrapolated from this many of the last clean fits.
 EXTRAPOLATION_SAMPLES = 5
+
+# The fewest samples the extrapolation takes (two leave no residual to
+# test the slope against); fewer clean fits than this send it all fits.
+MIN_EXTRAPOLATION_SAMPLES = 3
 
 # The late-time character is the mean over this many of the last clean fits.
 LATE_ALPHA_SAMPLES = 3
@@ -431,10 +434,10 @@ class SingularityTrace:
     """Fitted singularity parameters along a trajectory.
 
     ``t_s_estimate`` is the extrapolated time at which the strip width
-    reaches zero (None when the width shows no significant decay), with
-    a delta-method standard error (NaN when only two samples exist).
-    ``used_unclean_fallback`` is set when fewer than two fits passed the
-    residual and width gates, so the extrapolation ran on all fits.
+    reaches zero, with a delta-method standard error; both are None when
+    ``extrapolate_blowup_time`` finds no blow-up time.  ``fits`` may be
+    empty.  ``used_unclean_fallback`` is set when that t_s came from all
+    fits, fewer than MIN_EXTRAPOLATION_SAMPLES having passed the gates.
     """
 
     times: tuple[float, ...]
@@ -449,15 +452,16 @@ def extrapolate_blowup_time(times: Sequence[float], deltas: Sequence[float]):
 
     Fits delta ~ c0 + c1*t by least squares over the supplied samples
     and returns (t_s, stderr): the zero crossing -c0/c1 and its
-    delta-method standard error.  Returns (None, None) when the slope
-    is nonnegative or (with 3+ samples) not significantly negative at
-    two standard errors.
+    delta-method standard error, a finite number.  Returns (None, None),
+    the one answer for "no blow-up time", for fewer than
+    MIN_EXTRAPOLATION_SAMPLES samples, a single sample time, and a slope
+    that is nonnegative or not significantly negative at two standard errors.
     """
     t = np.asarray([float(v) for v in times])
     d = np.asarray([float(v) for v in deltas])
     n = len(t)
-    if n < 2:
-        raise InsufficientDataError("need at least 2 (t, delta) samples to extrapolate")
+    if n < MIN_EXTRAPOLATION_SAMPLES:
+        return None, None
     t_mean = t.mean()
     d_mean = d.mean()
     sxx = float(np.sum((t - t_mean) ** 2))
@@ -465,22 +469,18 @@ def extrapolate_blowup_time(times: Sequence[float], deltas: Sequence[float]):
         return None, None
     c1 = float(np.sum((t - t_mean) * (d - d_mean)) / sxx)
     c0 = d_mean - c1 * t_mean
-    if n >= 3:
-        resid = d - (c0 + c1 * t)
-        sigma_sq = float(np.sum(resid**2)) / (n - 2)
-        var_c1 = sigma_sq / sxx
-        var_c0 = sigma_sq * (1.0 / n + t_mean**2 / sxx)
-        cov_01 = -sigma_sq * t_mean / sxx
-        if c1 >= 0.0 or abs(c1) < 2.0 * math.sqrt(var_c1):
-            return None, None
-        t_s = -c0 / c1
-        g0 = -1.0 / c1
-        g1 = c0 / c1**2
-        var_ts = g0 * g0 * var_c0 + 2.0 * g0 * g1 * cov_01 + g1 * g1 * var_c1
-        return t_s, math.sqrt(max(var_ts, 0.0))
-    if c1 >= 0.0:
+    resid = d - (c0 + c1 * t)
+    sigma_sq = float(np.sum(resid**2)) / (n - 2)
+    var_c1 = sigma_sq / sxx
+    var_c0 = sigma_sq * (1.0 / n + t_mean**2 / sxx)
+    cov_01 = -sigma_sq * t_mean / sxx
+    if c1 >= 0.0 or abs(c1) < 2.0 * math.sqrt(var_c1):
         return None, None
-    return -c0 / c1, float("nan")
+    t_s = -c0 / c1
+    g0 = -1.0 / c1
+    g1 = c0 / c1**2
+    var_ts = g0 * g0 * var_c0 + 2.0 * g0 * g1 * cov_01 + g1 * g1 * var_c1
+    return t_s, math.sqrt(max(var_ts, 0.0))
 
 
 def _fit_or_skip(spectrum: Spectrum, options: FitOptions) -> Optional[FitResult]:
@@ -498,25 +498,21 @@ def _trace(trajectory: Trajectory, results: Sequence[Optional[FitResult]]) -> Si
     at or above a quarter of the grid's resolution limit.  Width
     estimates from deeper snapshots flatten as truncation regularizes
     the collapse, which would bias the zero crossing late; the gated
-    band keeps the extrapolation on the clean part of the decay.  Fewer
-    than two fits raise InsufficientDataError.
+    band keeps the extrapolation on the clean part of the decay; when
+    fewer than MIN_EXTRAPOLATION_SAMPLES fits pass, every fit enters.
     """
     times, fits = [], []
     for t, result in zip(trajectory.times, results):
         if result is not None:
             times.append(t)
             fits.append(result)
-    if len(fits) < 2:
-        raise InsufficientDataError(
-            f"only {len(fits)} snapshots admit a spectrum fit; need at least 2"
-        )
     gate = trajectory.config.grid.resolution_limit / 4
     clean = [
         i
         for i in range(len(fits))
         if fits[i].residual < MAX_RESIDUAL and float(fits[i].delta) >= gate
     ]
-    fallback = len(clean) < 2
+    fallback = len(clean) < MIN_EXTRAPOLATION_SAMPLES
     if fallback:
         clean = list(range(len(fits)))
     sel = clean[-EXTRAPOLATION_SAMPLES:]
@@ -528,7 +524,7 @@ def _trace(trajectory: Trajectory, results: Sequence[Optional[FitResult]]) -> Si
         fits=tuple(fits),
         t_s_estimate=t_s,
         t_s_stderr=stderr,
-        used_unclean_fallback=fallback,
+        used_unclean_fallback=fallback and t_s is not None,
     )
 
 
@@ -536,8 +532,7 @@ def track(trajectory: Trajectory, fit: FitOptions = FitOptions()) -> Singularity
     """Fit every snapshot of a recorded trajectory and extrapolate the blow-up time.
 
     Snapshots whose spectra admit no fit (window below the noise floor,
-    overflowing extrapolation) are skipped; fewer than two usable
-    snapshots raise InsufficientDataError.
+    overflowing extrapolation) are skipped; too few fits give no t_s.
     """
     return _trace(trajectory, [_fit_or_skip(s, fit) for s in trajectory.snapshots])
 
@@ -550,7 +545,8 @@ def track_run(config: BFamilyConfig, fit: FitOptions) -> tuple[Trajectory, Singu
     in snapshot order: each snapshot is fitted once.  The trace equals
     ``track(trajectory, fit)``.  A window that holds fewer than three
     wavenumbers at the config's K raises ConfigError from the t = 0 fit,
-    before the first step.
+    before the first step; any other run, an overflowed one or one with
+    no fit included, gives a trace.
     """
     results: list[Optional[FitResult]] = []
     trajectory = simulate(config, strip_monitor(fit, results))

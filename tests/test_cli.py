@@ -36,6 +36,18 @@ def write_manifest(path, **overrides):
     return path
 
 
+FOUR_FILES = ["magnitudes.csv", "plot.py", "singularity.csv", "summary.txt"]
+
+# b = 1e300 overflows on the first step, before any snapshot admits a fit
+OVERFLOW_RUN = ["--b", "1e300", "--modes", "32", "--initial", "type1", "--dt", "0.01",
+                "--t-end", "1", "--sample-every", "1", "--fit-kmin", "2", "--fit-kmax", "10"]
+
+# b = 4 type2 at K = 32: 24 fits, none under the residual gate
+UNCLEAN_RUN = ["--b", "4", "--modes", "32", "--initial", "type2", "--dealias", "true",
+               "--dt", "0.001", "--t-end", "1.0", "--sample-every", "20",
+               "--fit-kmin", "2", "--fit-kmax", "5"]
+
+
 def forbid_running(monkeypatch, command):
     """Fail the test if ``track`` takes a step or ``sweep`` starts a run."""
     def no_run(*args, **kwargs):
@@ -154,6 +166,18 @@ class TestManifestParsing:
         flag = "--" + key
         assert main(["simulate", flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["sweep", "--b-list", ","], "sweep needs at least one b value"),
+        (["sweep", "--b-list", "1,x"], "bad --b-list: '1,x'"),
+        (["track", "--dt", "abc"], "dt must be a number, got 'abc'"),
+    ], ids=["empty-b-list", "bad-b-list", "bad-dt"])
+    def test_bad_command_line_exits_2_with_one_line(self, tmp_path, capsys, command,
+                                                    message):
+        out = tmp_path / "o"
+        assert main([*command, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
         assert not out.exists()
 
     def test_precision_flag_with_spaces_runs(self, tmp_path):
@@ -407,11 +431,40 @@ class TestTrackCommand:
         t_s_text = swept.split("t_s = ", 1)[1].split(",", 1)[0]
         assert printed.startswith(f"t_s = {t_s_text} +- ")
 
-    def test_no_decay_exits_4(self, tmp_path):
+    def test_no_decay_exits_0_with_four_files(self, tmp_path, capsys):
         # b = -1 stationary wave: every snapshot sits below the fit floor
         manifest = write_manifest(tmp_path / "m.txt", b="-1.0", dealias="false")
-        code = main(["track", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
-        assert code == 4
+        out = tmp_path / "o"
+        code = main(["track", "--manifest", str(manifest), "--out", str(out)])
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == FOUR_FILES
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert {"fitted_snapshots = 0", "t_s = ", "t_s_stderr = "} <= set(lines)
+        assert capsys.readouterr() == ("t_s = none, late-time alpha = none\n", "")
+
+    def test_early_overflow_exits_3_with_four_files(self, tmp_path, capsys):
+        # the first step overflows: one snapshot, no fit, and still every output
+        out = tmp_path / "o"
+        code = main(["track", *OVERFLOW_RUN, "--out", str(out)])
+        assert code == 3
+        assert sorted(p.name for p in out.iterdir()) == FOUR_FILES
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert {"stop_reason = overflow", "fitted_snapshots = 0", "t_s = ",
+                "used_unclean_fallback = false"} <= set(lines)
+        printed, err = capsys.readouterr()
+        assert printed == "t_s = none, late-time alpha = none\n"
+        assert err == "overflow before t_end; partial trace written\n"
+
+    def test_two_fits_give_no_blow_up_time(self, tmp_path, capsys):
+        # two snapshots admit a fit: too few to test a slope, so no t_s
+        out = tmp_path / "o"
+        code = main(["track", "--modes", "32", "--dt", "0.01", "--t-end", "0.02",
+                     "--fit-kmin", "2", "--fit-kmax", "14", "--sample-every", "1",
+                     "--out", str(out)])
+        assert code == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert {"fitted_snapshots = 2", "t_s = ", "t_s_stderr = "} <= set(lines)
+        assert capsys.readouterr().out.startswith("t_s = none, late-time alpha = ")
 
 
 class TestMagnitudesWriter:
@@ -613,6 +666,34 @@ class TestSweepCommand:
             if not line.startswith("#")
         ]
         assert rows[1] == "-1.0,,,"
+
+    @pytest.mark.parametrize("command, note", [
+        (["track"], cli._FALLBACK_NOTE),
+        (["sweep", "--b-list", "4"], f"b = 4.0: {cli._FALLBACK_NOTE}"),
+    ], ids=["track", "sweep"])
+    def test_unclean_fallback_is_noted_on_stderr(self, tmp_path, capsys, command, note):
+        assert main([*command, *UNCLEAN_RUN, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == note + "\n"
+
+    def test_overflow_is_noted_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["sweep", *OVERFLOW_RUN, "--b-list", "1e300", "--out", str(out)]) == 0
+        rows = [line for line in (out / "sweep.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows[1:] == ["1e+300,,,"]
+        assert capsys.readouterr() == (
+            "b = 1e+300: t_s = none, late-time alpha = none\n",
+            "b = 1e+300: overflow before t_end; the row comes from the partial run\n",
+        )
+
+    def test_benchmark_sweep_prints_no_note(self, tmp_path, capsys):
+        # the K = 256 sweep over b = 0..4: clean fits only, and no overflow
+        assert main(["sweep", "--modes", "256", "--dt", "0.0005", "--t-end", "3.0",
+                     "--dealias", "true", "--sample-every", "50", "--b-list", "0,1,2,3,4",
+                     "--workers", "2", "--out", str(tmp_path / "o")]) == 0
+        printed, err = capsys.readouterr()
+        assert len(printed.splitlines()) == 5 and "none" not in printed
+        assert err == ""
 
     @pytest.mark.parametrize("n_b, max_workers, expected", [
         (2, 5000, 2), (5, 2, 2), (3, 1, 1), (3, None, min(3, os.cpu_count() or 1)),
