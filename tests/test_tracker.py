@@ -750,11 +750,16 @@ class TestBlowupExtrapolation:
         t_s, stderr = extrapolate_blowup_time([0.0, 1.0, 2.0], [0.1, 0.2, 0.3])
         assert t_s is None and stderr is None
 
-    def test_fewer_than_three_samples_give_none(self):
-        # a falling width, but two samples leave no residual to test its slope
+    def test_single_sample_rejected(self):
+        # no sample, or one, gives no slope: no blow-up time, and no exception
+        for n in range(2):
+            assert extrapolate_blowup_time([0.0][:n], [0.4][:n]) == (None, None)
+
+    def test_two_sample_secant(self):
+        # a falling width, but two samples leave no residual to test the
+        # secant's slope, so no time is given until a third sample arrives
         times, deltas = [0.0, 1.0, 2.0], [0.4, 0.3, 0.2]
-        for n in range(3):
-            assert extrapolate_blowup_time(times[:n], deltas[:n]) == (None, None)
+        assert extrapolate_blowup_time(times[:2], deltas[:2]) == (None, None)
         assert extrapolate_blowup_time(times, deltas)[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_insignificant_slope_gives_none(self):
