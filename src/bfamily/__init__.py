@@ -20,7 +20,6 @@ from .tracker import (
     FitResult,
     SingularityTrace,
     fit_spectrum,
-    late_time_alpha,
     local_fit,
     sliding_fit,
     strip_monitor,
@@ -54,7 +53,6 @@ __all__ = [
     "forward_transform",
     "initial_datum",
     "inverse_transform",
-    "late_time_alpha",
     "local_fit",
     "oracle_field",
     "oracle_spectrum",

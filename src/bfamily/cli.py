@@ -34,9 +34,10 @@ in double precision are bit-identical.
 Exit codes: 0 success, 1 a ``validate`` case failed (``EXIT_VALIDATE_FAIL``),
 2 configuration error (an output that cannot be created or written
 included; an ``--out`` under a non-directory fails before the run), 3
-overflow before t_end (the partial run's outputs are written).  A
-tracked run with no blow-up time or no clean fit exits 0 with an empty
-t_s or late alpha; stderr notes a t_s from the unclean fallback.
+overflow before t_end (the partial run's outputs are written; ``sweep``
+exits 3 if any run did).  A tracked run with no blow-up time or no
+clean fit exits 0 with an empty t_s or late alpha.  ``_result_line``
+and ``_notes`` render a run's report, its ``SingularityTrace``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .integrator import BFamilyConfig, StopReason, simulate
 from .precision import MODES, Precision
 from .spectral import derivative
 from .synthetic import SyntheticSpec, oracle_spectrum
-from .tracker import (MIN_EXTRAPOLATION_SAMPLES, FitOptions, fit_spectrum, late_time_alpha,
+from .tracker import (MIN_EXTRAPOLATION_SAMPLES, FitOptions, SingularityTrace, fit_spectrum,
                       strip_monitor, track_run)
 
 SCHEMA_VERSION = 2
@@ -354,16 +355,12 @@ def cmd_simulate(manifest: RunManifest) -> int:
                 "final_time": fmt(trajectory.times[-1]),
             },
         )
-    if trajectory.stop_reason is StopReason.OVERFLOW:
-        print("overflow before t_end; partial trajectory written", file=sys.stderr)
-        return EXIT_OVERFLOW
-    return EXIT_OK
+    return _notes("", trajectory.stop_reason)
 
 
 def cmd_track(manifest: RunManifest) -> int:
     config = manifest.config
     trajectory, trace = track_run(config, manifest.fit)
-    alpha_late = late_time_alpha(trace)
     provenance = manifest_entries(manifest)
     fmt = _value_formatter(config.precision)
 
@@ -390,62 +387,63 @@ def cmd_track(manifest: RunManifest) -> int:
             out / "summary.txt",
             provenance,
             {
-                "stop_reason": trajectory.stop_reason.value,
+                "stop_reason": trace.stop_reason.value,
                 "snapshots": len(trajectory),
                 "fitted_snapshots": len(trace.fits),
                 "t_s": fmt(trace.t_s_estimate),
                 "t_s_stderr": fmt(trace.t_s_stderr),
-                "late_time_alpha": fmt(alpha_late),
+                "late_time_alpha": fmt(trace.late_alpha),
                 "used_unclean_fallback": "true" if trace.used_unclean_fallback else "false",
             },
         )
         (out / "plot.py").write_text(_PLOT_SCRIPT)
-    t_text = ("none" if trace.t_s_estimate is None
-              else f"{trace.t_s_estimate:.6f} +- {trace.t_s_stderr:.6f}")
-    print(f"t_s = {t_text}, late-time alpha = {_alpha_text(alpha_late)}")
-    if trace.used_unclean_fallback:
-        print(_FALLBACK_NOTE, file=sys.stderr)
-    if trajectory.stop_reason is StopReason.OVERFLOW:
-        print("overflow before t_end; partial trace written", file=sys.stderr)
-        return EXIT_OVERFLOW
-    return EXIT_OK
+    print(_result_line(trace))
+    return _notes("", trace.stop_reason, trace.used_unclean_fallback)
 
 
-def _alpha_text(alpha: Optional[float]) -> str:
-    return "none" if alpha is None else f"{alpha:.4f}"
+def _result_line(trace: SingularityTrace, prefix: str = "", stderr: bool = True) -> str:
+    """The run's stdout line after ``prefix``: t_s (and its stderr) and the late alpha."""
+    t_s, alpha = trace.t_s_estimate, trace.late_alpha
+    t_text = "none" if t_s is None else f"{t_s:.6f}"
+    if t_s is not None and stderr:
+        t_text += f" +- {trace.t_s_stderr:.6f}"
+    alpha_text = "none" if alpha is None else f"{alpha:.4f}"
+    return f"{prefix}t_s = {t_text}, late-time alpha = {alpha_text}"
 
 
 _FALLBACK_NOTE = (f"t_s comes from the unclean fallback: fewer than {MIN_EXTRAPOLATION_SAMPLES} "
                   "fits passed the residual and width gates")
 
 
-def _sweep_entry(task: tuple) -> tuple:
-    """One sweep worker on a ``(config, fit)`` task.
+def _notes(prefix: str, stop_reason: StopReason, used_unclean_fallback: bool = False) -> int:
+    """Print a run's stderr notes, each after ``prefix``, and return its exit code."""
+    if used_unclean_fallback:
+        print(prefix + _FALLBACK_NOTE, file=sys.stderr)
+    if stop_reason is StopReason.OVERFLOW:
+        print(f"{prefix}overflow before t_end; the outputs hold the partial run", file=sys.stderr)
+        return EXIT_OVERFLOW
+    return EXIT_OK
 
-    Returns the row (b, t_s, t_s_stderr, late alpha), None where the
-    run has no t_s or no clean fit, followed by its stderr notes: a t_s
-    from the unclean fallback, and an overflow, each naming b.
+
+def _sweep_entry(task: tuple) -> tuple:
+    """``(b, trace)`` for a ``(config, fit)`` task, the trace without times and fits.
+
+    Extended32 fits hold values of the mode's own mpmath context, which do not pickle.
     """
     config, fit = task
-    trajectory, trace = track_run(config, fit)
-    notes = []
-    if trace.used_unclean_fallback:
-        notes.append(f"b = {config.b}: {_FALLBACK_NOTE}")
-    if trajectory.stop_reason is StopReason.OVERFLOW:
-        notes.append(f"b = {config.b}: overflow before t_end; the row comes from the partial run")
-    return (config.b, trace.t_s_estimate, trace.t_s_stderr, late_time_alpha(trace), *notes)
+    _, trace = track_run(config, fit)
+    return config.b, replace(trace, times=(), fits=())
 
 
-def run_sweep(
+def _sweep_traces(
     manifest: RunManifest, b_values: Sequence[float], max_workers: Optional[int] = None
 ) -> list:
-    """Run one tracked simulation per b (worker pool), rows sorted by b.
+    """One tracked run per b (worker pool): ``(b, trace)`` pairs sorted by b.
 
     Each b's config is built before any pool starts, so a b that
     ``BFamilyConfig`` refuses (a NaN, say) is a ConfigError with no
     worker started.  The pool holds no more workers than there are b
-    values: under fork it starts all of them at once.  The runs' notes
-    go to stderr in b order; each row keeps its four cells.
+    values: under fork it starts all of them at once.
     """
     tasks = [(replace(manifest.config, b=float(b)), manifest.fit) for b in b_values]
     if len(tasks) == 1:
@@ -454,11 +452,18 @@ def run_sweep(
         workers = min(len(tasks), max_workers or os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_sweep_entry, tasks))
-    entries.sort(key=lambda entry: entry[0])
-    for entry in entries:
-        for note in entry[4:]:
-            print(note, file=sys.stderr)
-    return [entry[:4] for entry in entries]
+    return sorted(entries, key=lambda entry: entry[0])
+
+
+def _sweep_row(b: float, trace: SingularityTrace) -> tuple:
+    return b, trace.t_s_estimate, trace.t_s_stderr, trace.late_alpha
+
+
+def run_sweep(
+    manifest: RunManifest, b_values: Sequence[float], max_workers: Optional[int] = None
+) -> list:
+    """``bfamily sweep``'s rows (b, t_s, t_s_stderr, late alpha) sorted by b; None: no value."""
+    return [_sweep_row(*entry) for entry in _sweep_traces(manifest, b_values, max_workers)]
 
 
 def check_sweep_range(b_values: Sequence[float], allow_b_minus_one: bool) -> None:
@@ -487,19 +492,20 @@ def cmd_sweep(
         raise ConfigError(f"--workers must be at least 1, got {max_workers}")
     check_sweep_range(b_values, allow_b_minus_one)
     manifest.fit.window(manifest.config.grid.n_modes)
-    rows = run_sweep(manifest, b_values, max_workers=max_workers)
+    traces = _sweep_traces(manifest, b_values, max_workers)
     provenance = manifest_entries(manifest)
     fmt = _value_formatter(manifest.config.precision)
     out = manifest.out_dir
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         write_csv(out / "sweep.csv", provenance, ("b", "t_s", "t_s_stderr", "alpha"),
-                  _csv_lines(rows, fmt))
+                  _csv_lines((_sweep_row(*entry) for entry in traces), fmt))
         (out / "plot.py").write_text(_PLOT_SCRIPT)
-    for b, t_s, _, alpha in rows:
-        t_text = "none" if t_s is None else f"{t_s:.6f}"
-        print(f"b = {b}: t_s = {t_text}, late-time alpha = {_alpha_text(alpha)}")
-    return EXIT_OK
+    code = EXIT_OK
+    for b, trace in traces:
+        print(_result_line(trace, f"b = {b}: ", stderr=False))
+        code = max(code, _notes(f"b = {b}: ", trace.stop_reason, trace.used_unclean_fallback))
+    return code
 
 
 def validate_cases(

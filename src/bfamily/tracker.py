@@ -36,7 +36,8 @@ recorded snapshot and tells the integrator whether delta has fallen
 below ``FitOptions.min_strip_width``.  ``track_run`` simulates with it
 attached, and its fits are the fits the trace aggregates, so each
 snapshot is fitted once.  ``track`` fits and aggregates a trajectory
-that is already recorded.
+that is already recorded.  Either way the ``SingularityTrace`` is the
+run's report: why it stopped, its blow-up time and its late character.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from .core import Spectrum, check_real
 from .errors import ConfigError, EmptyWindowError, ExtrapolationError, NoiseFloorError
-from .integrator import BFamilyConfig, Trajectory, simulate
+from .integrator import BFamilyConfig, StopReason, Trajectory, simulate
 from .precision import Precision, transforms_for
 
 # A mode participates in fits only if its magnitude exceeds this many
@@ -431,20 +432,25 @@ def fit_spectrum(spectrum: Spectrum, options: FitOptions = FitOptions()) -> FitR
 
 @dataclass(frozen=True)
 class SingularityTrace:
-    """Fitted singularity parameters along a trajectory.
+    """One tracked run's report: its fits, why it stopped, t_s and the late character.
 
-    ``t_s_estimate`` is the extrapolated time at which the strip width
-    reaches zero, with a delta-method standard error; both are None when
-    ``extrapolate_blowup_time`` finds no blow-up time.  ``fits`` may be
-    empty.  ``used_unclean_fallback`` is set when that t_s came from all
-    fits, fewer than MIN_EXTRAPOLATION_SAMPLES having passed the gates.
+    ``fits`` (possibly empty) are those of the snapshots at ``times``, and
+    ``stop_reason`` is the trajectory's.  ``t_s_estimate`` is the
+    extrapolated time at which the strip width reaches zero, with a
+    delta-method standard error; both are None when
+    ``extrapolate_blowup_time`` finds no blow-up time.
+    ``used_unclean_fallback`` is set when that t_s came from all fits,
+    fewer than MIN_EXTRAPOLATION_SAMPLES having passed the gates.
+    ``late_alpha`` is None when no fit is clean.
     """
 
     times: tuple[float, ...]
     fits: tuple[FitResult, ...]
+    stop_reason: StopReason
     t_s_estimate: Optional[float]
     t_s_stderr: Optional[float]
-    used_unclean_fallback: bool = False
+    used_unclean_fallback: bool
+    late_alpha: Optional[float]
 
 
 def extrapolate_blowup_time(times: Sequence[float], deltas: Sequence[float]):
@@ -500,6 +506,10 @@ def _trace(trajectory: Trajectory, results: Sequence[Optional[FitResult]]) -> Si
     the collapse, which would bias the zero crossing late; the gated
     band keeps the extrapolation on the clean part of the decay; when
     fewer than MIN_EXTRAPOLATION_SAMPLES fits pass, every fit enters.
+
+    The late character averages alpha over the last LATE_ALPHA_SAMPLES
+    fits under MAX_RESIDUAL, the deepest included: below the grid floor
+    the algebraic part of the decay is still resolved.
     """
     times, fits = [], []
     for t, result in zip(trajectory.times, results):
@@ -507,11 +517,8 @@ def _trace(trajectory: Trajectory, results: Sequence[Optional[FitResult]]) -> Si
             times.append(t)
             fits.append(result)
     gate = trajectory.config.grid.resolution_limit / 4
-    clean = [
-        i
-        for i in range(len(fits))
-        if fits[i].residual < MAX_RESIDUAL and float(fits[i].delta) >= gate
-    ]
+    clean = [i for i, f in enumerate(fits)
+             if f.residual < MAX_RESIDUAL and float(f.delta) >= gate]
     fallback = len(clean) < MIN_EXTRAPOLATION_SAMPLES
     if fallback:
         clean = list(range(len(fits)))
@@ -519,12 +526,15 @@ def _trace(trajectory: Trajectory, results: Sequence[Optional[FitResult]]) -> Si
     t_s, stderr = extrapolate_blowup_time(
         [times[i] for i in sel], [float(fits[i].delta) for i in sel]
     )
+    good = [float(f.alpha) for f in fits if f.residual < MAX_RESIDUAL]
     return SingularityTrace(
         times=tuple(times),
         fits=tuple(fits),
+        stop_reason=trajectory.stop_reason,
         t_s_estimate=t_s,
         t_s_stderr=stderr,
         used_unclean_fallback=fallback and t_s is not None,
+        late_alpha=float(np.mean(good[-LATE_ALPHA_SAMPLES:])) if good else None,
     )
 
 
@@ -551,21 +561,6 @@ def track_run(config: BFamilyConfig, fit: FitOptions) -> tuple[Trajectory, Singu
     results: list[Optional[FitResult]] = []
     trajectory = simulate(config, strip_monitor(fit, results))
     return trajectory, _trace(trajectory, results)
-
-
-def late_time_alpha(trace: SingularityTrace) -> Optional[float]:
-    """Mean fitted algebraic character over the last well-fitted snapshots.
-
-    The character estimate keeps its meaning after the width estimate
-    drops below the grid floor (the algebraic part of the decay is
-    still resolved), so unlike the blow-up extrapolation this keeps the
-    deepest snapshots: it averages the last LATE_ALPHA_SAMPLES fits
-    whose residual stays under MAX_RESIDUAL.  None when no fit does:
-    the trace then has no late character, and ``track`` and ``sweep``
-    report it as missing.
-    """
-    good = [float(f.alpha) for f in trace.fits if f.residual < MAX_RESIDUAL]
-    return float(np.mean(good[-LATE_ALPHA_SAMPLES:])) if good else None
 
 
 def strip_monitor(

@@ -15,6 +15,7 @@ from bfamily.cli import SCHEMA_VERSION, _value_formatter
 from bfamily.core import GridSpec, PeriodicField, Spectrum, forward_transform
 from bfamily.errors import BlowUpOverflowError
 from bfamily.precision import transforms_for
+from bfamily.tracker import track_run
 
 
 # The frozen extended transform computes in a 32-digit context of its own:
@@ -106,6 +107,18 @@ def burgers_spectrum(t: float, grid: GridSpec) -> Spectrum:
         for k in range(1, grid.n_modes // 2):
             coeffs[k] = 1j * float(mp.besselj(k, k * t) / (k * t))
     return Spectrum(grid, coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def tracked_run(config, fit):
+    """``track_run(config, fit)``, run once per (config, fit) per test session.
+
+    Callers share the trajectory and trace, so none may change them; a
+    snapshot's coefficients are read-only already (``Spectrum.unchecked``
+    freezes them), so a test that writes into one fails instead of
+    corrupting the tests after it.
+    """
+    return track_run(config, fit)
 
 
 def burgers_strip_width(t: float) -> float:

@@ -22,10 +22,9 @@ from bfamily.integrator import BFamilyConfig, simulate
 from bfamily.norms import sobolev_norm
 from bfamily.spectral import RhsOptions, dealias_cutoff, rhs
 from bfamily.synthetic import SyntheticSpec, oracle_spectrum
-from bfamily.tracker import (FitOptions, fit_spectrum, late_time_alpha,
-                             local_fit, track, track_run)
+from bfamily.tracker import FitOptions, fit_spectrum, local_fit, track
 
-from oracles import convolution_rhs, random_hermitian_spectrum
+from oracles import convolution_rhs, random_hermitian_spectrum, tracked_run
 
 
 def report(label: str, ok: bool, detail: str) -> None:
@@ -123,7 +122,7 @@ def deep_tracked_run(b, initial, t_end, min_width):
         dealias=True,
         sample_every=25,
     )
-    _, trace = track_run(config, fit)
+    _, trace = tracked_run(config, fit)
     return trace
 
 
@@ -131,7 +130,7 @@ def test_b3_type1_blowup_time_and_character():
     # track as deep as the fit window stays resolvable (width floor 6e-4)
     trace = deep_tracked_run(3.0, "type1", t_end=0.84, min_width=0.0006)
     t_s = trace.t_s_estimate
-    alpha = late_time_alpha(trace)
+    alpha = trace.late_alpha
     ok = t_s is not None and abs(t_s - 0.8295) <= 0.01 and abs(alpha - 0.33) <= 0.05
     report(
         "b=3 peaked-slope start: blow-up time and character",
@@ -144,7 +143,7 @@ def test_b3_type1_blowup_time_and_character():
 def test_b3_type2_blowup_time_and_character():
     trace = deep_tracked_run(3.0, "type2", t_end=0.90, min_width=0.0006)
     t_s = trace.t_s_estimate
-    alpha = late_time_alpha(trace)
+    alpha = trace.late_alpha
     ok = t_s is not None and abs(t_s - 0.8875) <= 0.01 and abs(alpha - 0.41) <= 0.05
     report(
         "b=3 lifted start: blow-up time and character",
@@ -158,8 +157,8 @@ def test_b2_algebraic_characters():
     # default stop policy: runs end when the strip reaches the grid limit
     trace1 = deep_tracked_run(2.0, "type1", t_end=1.6, min_width=None)
     trace2 = deep_tracked_run(2.0, "type2", t_end=1.6, min_width=None)
-    alpha1 = late_time_alpha(trace1)
-    alpha2 = late_time_alpha(trace2)
+    alpha1 = trace1.late_alpha
+    alpha2 = trace2.late_alpha
     ok = abs(alpha1 - 3 / 5) <= 0.05 and abs(alpha2 - 2 / 3) <= 0.05
     report(
         "b=2 characters for both starts",

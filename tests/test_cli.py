@@ -453,7 +453,7 @@ class TestTrackCommand:
                 "used_unclean_fallback = false"} <= set(lines)
         printed, err = capsys.readouterr()
         assert printed == "t_s = none, late-time alpha = none\n"
-        assert err == "overflow before t_end; partial trace written\n"
+        assert err == "overflow before t_end; the outputs hold the partial run\n"
 
     def test_two_fits_give_no_blow_up_time(self, tmp_path, capsys):
         # two snapshots admit a fit: too few to test a slope, so no t_s
@@ -677,14 +677,36 @@ class TestSweepCommand:
 
     def test_overflow_is_noted_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "o"
-        assert main(["sweep", *OVERFLOW_RUN, "--b-list", "1e300", "--out", str(out)]) == 0
+        assert main(["sweep", *OVERFLOW_RUN, "--b-list", "1e300", "--out", str(out)]) == 3
         rows = [line for line in (out / "sweep.csv").read_text().splitlines()
                 if not line.startswith("#")]
         assert rows[1:] == ["1e+300,,,"]
         assert capsys.readouterr() == (
             "b = 1e+300: t_s = none, late-time alpha = none\n",
-            "b = 1e+300: overflow before t_end; the row comes from the partial run\n",
+            "b = 1e+300: overflow before t_end; the outputs hold the partial run\n",
         )
+
+    def test_one_overflowed_run_makes_the_sweep_exit_3(self, tmp_path, capsys):
+        # b = 2 finishes and b = 1e300 overflows: both rows, one note, exit 3
+        out = tmp_path / "o"
+        assert main(["sweep", *OVERFLOW_RUN, "--b-list", "2,1e300", "--workers", "2",
+                     "--out", str(out)]) == 3
+        rows = [line for line in (out / "sweep.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert [row.split(",")[0] for row in rows[1:]] == ["2.0", "1e+300"]
+        printed, err = capsys.readouterr()
+        assert printed.splitlines()[0].startswith("b = 2.0: t_s = ")
+        assert err == "b = 1e+300: overflow before t_end; the outputs hold the partial run\n"
+
+    def test_extended_sweep_in_a_pool(self, tmp_path):
+        # a worker's extended32 fits hold mpmath values that do not pickle
+        out = tmp_path / "o"
+        assert main(["sweep", "--modes", "16", "--dt", "0.01", "--t-end", "0.05",
+                     "--sample-every", "1", "--fit-kmin", "2", "--precision", "extended32",
+                     "--b-list", "2,3", "--workers", "2", "--out", str(out)]) == 0
+        rows = [line for line in (out / "sweep.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert [row.split(",")[0] for row in rows[1:]] == ["2.0", "3.0"]
 
     def test_benchmark_sweep_prints_no_note(self, tmp_path, capsys):
         # the K = 256 sweep over b = 0..4: clean fits only, and no overflow
@@ -717,7 +739,10 @@ class TestSweepCommand:
                 return [fn(task) for task in tasks]
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(cli, "_sweep_entry", lambda task: (task[0].b, None, None, None))
+        empty = tracker.SingularityTrace(
+            times=(), fits=(), stop_reason=integrator.StopReason.REACHED_T_END,
+            t_s_estimate=None, t_s_stderr=None, used_unclean_fallback=False, late_alpha=None)
+        monkeypatch.setattr(cli, "_sweep_entry", lambda task: (task[0].b, empty))
         b_values = [float(b) for b in range(n_b)]
         rows = run_sweep(build_manifest({}, tmp_path), b_values[::-1], max_workers=max_workers)
         assert [row[0] for row in rows] == b_values

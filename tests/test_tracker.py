@@ -24,7 +24,7 @@ from bfamily.tracker import (WYNN_RTOL, FitOptions, estimate_x_star,
                              wynn_epsilon)
 
 from oracles import (burgers_spectrum, burgers_strip_width, reference_wynn_epsilon,
-                     shanks_table_limit)
+                     shanks_table_limit, tracked_run)
 
 
 def pure_model_spectrum(grid, amplitude, s, delta, x_star=0.0):
@@ -812,7 +812,7 @@ class TestTrack:
         monkeypatch.setattr(tracker, "MAX_RESIDUAL", 0.0)
         trace = track(self.width_history(), FitOptions(k_min=16))
         assert trace.used_unclean_fallback
-        assert tracker.late_time_alpha(trace) is None
+        assert trace.late_alpha is None
         sel = slice(-tracker.EXTRAPOLATION_SAMPLES, None)
         deltas = [float(f.delta) for f in trace.fits]
         expected = extrapolate_blowup_time(trace.times[sel], deltas[sel])
@@ -942,7 +942,7 @@ class TestConditioning:
         fit = FitOptions(k_min=64, k_max=300, min_strip_width=0.0006)
         config = BFamilyConfig(b=3.0, grid=GridSpec(1024), dt=1e-4, t_end=0.84,
                                initial="type1", dealias=True, sample_every=25)
-        trajectory, trace = track_run(config, fit)
+        trajectory, trace = tracked_run(config, fit)
         half = config.grid.n_modes // 2
         rng = np.random.default_rng(14)
         t_s, alpha = [], []
@@ -954,7 +954,7 @@ class TestConditioning:
                 snapshots.append(Spectrum(config.grid, coeffs))
             drawn = track(dataclasses.replace(trajectory, snapshots=tuple(snapshots)), fit)
             t_s.append(drawn.t_s_estimate)
-            alpha.append(tracker.late_time_alpha(drawn))
+            alpha.append(drawn.late_alpha)
         assert max(t_s) - min(t_s) < trace.t_s_stderr
         assert max(alpha) - min(alpha) < 0.005
 
