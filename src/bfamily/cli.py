@@ -38,6 +38,11 @@ overflow before t_end (the partial run's outputs are written; ``sweep``
 exits 3 if any run did).  A tracked run with no blow-up time or no
 clean fit exits 0 with an empty t_s or late alpha.  ``_result_line``
 and ``_notes`` render a run's report, its ``SingularityTrace``.
+
+``sweep`` runs a single b in this process; only two or more b start a
+worker pool, and only then is ``multiprocessing`` imported.  Each worker
+sends back its full trace.  No double-precision command imports mpmath,
+and none but a pooled ``sweep`` imports ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -426,13 +430,10 @@ def _notes(prefix: str, stop_reason: StopReason, used_unclean_fallback: bool = F
 
 
 def _sweep_entry(task: tuple) -> tuple:
-    """``(b, trace)`` for a ``(config, fit)`` task, the trace without times and fits.
-
-    Extended32 fits hold values of the mode's own mpmath context, which do not pickle.
-    """
+    """``(b, trace)`` for a ``(config, fit)`` task, fits and all: extended32 values pickle."""
     config, fit = task
     _, trace = track_run(config, fit)
-    return config.b, replace(trace, times=(), fits=())
+    return config.b, trace
 
 
 def _sweep_traces(
@@ -443,12 +444,16 @@ def _sweep_traces(
     Each b's config is built before any pool starts, so a b that
     ``BFamilyConfig`` refuses (a NaN, say) is a ConfigError with no
     worker started.  The pool holds no more workers than there are b
-    values: under fork it starts all of them at once.
+    values: under fork it starts all of them at once.  One b runs in
+    this process, so only a sweep of two or more b imports the pool and
+    ``multiprocessing``.
     """
     tasks = [(replace(manifest.config, b=float(b)), manifest.fit) for b in b_values]
     if len(tasks) == 1:
         entries = [_sweep_entry(tasks[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(len(tasks), max_workers or os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_sweep_entry, tasks))

@@ -31,7 +31,7 @@ def reference_fft(a: list) -> list:
     tables: every butterfly evaluates its twiddle with ``expjpi``, the
     exact root 1 included, and odd lengths sum directly.  Given inputs
     at 32 digits it returns the same mpmath values, bit for bit, as
-    ``precision._mp_fft``.
+    ``_extended._mp_fft``.
     """
     ctx = _REFERENCE_CTX
     n = len(a)

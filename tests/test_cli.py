@@ -1,5 +1,6 @@
 """Command-line front end: manifests, outputs, exit codes, closure suite."""
 
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -624,7 +625,7 @@ class TestSweepCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         manifest = self.sweep_manifest(tmp_path)
         code = main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
                      "--b-list", "0,1", "--workers", "0"])
@@ -636,7 +637,7 @@ class TestSweepCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         manifest = self.sweep_manifest(tmp_path)
         code = main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
                      f"--b-list={b_list}"])
@@ -699,7 +700,7 @@ class TestSweepCommand:
         assert err == "b = 1e+300: overflow before t_end; the outputs hold the partial run\n"
 
     def test_extended_sweep_in_a_pool(self, tmp_path):
-        # a worker's extended32 fits hold mpmath values that do not pickle
+        # each worker sends back its extended32 trace, fits and all
         out = tmp_path / "o"
         assert main(["sweep", "--modes", "16", "--dt", "0.01", "--t-end", "0.05",
                      "--sample-every", "1", "--fit-kmin", "2", "--precision", "extended32",
@@ -707,6 +708,15 @@ class TestSweepCommand:
         rows = [line for line in (out / "sweep.csv").read_text().splitlines()
                 if not line.startswith("#")]
         assert [row.split(",")[0] for row in rows[1:]] == ["2.0", "3.0"]
+
+    def test_pooled_extended_traces_equal_inline_traces(self, tmp_path):
+        manifest = build_manifest({"modes": "16", "dt": "0.01", "t_end": "0.05",
+                                   "sample_every": "1", "fit_kmin": "2",
+                                   "precision": "extended32"}, tmp_path)
+        pooled = cli._sweep_traces(manifest, [3.0, 2.0], max_workers=2)
+        inline = [cli._sweep_traces(manifest, [b])[0] for b in (2.0, 3.0)]
+        assert all(trace.fits for _, trace in pooled)
+        assert pooled == inline
 
     def test_benchmark_sweep_prints_no_note(self, tmp_path, capsys):
         # the K = 256 sweep over b = 0..4: clean fits only, and no overflow
@@ -738,7 +748,7 @@ class TestSweepCommand:
             def map(self, fn, tasks):
                 return [fn(task) for task in tasks]
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         empty = tracker.SingularityTrace(
             times=(), fits=(), stop_reason=integrator.StopReason.REACHED_T_END,
             t_s_estimate=None, t_s_stderr=None, used_unclean_fallback=False, late_alpha=None)

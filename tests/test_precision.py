@@ -1,11 +1,17 @@
 """Extended results: independent of the global mpmath precision, rounded on entry, pinned transforms.
 
 Also the double transforms' binding to numpy's private pocketfft gufuncs,
-the modes' printing and lookup, and the seam itself: no other module
-imports mpmath or names the extended mode.
+the modes' printing and lookup, and the seam itself: no module but
+``precision`` and its private ``_extended`` imports mpmath or names the
+extended mode, and a double run, in a fresh interpreter, imports neither
+mpmath nor ``multiprocessing``.
 """
 
 import ast
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -14,9 +20,10 @@ import pytest
 from mpmath.libmp import mpf_neg
 from numpy.fft import _pocketfft
 
-from bfamily import (DOUBLE, EXTENDED32, TYPE_I, FitOptions, GridSpec, RhsOptions,
-                     SyntheticSpec, fit_spectrum, forward_transform, initial_datum,
-                     oracle_field, oracle_spectrum, precision, sobolev_norm)
+from bfamily import (DOUBLE, EXTENDED32, TYPE_I, BFamilyConfig, FitOptions, GridSpec,
+                     RhsOptions, SyntheticSpec, fit_spectrum, forward_transform, initial_datum,
+                     oracle_field, oracle_spectrum, precision, sobolev_norm, track_run)
+from bfamily import _extended, cli
 from bfamily.integrator import rk4_step
 
 from oracles import reference_extended_forward, reference_extended_inverse
@@ -154,13 +161,13 @@ class TestExtendedTransformPin:
         K = 96
         samples = self.samples(K)
         default_bins = raw(EXTENDED32.forward(samples, K))
-        default_roots = {n: precision._root_tuples(n) for n in (3, 6, 12, 24, 48, 96)}
+        default_roots = {n: _extended._root_tuples(n) for n in (3, 6, 12, 24, 48, 96)}
         for dps in (60, 15):
-            precision._root_tuples.cache_clear()
+            _extended._root_tuples.cache_clear()
             with mp.workdps(dps):
                 bins = raw(EXTENDED32.forward(samples, K))
             assert bins == default_bins
-            assert {n: precision._root_tuples(n) for n in default_roots} == default_roots
+            assert {n: _extended._root_tuples(n) for n in default_roots} == default_roots
 
     @pytest.mark.parametrize("K", [128, 256])
     def test_mirrored_lengths_match_reference(self, K):
@@ -185,7 +192,7 @@ class TestExtendedTransformPin:
         default = EXTENDED32.forward(samples, K)
         default_bins, default_back = raw(default), raw(EXTENDED32.inverse(default, K))
         for dps in (60, 15):
-            precision._root_tuples.cache_clear()
+            _extended._root_tuples.cache_clear()
             with mp.workdps(dps):
                 bins = EXTENDED32.forward(samples, K)
                 back = EXTENDED32.inverse(bins, K)
@@ -201,17 +208,17 @@ def mirrors(roots) -> bool:
 
 
 class TestRootMirror:
-    """The premise of the real-input mirror in ``precision._mp_fft``."""
+    """The premise of the real-input mirror in ``_extended._mp_fft``."""
 
     @pytest.mark.parametrize("n", [2 ** p for p in range(1, 13)])
     def test_power_of_two_tables_mirror_bit_for_bit(self, n):
-        assert mirrors(precision._root_tuples(n))
+        assert mirrors(_extended._root_tuples(n))
 
     def test_length_three_table_does_not(self):
         # why K = 3 * 2**p keeps the full butterflies
-        roots = precision._root_tuples(3)
+        roots = _extended._root_tuples(3)
         assert roots[2] != (roots[1][0], mpf_neg(roots[1][1]))
-        assert not mirrors(precision._root_tuples(6))
+        assert not mirrors(_extended._root_tuples(6))
 
 
 class TestDoubleGufuncBinding:
@@ -255,9 +262,11 @@ class TestText:
 
 
 class TestSeam:
-    """Only ``precision`` tells the modes apart: a scan of the package's sources."""
+    """Only ``precision`` and ``_extended`` tell the modes apart: a scan of the sources."""
 
-    FORBIDDEN = {"EXTENDED32", "ExtendedPrecision", "DoublePrecision"}
+    SEAM = {"precision", "_extended"}
+    FORBIDDEN = {"EXTENDED32", "ExtendedPrecision", "DoublePrecision", "ExtendedOperations",
+                 "_extended"}
 
     @staticmethod
     def sources():
@@ -289,12 +298,13 @@ class TestSeam:
 
     def test_the_scan_sees_the_package(self):
         names = {path.stem for path in self.sources()}
-        assert {"__init__", "cli", "core", "integrator", "precision", "tracker"} <= names
+        assert {"__init__", "_extended", "cli", "core", "integrator", "precision",
+                "tracker"} <= names
 
     def test_only_precision_imports_mpmath(self):
         offenders = {
             path.name for path in self.sources()
-            if path.stem != "precision"
+            if path.stem not in self.SEAM
             and any(m.split(".")[0] == "mpmath"
                     for m in self.imported_modules(ast.parse(path.read_text())))
         }
@@ -303,9 +313,84 @@ class TestSeam:
     def test_only_precision_names_the_extended_mode_or_a_mode_class(self):
         offenders = {
             path.name: sorted(self.named(ast.parse(path.read_text()), path.stem))
-            for path in self.sources() if path.stem != "precision"
+            for path in self.sources() if path.stem not in self.SEAM
         }
         assert {name: found for name, found in offenders.items() if found} == {}
 
     def test_no_module_level_finiteness_pass_through(self):
         assert not hasattr(precision, "all_finite")
+
+
+# Run in a fresh interpreter: what a double run, and reading the extended
+# mode without using it, import; then the extended command in argv.
+LAZY_SCRIPT = """
+import contextlib, io, pickle, sys
+from bfamily import EXTENDED32, BFamilyConfig, GridSpec, cli
+
+def loaded():
+    return [m for m in ("mpmath", "multiprocessing", "concurrent.futures.process")
+            if m in sys.modules]
+
+assert EXTENDED32.label == "extended32"
+BFamilyConfig(b=3.0, grid=GridSpec(16), dt=0.01, t_end=0.05, precision=EXTENDED32)
+entries = cli.parse_manifest_text("precision = extended32")
+assert cli.build_manifest(entries, ".").config.precision is EXTENDED32
+assert pickle.loads(pickle.dumps(EXTENDED32)) is EXTENDED32
+assert loaded() == [], loaded()
+run = ["--modes", "32", "--dt", "0.01", "--t-end", "0.05", "--sample-every", "1",
+       "--fit-kmin", "2"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    (row,) = cli.validate_cases(deltas=(0.2,), alphas=(0.4,))
+    assert row[2] == "PASS", row
+    assert cli.main(["track", *run, "--out", "track"]) == 0
+    assert cli.main(["sweep", *run, "--b-list", "2", "--out", "sweep"]) == 0
+assert loaded() == [], loaded()
+assert cli.main(sys.argv[1:]) == 0
+assert "mpmath" in sys.modules
+assert pickle.loads(pickle.dumps(EXTENDED32)) is EXTENDED32
+"""
+
+EXTENDED_SIMULATE = ["simulate", "--modes", "16", "--dt", "0.01", "--t-end", "0.05",
+                     "--sample-every", "1", "--precision", "extended32"]
+
+
+def output_files(root: Path) -> dict:
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestLazyExtended:
+    """A double run never loads mpmath or the worker pool; the extended mode loads on first use."""
+
+    def test_double_runs_import_no_mpmath_and_no_pool(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(precision.__file__).parents[1]))
+        command = [*EXTENDED_SIMULATE, "--out", str(tmp_path / "fresh")]
+        done = subprocess.run([sys.executable, "-c", LAZY_SCRIPT, *command],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        # the first use in a fresh process writes what this process writes
+        assert cli.main(EXTENDED_SIMULATE + ["--out", str(tmp_path / "here")]) == 0
+        fresh = output_files(tmp_path / "fresh")
+        assert len(fresh) > 10 and fresh == output_files(tmp_path / "here")
+
+    def test_mode_pickles_by_reference(self):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(EXTENDED32, protocol)) is EXTENDED32
+
+    def test_extended_values_pickle_bit_for_bit(self):
+        config = BFamilyConfig(b=3.0, grid=GridSpec(16), dt=0.01, t_end=0.05,
+                               sample_every=1, precision=EXTENDED32)
+        trajectory, trace = track_run(config, FitOptions(k_min=2))
+        spectrum = trajectory.snapshots[-1]
+        back_trace, back_spectrum = pickle.loads(pickle.dumps((trace, spectrum)))
+
+        def typed_raw(values):
+            return [(type(v), raw([v])[0] if isinstance(v, EXTENDED32.scalar_types) else v)
+                    for v in values]
+
+        assert typed_raw(back_spectrum.coeffs) == typed_raw(spectrum.coeffs)
+        fields = ("amplitude", "alpha", "delta", "x_star", "residual")
+        before = [typed_raw(getattr(fit, name) for name in fields) for fit in trace.fits]
+        after = [typed_raw(getattr(fit, name) for name in fields) for fit in back_trace.fits]
+        assert after == before
+        assert any(kind in EXTENDED32.scalar_types for kind, _ in before[0])
