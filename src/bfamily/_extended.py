@@ -55,7 +55,7 @@ class ExtendedOperations:
 
     scalar_types = (_CTX.mpf, _CTX.mpc)
     ulp = float(_CTX.eps)
-    pi = _CTX.pi
+    pi = +_CTX.pi  # an mpf of the context, which pickles; the constant does not
     zero = _CTX.mpc(0)
 
     log = staticmethod(_CTX.log)

@@ -36,8 +36,10 @@ Exit codes: 0 success, 1 a ``validate`` case failed (``EXIT_VALIDATE_FAIL``),
 included; an ``--out`` under a non-directory fails before the run), 3
 overflow before t_end (the partial run's outputs are written; ``sweep``
 exits 3 if any run did).  A tracked run with no blow-up time or no
-clean fit exits 0 with an empty t_s or late alpha.  ``_result_line``
-and ``_notes`` render a run's report, its ``SingularityTrace``.
+clean fit exits 0 with an empty t_s or late alpha; ``track``'s
+``summary.txt`` gives the trace's ``t_s_reason`` for an empty t_s.
+``_result_line`` and ``_notes`` render a run's report, its
+``SingularityTrace``; the one stderr note is the overflow's.
 
 ``sweep`` runs a single b in this process; only two or more b start a
 worker pool, and only then is ``multiprocessing`` imported.  Each worker
@@ -64,8 +66,7 @@ from .integrator import BFamilyConfig, StopReason, simulate
 from .precision import MODES, Precision
 from .spectral import derivative
 from .synthetic import SyntheticSpec, oracle_spectrum
-from .tracker import (MIN_EXTRAPOLATION_SAMPLES, FitOptions, SingularityTrace, fit_spectrum,
-                      strip_monitor, track_run)
+from .tracker import FitOptions, SingularityTrace, fit_spectrum, strip_monitor, track_run
 
 SCHEMA_VERSION = 2
 
@@ -397,12 +398,12 @@ def cmd_track(manifest: RunManifest) -> int:
                 "t_s": fmt(trace.t_s_estimate),
                 "t_s_stderr": fmt(trace.t_s_stderr),
                 "late_time_alpha": fmt(trace.late_alpha),
-                "used_unclean_fallback": "true" if trace.used_unclean_fallback else "false",
+                "t_s_reason": trace.t_s_reason or "",
             },
         )
         (out / "plot.py").write_text(_PLOT_SCRIPT)
     print(_result_line(trace))
-    return _notes("", trace.stop_reason, trace.used_unclean_fallback)
+    return _notes("", trace.stop_reason)
 
 
 def _result_line(trace: SingularityTrace, prefix: str = "", stderr: bool = True) -> str:
@@ -415,14 +416,8 @@ def _result_line(trace: SingularityTrace, prefix: str = "", stderr: bool = True)
     return f"{prefix}t_s = {t_text}, late-time alpha = {alpha_text}"
 
 
-_FALLBACK_NOTE = (f"t_s comes from the unclean fallback: fewer than {MIN_EXTRAPOLATION_SAMPLES} "
-                  "fits passed the residual and width gates")
-
-
-def _notes(prefix: str, stop_reason: StopReason, used_unclean_fallback: bool = False) -> int:
-    """Print a run's stderr notes, each after ``prefix``, and return its exit code."""
-    if used_unclean_fallback:
-        print(prefix + _FALLBACK_NOTE, file=sys.stderr)
+def _notes(prefix: str, stop_reason: StopReason) -> int:
+    """Print a run's stderr note after ``prefix``, if any, and return its exit code."""
     if stop_reason is StopReason.OVERFLOW:
         print(f"{prefix}overflow before t_end; the outputs hold the partial run", file=sys.stderr)
         return EXIT_OVERFLOW
@@ -509,7 +504,7 @@ def cmd_sweep(
     code = EXIT_OK
     for b, trace in traces:
         print(_result_line(trace, f"b = {b}: ", stderr=False))
-        code = max(code, _notes(f"b = {b}: ", trace.stop_reason, trace.used_unclean_fallback))
+        code = max(code, _notes(f"b = {b}: ", trace.stop_reason))
     return code
 
 

@@ -49,9 +49,9 @@ building a config with it or parsing ``precision = extended32`` imports
 nothing.  Its first other attribute read imports ``_extended`` (mpmath
 and the mode's context) and binds every operation onto the object,
 where later reads find them as instance attributes.  A double run never
-imports mpmath.  The object pickles by reference, before and after that
-first use, so a sweep's tasks carry it to the workers as the same
-``EXTENDED32``.
+imports mpmath.  Both modes pickle by reference, ``EXTENDED32`` before
+and after that first use, so a sweep's tasks carry a mode to the
+workers as the same object.
 
 The double mode binds scalar ``math`` functions for scalar operations
 and numpy functions for array operations, and ``log_ratio`` takes
@@ -126,7 +126,8 @@ class DoublePrecision:
     numpy's private ``numpy.fft._pocketfft_umath``, numpy >= 2.0) with
     the factors those wrappers pass: the same bits, without the
     wrappers' per-call work.  K is even (``GridSpec`` requires it), so
-    the forward gufunc is the even-length one.
+    the forward gufunc is the even-length one.  The object pickles by
+    reference, as ``DOUBLE``.
     """
 
     digits = 15  # decimal digits a double always carries
@@ -153,6 +154,9 @@ class DoublePrecision:
 
     def context(self):
         return contextlib.nullcontext(self)
+
+    def __reduce__(self) -> str:
+        return "DOUBLE"
 
     def real(self, values) -> np.ndarray:
         """Real numbers as a working-precision array (float64)."""

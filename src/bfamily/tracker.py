@@ -22,8 +22,9 @@ alpha = s - 1: the fitted power s includes the +1 that integrating a
 branch point against exp(-i*k*x) always contributes.
 
 delta falling toward the grid's resolution limit 2*pi/K signals a real
-singularity forming; linear extrapolation of delta(t) to zero estimates
-the blow-up time.
+singularity forming; linear extrapolation of delta(t) to zero, over the
+fits that pass the residual and width gates, estimates the blow-up time.
+A run with too few such fits has none.
 
 A fit reads the spectrum over one wavenumber window: ``FitOptions.window``
 resolves its bounds at K modes (or raises ConfigError), and
@@ -37,7 +38,8 @@ below ``FitOptions.min_strip_width``.  ``track_run`` simulates with it
 attached, and its fits are the fits the trace aggregates, so each
 snapshot is fitted once.  ``track`` fits and aggregates a trajectory
 that is already recorded.  Either way the ``SingularityTrace`` is the
-run's report: why it stopped, its blow-up time and its late character.
+run's report: why it stopped, its blow-up time or why it has none, and
+its late character.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ MAX_RESIDUAL = 0.15
 EXTRAPOLATION_SAMPLES = 5
 
 # The fewest samples the extrapolation takes (two leave no residual to
-# test the slope against); fewer clean fits than this send it all fits.
+# test the slope against); a run with fewer clean fits has no t_s.
 MIN_EXTRAPOLATION_SAMPLES = 3
 
 # The late-time character is the mean over this many of the last clean fits.
@@ -437,10 +439,11 @@ class SingularityTrace:
     ``fits`` (possibly empty) are those of the snapshots at ``times``, and
     ``stop_reason`` is the trajectory's.  ``t_s_estimate`` is the
     extrapolated time at which the strip width reaches zero, with a
-    delta-method standard error; both are None when
-    ``extrapolate_blowup_time`` finds no blow-up time.
-    ``used_unclean_fallback`` is set when that t_s came from all fits,
-    fewer than MIN_EXTRAPOLATION_SAMPLES having passed the gates.
+    delta-method standard error; both are None when the run gives no
+    blow-up time, and ``t_s_reason`` then says why: "under-resolved"
+    when fewer than MIN_EXTRAPOLATION_SAMPLES fits pass the gates, "no
+    finite-time collapse" when ``extrapolate_blowup_time`` finds no zero
+    crossing in those that do.  It is None when t_s is given.
     ``late_alpha`` is None when no fit is clean.
     """
 
@@ -449,7 +452,7 @@ class SingularityTrace:
     stop_reason: StopReason
     t_s_estimate: Optional[float]
     t_s_stderr: Optional[float]
-    used_unclean_fallback: bool
+    t_s_reason: Optional[str]
     late_alpha: Optional[float]
 
 
@@ -504,8 +507,10 @@ def _trace(trajectory: Trajectory, results: Sequence[Optional[FitResult]]) -> Si
     at or above a quarter of the grid's resolution limit.  Width
     estimates from deeper snapshots flatten as truncation regularizes
     the collapse, which would bias the zero crossing late; the gated
-    band keeps the extrapolation on the clean part of the decay; when
-    fewer than MIN_EXTRAPOLATION_SAMPLES fits pass, every fit enters.
+    band keeps the extrapolation on the clean part of the decay.  Fewer
+    than MIN_EXTRAPOLATION_SAMPLES gated fits give no t_s, the run being
+    "under-resolved"; enough of them without a significant fall give
+    "no finite-time collapse".  Fits that fail the gates never enter.
 
     The late character averages alpha over the last LATE_ALPHA_SAMPLES
     fits under MAX_RESIDUAL, the deepest included: below the grid floor
@@ -519,13 +524,14 @@ def _trace(trajectory: Trajectory, results: Sequence[Optional[FitResult]]) -> Si
     gate = trajectory.config.grid.resolution_limit / 4
     clean = [i for i, f in enumerate(fits)
              if f.residual < MAX_RESIDUAL and float(f.delta) >= gate]
-    fallback = len(clean) < MIN_EXTRAPOLATION_SAMPLES
-    if fallback:
-        clean = list(range(len(fits)))
     sel = clean[-EXTRAPOLATION_SAMPLES:]
     t_s, stderr = extrapolate_blowup_time(
         [times[i] for i in sel], [float(fits[i].delta) for i in sel]
     )
+    reason = None
+    if t_s is None:
+        reason = ("under-resolved" if len(clean) < MIN_EXTRAPOLATION_SAMPLES
+                  else "no finite-time collapse")
     good = [float(f.alpha) for f in fits if f.residual < MAX_RESIDUAL]
     return SingularityTrace(
         times=tuple(times),
@@ -533,7 +539,7 @@ def _trace(trajectory: Trajectory, results: Sequence[Optional[FitResult]]) -> Si
         stop_reason=trajectory.stop_reason,
         t_s_estimate=t_s,
         t_s_stderr=stderr,
-        used_unclean_fallback=fallback and t_s is not None,
+        t_s_reason=reason,
         late_alpha=float(np.mean(good[-LATE_ALPHA_SAMPLES:])) if good else None,
     )
 
@@ -542,7 +548,7 @@ def track(trajectory: Trajectory, fit: FitOptions = FitOptions()) -> Singularity
     """Fit every snapshot of a recorded trajectory and extrapolate the blow-up time.
 
     Snapshots whose spectra admit no fit (window below the noise floor,
-    overflowing extrapolation) are skipped; too few fits give no t_s.
+    overflowing extrapolation) are skipped; too few gated fits give no t_s.
     """
     return _trace(trajectory, [_fit_or_skip(s, fit) for s in trajectory.snapshots])
 

@@ -357,23 +357,20 @@ class TestTrackCommand:
         assert 0.6 < t_s < 0.9
         assert float(summary["late_time_alpha"]) > 0.0
 
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_summary_reports_unclean_fallback(self, tmp_path, monkeypatch, fallback):
-        real_track_run = cli.track_run
-
-        def forced_track_run(config, fit):
-            trajectory, trace = real_track_run(config, fit)
-            return trajectory, dataclasses.replace(trace, used_unclean_fallback=fallback)
-
-        monkeypatch.setattr(cli, "track_run", forced_track_run)
-        manifest = build_manifest(
-            {"modes": "128", "dt": "0.001", "t_end": "0.4", "dealias": "true",
-             "sample_every": "40", "fit_kmin": "10", "fit_kmax": "40"},
-            tmp_path / "out",
-        )
-        assert cli.cmd_track(manifest) == 0
-        lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
-        assert f"used_unclean_fallback = {'true' if fallback else 'false'}" in lines
+    @pytest.mark.parametrize("run, reason", [
+        (["--modes", "128", "--dt", "0.001", "--t-end", "0.4", "--dealias", "true",
+          "--sample-every", "40", "--fit-kmin", "10", "--fit-kmax", "40"], ""),
+        (UNCLEAN_RUN, "under-resolved"),
+    ], ids=["given", "under-resolved"])
+    def test_summary_reports_t_s_reason(self, tmp_path, run, reason):
+        # the reason line is empty exactly when t_s is given
+        out = tmp_path / "out"
+        assert main(["track", *run, "--out", str(out)]) == 0
+        summary = dict(line.split(" = ", 1)
+                       for line in (out / "summary.txt").read_text().splitlines())
+        assert summary["t_s_reason"] == reason
+        assert (summary["t_s"] == "") == bool(reason)
+        assert (summary["t_s_stderr"] == "") == bool(reason)
 
     @pytest.mark.parametrize("command", [["track"], ["sweep", "--b-list", "2,3"]])
     def test_inverted_fit_window_exits_2_before_running(self, tmp_path, monkeypatch, command):
@@ -413,24 +410,21 @@ class TestTrackCommand:
         assert not out.exists()
 
     def test_no_clean_fit_writes_all_outputs_and_exits_0(self, tmp_path, capsys):
-        # 24 fits, none under the residual gate: no late alpha, the same t_s as sweep
-        run = ["--b", "4", "--modes", "32", "--initial", "type2", "--dealias", "true",
-               "--dt", "0.001", "--t-end", "1.0", "--sample-every", "20",
-               "--fit-kmin", "2", "--fit-kmax", "5"]
-        assert main(["sweep", *run, "--b-list", "4", "--out", str(tmp_path / "sweep")]) == 0
-        swept = capsys.readouterr().out
-        assert swept.endswith(", late-time alpha = none\n")
+        # 24 fits, none under the residual gate: no t_s and no late alpha, as in sweep
+        swept_out = tmp_path / "sweep"
+        assert main(["sweep", *UNCLEAN_RUN, "--b-list", "4", "--out", str(swept_out)]) == 0
+        assert capsys.readouterr().out == "b = 4.0: t_s = none, late-time alpha = none\n"
+        rows = [line for line in (swept_out / "sweep.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows[1:] == ["4.0,,,"]
         out = tmp_path / "track"
-        assert main(["track", *run, "--out", str(out)]) == 0
+        assert main(["track", *UNCLEAN_RUN, "--out", str(out)]) == 0
         printed = capsys.readouterr().out
-        assert sorted(p.name for p in out.iterdir()) == [
-            "magnitudes.csv", "plot.py", "singularity.csv", "summary.txt"]
+        assert sorted(p.name for p in out.iterdir()) == FOUR_FILES
         lines = (out / "summary.txt").read_text().splitlines()
-        assert "late_time_alpha = " in lines
-        assert "used_unclean_fallback = true" in lines
-        assert printed.endswith(", late-time alpha = none\n")
-        t_s_text = swept.split("t_s = ", 1)[1].split(",", 1)[0]
-        assert printed.startswith(f"t_s = {t_s_text} +- ")
+        assert {"fitted_snapshots = 24", "t_s = ", "t_s_stderr = ", "late_time_alpha = ",
+                "t_s_reason = under-resolved"} <= set(lines)
+        assert printed == "t_s = none, late-time alpha = none\n"
 
     def test_no_decay_exits_0_with_four_files(self, tmp_path, capsys):
         # b = -1 stationary wave: every snapshot sits below the fit floor
@@ -451,7 +445,7 @@ class TestTrackCommand:
         assert sorted(p.name for p in out.iterdir()) == FOUR_FILES
         lines = (out / "summary.txt").read_text().splitlines()
         assert {"stop_reason = overflow", "fitted_snapshots = 0", "t_s = ",
-                "used_unclean_fallback = false"} <= set(lines)
+                "t_s_reason = under-resolved"} <= set(lines)
         printed, err = capsys.readouterr()
         assert printed == "t_s = none, late-time alpha = none\n"
         assert err == "overflow before t_end; the outputs hold the partial run\n"
@@ -668,13 +662,14 @@ class TestSweepCommand:
         ]
         assert rows[1] == "-1.0,,,"
 
-    @pytest.mark.parametrize("command, note", [
-        (["track"], cli._FALLBACK_NOTE),
-        (["sweep", "--b-list", "4"], f"b = 4.0: {cli._FALLBACK_NOTE}"),
-    ], ids=["track", "sweep"])
-    def test_unclean_fallback_is_noted_on_stderr(self, tmp_path, capsys, command, note):
+    @pytest.mark.parametrize("command", [["track"], ["sweep", "--b-list", "4"]],
+                             ids=["track", "sweep"])
+    def test_under_resolved_run_prints_no_note(self, tmp_path, capsys, command):
+        # no t_s is not an error: the run exits 0 with nothing on stderr
         assert main([*command, *UNCLEAN_RUN, "--out", str(tmp_path / "o")]) == 0
-        assert capsys.readouterr().err == note + "\n"
+        printed, err = capsys.readouterr()
+        assert "t_s = none" in printed
+        assert err == ""
 
     def test_overflow_is_noted_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -751,7 +746,7 @@ class TestSweepCommand:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         empty = tracker.SingularityTrace(
             times=(), fits=(), stop_reason=integrator.StopReason.REACHED_T_END,
-            t_s_estimate=None, t_s_stderr=None, used_unclean_fallback=False, late_alpha=None)
+            t_s_estimate=None, t_s_stderr=None, t_s_reason="under-resolved", late_alpha=None)
         monkeypatch.setattr(cli, "_sweep_entry", lambda task: (task[0].b, empty))
         b_values = [float(b) for b in range(n_b)]
         rows = run_sweep(build_manifest({}, tmp_path), b_values[::-1], max_workers=max_workers)

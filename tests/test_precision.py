@@ -374,15 +374,17 @@ class TestLazyExtended:
         assert len(fresh) > 10 and fresh == output_files(tmp_path / "here")
 
     def test_mode_pickles_by_reference(self):
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.loads(pickle.dumps(EXTENDED32, protocol)) is EXTENDED32
+        for mode in (DOUBLE, EXTENDED32):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(mode, protocol)) is mode
 
     def test_extended_values_pickle_bit_for_bit(self):
         config = BFamilyConfig(b=3.0, grid=GridSpec(16), dt=0.01, t_end=0.05,
                                sample_every=1, precision=EXTENDED32)
         trajectory, trace = track_run(config, FitOptions(k_min=2))
         spectrum = trajectory.snapshots[-1]
-        back_trace, back_spectrum = pickle.loads(pickle.dumps((trace, spectrum)))
+        back_trace, back_spectrum, back_pi = pickle.loads(
+            pickle.dumps((trace, spectrum, EXTENDED32.pi)))
 
         def typed_raw(values):
             return [(type(v), raw([v])[0] if isinstance(v, EXTENDED32.scalar_types) else v)
@@ -394,3 +396,5 @@ class TestLazyExtended:
         after = [typed_raw(getattr(fit, name) for name in fields) for fit in back_trace.fits]
         assert after == before
         assert any(kind in EXTENDED32.scalar_types for kind, _ in before[0])
+        assert typed_raw([back_pi]) == typed_raw([EXTENDED32.pi])
+        assert typed_raw([EXTENDED32.pi])[0][0] is _extended._CTX.mpf

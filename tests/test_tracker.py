@@ -792,31 +792,39 @@ class TestTrack:
                                                [sin_spectrum] * 3, grid))
         assert trace.times == () and trace.fits == ()
         assert trace.t_s_estimate is None and trace.t_s_stderr is None
-        assert not trace.used_unclean_fallback
+        assert trace.t_s_reason == "under-resolved"
 
-    def width_history(self):
+    def width_history(self, slope=-0.4):
         grid = GridSpec(1024)
         times = [0.1 + 0.05 * i for i in range(6)]
         spectra = [oracle_spectrum(
-            SyntheticSpec(alpha=1 / 3, delta=0.5 - 0.4 * t, x_star=1.0), grid)
+            SyntheticSpec(alpha=1 / 3, delta=0.5 + slope * t, x_star=1.0), grid)
             for t in times]
         return _trajectory_from_spectra(times, spectra, grid)
 
     def test_clean_fits_need_no_fallback(self):
         trace = track(self.width_history(), FitOptions(k_min=16))
-        assert not trace.used_unclean_fallback
+        assert trace.t_s_reason is None
         assert abs(trace.t_s_estimate - 1.25) < 1e-3
 
-    def test_unclean_fallback_is_flagged(self, monkeypatch):
-        # no fit passes a zero residual gate: all fits enter the extrapolation
+    def test_no_gated_fit_is_under_resolved(self, monkeypatch):
+        # no fit passes a zero residual gate: the six fits give no t_s
         monkeypatch.setattr(tracker, "MAX_RESIDUAL", 0.0)
         trace = track(self.width_history(), FitOptions(k_min=16))
-        assert trace.used_unclean_fallback
+        assert len(trace.fits) == 6
+        assert trace.t_s_estimate is None and trace.t_s_stderr is None
+        assert trace.t_s_reason == "under-resolved"
         assert trace.late_alpha is None
-        sel = slice(-tracker.EXTRAPOLATION_SAMPLES, None)
-        deltas = [float(f.delta) for f in trace.fits]
-        expected = extrapolate_blowup_time(trace.times[sel], deltas[sel])
-        assert (trace.t_s_estimate, trace.t_s_stderr) == expected
+
+    def test_rising_width_has_no_finite_time_collapse(self):
+        # six clean fits whose width grows: enough samples, no zero crossing ahead
+        trace = track(self.width_history(slope=0.4), FitOptions(k_min=16))
+        assert len(trace.fits) == 6
+        assert all(f.residual < tracker.MAX_RESIDUAL for f in trace.fits)
+        assert trace.t_s_estimate is None and trace.t_s_stderr is None
+        assert trace.t_s_reason == "no finite-time collapse"
+        # the late character is still reported
+        assert abs(trace.late_alpha - 1 / 3) < 0.01
 
     def small_run(self):
         config = BFamilyConfig(b=3.0, grid=GridSpec(128), dt=1e-3, t_end=0.4,
