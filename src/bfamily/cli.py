@@ -16,14 +16,14 @@ comment).  The keys, with the defaults and parsers in ``_MANIFEST_KEYS``:
     min_strip_width = none       early-stop width (none: grid limit 2*pi/K)
 
 The fit keys and ``min_strip_width`` fill ``tracker.FitOptions``, which
-owns the fit window and the early stop.  ``build_manifest`` rejects a
-``fit_kmax`` below max(``fit_kmin``, 2) + 2 whatever K is.  The window at
-the manifest's K is checked where a fit runs, before any step: ``track``
-and a monitored ``simulate`` fail on their t = 0 fit, and ``sweep``
-checks it before its worker pool starts.  With ``min_strip_width =
-none``, ``simulate`` attaches no width monitor and so fits nothing;
-``track`` and ``sweep`` always attach one.  ``validate`` checks its
-window at its K before the first case.
+owns the fit window and the early stop.  ``build_manifest`` checks each
+value, not the window: ``FitOptions.window`` checks that at the
+manifest's K where a fit runs, before any step.  ``track`` and a
+monitored ``simulate`` fail on their t = 0 fit, and ``sweep`` checks it
+before its worker pool starts.  With ``min_strip_width = none``,
+``simulate`` attaches no width monitor, so it fits nothing and never
+reads the window; ``track`` and ``sweep`` always attach one.
+``validate`` checks its window at its K before the first case.
 
 Command-line flags mirror the keys and override the file.  Outputs are
 CSV files whose ``#``-prefixed header repeats the schema version and the
@@ -41,10 +41,12 @@ clean fit exits 0 with an empty t_s or late alpha; ``track``'s
 ``_result_line`` and ``_notes`` render a run's report, its
 ``SingularityTrace``; the one stderr note is the overflow's.
 
-``sweep`` runs a single b in this process; only two or more b start a
-worker pool, and only then is ``multiprocessing`` imported.  Each worker
-sends back its full trace.  No double-precision command imports mpmath,
-and none but a pooled ``sweep`` imports ``multiprocessing``.
+``sweep``'s pool holds at most one worker per b, and by default no more
+than the CPUs in this process's affinity set.  A pool of one is not
+started: one b, ``--workers 1`` or one usable CPU runs every b in this
+process.  Each worker sends back its full trace.  No double-precision
+command imports mpmath, and none but a pooled ``sweep`` imports
+``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import GridSpec, inverse_transform
+from .core import GridSpec, check_integer, inverse_transform
 from .errors import BFamilyError, ConfigError
 from .integrator import BFamilyConfig, StopReason, simulate
 from .precision import MODES, Precision
@@ -439,17 +441,19 @@ def _sweep_traces(
     Each b's config is built before any pool starts, so a b that
     ``BFamilyConfig`` refuses (a NaN, say) is a ConfigError with no
     worker started.  The pool holds no more workers than there are b
-    values: under fork it starts all of them at once.  One b runs in
-    this process, so only a sweep of two or more b imports the pool and
-    ``multiprocessing``.
+    values (under fork it starts all of them at once), nor by default
+    than CPUs this process may run on.  A pool of one would only add a
+    process: its b values run here instead, so only a sweep that pools
+    imports the pool and ``multiprocessing``.
     """
     tasks = [(replace(manifest.config, b=float(b)), manifest.fit) for b in b_values]
-    if len(tasks) == 1:
-        entries = [_sweep_entry(tasks[0])]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(tasks), max_workers or cpus or 1)
+    if workers <= 1:
+        entries = [_sweep_entry(task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(len(tasks), max_workers or os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_sweep_entry, tasks))
     return sorted(entries, key=lambda entry: entry[0])
@@ -488,8 +492,8 @@ def cmd_sweep(
 ) -> int:
     if not b_values:
         raise ConfigError("sweep needs at least one b value")
-    if max_workers is not None and max_workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {max_workers}")
+    if max_workers is not None:
+        check_integer("--workers", max_workers, minimum=1)
     check_sweep_range(b_values, allow_b_minus_one)
     manifest.fit.window(manifest.config.grid.n_modes)
     traces = _sweep_traces(manifest, b_values, max_workers)

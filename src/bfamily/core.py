@@ -43,13 +43,14 @@ Discrete Parseval identity under this normalisation:
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteFieldError, OddResolutionError, SymmetryError
+from .errors import ConfigError, NonFiniteFieldError, SymmetryError
 from .precision import DOUBLE, Precision, transforms_for
 
 MIN_MODES = 8
@@ -66,17 +67,14 @@ TYPE_II = "type2"   # u0(x) = 1 + sin(x)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on [-pi, pi) with an even number of modes."""
+    """Uniform periodic grid on [-pi, pi): ``n_modes`` an even integer, at least MIN_MODES."""
 
     n_modes: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_modes, (int, np.integer)):
-            raise OddResolutionError(f"n_modes must be an integer, got {self.n_modes!r}")
+        check_integer("n_modes", self.n_modes, minimum=MIN_MODES)
         if self.n_modes % 2 != 0:
-            raise OddResolutionError(f"n_modes must be even, got {self.n_modes}")
-        if self.n_modes < MIN_MODES:
-            raise OddResolutionError(f"n_modes must be at least {MIN_MODES}, got {self.n_modes}")
+            raise ConfigError(f"n_modes must be even, got {self.n_modes!r}")
 
     def nodes(self, precision: Precision = DOUBLE) -> np.ndarray:
         """Node positions x_j = -pi + j*2*pi/K in the requested scalar mode."""
@@ -202,14 +200,34 @@ def inverse_transform(spectrum: Spectrum) -> PeriodicField:
 InitialSpec = Union[str, Callable]
 
 
-def check_real(name: str, value) -> None:
-    """Raise ConfigError unless ``value`` is a real number; a bool is not one.
+def check_real(name: str, value, positive: bool = False) -> None:
+    """The one rule for a real setting: a finite real number, > 0 when ``positive``.
 
-    ints, floats and numpy numbers pass.  Settings call this before any
-    range test, so a str or None gets a typed error, not numpy's.
+    ints, floats and numpy numbers pass; a bool, a str, None, NaN or an
+    infinity raises ConfigError naming the setting.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the double range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+
+
+def check_integer(name: str, value, minimum: Optional[int] = None) -> None:
+    """The one rule for an integer setting: an integer, not a bool, at least ``minimum``.
+
+    Python and numpy integers pass; a float (16.0 too), a str or None
+    raises ConfigError naming the setting.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
 
 
 def check_initial(initial) -> None:

@@ -9,10 +9,6 @@ class ConfigError(BFamilyError):
     """A run configuration or manifest is invalid."""
 
 
-class OddResolutionError(ConfigError):
-    """The requested grid resolution is odd or too small."""
-
-
 class NonFiniteFieldError(BFamilyError):
     """A physical-space field contains NaN or infinite samples."""
 

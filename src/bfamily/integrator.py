@@ -32,8 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (GridSpec, InitialSpec, Spectrum, check_initial, check_real, forward_transform,
-                   initial_datum)
+from .core import (GridSpec, InitialSpec, Spectrum, check_initial, check_integer, check_real,
+                   forward_transform, initial_datum)
 from .errors import BlowUpOverflowError, ConfigError
 from .precision import DOUBLE, Precision
 from .spectral import RhsOptions, rhs_kernel
@@ -50,7 +50,9 @@ class BFamilyConfig:
     """Complete description of one simulation run; ``precision`` is every snapshot's mode.
 
     ``rhs_options`` is built from ``b`` and ``dealias`` with the config,
-    and ``RhsOptions`` is the one check of those two fields.
+    and ``RhsOptions`` is the one check of those two fields.  ``dt`` and
+    ``t_end`` are positive reals with t_end / dt finite and below 2**53,
+    and ``sample_every`` an integer of at least 1.
     """
 
     b: float
@@ -66,21 +68,15 @@ class BFamilyConfig:
     def __post_init__(self) -> None:
         check_initial(self.initial)
         object.__setattr__(self, "rhs_options", RhsOptions(b=self.b, dealias=self.dealias))
-        for name in ("dt", "t_end"):
-            check_real(name, getattr(self, name))
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not (np.isfinite(self.t_end) and self.t_end > 0):
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        check_real("dt", self.dt, positive=True)
+        check_real("t_end", self.t_end, positive=True)
         steps = self.t_end / self.dt
         if not math.isfinite(steps):
             raise ConfigError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
         # past 2**53 steps, neither the step count nor step_index * dt is exact in a double
         if steps >= 2.0**53:
             raise ConfigError(f"t_end / dt must be below 2**53, got {self.t_end} / {self.dt}")
-        if (isinstance(self.sample_every, bool)
-                or not isinstance(self.sample_every, (int, np.integer)) or self.sample_every < 1):
-            raise ConfigError(f"sample_every must be a positive integer, got {self.sample_every}")
+        check_integer("sample_every", self.sample_every, minimum=1)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ dtypes come from the scalar mode (``precision.transforms_for``).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +59,9 @@ class RhsOptions:
     b selects the member of the family (2: Camassa-Holm, 3:
     Degasperis-Procesi).  With ``dealias`` the upper third of modes is
     zeroed before and after products (two-thirds rule); the default
-    keeps the full spectrum.  ``b`` must be a finite real number (not a
-    bool) and ``dealias`` a bool; anything else is a ConfigError.
+    keeps the full spectrum.  ``b`` must be a finite real number
+    (``check_real``) and ``dealias`` a bool; anything else is a
+    ConfigError.
     """
 
     b: float
@@ -69,8 +69,6 @@ class RhsOptions:
 
     def __post_init__(self) -> None:
         check_real("b", self.b)
-        if not math.isfinite(self.b):
-            raise ConfigError(f"b must be finite, got {self.b}")
         if not isinstance(self.dealias, bool):
             raise ConfigError(f"dealias must be a bool, got {self.dealias!r}")
 

@@ -27,13 +27,11 @@ degenerate member of the family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GridSpec, PeriodicField, Spectrum, check_real
-from .errors import ConfigError
 from .precision import DOUBLE, Precision
 
 
@@ -41,8 +39,8 @@ from .precision import DOUBLE, Precision
 class SyntheticSpec:
     """Branch-point parameters: character, strip width, abscissa, scale.
 
-    Every field must be a finite real number (not a bool), ``delta``
-    positive and ``amplitude`` positive; anything else is a ConfigError.
+    Every field must be a finite real number (``check_real``), ``delta``
+    and ``amplitude`` positive; anything else is a ConfigError.
     ``alpha`` may be any real number; nonnegative integers degenerate to
     trigonometric polynomials (binomial series truncates).
     """
@@ -53,15 +51,9 @@ class SyntheticSpec:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "delta", "x_star", "amplitude"):
-            check_real(name, getattr(self, name))
-        if not (math.isfinite(self.alpha) and math.isfinite(self.delta)
-                and math.isfinite(self.x_star) and math.isfinite(self.amplitude)):
-            raise ConfigError("synthetic parameters must be finite")
-        if self.delta <= 0:
-            raise ConfigError(f"strip width must be positive, got {self.delta}")
-        if self.amplitude <= 0:
-            raise ConfigError(f"amplitude must be positive, got {self.amplitude}")
+        for name, positive in (("alpha", False), ("delta", True), ("x_star", False),
+                               ("amplitude", True)):
+            check_real(name, getattr(self, name), positive)
 
 
 def oracle_field(spec: SyntheticSpec, grid: GridSpec,

@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Spectrum, check_real
+from .core import Spectrum, check_integer, check_real
 from .errors import ConfigError, EmptyWindowError, ExtrapolationError, NoiseFloorError
 from .integrator import BFamilyConfig, StopReason, Trajectory, simulate
 from .precision import Precision, transforms_for
@@ -85,17 +84,18 @@ LATE_ALPHA_SAMPLES = 3
 class FitOptions:
     """Fit window for spectrum fits, and the strip width that ends a run.
 
-    ``k_min``/``k_max`` bound the sliding window that ``window`` resolves
-    at K modes (None: max(8, K/16) and K/2 - 2); a fit needs three
-    wavenumbers from k >= 2, so a given ``k_max`` below max(k_min, 2) + 2
-    is rejected here, before K is known.
+    ``k_min``/``k_max`` bound the sliding window, and ``window`` is the
+    one check of it: it resolves the bounds at K modes (None: max(8,
+    K/16) and K/2 - 2) and raises ConfigError when fewer than three
+    wavenumbers remain.  Every fitting path calls it before its first
+    step, so an empty window here is not yet an error.
     ``min_strip_width`` is the fitted width below which ``strip_monitor``
     ends a run, the singularity being within one grid spacing of the
     real axis (None: the grid default 2*pi/K).  A given width must be
     finite and positive: no estimate falls below NaN or a nonpositive
     width, so either would silently disable the early stop.  Each field
-    is None or a number of its type (``k_min``/``k_max`` integers, not
-    bools; the width a real number); anything else is a ConfigError.
+    is None or passes its shared rule (``check_integer`` for the window
+    edges, ``check_real`` for the width); anything else is a ConfigError.
     """
 
     k_min: Optional[int] = None
@@ -104,18 +104,10 @@ class FitOptions:
 
     def __post_init__(self) -> None:
         for name in ("k_min", "k_max"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Integral)):
-                raise ConfigError(f"{name} must be an integer or None, got {value!r}")
+            if getattr(self, name) is not None:
+                check_integer(name, getattr(self, name))
         if self.min_strip_width is not None:
-            check_real("min_strip_width", self.min_strip_width)
-        k_lo = max(self.k_min or 2, 2)
-        if self.k_max is not None and self.k_max < k_lo + 2:
-            raise ConfigError(f"fit window [{k_lo}, {self.k_max}] has fewer than 3 wavenumbers")
-        width = self.min_strip_width
-        if width is not None and not (math.isfinite(width) and width > 0):
-            raise ConfigError(f"min_strip_width must be finite and positive, got {width}")
+            check_real("min_strip_width", self.min_strip_width, positive=True)
 
     def window(self, n_modes: int) -> range:
         """The wavenumbers a fit at K modes may use, before the noise floor cuts it.

@@ -50,15 +50,16 @@ UNCLEAN_RUN = ["--b", "4", "--modes", "32", "--initial", "type2", "--dealias", "
 
 
 def forbid_running(monkeypatch, command):
-    """Fail the test if ``track`` takes a step or ``sweep`` starts a run."""
+    """Fail the test if ``track`` or ``simulate`` takes a step, or ``sweep`` starts a run."""
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    if command[0] == "track":
-        # track_run is called: its t = 0 fit must fail before any step
-        monkeypatch.setattr(integrator, "rk4_step", no_run)
-    else:
+    if command[0] == "sweep":
+        # sweep checks the window before its first run
         monkeypatch.setattr(cli, "track_run", no_run)
+    else:
+        # the run starts: its t = 0 fit, which checks the window, must fail before any step
+        monkeypatch.setattr(integrator, "rk4_step", no_run)
 
 
 class TestManifestParsing:
@@ -147,7 +148,6 @@ class TestManifestParsing:
             {"min_strip_width": "nan"},
             {"min_strip_width": "-1"},
             {"min_strip_width": "0"},
-            {"fit_kmin": "40", "fit_kmax": "10"},
         ):
             with pytest.raises(ConfigError):
                 build_manifest(entries, tmp_path)
@@ -307,6 +307,16 @@ class TestSimulateCommand:
         assert code == 0
         assert len(list((out / "spectra").iterdir())) == 6
 
+    def test_unmonitored_run_reads_no_fit_window(self, tmp_path):
+        # the manifest builds with an inverted window; only a fitting run checks it
+        assert build_manifest({"fit_kmin": "40", "fit_kmax": "10"}, tmp_path).fit.k_max == 10
+        out = tmp_path / "o"
+        code = main(["simulate", "--modes", "32", "--dt", "0.01", "--t-end", "0.02",
+                     "--sample-every", "1", "--fit-kmin", "40", "--fit-kmax", "10",
+                     "--out", str(out)])
+        assert code == 0
+        assert len(list((out / "spectra").iterdir())) == 3
+
     def test_monitored_small_grid_exits_2_before_any_step(self, tmp_path, monkeypatch):
         def no_step(*args, **kwargs):
             raise AssertionError("a step was taken")
@@ -372,7 +382,8 @@ class TestTrackCommand:
         assert (summary["t_s"] == "") == bool(reason)
         assert (summary["t_s_stderr"] == "") == bool(reason)
 
-    @pytest.mark.parametrize("command", [["track"], ["sweep", "--b-list", "2,3"]])
+    @pytest.mark.parametrize("command", [["track"], ["sweep", "--b-list", "2,3"],
+                                         ["simulate", "--min-strip-width", "0.1"]])
     def test_inverted_fit_window_exits_2_before_running(self, tmp_path, monkeypatch, command):
         forbid_running(monkeypatch, command)
         out = tmp_path / "o"
@@ -722,12 +733,13 @@ class TestSweepCommand:
         assert len(printed.splitlines()) == 5 and "none" not in printed
         assert err == ""
 
-    @pytest.mark.parametrize("n_b, max_workers, expected", [
-        (2, 5000, 2), (5, 2, 2), (3, 1, 1), (3, None, min(3, os.cpu_count() or 1)),
-    ])
-    def test_pool_holds_at_most_one_worker_per_b(self, tmp_path, monkeypatch,
-                                                n_b, max_workers, expected):
-        # a fake pool records its size and maps in this process: no worker starts
+    @staticmethod
+    def pool_sizes(tmp_path, monkeypatch, n_b, max_workers=None):
+        """The sizes of the pools a sweep of ``n_b`` b values starts, none of which runs.
+
+        A fake pool records its size and maps in this process, and each
+        run is a stub: the rows must still come back sorted by b.
+        """
         requested = []
 
         class FakePool:
@@ -751,7 +763,36 @@ class TestSweepCommand:
         b_values = [float(b) for b in range(n_b)]
         rows = run_sweep(build_manifest({}, tmp_path), b_values[::-1], max_workers=max_workers)
         assert [row[0] for row in rows] == b_values
-        assert requested == [expected]
+        return requested
+
+    # the CPUs this process may run on, as the sweep's default pool size counts them
+    USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+
+    # expected: the workers the sweep uses; one means its b values run in this process
+    @pytest.mark.parametrize("n_b, max_workers, expected", [
+        (2, 5000, 2), (5, 2, 2), (3, 1, 1), (3, None, min(3, USABLE_CPUS)),
+    ])
+    def test_pool_holds_at_most_one_worker_per_b(self, tmp_path, monkeypatch,
+                                                n_b, max_workers, expected):
+        requested = self.pool_sizes(tmp_path, monkeypatch, n_b, max_workers)
+        assert requested == ([expected] if expected > 1 else [])
+
+    @pytest.mark.parametrize("affinity, cpu_count, expected", [
+        ({0}, 2, 1), ({0, 1, 2, 3}, 1, 3), (None, 2, 2), (None, 1, 1), (None, None, 1),
+    ], ids=["one-cpu-affinity", "four-cpu-affinity", "two-cpu-count", "one-cpu-count",
+            "unknown-cpu-count"])
+    def test_default_pool_size_is_the_usable_cpus(self, tmp_path, monkeypatch,
+                                                  affinity, cpu_count, expected):
+        # the affinity set decides where the OS has one; os.cpu_count() where it has none
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity),
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        requested = self.pool_sizes(tmp_path, monkeypatch, 3)
+        assert requested == ([expected] if expected > 1 else [])
 
     def test_run_sweep_importable(self, tmp_path):
         manifest = build_manifest(
@@ -850,6 +891,14 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "fit window [300, 254] has fewer than 3 wavenumbers" in captured.err
+
+    def test_inverted_window_raises_before_any_case(self, monkeypatch):
+        def no_fit(spectrum, options):
+            raise AssertionError("a case was fitted")
+
+        monkeypatch.setattr(cli, "fit_spectrum", no_fit)
+        with pytest.raises(ConfigError, match=r"fit window \[40, 10\] has fewer than 3"):
+            validate_cases(n_modes=512, fit=FitOptions(k_min=40, k_max=10))
 
     def test_default_lower_edge_is_16(self, monkeypatch):
         seen = []

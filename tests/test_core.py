@@ -19,7 +19,7 @@ from bfamily.core import (
     initial_datum,
     inverse_transform,
 )
-from bfamily.errors import ConfigError, NonFiniteFieldError, OddResolutionError, SymmetryError
+from bfamily.errors import ConfigError, NonFiniteFieldError, SymmetryError
 from bfamily.precision import DOUBLE, EXTENDED32
 
 from oracles import signed_forward, signed_inverse
@@ -47,15 +47,15 @@ def half_spectra(draw, sizes):
 
 class TestGridSpec:
     def test_odd_resolution_rejected(self):
-        with pytest.raises(OddResolutionError):
+        with pytest.raises(ConfigError, match=r"^n_modes must be even, got 17$"):
             GridSpec(17)
 
     def test_too_small_rejected(self):
-        with pytest.raises(OddResolutionError):
+        with pytest.raises(ConfigError, match=r"^n_modes must be at least 8, got 4$"):
             GridSpec(4)
 
     def test_non_integer_rejected(self):
-        with pytest.raises(OddResolutionError):
+        with pytest.raises(ConfigError, match=r"^n_modes must be an integer, got 16\.0$"):
             GridSpec(16.0)
 
     def test_nodes_cover_half_open_interval(self):

@@ -344,6 +344,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert row[2] == "PASS", row
     assert cli.main(["track", *run, "--out", "track"]) == 0
     assert cli.main(["sweep", *run, "--b-list", "2", "--out", "sweep"]) == 0
+    assert cli.main(["sweep", *run, "--b-list", "2,3", "--workers", "1", "--out", "sweep1"]) == 0
 assert loaded() == [], loaded()
 assert cli.main(sys.argv[1:]) == 0
 assert "mpmath" in sys.modules

@@ -970,23 +970,28 @@ class TestConditioning:
 class TestFitOptions:
     @pytest.mark.parametrize("width", [float("nan"), -1.0, 0.0, float("inf")])
     def test_rejects_bad_min_strip_width(self, width):
-        with pytest.raises(ConfigError, match="min_strip_width must be finite and positive"):
+        rule = "positive" if math.isfinite(width) else "finite"
+        with pytest.raises(ConfigError, match=rf"^min_strip_width must be {rule}, got {width!r}$"):
             FitOptions(min_strip_width=width)
 
     @pytest.mark.parametrize("k_min, k_max", [(40, 10), (None, 3), (0, 3), (10, 11)])
     def test_rejects_window_under_three_wavenumbers(self, k_min, k_max):
-        with pytest.raises(ConfigError, match="fewer than 3 wavenumbers"):
-            FitOptions(k_min=k_min, k_max=k_max)
+        # the window is checked at its K only: the options themselves build
+        options = FitOptions(k_min=k_min, k_max=k_max)
+        with pytest.raises(ConfigError, match=r"fewer than 3 wavenumbers at K = 256$"):
+            options.window(256)
 
-    @pytest.mark.parametrize("k_min, k_max", [(None, 4), (1, 4), (10, 12)])
+    @pytest.mark.parametrize("k_min, k_max", [(None, 10), (1, 4), (10, 12)])
     def test_accepts_window_of_three_wavenumbers(self, k_min, k_max):
-        FitOptions(k_min=k_min, k_max=k_max)
+        # at K = 128 the default lower edge is max(8, K/16) = 8
+        window = FitOptions(k_min=k_min, k_max=k_max).window(128)
+        assert len(window) == 3 and window[-1] == k_max
 
     @pytest.mark.parametrize("name", ["k_min", "k_max"])
     @pytest.mark.parametrize("value", ["16", 16.0, True, False, [16]],
                              ids=["str", "float", "True", "False", "list"])
     def test_rejects_a_window_edge_that_is_not_an_integer(self, name, value):
-        with pytest.raises(ConfigError, match=f"{name} must be an integer or None, got"):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got"):
             FitOptions(**{name: value})
 
     @pytest.mark.parametrize("width", ["0.1", True, 0.1j, [0.1]], ids=["str", "bool", "complex", "list"])
