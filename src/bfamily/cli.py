@@ -20,7 +20,7 @@ owns the fit window and the early stop.  ``build_manifest`` checks each
 value, not the window: ``FitOptions.window`` checks that at the
 manifest's K where a fit runs, before any step.  ``track`` and a
 monitored ``simulate`` fail on their t = 0 fit, and ``sweep`` checks it
-before its worker pool starts.  With ``min_strip_width = none``,
+before its first run.  With ``min_strip_width = none``,
 ``simulate`` attaches no width monitor, so it fits nothing and never
 reads the window; ``track`` and ``sweep`` always attach one.
 ``validate`` checks its window at its K before the first case.
@@ -40,6 +40,10 @@ clean fit exits 0 with an empty t_s or late alpha; ``track``'s
 ``summary.txt`` gives the trace's ``t_s_reason`` for an empty t_s.
 ``_result_line`` and ``_notes`` render a run's report, its
 ``SingularityTrace``; the one stderr note is the overflow's.
+
+``track``, ``sweep`` and ``run_sweep`` refuse b < -1
+(``tracker.check_tracked_b``); ``simulate`` takes any finite b.
+``sweep`` and ``run_sweep`` share one gate before any run starts.
 
 ``sweep``'s pool holds at most one worker per b, and by default no more
 than the CPUs in this process's affinity set.  A pool of one is not
@@ -68,7 +72,8 @@ from .integrator import BFamilyConfig, StopReason, simulate
 from .precision import MODES, Precision
 from .spectral import derivative
 from .synthetic import SyntheticSpec, oracle_spectrum
-from .tracker import FitOptions, SingularityTrace, fit_spectrum, strip_monitor, track_run
+from .tracker import (FitOptions, SingularityTrace, check_tracked_b, fit_spectrum,
+                      strip_monitor, track_run)
 
 SCHEMA_VERSION = 2
 
@@ -185,8 +190,10 @@ def _entry_text(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, Precision):
         return value.label
     return str(value)
@@ -438,14 +445,23 @@ def _sweep_traces(
 ) -> list:
     """One tracked run per b (worker pool): ``(b, trace)`` pairs sorted by b.
 
-    Each b's config is built before any pool starts, so a b that
-    ``BFamilyConfig`` refuses (a NaN, say) is a ConfigError with no
-    worker started.  The pool holds no more workers than there are b
-    values (under fork it starts all of them at once), nor by default
-    than CPUs this process may run on.  A pool of one would only add a
-    process: its b values run here instead, so only a sweep that pools
-    imports the pool and ``multiprocessing``.
+    The one gate of ``sweep`` and ``run_sweep``: an empty b list, a
+    ``max_workers`` that is neither None nor an integer of at least 1, a
+    b below -1, an empty fit window at K and a b that ``BFamilyConfig``
+    refuses (a NaN, say) raise ConfigError before any run starts.  The
+    pool holds no more workers than there are b values (under fork it
+    starts all of them at once), nor by default than CPUs this process
+    may run on.  A pool of one would only add a process: its b values
+    run here instead, so only a sweep that pools imports the pool and
+    ``multiprocessing``.
     """
+    if len(b_values) == 0:
+        raise ConfigError("sweep needs at least one b value")
+    if max_workers is not None:
+        check_integer("--workers", max_workers, minimum=1)
+    for b in b_values:
+        check_tracked_b(b)
+    manifest.fit.window(manifest.config.grid.n_modes)
     tasks = [(replace(manifest.config, b=float(b)), manifest.fit) for b in b_values]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(tasks), max_workers or cpus or 1)
@@ -470,32 +486,9 @@ def run_sweep(
     return [_sweep_row(*entry) for entry in _sweep_traces(manifest, b_values, max_workers)]
 
 
-def check_sweep_range(b_values: Sequence[float], allow_b_minus_one: bool) -> None:
-    for b in b_values:
-        if b < -1.0:
-            raise ConfigError(
-                f"b = {b} is outside the supported range (b > -1); "
-                "behavior below -1 is not characterized"
-            )
-        if b == -1.0 and not allow_b_minus_one:
-            raise ConfigError(
-                "b = -1 admits globally analytic traveling waves with no "
-                "finite blow-up; pass --allow-b-minus-one to sweep it anyway"
-            )
-
-
 def cmd_sweep(
-    manifest: RunManifest,
-    b_values: Sequence[float],
-    allow_b_minus_one: bool = False,
-    max_workers: Optional[int] = None,
+    manifest: RunManifest, b_values: Sequence[float], max_workers: Optional[int] = None
 ) -> int:
-    if not b_values:
-        raise ConfigError("sweep needs at least one b value")
-    if max_workers is not None:
-        check_integer("--workers", max_workers, minimum=1)
-    check_sweep_range(b_values, allow_b_minus_one)
-    manifest.fit.window(manifest.config.grid.n_modes)
     traces = _sweep_traces(manifest, b_values, max_workers)
     provenance = manifest_entries(manifest)
     fmt = _value_formatter(manifest.config.precision)
@@ -616,11 +609,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         required=True,
         help="comma-separated b values, e.g. 0,1,2,3,4",
     )
-    p_sweep.add_argument(
-        "--allow-b-minus-one",
-        action="store_true",
-        help="permit exactly b = -1 (globally analytic; no finite t_s)",
-    )
     p_sweep.add_argument("--workers", type=int, default=None)
 
     p_val = sub.add_parser("validate", help="oracle-closure check of the tracker")
@@ -639,12 +627,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 b_values = [float(v) for v in args.b_list.split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad --b-list: {args.b_list!r}") from exc
-            return cmd_sweep(
-                manifest,
-                b_values,
-                allow_b_minus_one=args.allow_b_minus_one,
-                max_workers=args.workers,
-            )
+            return cmd_sweep(manifest, b_values, max_workers=args.workers)
         return cmd_validate(args.modes, args.fit_kmin)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -40,6 +40,7 @@ snapshot is fitted once.  ``track`` fits and aggregates a trajectory
 that is already recorded.  Either way the ``SingularityTrace`` is the
 run's report: why it stopped, its blow-up time or why it has none, and
 its late character.
+Both refuse b < -1 (``check_tracked_b``) before any step or fit.
 """
 
 from __future__ import annotations
@@ -536,12 +537,24 @@ def _trace(trajectory: Trajectory, results: Sequence[Optional[FitResult]]) -> Si
     )
 
 
+def check_tracked_b(b: float) -> None:
+    """The tracked range of b: ConfigError for b < -1, and every b >= -1 passes.
+
+    Below -1 lies the ramp-and-cliff regime (Holm & Staley, SIAM J. Appl.
+    Dyn. Syst. 2, 2003), where no strip-width t_s law is characterized.
+    """
+    if b < -1:
+        raise ConfigError(f"b = {b} is below the tracked range b >= -1")
+
+
 def track(trajectory: Trajectory, fit: FitOptions = FitOptions()) -> SingularityTrace:
     """Fit every snapshot of a recorded trajectory and extrapolate the blow-up time.
 
     Snapshots whose spectra admit no fit (window below the noise floor,
     overflowing extrapolation) are skipped; too few gated fits give no t_s.
+    A trajectory with b < -1 raises ConfigError before any fit.
     """
+    check_tracked_b(trajectory.config.b)
     return _trace(trajectory, [_fit_or_skip(s, fit) for s in trajectory.snapshots])
 
 
@@ -553,9 +566,10 @@ def track_run(config: BFamilyConfig, fit: FitOptions) -> tuple[Trajectory, Singu
     in snapshot order: each snapshot is fitted once.  The trace equals
     ``track(trajectory, fit)``.  A window that holds fewer than three
     wavenumbers at the config's K raises ConfigError from the t = 0 fit,
-    before the first step; any other run, an overflowed one or one with
+    and b < -1 before it; any other run, an overflowed one or one with
     no fit included, gives a trace.
     """
+    check_tracked_b(config.b)
     results: list[Optional[FitResult]] = []
     trajectory = simulate(config, strip_monitor(fit, results))
     return trajectory, _trace(trajectory, results)

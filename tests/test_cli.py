@@ -118,6 +118,20 @@ class TestManifestParsing:
         assert rebuilt.config == manifest.config
         assert rebuilt.fit == manifest.fit
 
+    def test_numpy_values_read_back(self, tmp_path):
+        # settings keep numpy values as given; the header writes them as plain numbers
+        manifest = cli.RunManifest(
+            config=BFamilyConfig(b=np.float64(2.5), grid=cli.GridSpec(np.int64(64)),
+                                 dt=np.float64(0.01), t_end=0.05,
+                                 sample_every=np.int64(3)),
+            fit=FitOptions(k_min=np.int64(4), min_strip_width=np.float64(0.1)),
+            out_dir=tmp_path,
+        )
+        entries = manifest_entries(manifest)
+        assert [entries[key] for key in ("b", "modes", "dt", "sample_every")] == [
+            "2.5", "64", "0.01", "3"]
+        assert manifest_entries(build_manifest(entries, tmp_path)) == entries
+
     def test_entries_print_every_key_as_before(self, tmp_path):
         # every key away from its default, in forms the parsers normalise
         entries = {
@@ -618,13 +632,34 @@ class TestSweepCommand:
         t_s_b2 = float(rows[1].split(",")[1])
         assert 0.4 < t_s_b2 < 0.9
 
-    def test_below_minus_one_rejected(self, tmp_path):
+    @pytest.mark.parametrize("command", [["track", "--b=-2"], ["sweep", "--b-list=-2,2"]],
+                             ids=["track", "sweep"])
+    def test_below_minus_one_rejected(self, tmp_path, monkeypatch, capsys, command):
+        forbid_running(monkeypatch, command)
         manifest = self.sweep_manifest(tmp_path)
-        code = main(
-            ["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
-             "--b-list=-2,2"]
-        )
-        assert code == 2
+        out = tmp_path / "o"
+        assert main([*command, "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: b = -2.0 is below the tracked range b >= -1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries, b_values, message", [
+        ({}, [2.0, -2.0], r"b = -2.0 is below the tracked range b >= -1"),
+        ({}, [], "sweep needs at least one b value"),
+        ({"fit_kmin": "29"}, [2.0, 3.0], r"fit window \[29, 30\] has fewer than 3"),
+        ({}, [2.0, float("nan")], "b must be finite, got nan"),
+    ], ids=["below-minus-one", "no-b", "empty-window", "nan"])
+    def test_run_sweep_refuses_before_running(self, tmp_path, monkeypatch, entries,
+                                              b_values, message):
+        # the library refuses what bfamily sweep refuses, before any run or pool
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run or a worker pool was started")
+
+        monkeypatch.setattr(cli, "track_run", no_run)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
+        manifest = build_manifest({"modes": "64", **entries}, tmp_path / "o")
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(manifest, b_values, max_workers=2)
 
     def test_zero_workers_exits_2_without_a_pool(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -636,6 +671,12 @@ class TestSweepCommand:
                      "--b-list", "0,1", "--workers", "0"])
         assert code == 2
         assert not (tmp_path / "o").exists()
+        # the library takes the same rule, before any run
+        monkeypatch.setattr(cli, "track_run", no_pool)
+        built = build_manifest({"modes": "128"}, tmp_path / "o")
+        for workers, rule in ((0, "at least 1"), (-1, "at least 1"), (2.5, "an integer")):
+            with pytest.raises(ConfigError, match=f"--workers must be {rule}, got {workers}"):
+                run_sweep(built, [0.0, 1.0], max_workers=workers)
 
     @pytest.mark.parametrize("b_list", ["nan,0", "0,inf"])
     def test_non_finite_b_exits_2_without_a_pool(self, tmp_path, monkeypatch, b_list):
@@ -649,29 +690,27 @@ class TestSweepCommand:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
-    def test_minus_one_needs_override(self, tmp_path):
-        manifest = self.sweep_manifest(tmp_path)
-        args = ["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
-                "--b-list=-1"]
-        assert main(args) == 2
-
-    def test_minus_one_override_gives_empty_row(self, tmp_path):
+    def test_minus_one_sweeps_without_a_flag(self, tmp_path):
+        # b = -1 is in the tracked range: no t_s, an empty-valued row, exit 0
         manifest = write_manifest(
             tmp_path / "m.txt", modes=64, dt="0.001", t_end="0.05", sample_every=10,
             dealias="false",
         )
         out = tmp_path / "out"
-        code = main(
-            ["sweep", "--manifest", str(manifest), "--out", str(out),
-             "--b-list=-1", "--allow-b-minus-one"]
-        )
-        assert code == 0
+        args = ["sweep", "--manifest", str(manifest), "--out", str(out), "--b-list=-1"]
+        assert main(args) == 0
         rows = [
             line
             for line in (out / "sweep.csv").read_text().splitlines()
             if not line.startswith("#")
         ]
-        assert rows[1] == "-1.0,,,"
+        assert rows[1:] == ["-1.0,,,"]
+        # the flag that once allowed it is unknown
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+                  "--b-list=-1", "--allow-b-minus-one"])
+        assert exited.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", [["track"], ["sweep", "--b-list", "4"]],
                              ids=["track", "sweep"])

@@ -856,6 +856,29 @@ class TestTrack:
         with pytest.raises(ConfigError, match="fewer than 3 wavenumbers"):
             track_run(config, FitOptions(k_min=61))
 
+    def test_below_minus_one_raises_before_any_step_or_fit(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run or a fit started")
+
+        config, fit = self.small_run()
+        below = dataclasses.replace(config, b=-2.0)
+        recorded = simulate(below)  # simulate takes any finite b
+        monkeypatch.setattr(tracker, "simulate", no_run)
+        monkeypatch.setattr(tracker, "fit_spectrum", no_run)
+        for run in (lambda: track_run(below, fit), lambda: track(recorded, fit)):
+            with pytest.raises(ConfigError, match=r"b = -2.0 is below the tracked range b >= -1"):
+                run()
+
+    @pytest.mark.parametrize("b", [-1, -1.0, np.float64(-1.0), 0.0, 1e300],
+                             ids=["int-1", "float-1", "numpy-1", "0", "1e300"])
+    def test_tracked_range_takes_every_b_from_minus_one(self, b):
+        tracker.check_tracked_b(b)
+
+    @pytest.mark.parametrize("b", [-1.0000001, -2, np.float64(-3.5), -1e300])
+    def test_tracked_range_refuses_every_b_below_minus_one(self, b):
+        with pytest.raises(ConfigError, match="below the tracked range"):
+            tracker.check_tracked_b(b)
+
     def test_recorded_skip_is_reused(self):
         grid = GridSpec(1024)
         sin_spectrum = forward_transform(

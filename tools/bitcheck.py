@@ -56,8 +56,10 @@ COMMANDS = {
                            "--dealias", "true", "--sample-every", "20", "--fit-kmin", "10",
                            "--fit-kmax", "40", "--min-strip-width", "0.1"],
     "minus-one-sweep": ["sweep", "--modes", "64", "--dt", "0.001", "--t-end", "0.05",
-                        "--sample-every", "10", "--dealias", "false", "--b-list=-1",
-                        "--allow-b-minus-one"],
+                        "--sample-every", "10", "--dealias", "false", "--b-list=-1"],
+    "minus-two-track": ["track", "--b=-2", "--modes", "128", "--dt", "0.001", "--t-end", "1.0",
+                        "--dealias", "true", "--sample-every", "20", "--fit-kmin", "10",
+                        "--fit-kmax", "40"],
     "extended-sweep": ["sweep", "--modes", "16", "--dt", "0.01", "--t-end", "0.05",
                        "--sample-every", "1", "--fit-kmin", "2", "--precision", "extended32",
                        "--b-list", "2,3", "--workers", "2"],
