@@ -705,7 +705,10 @@ class TestSweepCommand:
             if not line.startswith("#")
         ]
         assert rows[1:] == ["-1.0,,,"]
-        # the flag that once allowed it is unknown
+
+    def test_allow_b_minus_one_flag_is_unknown(self, tmp_path):
+        # the flag that once let b = -1 through is gone: argparse refuses it
+        manifest = self.sweep_manifest(tmp_path)
         with pytest.raises(SystemExit) as exited:
             main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
                   "--b-list=-1", "--allow-b-minus-one"])
