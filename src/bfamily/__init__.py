@@ -13,14 +13,13 @@ from .core import (
 from .integrator import BFamilyConfig, StopReason, Trajectory, simulate
 from .norms import sobolev_norm
 from .precision import DOUBLE, EXTENDED32, Precision
-from .spectral import RhsOptions, dealias_cutoff, derivative, rhs
-from .synthetic import SyntheticSpec, oracle_field, oracle_spectrum
+from .spectral import RhsOptions, dealias_cutoff, derivative
+from .synthetic import SyntheticSpec, oracle_spectrum
 from .tracker import (
     FitOptions,
     FitResult,
     SingularityTrace,
     fit_spectrum,
-    local_fit,
     sliding_fit,
     strip_monitor,
     track,
@@ -53,10 +52,7 @@ __all__ = [
     "forward_transform",
     "initial_datum",
     "inverse_transform",
-    "local_fit",
-    "oracle_field",
     "oracle_spectrum",
-    "rhs",
     "simulate",
     "sliding_fit",
     "sobolev_norm",

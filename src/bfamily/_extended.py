@@ -65,9 +65,7 @@ class ExtendedOperations:
     arg = staticmethod(_CTX.arg)
     scalar = staticmethod(_CTX.mpf)
 
-    exp_array = _elementwise(_CTX.exp)
     sin_array = _elementwise(_CTX.sin)
-    real_part = _elementwise(_CTX.re)
     as_complex = _elementwise(_enter)
 
     @staticmethod

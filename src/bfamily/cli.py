@@ -25,7 +25,11 @@ before its first run.  With ``min_strip_width = none``,
 reads the window; ``track`` and ``sweep`` always attach one.
 ``validate`` checks its window at its K before the first case.
 
-Command-line flags mirror the keys and override the file.  Outputs are
+Command-line flags mirror the keys and override the file.  Flag
+values, those of ``sweep --workers`` and ``validate --modes`` and
+``--fit-kmin`` included, are strings that the key parsers read, so a
+bad one is one ``configuration error:`` line on stderr and exit 2, not
+argparse's usage text.  Outputs are
 CSV files whose ``#``-prefixed header repeats the schema version and the
 full manifest, so a result file is its own provenance record; nothing
 else (no timestamps) enters the files, and reruns of the same manifest
@@ -547,9 +551,11 @@ def validate_cases(
     return rows
 
 
-def cmd_validate(n_modes: int, fit_kmin: Optional[int]) -> int:
+def cmd_validate(n_modes: Optional[int], fit_kmin: Optional[int]) -> int:
+    """Print the closure suite; None takes ``validate_cases``' default for that setting."""
     fit = None if fit_kmin is None else FitOptions(k_min=fit_kmin)
-    rows = validate_cases(n_modes=n_modes, fit=fit)
+    resolution = {} if n_modes is None else {"n_modes": n_modes}
+    rows = validate_cases(fit=fit, **resolution)
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     for delta, alpha, status, detail in rows:
         counts[status] += 1
@@ -609,11 +615,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         required=True,
         help="comma-separated b values, e.g. 0,1,2,3,4",
     )
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--workers")
 
     p_val = sub.add_parser("validate", help="oracle-closure check of the tracker")
-    p_val.add_argument("--modes", type=int, default=2048)
-    p_val.add_argument("--fit-kmin", type=int, default=None)
+    p_val.add_argument("--modes")
+    p_val.add_argument("--fit-kmin", default="none")
 
     args = parser.parse_args(argv)
     try:
@@ -627,8 +633,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 b_values = [float(v) for v in args.b_list.split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad --b-list: {args.b_list!r}") from exc
-            return cmd_sweep(manifest, b_values, max_workers=args.workers)
-        return cmd_validate(args.modes, args.fit_kmin)
+            workers = None if args.workers is None else _parse_int(args.workers, "--workers")
+            return cmd_sweep(manifest, b_values, max_workers=workers)
+        modes = None if args.modes is None else _parse_int(args.modes, "--modes")
+        return cmd_validate(modes, _optional(_parse_int)(args.fit_kmin, "--fit-kmin"))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,11 +18,7 @@ class SymmetryError(BFamilyError):
 
 
 class BlowUpOverflowError(BFamilyError):
-    """A computed value left the floating range: a right-hand side, an RK4 step or a norm."""
-
-
-class NoiseFloorError(BFamilyError):
-    """A requested fit mode sits below the round-off noise floor."""
+    """A computed value left the floating range: an RK4 step or a norm."""
 
 
 class EmptyWindowError(BFamilyError):

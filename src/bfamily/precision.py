@@ -20,8 +20,7 @@ every operation whose double and extended forms differ:
 - scalar ``log``, ``log_ratio`` (log(num/den) of two integers), ``exp``,
   ``sqrt``, ``arg``, ``exp_minus_i`` (exp(-i*theta)) and ``isfinite``,
   and the constants ``pi`` and ``zero`` (a complex zero);
-- elementwise array ``exp_array``, ``sin_array`` and ``real_part``, and
-  the finiteness test ``all_finite``;
+- the elementwise ``sin_array`` and the finiteness test ``all_finite``;
 - ``text``, a scalar as result files print it: a float's ``repr``, or
   ``digits`` + 2 significant digits of the extended mode's own values;
 - ``near_singular``, the Wynn epsilon table's test for a near-singular
@@ -148,9 +147,7 @@ class DoublePrecision:
     exp_minus_i = staticmethod(_double_exp_minus_i)
     scalar = staticmethod(float)
 
-    exp_array = staticmethod(np.exp)
     sin_array = staticmethod(np.sin)
-    real_part = staticmethod(np.real)
 
     def context(self):
         return contextlib.nullcontext(self)

@@ -27,15 +27,15 @@ input zeroing, so entering and leaving spectral space cost one multiply
 each.  The tables, the constants b/2 and (3-b)/2 and the scratch
 buffers are built once per (K, b, dealias, scalar mode) and cached by
 ``rhs_kernel``.  One evaluation makes fifteen numpy calls, the two
-transforms included, and no overflow guard: its callers enter one
-``np.errstate`` and run one finiteness check around it.  ``rk4_step``
-guards a whole step that way, and ``rhs`` its one evaluation.  A check
-of the result sees every overflow of the evaluation: a non-finite value
-in physical space reaches every bin of the forward transform, and a
-multiply by zero keeps it NaN.  The nonlocal symbol ik / (1 + k^2), that is
+transforms included, and no overflow guard: its one caller,
+``integrator.rk4_step``, enters one ``np.errstate`` and runs one
+finiteness check around a whole step.  A check of the result sees
+every overflow of the evaluation: a non-finite value in physical space
+reaches every bin of the forward transform, and a multiply by zero
+keeps it NaN.  The nonlocal symbol ik / (1 + k^2), that is
 (1 - d_xx)^{-1} d_x, exists only as the kernel's ``symbol`` table.
-``Spectrum`` stores the same layout, so ``rhs`` and ``derivative`` act
-on its coefficients directly.  The same code serves double and
+``Spectrum`` stores the same layout, so the kernel and ``derivative``
+act on its coefficients directly.  The same code serves double and
 extended precision; the transform pair, the tables and the buffer
 dtypes come from the scalar mode (``precision.transforms_for``).
 """
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridSpec, Spectrum, check_real, grid_signs
-from .errors import BlowUpOverflowError, ConfigError
+from .errors import ConfigError
 from .precision import Precision, transforms_for
 
 
@@ -146,7 +146,7 @@ class RhsKernel:
 
     ``__call__`` is the kernel's one method, and it is bare arithmetic:
     it neither silences numpy's overflow warnings nor checks its result,
-    so its callers do both (see the module docstring).
+    so its caller does both (see the module docstring).
     """
 
     def __init__(self, n_modes: int, options: RhsOptions, transforms: Precision) -> None:
@@ -216,20 +216,3 @@ def _cached_kernel(n_modes: int, options: RhsOptions, transforms: Precision) -> 
 def rhs_kernel(grid: GridSpec, options: RhsOptions, coeffs: np.ndarray) -> RhsKernel:
     """The cached kernel for this grid, equation and the scalar mode of ``coeffs``."""
     return _cached_kernel(grid.n_modes, options, transforms_for(coeffs))
-
-
-def rhs(spectrum: Spectrum, options: RhsOptions) -> Spectrum:
-    """Time derivative of the spectrum under the b-family dynamics.
-
-    The k = 0 component is set to exact zero: the advective product has
-    zero discrete mean (its positive and negative wavenumber
-    contributions cancel in exact arithmetic) and the nonlocal symbol
-    vanishes at k = 0, so zeroing only removes round-off.  Raises
-    BlowUpOverflowError when the result is not finite.
-    """
-    kernel = rhs_kernel(spectrum.grid, options, spectrum.coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = kernel(spectrum.coeffs)
-    if not kernel.transforms.all_finite(result):
-        raise BlowUpOverflowError("the right-hand side overflowed: its result is not finite")
-    return Spectrum(spectrum.grid, result)

@@ -16,8 +16,9 @@ through the binomial series (1 - w)**alpha = sum_k binom(alpha, k) (-w)**k:
 with u_hat[-k] the conjugate.  The coefficients are generated by the
 stable product recurrence for the binomial term, never through Gamma
 functions, so no cancellation enters at large k.  ``oracle_spectrum``
-returns them for k = 0 .. K/2 - 1 on a grid of K modes, and
-``oracle_field`` samples the function on the grid's nodes.
+returns them for k = 0 .. K/2 - 1 on a grid of K modes, and its
+inverse transform is the function on the grid's nodes, up to the
+truncated tail.
 
 Non-integer alpha gives a genuine branch point; a nonnegative integer
 alpha truncates the series to a trigonometric polynomial (an entire
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, PeriodicField, Spectrum, check_real
+from .core import GridSpec, Spectrum, check_real
 from .precision import DOUBLE, Precision
 
 
@@ -54,19 +55,6 @@ class SyntheticSpec:
         for name, positive in (("alpha", False), ("delta", True), ("x_star", False),
                                ("amplitude", True)):
             check_real(name, getattr(self, name), positive)
-
-
-def oracle_field(spec: SyntheticSpec, grid: GridSpec,
-                 precision: Precision = DOUBLE) -> PeriodicField:
-    """Sample the oracle function on the grid.
-
-    The base 1 - exp(-delta)*exp(i*theta) keeps a positive real part,
-    so the principal power equals the binomial series everywhere.
-    """
-    x = grid.nodes(precision)
-    w = precision.exp_array(-spec.delta + 1j * (x - spec.x_star))
-    values = spec.amplitude * precision.real_part((1.0 - w) ** spec.alpha)
-    return PeriodicField(grid=grid, values=values)
 
 
 def _coefficient_table(spec: SyntheticSpec, count: int, precision: Precision) -> np.ndarray:

@@ -53,7 +53,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Spectrum, check_integer, check_real
-from .errors import ConfigError, EmptyWindowError, ExtrapolationError, NoiseFloorError
+from .errors import ConfigError, EmptyWindowError, ExtrapolationError
 from .integrator import BFamilyConfig, StopReason, Trajectory, simulate
 from .precision import Precision, transforms_for
 
@@ -162,51 +162,17 @@ class SlidingFit:
     log_magnitude: tuple
 
 
-def _magnitudes(spectrum: Spectrum, mode: Precision):
-    """|u_hat[k]| and the noise floor: NOISE_FLOOR_FACTOR round-offs of the peak.
-
-    A mode participates in fits only if its magnitude exceeds the floor.
-    """
-    mags = np.abs(spectrum.coeffs)
-    return mags, NOISE_FLOOR_FACTOR * mode.ulp * mags.max()
-
-
-def local_fit(spectrum: Spectrum, k: int):
-    """Fit (s, delta, log C) from the magnitude triple at k-1, k, k+1.
-
-    Exact on the pure decay model.  Requires 2 <= k <= K/2 - 2 and all
-    three magnitudes above the noise floor.
-    """
-    K = spectrum.grid.n_modes
-    if not 2 <= k <= K // 2 - 2:
-        raise ValueError(f"fit wavenumber must lie in [2, {K // 2 - 2}], got {k}")
-    mode = transforms_for(spectrum.coeffs)
-    mags, floor = _magnitudes(spectrum, mode)
-    triple = mags[k - 1], mags[k], mags[k + 1]
-    if not all(m > floor for m in triple):
-        raise NoiseFloorError(
-            f"magnitudes around k={k} sit at or below the noise floor {float(floor):.3e}"
-        )
-    return _three_point_fit(*triple, k, _wavenumber_logs(mode, k), mode)[:3]
-
-
-def _wavenumber_logs(mode: Precision, k: int) -> tuple:
-    """The logs the three-point fit at k takes from k alone.
-
-    log(k**2 / ((k-1)*(k+1))), log(k/(k+1)) and log k, in the mode's
-    scalar functions.
-    """
-    return mode.log_ratio(k * k, (k - 1) * (k + 1)), mode.log_ratio(k, k + 1), mode.log(k)
-
-
 @functools.lru_cache(maxsize=16)
 def _window_logs(mode: Precision, window: range) -> tuple:
-    """``_wavenumber_logs`` of every k in a fit window, built once per (mode, window).
+    """The logs the three-point fit at each k of a window takes from k alone.
 
-    The extended values belong to the mode's own context, so the global
-    mpmath precision does not enter them.
+    log(k**2 / ((k-1)*(k+1))), log(k/(k+1)) and log k, in the mode's
+    scalar functions, built once per (mode, window).  The extended
+    values belong to the mode's own context, so the global mpmath
+    precision does not enter them.
     """
-    return tuple(_wavenumber_logs(mode, k) for k in window)
+    return tuple((mode.log_ratio(k * k, (k - 1) * (k + 1)), mode.log_ratio(k, k + 1), mode.log(k))
+                 for k in window)
 
 
 def _three_point_fit(m_lo, m_mid, m_hi, k: int, logs: tuple, mode: Precision):
@@ -232,12 +198,14 @@ def sliding_fit(spectrum: Spectrum, options: FitOptions = FitOptions()) -> Slidi
     and the magnitudes below it come out as builtin scalars in one
     ``tolist()``.  The logs that depend on k alone come from the
     window's cached table (``_window_logs``); each k then runs the
-    formula that ``local_fit`` runs, so every row equals
-    ``local_fit(spectrum, k)`` bit for bit.
-    log|u_hat[k]|, which log C needs, is kept as ``log_magnitude``.
+    three-point formula of the module docstring in the mode's scalar
+    ``log``, so a row is exactly what that formula gives for its
+    triple.  log|u_hat[k]|, which log C needs, is kept as
+    ``log_magnitude``.
     """
     mode = transforms_for(spectrum.coeffs)
-    mags, floor = _magnitudes(spectrum, mode)
+    mags = np.abs(spectrum.coeffs)
+    floor = NOISE_FLOOR_FACTOR * mode.ulp * mags.max()
     window = options.window(spectrum.grid.n_modes)
     span = mags[window.start - 1 : window.stop + 1]
     below = np.flatnonzero(np.logical_not(span > floor))

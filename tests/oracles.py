@@ -14,8 +14,10 @@ import numpy as np
 from bfamily.cli import SCHEMA_VERSION, _value_formatter
 from bfamily.core import GridSpec, PeriodicField, Spectrum, forward_transform
 from bfamily.errors import BlowUpOverflowError
-from bfamily.precision import transforms_for
-from bfamily.tracker import track_run
+from bfamily.precision import DOUBLE, EXTENDED32, transforms_for
+from bfamily.spectral import rhs_kernel
+from bfamily.synthetic import SyntheticSpec
+from bfamily.tracker import NOISE_FLOOR_FACTOR, track_run
 
 
 # The frozen extended transform computes in a 32-digit context of its own:
@@ -126,6 +128,18 @@ def burgers_strip_width(t: float) -> float:
     return math.acosh(1 / t) - math.sqrt(1 - t * t)
 
 
+def rhs_coeffs(spectrum: Spectrum, options) -> np.ndarray:
+    """One evaluation of the cached right-hand-side kernel: the time derivative's coefficients.
+
+    The kernel is bare arithmetic, and ``integrator.rk4_step`` is its one
+    guarded caller.  Here it runs under the ``np.errstate`` a step
+    enters, and nothing checks the result: a test that needs it finite
+    says so.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rhs_kernel(spectrum.grid, options, spectrum.coeffs)(spectrum.coeffs)
+
+
 def convolution_rhs(spectrum: Spectrum, b: float, cutoff: int) -> np.ndarray:
     """Right-hand side of the truncated mode system by exact convolution.
 
@@ -178,6 +192,52 @@ def branch_point_series_coefficient(alpha, delta, x_star, amplitude, k: int, dps
             return mp.mpc(amp)
         term = mp.binomial(a, k) * (-1) ** k * mp.e ** (-d * k) * mp.expj(-k * xs)
         return amp / 2 * term
+
+
+def oracle_field(spec: SyntheticSpec, grid: GridSpec, precision=DOUBLE) -> PeriodicField:
+    """amplitude * Re[(1 - exp(-delta) exp(i (x - x_star)))**alpha] on the grid's nodes.
+
+    Evaluated pointwise, independently of ``synthetic.oracle_spectrum``'s
+    series: numpy for doubles, global mpmath functions inside
+    ``EXTENDED32.context()`` for the extended mode.  The base keeps a
+    positive real part, so the principal power equals the binomial
+    series everywhere.
+    """
+    x = grid.nodes(precision)
+    if precision is DOUBLE:
+        w = np.exp(-spec.delta + 1j * (x - spec.x_star))
+        return PeriodicField(grid, spec.amplitude * np.real((1.0 - w) ** spec.alpha))
+    with EXTENDED32.context():
+        values = [spec.amplitude
+                  * mp.re((1 - mp.exp(-spec.delta + 1j * (mp.mpf(v) - spec.x_star))) ** spec.alpha)
+                  for v in x]
+    return PeriodicField(grid, np.array(values, dtype=object))
+
+
+def local_fit(spectrum: Spectrum, k: int):
+    """(s, delta, log C) from the magnitude triple at k-1, k, k+1.
+
+    The three-point formula as ``bfamily.tracker``'s module docstring
+    writes it, restated in the package's operation order with the mode's
+    scalar ``log`` and ``log_ratio``, so each row of ``sliding_fit`` must
+    equal it bit for bit.  Exact on the pure decay model.  Raises
+    ValueError unless 2 <= k <= K/2 - 2 and all three magnitudes lie
+    above the tracker's noise floor (NOISE_FLOOR_FACTOR round-offs of
+    the largest magnitude).
+    """
+    K = spectrum.grid.n_modes
+    if not 2 <= k <= K // 2 - 2:
+        raise ValueError(f"fit wavenumber must lie in [2, {K // 2 - 2}], got {k}")
+    mode = transforms_for(spectrum.coeffs)
+    mags = np.abs(spectrum.coeffs)
+    floor = NOISE_FLOOR_FACTOR * mode.ulp * mags.max()
+    m_lo, m_mid, m_hi = mags[k - 1], mags[k], mags[k + 1]
+    if not (m_lo > floor and m_mid > floor and m_hi > floor):
+        raise ValueError(f"magnitudes around k={k} sit at or below the noise floor")
+    s = mode.log((m_lo / m_mid) * (m_hi / m_mid)) / mode.log_ratio(k * k, (k - 1) * (k + 1))
+    delta = mode.log(m_mid / m_hi) + s * mode.log_ratio(k, k + 1)
+    log_c = mode.log(m_mid) + s * mode.log(k) + k * delta
+    return s, delta, log_c
 
 
 def shanks_table_limit(seq, depth_even: int, dps: int = 60):

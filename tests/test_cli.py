@@ -187,11 +187,17 @@ class TestManifestParsing:
         (["sweep", "--b-list", ","], "sweep needs at least one b value"),
         (["sweep", "--b-list", "1,x"], "bad --b-list: '1,x'"),
         (["track", "--dt", "abc"], "dt must be a number, got 'abc'"),
-    ], ids=["empty-b-list", "bad-b-list", "bad-dt"])
+        # a command's own integer flags are parsed as the keys are, with no usage text
+        (["sweep", "--b-list", "2", "--workers", "2.5"], "--workers must be an integer, got '2.5'"),
+        (["validate", "--modes", "2.5"], "--modes must be an integer, got '2.5'"),
+        (["validate", "--fit-kmin", "x"], "--fit-kmin must be an integer, got 'x'"),
+    ], ids=["empty-b-list", "bad-b-list", "bad-dt", "bad-workers", "bad-modes", "bad-fit-kmin"])
     def test_bad_command_line_exits_2_with_one_line(self, tmp_path, capsys, command,
                                                     message):
         out = tmp_path / "o"
-        assert main([*command, "--out", str(out)]) == 2
+        if command[0] != "validate":  # validate writes no files and takes no --out
+            command = [*command, "--out", str(out)]
+        assert main(command) == 2
         assert capsys.readouterr() == ("", f"configuration error: {message}\n")
         assert not out.exists()
 

@@ -22,11 +22,11 @@ from numpy.fft import _pocketfft
 
 from bfamily import (DOUBLE, EXTENDED32, TYPE_I, BFamilyConfig, FitOptions, GridSpec,
                      RhsOptions, SyntheticSpec, fit_spectrum, forward_transform, initial_datum,
-                     oracle_field, oracle_spectrum, precision, sobolev_norm, track_run)
+                     oracle_spectrum, precision, sobolev_norm, track_run)
 from bfamily import _extended, cli
 from bfamily.integrator import rk4_step
 
-from oracles import reference_extended_forward, reference_extended_inverse
+from oracles import oracle_field, reference_extended_forward, reference_extended_inverse
 
 
 def at_default_and_raised(compute):

@@ -22,7 +22,6 @@ from bfamily.spectral import (
     RhsOptions,
     dealias_cutoff,
     derivative,
-    rhs,
     rhs_kernel,
 )
 
@@ -32,6 +31,7 @@ from oracles import (
     full_layout,
     full_layout_rhs,
     random_hermitian_spectrum,
+    rhs_coeffs,
 )
 
 
@@ -73,14 +73,13 @@ class TestDealiasCutoff:
 
 
 def evaluated_products(spectrum, options):
-    """Evaluate ``rhs`` and return the kernel's product stage, (u u_x, u^2, u_x^2) as Spectra.
+    """Evaluate the kernel and return its product stage, (u u_x, u^2, u_x^2) as Spectra.
 
     The cached kernel keeps the three products of its last evaluation in
     its product buffer; the returned Spectra hold copies of its rows.
-    An overflowing evaluation still raises from ``rhs``, so overflow
-    cases read the buffer through ``product_buffer`` instead.
+    Overflow cases read the buffer through ``product_buffer`` instead.
     """
-    rhs(spectrum, options)
+    rhs_coeffs(spectrum, options)
     return tuple(Spectrum(spectrum.grid, row.copy()) for row in product_buffer(spectrum, options))
 
 
@@ -89,11 +88,11 @@ def product_buffer(spectrum, options):
 
 
 class TestNonlinearProducts:
-    """The product stage of the right-hand-side kernel, read after an ``rhs`` evaluation."""
+    """The product stage of the right-hand-side kernel, read after one evaluation."""
 
     def test_sine_products(self):
         # u u_x = sin(2x)/2, u^2 = (1 - cos 2x)/2, u_x^2 = (1 + cos 2x)/2;
-        # the k = 0 products are the means that rhs itself zeroes
+        # the k = 0 products are the means that the kernel's result zeroes
         adv, u_sq, ux_sq = evaluated_products(sine_spectrum(), RhsOptions(b=2.0))
         assert adv.coeffs[2] == pytest.approx(-0.25j, abs=1e-15)
         assert adv.coeffs[0] == pytest.approx(0.0, abs=1e-15)
@@ -104,22 +103,23 @@ class TestNonlinearProducts:
 
     def test_overflow_raises(self):
         # the overflow happens in the product stage: u^2 and u_x^2 overflow
-        # on the nodes, and no product bin is left finite
+        # on the nodes, and no product bin is left finite; a step raises
         c = np.zeros(9, dtype=complex)
         c[1] = 1e200
         state, opts = Spectrum(GridSpec(16), c), RhsOptions(b=3.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BlowUpOverflowError):
-                rhs(state, opts)
+                rk4_step(state, 1e-3, opts)
+        rhs_coeffs(state, opts)
         assert not np.isfinite(product_buffer(state, opts)).any()
 
 
 class TestOverflowGuard:
-    """The kernel's guarded callers, ``rhs`` and ``rk4_step``, raise on overflow, never warn."""
+    """The kernel's guarded caller, ``rk4_step``, raises on overflow, never warns."""
 
     @pytest.mark.parametrize("dealias", [False, True])
-    @pytest.mark.parametrize("entry", ["rk4_step", "rhs"])
+    @pytest.mark.parametrize("entry", ["rk4_step"])  # the one guarded caller
     @pytest.mark.parametrize("slot,value", [(1, 1e200), (0, 1e154)], ids=["physical", "transform"])
     def test_overflow_raises(self, slot, value, entry, dealias):
         # physical: u^2 overflows on the nodes; transform: u^2 = 1e308 is
@@ -130,10 +130,7 @@ class TestOverflowGuard:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BlowUpOverflowError):
-                if entry == "rhs":
-                    rhs(state, opts)
-                else:
-                    rk4_step(state, 1e-3, opts)
+                rk4_step(state, 1e-3, opts)
 
 
 class TestRhs:
@@ -141,49 +138,49 @@ class TestRhs:
         g = GridSpec(16)
         c = np.zeros(9, dtype=complex)
         c[0] = 2.5
-        out = rhs(Spectrum(g, c), RhsOptions(b=3.0))
-        assert np.abs(out.coeffs).max() == 0.0
+        out = rhs_coeffs(Spectrum(g, c), RhsOptions(b=3.0))
+        assert np.abs(out).max() == 0.0
 
     def test_mean_component_exactly_zero(self):
         rng = np.random.default_rng(23)
         for b in (-1.0, 0.0, 2.0, 3.0, 4.5):
             s = random_hermitian_spectrum(GridSpec(32), rng)
-            assert rhs(s, RhsOptions(b=b)).coeffs[0] == 0.0
+            assert rhs_coeffs(s, RhsOptions(b=b))[0] == 0.0
 
     def test_preserves_hermitian_symmetry_exactly(self):
         # the stored modes fix the negative ones; k = 0 and K/2 stay real
         rng = np.random.default_rng(29)
         for K in (16, 64):
             s = random_hermitian_spectrum(GridSpec(K), rng)
-            out = rhs(s, RhsOptions(b=3.0))
-            assert out.coeffs[0].imag == 0.0 and out.coeffs[-1].imag == 0.0
+            out = rhs_coeffs(s, RhsOptions(b=3.0))
+            assert out[0].imag == 0.0 and out[-1].imag == 0.0
 
     def test_nyquist_zeroed(self):
         rng = np.random.default_rng(19)
         s = random_hermitian_spectrum(GridSpec(16), rng)
-        assert rhs(s, RhsOptions(b=3.0)).coeffs[8] == 0.0
+        assert rhs_coeffs(s, RhsOptions(b=3.0))[8] == 0.0
 
     def test_dealiased_rhs_zero_upper_third(self):
         rng = np.random.default_rng(37)
         s = random_hermitian_spectrum(GridSpec(32), rng)
         kc = dealias_cutoff(32)
-        assert all(rhs(s, RhsOptions(b=3.0, dealias=True)).coeffs[kc + 1 :] == 0.0)
+        assert all(rhs_coeffs(s, RhsOptions(b=3.0, dealias=True))[kc + 1 :] == 0.0)
 
     def test_affine_in_b(self):
         # the b-dependence enters linearly through the stress term
         rng = np.random.default_rng(31)
         s = random_hermitian_spectrum(GridSpec(32), rng)
-        r0 = rhs(s, RhsOptions(b=0.0)).coeffs
-        r1 = rhs(s, RhsOptions(b=1.0)).coeffs
-        r4 = rhs(s, RhsOptions(b=4.0)).coeffs
+        r0 = rhs_coeffs(s, RhsOptions(b=0.0))
+        r1 = rhs_coeffs(s, RhsOptions(b=1.0))
+        r4 = rhs_coeffs(s, RhsOptions(b=4.0))
         np.testing.assert_allclose(r4, r0 + 4.0 * (r1 - r0), rtol=0, atol=1e-13)
 
     def test_sine_rhs_hand_value(self):
         # b = 2: rhs = -[uu_x + ik/(1+k^2)(u^2 + u_x^2/2)_k]
         # uu_x: -/+ i/4 at k = +/-2; (u^2)_2 = -1/4, (u_x^2)_2 = 1/4
         # k=2 symbol: 2i/5 -> rhs_2 = -(-i/4 + (2i/5)(-1/4 + 1/8)) = i/4 + i/20 = 3i/10
-        out = rhs(sine_spectrum(), RhsOptions(b=2.0))
-        assert out.coeffs[2] == pytest.approx(0.3j, abs=1e-15)
+        out = rhs_coeffs(sine_spectrum(), RhsOptions(b=2.0))
+        assert out[2] == pytest.approx(0.3j, abs=1e-15)
 
 
 class TestConvolutionEquivalence:
@@ -196,7 +193,7 @@ class TestConvolutionEquivalence:
         kc = dealias_cutoff(K)
         for _ in range(10):
             s = random_hermitian_spectrum(GridSpec(K), rng)
-            got = rhs(s, opts).coeffs
+            got = rhs_coeffs(s, opts)
             want = convolution_rhs(s, b=3.0, cutoff=kc)
             scale = max(np.abs(want).max(), 1.0)
             assert np.abs(got - want).max() <= 1e3 * np.finfo(float).eps * scale
@@ -210,7 +207,7 @@ class TestConvolutionEquivalence:
         kc = dealias_cutoff(K)
         for _ in range(10):
             s = random_hermitian_spectrum(GridSpec(K), rng)
-            got = np.array([complex(c) for c in rhs(to_extended(s), opts).coeffs])
+            got = np.array([complex(c) for c in rhs_coeffs(to_extended(s), opts)])
             want = convolution_rhs(s, b=3.0, cutoff=kc)
             scale = max(np.abs(want).max(), 1.0)
             assert np.abs(got - want).max() <= 1e3 * np.finfo(float).eps * scale
@@ -221,7 +218,7 @@ class TestConvolutionEquivalence:
         kc = dealias_cutoff(K)
         s = random_hermitian_spectrum(GridSpec(K), rng)
         for b in (-0.5, 0.0, 2.0, 3.0):
-            got = rhs(s, RhsOptions(b=b, dealias=True)).coeffs
+            got = rhs_coeffs(s, RhsOptions(b=b, dealias=True))
             want = convolution_rhs(s, b=b, cutoff=kc)
             scale = max(np.abs(want).max(), 1.0)
             assert np.abs(got - want).max() <= 1e3 * np.finfo(float).eps * scale
@@ -232,8 +229,8 @@ class TestExtendedMode:
         g = GridSpec(16)
         sd = forward_transform(initial_datum(TYPE_I, g))
         se = forward_transform(initial_datum(TYPE_I, g, EXTENDED32))
-        rd = rhs(sd, RhsOptions(b=3.0)).coeffs
-        re_ = rhs(se, RhsOptions(b=3.0)).coeffs
+        rd = rhs_coeffs(sd, RhsOptions(b=3.0))
+        re_ = rhs_coeffs(se, RhsOptions(b=3.0))
         with mp.workdps(32):
             err = max(abs(mp.mpc(a) - b) for a, b in zip(rd, re_))
             assert float(err) < 1e-14
@@ -242,8 +239,8 @@ class TestExtendedMode:
         g = GridSpec(16)
         sd = forward_transform(initial_datum(TYPE_I, g))
         se = forward_transform(initial_datum(TYPE_I, g, EXTENDED32))
-        rd = rhs(sd, RhsOptions(b=3.0, dealias=True)).coeffs
-        re_ = rhs(se, RhsOptions(b=3.0, dealias=True)).coeffs
+        rd = rhs_coeffs(sd, RhsOptions(b=3.0, dealias=True))
+        re_ = rhs_coeffs(se, RhsOptions(b=3.0, dealias=True))
         with mp.workdps(32):
             err = max(abs(mp.mpc(a) - b) for a, b in zip(rd, re_))
             assert float(err) < 1e-14
@@ -286,7 +283,7 @@ class TestRhsKernel:
     def test_rhs_equals_full_layout_pipeline(self, K, b, dealias):
         rng = np.random.default_rng(K)
         s = random_hermitian_spectrum(GridSpec(K), rng)
-        got = rhs(s, RhsOptions(b=b, dealias=dealias)).coeffs
+        got = rhs_coeffs(s, RhsOptions(b=b, dealias=dealias))
         want = full_layout_rhs(full_layout(s), b, dealias)
         np.testing.assert_array_equal(got, want[: K // 2 + 1])
 
@@ -294,7 +291,7 @@ class TestRhsKernel:
         c = np.array(sine_spectrum(16).coeffs)
         c[0] = 1.0j
         with pytest.raises(SymmetryError):
-            rhs(Spectrum(GridSpec(16), c), RhsOptions(b=3.0))
+            rhs_coeffs(Spectrum(GridSpec(16), c), RhsOptions(b=3.0))
 
 
 def held_arrays(kernel):
@@ -309,9 +306,9 @@ class TestFreshResults:
         rng = np.random.default_rng(41)
         opts = RhsOptions(b=3.0, dealias=True)
         first_in, second_in = (random_hermitian_spectrum(GridSpec(32), rng) for _ in range(2))
-        first = rhs(first_in, opts).coeffs
+        first = rhs_coeffs(first_in, opts)
         kept = first.tobytes()
-        second = rhs(second_in, opts).coeffs
+        second = rhs_coeffs(second_in, opts)
         assert not np.shares_memory(first, second)
         assert first.tobytes() == kept
 

@@ -9,9 +9,9 @@ import pytest
 from bfamily import DOUBLE, EXTENDED32, GridSpec
 from bfamily.core import forward_transform
 from bfamily.errors import ConfigError
-from bfamily.synthetic import SyntheticSpec, oracle_field, oracle_spectrum
+from bfamily.synthetic import SyntheticSpec, oracle_spectrum
 
-from oracles import branch_point_series_coefficient
+from oracles import branch_point_series_coefficient, oracle_field
 
 
 class TestSpecValidation:

@@ -15,15 +15,14 @@ import bfamily.integrator as integrator
 import bfamily.tracker as tracker
 from bfamily import DOUBLE, EXTENDED32, GridSpec
 from bfamily.core import PeriodicField, Spectrum, forward_transform, inverse_transform
-from bfamily.errors import ConfigError, EmptyWindowError, ExtrapolationError, NoiseFloorError
+from bfamily.errors import ConfigError, EmptyWindowError, ExtrapolationError
 from bfamily.integrator import BFamilyConfig, StopReason, Trajectory, simulate
 from bfamily.synthetic import SyntheticSpec, oracle_spectrum
 from bfamily.tracker import (WYNN_RTOL, FitOptions, estimate_x_star,
-                             extrapolate_blowup_time, fit_spectrum, local_fit,
-                             sliding_fit, strip_monitor, track, track_run,
-                             wynn_epsilon)
+                             extrapolate_blowup_time, fit_spectrum, sliding_fit,
+                             strip_monitor, track, track_run, wynn_epsilon)
 
-from oracles import (burgers_spectrum, burgers_strip_width, reference_wynn_epsilon,
+from oracles import (burgers_spectrum, burgers_strip_width, local_fit, reference_wynn_epsilon,
                      shanks_table_limit, tracked_run)
 
 
@@ -59,7 +58,7 @@ class TestLocalFit:
         for k in range(2, 127):
             try:
                 s, d, c = local_fit(sp, k)
-            except NoiseFloorError:
+            except ValueError:  # the oracle's noise-floor refusal
                 break
             checked += 1
             assert abs(s - 1.6) / 1.6 < 1e-10
@@ -138,7 +137,7 @@ class TestLocalFit:
     def test_noise_floor_raises(self):
         sp = pure_model_spectrum(GridSpec(256), 1.0, 1.0, 0.5)
         # e^{-0.5 k} reaches the floor well before k = 120
-        with pytest.raises(NoiseFloorError):
+        with pytest.raises(ValueError, match="noise floor"):
             local_fit(sp, 120)
 
 
@@ -177,9 +176,10 @@ class TestSlidingFit:
     @pytest.mark.parametrize("precision, n_modes", [(DOUBLE, 4096), (EXTENDED32, 256)],
                              ids=["double-4096", "extended-256"])
     def test_rows_equal_local_fit_bit_for_bit(self, precision, n_modes):
-        # every row is local_fit's formula with the logs read from the
-        # window's table; the extended table is built under a global
-        # precision of 60 digits, which its values must not see
+        # every row equals the oracle local_fit, the formula written apart
+        # from the tracker's; the logs come from the window's table, and
+        # the extended table is built under a global precision of 60
+        # digits, which its values must not see
         spec = SyntheticSpec(alpha=1 / 2, delta=0.02 if precision is DOUBLE else 0.2, x_star=0.7)
         sp = oracle_spectrum(spec, GridSpec(n_modes), precision)
         options = FitOptions(k_min=16)

@@ -67,6 +67,9 @@ COMMANDS = {
                           "false", "--dt", "0.5", "--t-end", "10", "--sample-every", "1"],
     "overflow-track": ["track", *_OVERFLOW],
     "overflow-sweep": ["sweep", *_OVERFLOW, "--b-list", "1e300"],
+    # a bad integer flag: one configuration-error line, exit 2, no output
+    "bad-workers-sweep": ["sweep", "--b-list", "2", "--workers", "2.5"],
+    "bad-modes-validate": ["validate", "--modes", "2.5"],
 }
 
 _MAIN = "import sys; from bfamily.cli import main; sys.exit(main(sys.argv[1:]))"
